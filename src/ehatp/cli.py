@@ -8,15 +8,15 @@ interactive stepper; ``bench`` runs the shipped instances and compares their
 structural metrics against the calibration targets.
 
 Exit codes: 0 success, 1 diagnostics (unreadable or malformed input),
-2 planning or replay failure.  ``EHATP_LOG=sa|expand|all`` turns on trace
-logging on stderr.
+2 planning or replay failure, or a missed bench target.
+``EHATP_LOG=sa|expand|all`` turns on trace logging on stderr.
 """
 
 import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .dsl import (
@@ -146,6 +146,7 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
     is re-counted against the budget.  Any branch that cannot be driven to a
     finished state becomes a DEAD trace with the reason attached.
     """
+    dom = replace(dom)  # a fresh HTN memo for this replay only
     traces: list[SimulationTrace] = []
 
     def finish(steps: list[SimStep], outcome: str, note: str = "") -> None:
@@ -412,6 +413,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(STATES_NOTE)
     if suspects:
         print(f"encodings to review: {', '.join(suspects)}")
+        return 2
     return 0
 
 

@@ -133,6 +133,10 @@ class DomainModel:
     copresence: tuple[Literal, ...]
     actions: tuple[ActionSchema, ...]
     methods: tuple[MethodSchema, ...]
+    # Answers of the HTN queries (see ``htn._memoized``).  One search or
+    # replay works on its own copy, ``dataclasses.replace(dom)``, so the
+    # memo lives exactly as long as that call.
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def predicate(self, name: str) -> PredicateDecl | None:
         for p in self.predicates:

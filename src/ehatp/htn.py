@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dsl import DomainModel, GroundAction, MethodSchema
+from .dsl import DomainModel, GroundAction
 from .model import (
     AlignmentImpossibleError,
     BeliefBase,
@@ -23,7 +23,9 @@ from .model import (
     Literal,
     Task,
     TaskNetwork,
+    atoms_of,
     is_variable,
+    match,
 )
 
 # Expansion of one network may not nest methods deeper than this; the
@@ -48,54 +50,32 @@ class Refinement:
         return f"{self.first_primitive} :: [{rest}]"
 
 
-def _method_bindings(dom: DomainModel, m: MethodSchema, args: tuple[str, ...],
-                     bel: BeliefBase):
-    """Ground ``m`` applied to ``args``: all variable bindings whose
-    preconditions the base entails, in a deterministic order."""
-    binding = dict(zip((p.name for p in m.params), args))
-    solutions = [binding]
-    for pre in m.pre:
-        nxt = []
-        for b in solutions:
-            ground = pre.substitute(b)
-            free = [a for a in ground.args if is_variable(a)]
-            if not free:
-                if bel.entails(ground):
-                    nxt.append(b)
-            elif ground.positive:
-                for atom in sorted(bel.atoms, key=str):
-                    if atom.pred != ground.pred or len(atom.args) != len(ground.args):
-                        continue
-                    trial = dict(b)
-                    ok = True
-                    for want, got in zip(ground.args, atom.args):
-                        if is_variable(want):
-                            if trial.get(want, got) != got:
-                                ok = False
-                                break
-                            trial[want] = got
-                        elif want != got:
-                            ok = False
-                            break
-                    if ok:
-                        nxt.append(trial)
-            else:
-                raise DomainError(
-                    f"method {m.task}/{m.label}: negative precondition {pre} "
-                    f"leaves {free} unbound")
-        solutions = nxt
-        if not solutions:
-            return
-    seen = set()
-    for b in solutions:
-        key = tuple(sorted(b.items()))
-        if key not in seen:
-            seen.add(key)
-            yield b
-
-
 def _substitute_tasks(tasks: tuple[Task, ...], binding: dict[str, str]) -> tuple[Task, ...]:
     return tuple(Task(t.name, tuple(binding.get(a, a) for a in t.args)) for t in tasks)
+
+
+_MISS = object()
+
+
+def _memoized(kind: str, fn, dom: DomainModel, tn: TaskNetwork,
+              bel: BeliefBase, actor: str):
+    """``fn(dom, tn, bel, actor)``, computed once per ``dom.memo``.
+
+    A refinement depends only on the agenda, the base and the actor, so a
+    repeat within one search or replay is answered from the memo; a raised
+    :class:`DomainError` is remembered and raised again.
+    """
+    key = (kind, tn, bel.mask, actor)
+    hit = dom.memo.get(key, _MISS)
+    if hit is _MISS:
+        try:
+            hit = fn(dom, tn, bel, actor)
+        except DomainError as e:
+            hit = e
+        dom.memo[key] = hit
+    if isinstance(hit, DomainError):
+        raise hit.with_traceback(None)
+    return hit
 
 
 def feasible_refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
@@ -105,6 +85,11 @@ def feasible_refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
     The result is exhaustive over method choices and deterministic; an
     empty tuple means the actor cannot act on this agenda under ``bel``.
     """
+    return _memoized("refine", _refinements, dom, tuple(tn), bel, actor)
+
+
+def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
+                 actor: str) -> tuple[Refinement, ...]:
     results: dict[tuple, Refinement] = {}
     frontier: list[tuple[TaskNetwork, tuple[str, ...], int, tuple[Literal, ...]]] = [
         (tuple(tn), (), 0, ())]
@@ -134,7 +119,8 @@ def feasible_refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
         for m in methods:
             if len(m.params) != len(head.args):
                 continue
-            for binding in _method_bindings(dom, m, head.args, bel):
+            params = dict(zip((p.name for p in m.params), head.args))
+            for binding in match(bel, m.pre, params):
                 subs = _substitute_tasks(m.subtasks, binding)
                 checked = tuple(p.substitute(binding) for p in m.pre)
                 frontier.append((subs + rest, trace + (m.label,), depth + 1,
@@ -152,6 +138,11 @@ def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
                            actor: str) -> bool:
     """True iff the agenda can reach empty through zero-primitive methods:
     nothing is left that would require ``actor`` to act under ``bel``."""
+    return _memoized("done", _decomposed, dom, tuple(tn), bel, actor)
+
+
+def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
+                actor: str) -> bool:
     frontier: list[tuple[TaskNetwork, int]] = [(tuple(tn), 0)]
     seen = set()
     while frontier:
@@ -167,7 +158,8 @@ def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
         for m in dom.methods_for(head.name):
             if len(m.params) != len(head.args):
                 continue
-            for binding in _method_bindings(dom, m, head.args, bel):
+            params = dict(zip((p.name for p in m.params), head.args))
+            for binding in match(bel, m.pre, params):
                 frontier.append((_substitute_tasks(m.subtasks, binding) + rest,
                                  depth + 1))
     return False
@@ -214,8 +206,8 @@ def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
     if aligned(bel_rh):
         return frozenset()
 
-    sym = sorted(bel_r.atoms ^ bel_rh.atoms, key=str)
-    candidates = [a if a in bel_r.atoms else a.negate() for a in sym]
+    sym = sorted(atoms_of(bel_r.mask ^ bel_rh.mask), key=str)
+    candidates = [a if bel_r.entails(a) else a.negate() for a in sym]
 
     def transfer(subset) -> BeliefBase:
         base = bel_rh

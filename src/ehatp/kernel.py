@@ -13,9 +13,8 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
 
-from .dsl import DomainModel, GroundAction, KnowledgeRule, ProblemInstance
+from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
 from .htn import Refinement, advance, feasible_refinements
 from .model import (
     AGENTS,
@@ -28,10 +27,11 @@ from .model import (
     NoEventError,
     TaskNetwork,
     World,
-    is_variable,
+    atom_bit,
+    atoms_of,
+    match,
+    unify,
 )
-
-OBSERVER_SYMBOL = "observer"
 
 
 def _trace_enabled(channel: str) -> bool:
@@ -45,7 +45,7 @@ class Event:
     source world.  ``remainder`` is the acting agent's agenda afterwards."""
 
     action: GroundAction | None
-    source: str  # wid of the source world
+    source: tuple  # wid of the source world
     designated: bool
     remainder: TaskNetwork = ()
 
@@ -81,55 +81,12 @@ class ObservationContext:
 
 
 # --------------------------------------------------------------------------
-# Conjunction matching over a belief base
-
-
-def _match_bindings(bel: BeliefBase, literals: Iterable[Literal],
-                    binding: dict[str, str] | None = None) -> Iterator[dict[str, str]]:
-    """Bindings of the free variables under which ``bel`` entails every literal."""
-    solutions = [dict(binding or {})]
-    for l in literals:
-        nxt: list[dict[str, str]] = []
-        for b in solutions:
-            g = l.substitute(b)
-            free = [a for a in g.args if is_variable(a)]
-            if not free:
-                if bel.entails(g):
-                    nxt.append(b)
-            elif g.positive:
-                for atom in sorted(bel.atoms, key=str):
-                    if atom.pred != g.pred or len(atom.args) != len(g.args):
-                        continue
-                    trial = dict(b)
-                    ok = True
-                    for want, got in zip(g.args, atom.args):
-                        if is_variable(want):
-                            if trial.get(want, got) != got:
-                                ok = False
-                                break
-                            trial[want] = got
-                        elif want != got:
-                            ok = False
-                            break
-                    if ok:
-                        nxt.append(trial)
-            else:
-                raise DomainError(
-                    f"negative literal {l} leaves variables {free} unbound")
-        solutions = nxt
-        if not solutions:
-            return
-    seen: set[tuple] = set()
-    for b in solutions:
-        key = tuple(sorted(b.items()))
-        if key not in seen:
-            seen.add(key)
-            yield b
+# Co-presence
 
 
 def copresent(w: World, rule: tuple[Literal, ...]) -> bool:
     """Whether the agents share each other's presence in ``w`` (ground truth)."""
-    return next(_match_bindings(w.bel_r, rule), None) is not None
+    return next(match(w.bel_r, rule), None) is not None
 
 
 def state_copresent(dom: DomainModel, s: EpistemicState) -> bool:
@@ -138,20 +95,6 @@ def state_copresent(dom: DomainModel, s: EpistemicState) -> bool:
 
 # --------------------------------------------------------------------------
 # Observability
-
-
-def _unify_target(target: Literal, atom: Literal) -> dict[str, str] | None:
-    if target.pred != atom.pred or len(target.args) != len(atom.args):
-        return None
-    binding: dict[str, str] = {}
-    for want, got in zip(target.args, atom.args):
-        if is_variable(want):
-            if binding.get(want, got) != got:
-                return None
-            binding[want] = got
-        elif want != got:
-            return None
-    return binding
 
 
 def observable(dom: DomainModel, l: Literal, ctx: ObservationContext,
@@ -172,11 +115,11 @@ def observable(dom: DomainModel, l: Literal, ctx: ObservationContext,
     if decl is None or not decl.observable:
         return False
     for rule in dom.rules:
-        binding = _unify_target(rule.target, atom)
+        binding = unify(rule.target, atom)
         if binding is None:
             continue
-        binding[OBSERVER_SYMBOL] = ctx.observer
-        if next(_match_bindings(w.bel_r, rule.antecedent, binding), None) is not None:
+        binding[OBSERVER] = ctx.observer
+        if next(match(w.bel_r, rule.antecedent, binding), None) is not None:
             return True
     return False
 
@@ -355,27 +298,38 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
     if ctx is None:
         ctx = ObservationContext("H", d.agent_place.get("H"), co)
 
+    # Whether an atom is observable depends only on the atom, ``ctx`` and
+    # reality, so each atom is judged once per assessment.
+    judged = 0
+    in_view = 0
+
+    def visible(mask: int) -> int:
+        nonlocal judged, in_view
+        for atom in atoms_of(mask & ~judged):
+            if observable(dom, atom, ctx, d):
+                in_view |= atom_bit(atom)
+        judged |= mask
+        return mask & in_view
+
+    truth = d.bel_r.mask
     survivors: list[World] = []
-    removed: list[tuple[World, str]] = []
+    removed: list[tuple[World, int]] = []
     for w in s.worlds:
         if w is d:
             survivors.append(w)
             continue
         if w.distinguishable:
-            removed.append((w, "witness"))
+            removed.append((w, 0))
             continue
-        reason = None
-        for atom in sorted(d.bel_r.atoms ^ w.bel_rh.atoms, key=str):
-            if observable(dom, atom, ctx, d):
-                reason = str(atom)
-                break
-        if reason is None:
-            survivors.append(w)
+        clash = visible(truth ^ w.bel_rh.mask)
+        if clash:
+            removed.append((w, clash))
         else:
-            removed.append((w, reason))
+            survivors.append(w)
 
     if _trace_enabled("sa"):
-        for w, reason in removed:
+        for w, clash in removed:
+            reason = min(map(str, atoms_of(clash))) if clash else "witness"
             print(f"SA: removed {w.wid} reason={reason}", file=sys.stderr)
 
     if not removed and not ctx.co_present:
@@ -384,13 +338,9 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
     folded: list[World] = []
     designated_out: World | None = None
     for w in survivors:
-        bel_h, bel_rh = w.bel_h, w.bel_rh
-        universe = d.bel_r.atoms | w.bel_h.atoms | w.bel_rh.atoms
-        for atom in sorted(universe, key=str):
-            if observable(dom, atom, ctx, d):
-                truth = d.bel_r.entails(atom)
-                bel_h = bel_h.assign(atom, truth)
-                bel_rh = bel_rh.assign(atom, truth)
+        shown = visible(truth | w.bel_h.mask | w.bel_rh.mask)
+        bel_h = BeliefBase.from_mask((w.bel_h.mask & ~shown) | (truth & shown))
+        bel_rh = BeliefBase.from_mask((w.bel_rh.mask & ~shown) | (truth & shown))
         child = World(w.bel_r, bel_h, bel_rh, w.tn_r, w.tn_h, w.tn_rh,
                       0 if ctx.co_present else w.acted)
         folded.append(child)

@@ -5,13 +5,18 @@ between search branches.  A belief base stores positive ground atoms only and
 answers negative queries by closed-world absence.  Uncertainty is never stored
 inside a base: a fact an agent is unsure of appears with different values
 across the worlds of an :class:`EpistemicState`.
+
+Bases, worlds and states are identified by packed ints: each ground atom is
+interned to one bit, a base is the mask of its atoms, and a world's key is a
+tuple of ints built once.  Readable text (``describe``, ``canonical``) is
+built only where it leaves the process.
 """
 
 from __future__ import annotations
 
-import hashlib
+import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 AGENTS = ("R", "H")
@@ -109,59 +114,193 @@ def _require_ground(l: Literal) -> None:
         raise MalformedLiteralError(f"literal is not ground: {l}")
 
 
-@dataclass(frozen=True, slots=True)
+# --------------------------------------------------------------------------
+# Interned atoms
+#
+# Every positive ground atom a base ever holds gets one bit, once per
+# process, so a belief base is an int and a world's identity is a tuple of
+# ints.  The table only grows; bits therefore follow the order in which the
+# process first met each atom, and nothing that leaves the process may
+# depend on that order.
+
+_BIT: dict[Literal, int] = {}  # atom -> its bit (a power of two)
+_ATOMS: list[Literal] = []  # bit index -> atom
+# (pred, arity) -> [(str(atom), bit, atom)] sorted by the string, so that
+# matching visits candidate atoms in the same order as sorting them by str
+_BY_PRED: dict[tuple[str, int], list[tuple[str, int, Literal]]] = {}
+
+
+def atom_bit(atom: Literal) -> int:
+    """The bit of a positive ground atom, interning it on first sight.
+
+    This is the only place atoms are validated: an atom gets a bit only
+    after it passes, so every bit in a mask stands for a well-formed atom.
+    """
+    bit = _BIT.get(atom)
+    if bit is None:
+        if not atom.positive:
+            raise MalformedLiteralError(f"belief bases store positive atoms only: {atom}")
+        _require_ground(atom)
+        bit = _BIT[atom] = 1 << len(_ATOMS)
+        _ATOMS.append(atom)
+        bisect.insort(_BY_PRED.setdefault((atom.pred, len(atom.args)), []),
+                      (str(atom), bit, atom))
+    return bit
+
+
+def atoms_of(mask: int) -> list[Literal]:
+    """The atoms of a mask, in bit order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(_ATOMS[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
 class BeliefBase:
-    """A definite set of positive ground atoms under the closed-world reading."""
+    """A definite set of positive ground atoms under the closed-world reading,
+    stored as the bitmask of its interned atoms."""
 
-    atoms: frozenset[Literal] = frozenset()
+    __slots__ = ("mask",)
+    mask: int
 
-    def __post_init__(self) -> None:
-        for a in self.atoms:
-            if not a.positive:
-                raise MalformedLiteralError(f"belief bases store positive atoms only: {a}")
-            _require_ground(a)
+    def __init__(self, atoms: Iterable[Literal] = frozenset()) -> None:
+        mask = 0
+        for a in atoms:
+            mask |= atom_bit(a)
+        _set(self, "mask", mask)
 
     @classmethod
     def of(cls, *literals: Literal) -> "BeliefBase":
-        return cls(frozenset(literals))
+        return cls(literals)
+
+    @classmethod
+    def from_mask(cls, mask: int) -> "BeliefBase":
+        b = _new(cls)
+        _set(b, "mask", mask)
+        return b
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BeliefBase) and other.mask == self.mask
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
+
+    @property
+    def atoms(self) -> frozenset[Literal]:
+        return frozenset(atoms_of(self.mask))
 
     def entails(self, l: Literal) -> bool:
-        _require_ground(l)
-        return (l.atom in self.atoms) == l.positive
+        bit = _BIT.get(l.atom)
+        if bit is None:
+            _require_ground(l)  # a ground atom never interned is in no base
+            return not l.positive
+        return bool(self.mask & bit) == l.positive
 
     def entails_all(self, literals: Iterable[Literal]) -> bool:
         return all(self.entails(l) for l in literals)
 
     def apply_effects(self, adds: Iterable[Literal], dels: Iterable[Literal]) -> "BeliefBase":
-        add_atoms = frozenset(a.atom for a in adds)
-        del_atoms = frozenset(d.atom for d in dels)
-        for group in (add_atoms, del_atoms):
-            for a in group:
-                _require_ground(a)
-        overlap = add_atoms & del_atoms
-        if overlap:
+        add = 0
+        for a in adds:
+            add |= atom_bit(a.atom)
+        drop = 0
+        for d in dels:
+            drop |= atom_bit(d.atom)
+        if add & drop:
             raise ConflictingEffectsError(
-                "atoms both added and deleted: " + ", ".join(sorted(map(str, overlap)))
-            )
-        return BeliefBase((self.atoms - del_atoms) | add_atoms)
+                "atoms both added and deleted: "
+                + ", ".join(sorted(map(str, atoms_of(add & drop)))))
+        return BeliefBase.from_mask((self.mask & ~drop) | add)
 
     def assign(self, atom: Literal, value: bool) -> "BeliefBase":
         """Force one atom to a definite value (used by communication and SA)."""
         if value:
-            return BeliefBase(self.atoms | {atom.atom})
-        return BeliefBase(self.atoms - {atom.atom})
+            return BeliefBase.from_mask(self.mask | atom_bit(atom.atom))
+        bit = _BIT.get(atom.atom, 0)  # an atom never interned is in no base
+        return BeliefBase.from_mask(self.mask & ~bit)
 
     def canonical(self) -> tuple[str, ...]:
-        return tuple(sorted(str(a) for a in self.atoms))
+        return tuple(sorted(str(a) for a in atoms_of(self.mask)))
 
     def __iter__(self) -> Iterator[Literal]:
-        return iter(self.atoms)
+        return iter(atoms_of(self.mask))
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return self.mask.bit_count()
 
     def __str__(self) -> str:
         return "{" + ", ".join(self.canonical()) + "}"
+
+    def __repr__(self) -> str:
+        return f"BeliefBase({self})"
+
+
+# --------------------------------------------------------------------------
+# Matching conjunctions against a base
+
+
+def unify(pattern: Literal, atom: Literal,
+          binding: Mapping[str, str] | None = None) -> dict[str, str] | None:
+    """``binding`` extended so that ``pattern`` names ``atom``, or None."""
+    if pattern.pred != atom.pred or len(pattern.args) != len(atom.args):
+        return None
+    out = dict(binding) if binding else {}
+    for want, got in zip(pattern.args, atom.args):
+        if is_variable(want):
+            if out.setdefault(want, got) != got:
+                return None
+        elif want != got:
+            return None
+    return out
+
+
+def match(bel: BeliefBase, literals: Iterable[Literal],
+          binding: Mapping[str, str] | None = None) -> Iterator[dict[str, str]]:
+    """Bindings of the free variables under which ``bel`` entails every
+    literal, each extending ``binding``.
+
+    Literals are solved left to right; a free positive literal is matched
+    against the base's atoms in the order of their strings, so the bindings
+    come out in a deterministic order.  A negative literal must be ground
+    once the literals before it are bound.
+    """
+    solutions = [dict(binding) if binding else {}]
+    mask = bel.mask
+    for l in literals:
+        nxt: list[dict[str, str]] = []
+        for b in solutions:
+            g = l.substitute(b) if b else l
+            free = [a for a in g.args if is_variable(a)]
+            if not free:
+                if bel.entails(g):
+                    nxt.append(b)
+            elif g.positive:
+                for _, bit, atom in _BY_PRED.get((g.pred, len(g.args)), ()):
+                    if mask & bit:
+                        trial = unify(g, atom, b)
+                        if trial is not None:
+                            nxt.append(trial)
+            else:
+                raise DomainError(
+                    f"negative literal {l} leaves variables {free} unbound")
+        solutions = nxt
+        if not solutions:
+            return
+    seen: set[tuple] = set()
+    for b in solutions:
+        key = tuple(sorted(b.items()))
+        if key not in seen:
+            seen.add(key)
+            yield b
 
 
 # --------------------------------------------------------------------------
@@ -191,6 +330,16 @@ def network_str(tn: TaskNetwork) -> str:
 # Worlds and epistemic states
 
 
+_AGENDA_ID: dict[TaskNetwork, int] = {}  # interned task networks
+
+
+def _agenda_id(tn: TaskNetwork) -> int:
+    i = _AGENDA_ID.get(tn)
+    if i is None:
+        i = _AGENDA_ID[tn] = len(_AGENDA_ID)
+    return i
+
+
 @dataclass(frozen=True, slots=True)
 class World:
     """One hypothetical course of the task.
@@ -212,8 +361,24 @@ class World:
     tn_rh: TaskNetwork = ()
     acted: int = 0
     distinguishable: bool = False
+    _key: tuple = field(init=False, repr=False, compare=False)
 
-    def key(self) -> str:
+    def __post_init__(self) -> None:
+        _set(self, "_key", (
+            self.bel_r.mask, self.bel_h.mask, self.bel_rh.mask,
+            _agenda_id(self.tn_r), _agenda_id(self.tn_h), _agenda_id(self.tn_rh),
+            self.acted, self.distinguishable))
+
+    def key(self) -> tuple:
+        """The world's content as ints: equal keys, equal worlds."""
+        return self._key
+
+    @property
+    def wid(self) -> tuple:
+        return self._key
+
+    def describe(self) -> str:
+        """The world's content as readable text, the same in every process."""
         parts = [
             "bel_r=" + ",".join(self.bel_r.canonical()),
             "bel_h=" + ",".join(self.bel_h.canonical()),
@@ -228,14 +393,11 @@ class World:
         return ";".join(parts)
 
     @property
-    def wid(self) -> str:
-        return "w" + hashlib.sha1(self.key().encode()).hexdigest()[:10]
-
-    @property
     def agent_place(self) -> dict[str, str]:
         places: dict[str, str] = {}
-        for a in self.bel_r:
-            if a.pred == "at" and len(a.args) == 2 and a.args[0] in AGENTS:
+        mask = self.bel_r.mask
+        for _, bit, a in _BY_PRED.get(("at", 2), ()):
+            if mask & bit and a.args[0] in AGENTS:
                 agent, place = a.args
                 if agent in places and places[agent] != place:
                     raise MalformedLiteralError(
@@ -278,31 +440,39 @@ class EpistemicState:
         pending: tuple[Literal, ...] = (),
     ) -> "EpistemicState":
         """Canonicalize: deduplicate worlds by content and sort by key."""
-        by_key: dict[str, World] = {}
+        by_key: dict[tuple, World] = {}
         for w in worlds:
-            by_key.setdefault(w.key(), w)
-        dkey = designated.key()
+            by_key.setdefault(w._key, w)
+        dkey = designated._key
         by_key[dkey] = designated
-        ordered = sorted(by_key.values(), key=World.key)
+        keys = sorted(by_key)
         return cls(
-            worlds=tuple(ordered),
-            designated=next(i for i, w in enumerate(ordered) if w.key() == dkey),
+            worlds=tuple(by_key[k] for k in keys),
+            designated=keys.index(dkey),
             actor=actor,
             budget=budget,
-            pending=tuple(sorted(pending, key=str)),
+            pending=tuple(sorted(pending, key=str)) if pending else (),
         )
 
     @property
     def designated_world(self) -> World:
         return self.worlds[self.designated]
 
-    def signature(self) -> str:
-        body = "||".join(w.key() for w in self.worlds)
-        pend = ",".join(str(p) for p in self.pending)
-        return f"{body}@d={self.designated};actor={self.actor};k={self.budget};pending=[{pend}]"
+    def signature(self) -> tuple:
+        """The state's identity within this process, usable as a dict key."""
+        return (tuple(w._key for w in self.worlds), self.designated,
+                self.actor, self.budget, self.pending)
 
-    def state_id(self) -> str:
-        return "s" + hashlib.sha1(self.signature().encode()).hexdigest()[:12]
+    def describe(self) -> str:
+        """The state's identity as readable text, the same in every process:
+        worlds in the order of their texts, the designated one by its index
+        in that order."""
+        texts = sorted((w.describe(), i == self.designated)
+                       for i, w in enumerate(self.worlds))
+        body = "||".join(t for t, _ in texts)
+        d = next(i for i, (_, is_d) in enumerate(texts) if is_d)
+        pend = ",".join(str(p) for p in self.pending)
+        return f"{body}@d={d};actor={self.actor};k={self.budget};pending=[{pend}]"
 
     def replace_worlds(
         self, worlds: Iterable[World], designated: World

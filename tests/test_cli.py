@@ -264,6 +264,15 @@ def test_bench_hits_every_target(tmp_path, capsys):
     assert labels == sorted(BENCH_TARGETS)
 
 
+def test_bench_fails_on_a_missed_target(monkeypatch, capsys):
+    max_worlds, branches = BENCH_TARGETS["p2"]
+    monkeypatch.setitem(BENCH_TARGETS, "p2", (max_worlds + 1, branches))
+    assert main(["bench"]) == 2
+    got = capsys.readouterr().out
+    assert got.count("MISMATCH") == 1
+    assert "encodings to review: p2" in got
+
+
 def test_log_channels_print_traces(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EHATP_LOG", "all")
     assert main(["plan", "-d", _data_path("cube_org"), "-p", _data_path("p1"),

@@ -44,6 +44,22 @@ def test_base_rejects_negative_members():
         BeliefBase.of(lit("on", "c_r", "mt", positive=False))
 
 
+def test_base_rejects_non_ground_members():
+    with pytest.raises(MalformedLiteralError):
+        BeliefBase.of(lit("on", "C", "mt"))
+
+
+def test_updates_reject_non_ground_atoms():
+    base = BeliefBase.of(lit("on", "c_r", "mt"))
+    free = lit("on", "C", "mt")
+    with pytest.raises(MalformedLiteralError):
+        base.apply_effects(adds=[free], dels=[])
+    with pytest.raises(MalformedLiteralError):
+        base.apply_effects(adds=[], dels=[free])
+    with pytest.raises(MalformedLiteralError):
+        base.assign(free, True)
+
+
 def test_apply_effects_pick_semantics():
     base = BeliefBase.of(lit("on", "c_r", "mt"))
     out = base.apply_effects(adds=[lit("holding", "R", "c_r")], dels=[lit("on", "c_r", "mt")])
@@ -66,6 +82,9 @@ def test_apply_effects_place_semantics():
 def test_apply_effects_conflict():
     with pytest.raises(ConflictingEffectsError):
         BeliefBase().apply_effects(adds=[lit("p")], dels=[lit("p")])
+    base = BeliefBase.of(lit("on", "c_r", "mt"), lit("holding", "R", "c_y"))
+    with pytest.raises(ConflictingEffectsError):
+        base.apply_effects(adds=[lit("on", "c_r", "mt")], dels=[lit("on", "c_r", "mt")])
 
 
 def test_apply_effects_idempotent_when_subsumed():

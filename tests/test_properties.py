@@ -23,7 +23,12 @@ from ehatp.dsl import (
     parse_domain,
     pretty_print_domain,
 )
-from ehatp.htn import _first_primitive_set, alignment_diff, feasible_refinements
+from ehatp.htn import (
+    _first_primitive_set,
+    alignment_diff,
+    effectively_decomposed,
+    feasible_refinements,
+)
 from ehatp.kernel import (
     build_epistemic_action,
     product_update,
@@ -33,11 +38,14 @@ from ehatp.model import (
     AlignmentImpossibleError,
     BeliefBase,
     BudgetExceededError,
+    ConflictingEffectsError,
     DomainError,
     EpistemicState,
     Literal,
+    MalformedLiteralError,
     Task,
     World,
+    atoms_of,
     lit,
 )
 from ehatp.solver import (
@@ -160,6 +168,41 @@ def test_assessment_twice_is_once(s, k):
     once = situation_assessment(CUBE, s, k)
     again = situation_assessment(CUBE, once, k)
     assert again.signature() == once.signature()
+
+
+def _plain_assessment(s: EpistemicState, k: int) -> EpistemicState:
+    """Situation assessment read straight off its definition, atom by atom
+    over plain sets."""
+    d = s.designated_world
+    co = kernel.copresent(d, CUBE.copresence)
+    ctx = kernel.ObservationContext("H", d.agent_place.get("H"), co)
+
+    def seen(atom) -> bool:
+        return kernel.observable(CUBE, atom, ctx, d)
+
+    truth = d.bel_r.atoms
+    survivors = [w for w in s.worlds if w is d or (
+        not w.distinguishable
+        and not any(seen(a) for a in truth ^ w.bel_rh.atoms))]
+    if len(survivors) == len(s.worlds) and not co:
+        return s
+    folded = []
+    for w in survivors:
+        shown = {a for a in truth | w.bel_h.atoms | w.bel_rh.atoms if seen(a)}
+        folded.append(World(
+            w.bel_r,
+            BeliefBase((w.bel_h.atoms - shown) | (truth & shown)),
+            BeliefBase((w.bel_rh.atoms - shown) | (truth & shown)),
+            w.tn_r, w.tn_h, w.tn_rh, 0 if co else w.acted))
+    return EpistemicState.make(folded, folded[survivors.index(d)], s.actor,
+                               k if co else s.budget, s.pending)
+
+
+@CASES
+@given(cube_states(), st.integers(1, 3))
+def test_assessment_matches_a_plain_reference(s, k):
+    assert (situation_assessment(CUBE, s, k).signature()
+            == _plain_assessment(s, k).signature())
 
 
 # -- product update ----------------------------------------------------------
@@ -483,3 +526,106 @@ def domain_models(draw):
 @given(domain_models())
 def test_printed_domains_reparse_identically(dom):
     assert parse_domain(pretty_print_domain(dom)) == dom
+
+
+# -- packed belief bases against a plain frozenset reference -------------------
+
+HELD = ([lit("on", c, p) for c in CUBES for p in ("mt", "ot")]
+        + [lit("inside", c, b) for c in CUBES for b in BOXES]
+        + [lit("empty", b) for b in BOXES]
+        + [lit("wrapped", c) for c in CUBES]
+        + [lit("mixed")])
+# Atoms no base ever holds: queried and retracted, never added.
+NEVER_HELD = [lit("never_held", c) for c in CUBES]
+NON_GROUND = Literal("on", ("C", "mt"))
+
+
+def _signed(pool):
+    return st.sampled_from(pool).flatmap(
+        lambda l: st.sampled_from((l, l.negate())))
+
+
+held_sets = st.frozensets(st.sampled_from(HELD))
+queries = _signed(HELD + NEVER_HELD + [NON_GROUND])
+effects = st.lists(_signed(HELD + [NON_GROUND]), max_size=3)
+
+
+def _require_ground(l: Literal) -> None:
+    if not l.is_ground():
+        raise MalformedLiteralError(str(l))
+
+
+def _ref_entails(atoms: frozenset, l: Literal) -> bool:
+    _require_ground(l)
+    return (l.atom in atoms) == l.positive
+
+
+def _ref_assign(atoms: frozenset, l: Literal, value: bool) -> frozenset:
+    if not value:
+        return atoms - {l.atom}
+    _require_ground(l)
+    return atoms | {l.atom}
+
+
+def _ref_apply(atoms: frozenset, adds, dels) -> frozenset:
+    add = frozenset(l.atom for l in adds)
+    drop = frozenset(l.atom for l in dels)
+    for a in add | drop:
+        _require_ground(a)
+    if add & drop:
+        raise ConflictingEffectsError(str(sorted(map(str, add & drop))))
+    return (atoms - drop) | add
+
+
+def _outcome(fn, *args):
+    """What ``fn`` returns (a base read as its atom set), or the error type."""
+    try:
+        out = fn(*args)
+    except (MalformedLiteralError, ConflictingEffectsError) as e:
+        return type(e)
+    return out.atoms if isinstance(out, BeliefBase) else out
+
+
+@CASES
+@given(held_sets, held_sets, effects, effects, st.lists(queries, max_size=4),
+       st.booleans())
+def test_packed_bases_match_a_frozenset_reference(a, b, adds, dels, asked, value):
+    x, y = BeliefBase(a), BeliefBase(b)
+    assert x.atoms == a and len(x) == len(a)
+    assert x == BeliefBase(sorted(a, key=str, reverse=True))
+    assert (x == y) == (a == b)
+    assert a != b or hash(x) == hash(y)
+    assert set(atoms_of(x.mask ^ y.mask)) == a ^ b
+    for q in asked:
+        assert _outcome(x.entails, q) == _outcome(_ref_entails, a, q)
+        assert _outcome(x.assign, q, value) == _outcome(_ref_assign, a, q, value)
+    assert (_outcome(x.apply_effects, adds, dels)
+            == _outcome(_ref_apply, a, adds, dels))
+
+
+# -- memoized HTN queries against fresh, uncached calls --------------------------
+
+# One memo shared by every case, so that repeated inputs are answered from it.
+MEMO_CUBE = replace(CUBE)
+GHOST = Task("ghost_task")  # no method: refining it raises DomainError
+htn_agendas = st.lists(st.sampled_from(TASKS + [GHOST]), max_size=2).map(tuple)
+
+
+def _answer(fn, dom, tn, bel, actor):
+    try:
+        return fn(dom, tn, bel, actor)
+    except DomainError as e:
+        return DomainError, str(e)
+
+
+@CASES
+@given(layouts, st.sampled_from(("mt", "ot")), st.sets(st.sampled_from(CUBES)),
+       st.sets(st.sampled_from(BOXES)), htn_agendas, st.permutations(("R", "H")))
+def test_memoized_htn_queries_match_fresh_calls(lay, h_at, wrapped, transparent,
+                                                tn, actors):
+    bel = cube_truth(lay, "mt", h_at, wrapped, frozenset(), transparent)
+    for fn in (feasible_refinements, effectively_decomposed):
+        for actor in actors:
+            fresh = _answer(fn, replace(CUBE), tn, bel, actor)
+            assert _answer(fn, MEMO_CUBE, tn, bel, actor) == fresh
+            assert _answer(fn, MEMO_CUBE, tn, bel, actor) == fresh  # a memo hit
