@@ -68,7 +68,7 @@ def write_policy_file(path: str | Path, dom_text: str, prob_text: str,
     doc = {
         "domain": dom_text,
         "problem": prob_text,
-        "nodes": json.loads(policy.to_json())["nodes"],
+        "nodes": policy.node_dicts(),
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 

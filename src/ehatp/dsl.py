@@ -22,7 +22,15 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable
 
-from .model import AGENTS, BeliefBase, EhatpError, Literal, Task, is_variable
+from .model import (
+    AGENTS,
+    BeliefBase,
+    EhatpError,
+    Literal,
+    Task,
+    effect_masks,
+    is_variable,
+)
 
 OBSERVER = "observer"
 BUILTIN_TYPES = ("agent", "place")
@@ -101,9 +109,23 @@ class GroundAction:
     adds: tuple[Literal, ...]
     dels: tuple[Literal, ...]
     ontic: bool = True
+    # (add, drop) masks of the effects, built at the first application
+    _masks: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.name if not self.args else f"{self.name}({','.join(self.args)})"
+
+    def effect_masks(self) -> tuple[int, int]:
+        """``model.effect_masks`` of this action's effects, computed once.
+
+        A conflicting action raises on every application and is never cached.
+        """
+        masks = self._masks
+        if masks is None:
+            masks = effect_masks(self.adds, self.dels)
+            object.__setattr__(self, "_masks", masks)
+        return masks
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,9 +155,10 @@ class DomainModel:
     copresence: tuple[Literal, ...]
     actions: tuple[ActionSchema, ...]
     methods: tuple[MethodSchema, ...]
-    # Answers of the HTN queries (see ``htn._memoized``).  One search or
-    # replay works on its own copy, ``dataclasses.replace(dom)``, so the
-    # memo lives exactly as long as that call.
+    # Answers of the HTN queries (see ``htn._memoized``) and of the kernel's
+    # ground-truth queries (``kernel._copresent``, ``situation_assessment``).
+    # One search or replay works on its own copy, ``dataclasses.replace(dom)``,
+    # so the memo lives exactly as long as that call.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def predicate(self, name: str) -> PredicateDecl | None:

@@ -89,8 +89,21 @@ def copresent(w: World, rule: tuple[Literal, ...]) -> bool:
     return next(match(w.bel_r, rule), None) is not None
 
 
+def _copresent(dom: DomainModel, w: World, rule: tuple[Literal, ...]) -> bool:
+    """``copresent(w, rule)``, answered from ``dom.memo``.
+
+    The key holds the rule itself, so an action carrying its own co-presence
+    rule never reads an answer given for the domain's.
+    """
+    key = ("co", rule, w.bel_r.mask)
+    hit = dom.memo.get(key)
+    if hit is None:
+        hit = dom.memo[key] = copresent(w, rule)
+    return hit
+
+
 def state_copresent(dom: DomainModel, s: EpistemicState) -> bool:
-    return copresent(s.designated_world, dom.copresence)
+    return _copresent(dom, s.designated_world, dom.copresence)
 
 
 # --------------------------------------------------------------------------
@@ -205,10 +218,11 @@ def _apply_robot_event(dom: DomainModel, w: World, e: Event) -> World:
     if e.action is None:
         return w
     act = e.action
-    bel_rh = w.bel_rh.apply_effects(act.adds, act.dels)
-    bel_h = w.bel_h.apply_effects(act.adds, act.dels)
+    add, drop = act.effect_masks()
+    bel_rh = w.bel_rh.apply_masks(add, drop)
+    bel_h = w.bel_h.apply_masks(add, drop)
     if e.designated:
-        bel_r = w.bel_r.apply_effects(act.adds, act.dels)
+        bel_r = w.bel_r.apply_masks(add, drop)
         tn_r = e.remainder
         tn_rh = _advance_or_keep(dom, w.tn_rh, act, w.bel_rh, "R")
     else:
@@ -223,11 +237,11 @@ def _apply_robot_event(dom: DomainModel, w: World, e: Event) -> World:
 def _apply_human_event(w: World, e: Event) -> World:
     if e.action is None:
         return w
-    act = e.action
+    add, drop = e.action.effect_masks()
     return World(
-        w.bel_r.apply_effects(act.adds, act.dels),
-        w.bel_h.apply_effects(act.adds, act.dels),
-        w.bel_rh.apply_effects(act.adds, act.dels),
+        w.bel_r.apply_masks(add, drop),
+        w.bel_h.apply_masks(add, drop),
+        w.bel_rh.apply_masks(add, drop),
         w.tn_r, e.remainder, w.tn_rh, w.acted,
     )
 
@@ -244,7 +258,7 @@ def product_update(dom: DomainModel, s: EpistemicState,
     by_wid = {w.wid: w for w in s.worlds}
     d_event = a.designated_event
     d_source = by_wid[d_event.source]
-    co = copresent(d_source, a.copresence)
+    co = _copresent(dom, d_source, a.copresence)
 
     budget = s.budget
     if (a.actor == "R" and d_event.action is not None
@@ -284,6 +298,20 @@ def product_update(dom: DomainModel, s: EpistemicState,
 # Situation assessment
 
 
+def _default_context(dom: DomainModel, d: World) -> ObservationContext:
+    """The human's view of reality ``d``, answered from ``dom.memo``.
+
+    Only a context is stored, so a world that puts an agent in two places
+    raises on every call.
+    """
+    key = ("ctx", d.bel_r.mask)
+    ctx = dom.memo.get(key)
+    if ctx is None:
+        co = _copresent(dom, d, dom.copresence)
+        ctx = dom.memo[key] = ObservationContext("H", d.agent_place.get("H"), co)
+    return ctx
+
+
 def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
                          ctx: ObservationContext | None = None) -> EpistemicState:
     """Remove worlds the human can now tell apart; share what is in view.
@@ -294,24 +322,33 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
     restores the robot's action budget.
     """
     d = s.designated_world
-    co = copresent(d, dom.copresence)
+    truth = d.bel_r.mask
     if ctx is None:
-        ctx = ObservationContext("H", d.agent_place.get("H"), co)
+        ctx = _default_context(dom, d)
 
-    # Whether an atom is observable depends only on the atom, ``ctx`` and
-    # reality, so each atom is judged once per assessment.
-    judged = 0
-    in_view = 0
+    # Whether an atom is observable depends only on the atom, the observer,
+    # reality and a witnessed action, so without one each atom is judged once
+    # per truth mask for the whole call, and with one once per assessment.
+    # ``seen`` holds the atoms judged so far and those found in view.
+    if ctx.witnessed is None:
+        key = ("seen", ctx.observer, truth)
+        seen = dom.memo.get(key)
+        if seen is None:
+            seen = dom.memo[key] = [0, 0]
+    else:
+        seen = [0, 0]
 
     def visible(mask: int) -> int:
-        nonlocal judged, in_view
-        for atom in atoms_of(mask & ~judged):
-            if observable(dom, atom, ctx, d):
-                in_view |= atom_bit(atom)
-        judged |= mask
+        judged, in_view = seen
+        fresh = mask & ~judged
+        if fresh:
+            for atom in atoms_of(fresh):
+                if observable(dom, atom, ctx, d):
+                    in_view |= atom_bit(atom)
+            seen[0] = judged | fresh
+            seen[1] = in_view
         return mask & in_view
 
-    truth = d.bel_r.mask
     survivors: list[World] = []
     removed: list[tuple[World, int]] = []
     for w in s.worlds:
@@ -328,9 +365,11 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
             survivors.append(w)
 
     if _trace_enabled("sa"):
-        for w, clash in removed:
-            reason = min(map(str, atoms_of(clash))) if clash else "witness"
-            print(f"SA: removed {w.wid} reason={reason}", file=sys.stderr)
+        # Worlds by their text, which every process spells the same way.
+        for text, reason in sorted(
+                (w.describe(), min(map(str, atoms_of(clash))) if clash else "witness")
+                for w, clash in removed):
+            print(f"SA: removed {text} reason={reason}", file=sys.stderr)
 
     if not removed and not ctx.co_present:
         return s

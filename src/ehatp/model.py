@@ -158,6 +158,25 @@ def atoms_of(mask: int) -> list[Literal]:
     return out
 
 
+def effect_masks(adds: Iterable[Literal], dels: Iterable[Literal]) -> tuple[int, int]:
+    """The ``(add, drop)`` masks of effect literals, interning adds first.
+
+    Raises :class:`ConflictingEffectsError` when an atom is both added and
+    deleted.
+    """
+    add = 0
+    for a in adds:
+        add |= atom_bit(a.atom)
+    drop = 0
+    for d in dels:
+        drop |= atom_bit(d.atom)
+    if add & drop:
+        raise ConflictingEffectsError(
+            "atoms both added and deleted: "
+            + ", ".join(sorted(map(str, atoms_of(add & drop)))))
+    return add, drop
+
+
 _new = object.__new__
 _set = object.__setattr__
 
@@ -209,16 +228,10 @@ class BeliefBase:
         return all(self.entails(l) for l in literals)
 
     def apply_effects(self, adds: Iterable[Literal], dels: Iterable[Literal]) -> "BeliefBase":
-        add = 0
-        for a in adds:
-            add |= atom_bit(a.atom)
-        drop = 0
-        for d in dels:
-            drop |= atom_bit(d.atom)
-        if add & drop:
-            raise ConflictingEffectsError(
-                "atoms both added and deleted: "
-                + ", ".join(sorted(map(str, atoms_of(add & drop)))))
+        return self.apply_masks(*effect_masks(adds, dels))
+
+    def apply_masks(self, add: int, drop: int) -> "BeliefBase":
+        """The base with the atoms of ``drop`` removed, then those of ``add``."""
         return BeliefBase.from_mask((self.mask & ~drop) | add)
 
     def assign(self, atom: Literal, value: bool) -> "BeliefBase":
@@ -473,11 +486,6 @@ class EpistemicState:
         d = next(i for i, (_, is_d) in enumerate(texts) if is_d)
         pend = ",".join(str(p) for p in self.pending)
         return f"{body}@d={d};actor={self.actor};k={self.budget};pending=[{pend}]"
-
-    def replace_worlds(
-        self, worlds: Iterable[World], designated: World
-    ) -> "EpistemicState":
-        return EpistemicState.make(worlds, designated, self.actor, self.budget, self.pending)
 
 
 # --------------------------------------------------------------------------

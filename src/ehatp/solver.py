@@ -18,7 +18,6 @@ is about to be stuck; a stuck human may raise the question itself
 
 import json
 import math
-import os
 import sys
 import time
 from collections import deque
@@ -32,6 +31,7 @@ from .htn import (
     feasible_refinements,
 )
 from .kernel import (
+    _trace_enabled,
     build_epistemic_action,
     initial_state,
     product_update,
@@ -194,7 +194,7 @@ def expand(dom: DomainModel, prob: ProblemInstance,
     """All labeled successor states of ``s``, in a deterministic order:
     speech acts first, then refinements, then standing by."""
     children = _options(dom, prob, s)
-    if os.environ.get("EHATP_LOG", "") in ("expand", "all"):
+    if _trace_enabled("expand"):
         print(f"EXPAND: {s.actor} |W|={len(s.worlds)} -> "
               + (", ".join(label for label, _ in children) or "(dead end)"),
               file=sys.stderr)
@@ -335,16 +335,19 @@ class Policy:
     def leaves(self) -> int:
         return sum(1 for n in self.nodes if n.kind == "LEAF")
 
-    def to_json(self) -> str:
-        doc = {"nodes": [{
+    def node_dicts(self) -> list[dict]:
+        """The nodes as the policy file stores them."""
+        return [{
             "id": n.id,
             "kind": n.kind,
             "actor": n.actor,
             "edge": n.edge,
             "copresent": n.copresent,
             "children": list(n.children),
-        } for n in self.nodes]}
-        return json.dumps(doc, indent=2)
+        } for n in self.nodes]
+
+    def to_json(self) -> str:
+        return json.dumps({"nodes": self.node_dicts()}, indent=2)
 
     def traces(self) -> list[tuple[str, ...]]:
         """Every root-to-leaf sequence of edge labels."""

@@ -5,8 +5,15 @@ explicitly (hand-applied action effects) and compares canonical state
 signatures, so any drift in world content, designation, or ordering fails.
 """
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+import ehatp
 from ehatp.dsl import load_instance, load_shipped, parse_domain
 from ehatp.htn import Refinement, feasible_refinements
 from ehatp.kernel import (
@@ -29,6 +36,7 @@ from ehatp.model import (
     World,
     lit,
 )
+from ehatp.solver import expand, solve
 
 
 @pytest.fixture(scope="module")
@@ -384,5 +392,117 @@ def test_sa_trace_lines(cube, monkeypatch, capsys):
     s, w_on, w_hold, *_ = reunion_state(transparent=False)
     situation_assessment(cube, s, k=2)
     err = capsys.readouterr().err
-    assert f"SA: removed {w_on.wid} reason=" in err
-    assert f"SA: removed {w_hold.wid} reason=" in err
+    assert f"SA: removed {w_on.describe()} reason=on(c_r,mt)\n" in err
+    assert f"SA: removed {w_hold.describe()} reason=holding(R,c_r)\n" in err
+
+
+SA_LINES_P2 = """\
+import os, sys
+from ehatp import model
+from ehatp.dsl import load_instance
+from ehatp.model import BeliefBase, lit
+from ehatp.solver import solve
+earlier = sys.stdin.read().split()
+if earlier:
+    # Atoms the other process met get their bits in the reverse order.
+    BeliefBase(lit(a) for a in reversed(earlier))
+    for other in ("cooking3", "p6"):
+        solve(*load_instance(other))
+os.environ["EHATP_LOG"] = "sa"
+solve(*load_instance("p2"), exhaust=True)
+print(*model._ATOMS, sep="\\n")
+"""
+
+
+def test_sa_lines_are_independent_of_intern_history():
+    src = str(Path(ehatp.__file__).resolve().parents[1])
+
+    def run(earlier: str) -> tuple[list[str], str]:
+        out = subprocess.run(
+            [sys.executable, "-c", SA_LINES_P2], input=earlier,
+            env={**os.environ, "PYTHONPATH": src, "EHATP_LOG": ""},
+            capture_output=True, text=True, check=True)
+        return out.stdout.split(), out.stderr
+
+    fresh_order, fresh_lines = run("")
+    later_order, later_lines = run("\n".join(fresh_order))
+    met = set(fresh_order)
+    assert [a for a in later_order if a in met] != fresh_order
+    assert "reason=witness" in fresh_lines and "reason=on(" in fresh_lines
+    assert later_lines == fresh_lines
+
+
+# ------------------------------------------------------------ per-call memo
+
+
+@pytest.mark.parametrize("name", ["p2", "cooking1"])
+def test_memo_answers_match_a_fresh_domain_after_a_warm_search(name):
+    dom, prob = load_instance(name)
+    states = [n.state for n in solve(dom, prob, exhaust=True).all_nodes]
+    shared = replace(dom)
+    for s in states:
+        expand(shared, prob, s)  # fills the memo as a search does
+    assert {key[0] for key in shared.memo} >= {"co", "ctx", "seen"}
+    for s in states:
+        assert state_copresent(shared, s) == state_copresent(replace(dom), s)
+        assert (situation_assessment(shared, s, prob.k).signature()
+                == situation_assessment(replace(dom), s, prob.k).signature())
+
+
+def test_product_update_honours_the_action_copresence_rule(cube):
+    common = ("at(R,mt)", "at(H,mt)", "empty(box_1)", "empty(box_2)")
+    des = world(*common, "on(c_r,mt)")
+    other = world(*common, "on(c_y,mt)")
+    s = EpistemicState.make([des, other], designated=des, actor="R", budget=2)
+    events = (
+        Event(cube.action("pick").ground(("c_y", "mt")), other.wid, False, ()),
+        Event(cube.action("pick").ground(("c_r", "mt")), des.wid, True, ()),
+    )
+    watched = EpistemicAction(events, cube.copresence, "R")
+    unseen = EpistemicAction(events, (lit("focus(H,mt)"),), "R")  # no world has it
+    for order in ((watched, unseen), (unseen, watched)):
+        dom = replace(cube)
+        for a in order:  # the first action's answer is in the memo for the second
+            got = product_update(dom, s, a)
+            assert got.signature() == product_update(replace(cube), s, a).signature()
+    seen_out = product_update(replace(cube), s, watched)
+    unseen_out = product_update(replace(cube), s, unseen)
+    assert any(w.distinguishable for w in seen_out.worlds) and seen_out.budget == 2
+    assert not any(w.distinguishable for w in unseen_out.worlds)
+    assert unseen_out.budget == 1
+
+
+def _plain_assessment(dom, s, k, ctx):
+    """Situation assessment under ``ctx``, atom by atom over plain sets."""
+    d = s.designated_world
+    truth = d.bel_r.atoms
+
+    def shown(atoms):
+        return {a for a in atoms if observable(dom, a, ctx, d)}
+
+    survivors = [w for w in s.worlds if w is d or (
+        not w.distinguishable and not shown(truth ^ w.bel_rh.atoms))]
+    folded = []
+    for w in survivors:
+        view = shown(truth | w.bel_h.atoms | w.bel_rh.atoms)
+        folded.append(World(
+            w.bel_r,
+            BeliefBase((w.bel_h.atoms - view) | (truth & view)),
+            BeliefBase((w.bel_rh.atoms - view) | (truth & view)),
+            w.tn_r, w.tn_h, w.tn_rh, 0 if ctx.co_present else w.acted))
+    return EpistemicState.make(folded, folded[survivors.index(d)], s.actor,
+                               k if ctx.co_present else s.budget, s.pending)
+
+
+def test_sa_with_a_witnessed_action_bypasses_the_memo(cube):
+    s, *_ = reunion_state(transparent=False)
+    plain = ObservationContext("H", "mt", True)
+    witnessed = replace(plain, witnessed=cube.action("place").ground(("c_r", "box_1")))
+    dom = replace(cube)
+    for ctx in (None, witnessed, None, plain):
+        got = situation_assessment(dom, s, k=2, ctx=ctx)
+        want = _plain_assessment(cube, s, 2, ctx or plain)
+        assert got.signature() == want.signature()
+    # Seeing c_r go into box_1 rules out the box_2 hypothesis too.
+    assert len(situation_assessment(dom, s, k=2, ctx=witnessed).worlds) == 1
+    assert len(situation_assessment(dom, s, k=2).worlds) == 2

@@ -227,12 +227,14 @@ def test_product_pairs_account_for_every_world(s, k, act):
 
     # Count the applicable (world, event) pairs and mirror the pairing to
     # predict the surviving distinct worlds: the successor keeps exactly one
-    # world per distinct outcome, never more than one per pair.
+    # world per distinct outcome, never more than one per pair.  Each pair's
+    # three bases are also predicted over plain sets, (atoms - dels) | adds.
     by_wid = {w.wid: w for w in s.worlds}
     d_event = a.designated_event
     co = kernel.copresent(by_wid[d_event.source], a.copresence)
     pairs = 0
     outcomes = set()
+    bases = set()
     for e in a.events:
         w = by_wid[e.source]
         if e.action is not None:
@@ -247,8 +249,22 @@ def test_product_pairs_account_for_every_world(s, k, act):
                 and not kernel._same_act(e.action, d_event.action)):
             child = replace(child, distinguishable=True)
         outcomes.add(child.key())
+        r, h, rh = w.bel_r.atoms, w.bel_h.atoms, w.bel_rh.atoms
+        if e.action is not None:
+            adds, dels = e.action.adds, e.action.dels
+            h, rh = _ref_apply(h, adds, dels), _ref_apply(rh, adds, dels)
+            # A hypothetical robot course's truth is the human's projection.
+            r = (_ref_apply(r, adds, dels) if a.actor == "H" or e.designated
+                 else rh)
+        bases.add((r, h, rh))
+        if e.designated:
+            designated = (r, h, rh)
     assert len(out.worlds) == len(outcomes)
     assert len(out.worlds) <= pairs
+    assert {(w.bel_r.atoms, w.bel_h.atoms, w.bel_rh.atoms)
+            for w in out.worlds} == bases
+    d_out = out.designated_world
+    assert (d_out.bel_r.atoms, d_out.bel_h.atoms, d_out.bel_rh.atoms) == designated
 
 
 # -- world growth under hidden work ------------------------------------------
