@@ -28,9 +28,9 @@ from .dsl import (
     parse_problem,
     validate,
 )
-from .htn import feasible_refinements
+from .htn import available_refinements
 from .kernel import initial_state, state_copresent
-from .model import DomainError, EpistemicState
+from .model import EpistemicState
 from .solver import (
     DEAD,
     DONE,
@@ -39,6 +39,7 @@ from .solver import (
     PolicyNode,
     evaluate_state,
     expand,
+    is_speech_act,
     solve,
 )
 
@@ -117,20 +118,15 @@ class SimulationReport:
 
 
 def _is_ontic(label: str) -> bool:
-    return label not in ("noop", "wait") and not label.startswith(("inform-", "ask-"))
+    return label not in ("noop", "wait") and not is_speech_act(label)
 
 
 def _universally_applicable(dom: DomainModel, s: EpistemicState,
                             label: str) -> bool:
     """The human action is a feasible next step under every world's bel_h."""
-    for w in s.worlds:
-        try:
-            refs = feasible_refinements(dom, w.tn_h, w.bel_h, "H")
-        except DomainError:
-            return False
-        if all(str(r.first_primitive) != label for r in refs):
-            return False
-    return True
+    return all(any(str(r.first_primitive) == label
+                   for r in available_refinements(dom, w.tn_h, w.bel_h, "H"))
+               for w in s.worlds)
 
 
 def simulate(dom: DomainModel, prob: ProblemInstance,
@@ -211,7 +207,7 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
 def communication_edges(policy: Policy) -> list[int]:
     """Ids of the policy nodes entered through a speech act."""
     return [n.id for n in policy.nodes
-            if n.edge is not None and n.edge.startswith(("inform-", "ask-"))]
+            if n.edge is not None and is_speech_act(n.edge)]
 
 
 def drop_edge(policy: Policy, node_id: int) -> Policy:
@@ -443,8 +439,6 @@ def main(argv: list[str] | None = None) -> int:
 
     b = sub.add_parser("bench", help="run the shipped instances and compare "
                                      "structural metrics against targets")
-    b.add_argument("--suite", choices=("table1", "all"), default="table1",
-                   help="instance suite (both names cover all shipped instances)")
     b.add_argument("-o", "--out", help="metrics CSV to write")
     b.set_defaults(fn=cmd_bench)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .model import (
     AGENTS,
@@ -31,6 +31,8 @@ from .model import (
     effect_masks,
     is_variable,
 )
+
+T = TypeVar("T")
 
 OBSERVER = "observer"
 BUILTIN_TYPES = ("agent", "place")
@@ -179,13 +181,6 @@ class DomainModel:
     def task_names(self) -> frozenset[str]:
         return frozenset(m.task for m in self.methods)
 
-    def objects_of(self, type_name: str) -> tuple[str, ...]:
-        if type_name == "agent":
-            return AGENTS
-        if type_name == "place":
-            return self.places
-        return tuple(n for n, t in self.objects if t == type_name)
-
     def constant_type(self, name: str) -> str | None:
         if name in AGENTS:
             return "agent"
@@ -321,64 +316,48 @@ class _Parser:
 
     # -- shared pieces -----------------------------------------------------
 
+    def parse_list(self, item: Callable[[], T]) -> tuple[T, ...]:
+        """One or more ``item``s separated by commas."""
+        out = [item()]
+        while self.at_punct(","):
+            self.next()
+            out.append(item())
+        return tuple(out)
+
+    def parse_parens(self, item: Callable[[], T]) -> tuple[T, ...]:
+        """``(item, ...)``, possibly empty, or nothing when no ``(`` follows."""
+        if not self.at_punct("("):
+            return ()
+        self.next()
+        out = () if self.at_punct(")") else self.parse_list(item)
+        self.expect_punct(")")
+        return out
+
+    def parse_argument(self) -> str:
+        return self.expect_ident("an argument").text
+
     def parse_literal(self) -> tuple[Literal, _Token]:
         positive = True
         if self.at_keyword("not"):
             self.next()
             positive = False
         head = self.expect_ident("a predicate name")
-        args: list[str] = []
-        if self.at_punct("("):
-            self.next()
-            if not self.at_punct(")"):
-                while True:
-                    args.append(self.expect_ident("an argument").text)
-                    if self.at_punct(","):
-                        self.next()
-                        continue
-                    break
-            self.expect_punct(")")
-        return Literal(head.text, tuple(args), positive), head
+        args = self.parse_parens(self.parse_argument)
+        return Literal(head.text, args, positive), head
 
-    def parse_literal_list(self) -> list[tuple[Literal, _Token]]:
-        out = [self.parse_literal()]
-        while self.at_punct(","):
-            self.next()
-            out.append(self.parse_literal())
-        return out
+    def parse_literal_list(self) -> tuple[Literal, ...]:
+        return tuple(l for l, _ in self.parse_list(self.parse_literal))
 
     def parse_task(self) -> tuple[Task, _Token]:
         head = self.expect_ident("a task name")
-        args: list[str] = []
-        if self.at_punct("("):
-            self.next()
-            if not self.at_punct(")"):
-                while True:
-                    args.append(self.expect_ident("an argument").text)
-                    if self.at_punct(","):
-                        self.next()
-                        continue
-                    break
-            self.expect_punct(")")
-        return Task(head.text, tuple(args)), head
+        args = self.parse_parens(self.parse_argument)
+        return Task(head.text, args), head
 
-    def parse_params(self) -> tuple[Param, ...]:
-        params: list[Param] = []
-        if self.at_punct("("):
-            self.next()
-            if not self.at_punct(")"):
-                while True:
-                    name = self.expect_ident("a parameter name")
-                    if not is_variable(name.text):
-                        raise self.error(name, f"parameter {name.text!r} must start uppercase")
-                    ptype = self.expect_ident("a parameter type")
-                    params.append(Param(name.text, ptype.text))
-                    if self.at_punct(","):
-                        self.next()
-                        continue
-                    break
-            self.expect_punct(")")
-        return tuple(params)
+    def parse_param(self) -> Param:
+        name = self.expect_ident("a parameter name")
+        if not is_variable(name.text):
+            raise self.error(name, f"parameter {name.text!r} must start uppercase")
+        return Param(name.text, self.expect_ident("a parameter type").text)
 
 
 # --------------------------------------------------------------------------
@@ -397,6 +376,13 @@ class _DomainParser(_Parser):
     def _ref_error(self, kind: str, name: str, message: str) -> ParseError:
         line, col = self._decl_pos.get(f"{kind}:{name}", (0, 0))
         return ParseError(Diagnostic(self.filename, line, col, "error", message))
+
+    def parse_type(self, types: list[str], what: str) -> str:
+        """A built-in type or one of the declared ``types``."""
+        tok = self.expect_ident(what)
+        if tok.text not in types and tok.text not in BUILTIN_TYPES:
+            raise self.error(tok, f"undeclared type {tok.text!r}")
+        return tok.text
 
     def parse(self) -> DomainModel:
         self.expect_keyword("domain")
@@ -424,31 +410,15 @@ class _DomainParser(_Parser):
             elif self.at_keyword("object"):
                 self.next()
                 oname = self.expect_ident("an object name")
-                otype = self.expect_ident("an object type")
-                if otype.text not in types and otype.text not in BUILTIN_TYPES:
-                    raise self.error(otype, f"undeclared type {otype.text!r}")
-                objects.append((oname.text, otype.text))
+                objects.append((oname.text, self.parse_type(types, "an object type")))
             elif self.at_keyword("predicate"):
                 self.next()
                 pname = self.expect_ident("a predicate name")
-                ptypes: list[str] = []
-                if self.at_punct("("):
-                    self.next()
-                    if not self.at_punct(")"):
-                        while True:
-                            t = self.expect_ident("a type")
-                            if t.text not in types and t.text not in BUILTIN_TYPES:
-                                raise self.error(t, f"undeclared type {t.text!r}")
-                            ptypes.append(t.text)
-                            if self.at_punct(","):
-                                self.next()
-                                continue
-                            break
-                    self.expect_punct(")")
+                ptypes = self.parse_parens(lambda: self.parse_type(types, "a type"))
                 klass = self.expect_ident("'observable' or 'inferable'")
                 if klass.text not in ("observable", "inferable"):
                     raise self.error(klass, "predicate class must be 'observable' or 'inferable'")
-                predicates.append(PredicateDecl(pname.text, tuple(ptypes), klass.text == "observable"))
+                predicates.append(PredicateDecl(pname.text, ptypes, klass.text == "observable"))
             elif self.at_keyword("rule"):
                 self.next()
                 rname = self.expect_ident("a rule name")
@@ -456,7 +426,7 @@ class _DomainParser(_Parser):
                 self.expect_punct(":")
                 target, _ = self.parse_literal()
                 self.expect_keyword("when")
-                antecedent = tuple(l for l, _ in self.parse_literal_list())
+                antecedent = self.parse_literal_list()
                 rules.append(KnowledgeRule(rname.text, target, antecedent))
             elif self.at_keyword("copresent"):
                 tok = self.next()
@@ -464,7 +434,7 @@ class _DomainParser(_Parser):
                 self.expect_keyword("when")
                 if copresence is not None:
                     raise self.error(tok, "duplicate copresent rule")
-                copresence = tuple(l for l, _ in self.parse_literal_list())
+                copresence = self.parse_literal_list()
             elif self.at_keyword("action"):
                 actions.append(self.parse_action())
             elif self.at_keyword("method"):
@@ -498,7 +468,7 @@ class _DomainParser(_Parser):
         self.expect_keyword("action")
         name = self.expect_ident("an action name")
         self._remember("action", name.text, name)
-        params = self.parse_params()
+        params = self.parse_parens(self.parse_param)
         self.expect_keyword("by")
         actor = self.expect_ident("an actor (R or H)")
         if actor.text not in AGENTS:
@@ -512,13 +482,13 @@ class _DomainParser(_Parser):
         while not self.at_punct("}"):
             if self.at_keyword("pre"):
                 self.next()
-                pre = tuple(l for l, _ in self.parse_literal_list())
+                pre = self.parse_literal_list()
             elif self.at_keyword("add"):
                 self.next()
-                adds = tuple(l for l, _ in self.parse_literal_list())
+                adds = self.parse_literal_list()
             elif self.at_keyword("del"):
                 self.next()
-                dels = tuple(l for l, _ in self.parse_literal_list())
+                dels = self.parse_literal_list()
             else:
                 raise self.error(self.peek(), "expected 'pre', 'add', 'del', or '}' in action body")
         self.expect_punct("}")
@@ -527,7 +497,7 @@ class _DomainParser(_Parser):
     def parse_method(self) -> MethodSchema:
         self.expect_keyword("method")
         task = self.expect_ident("a task name")
-        params = self.parse_params()
+        params = self.parse_parens(self.parse_param)
         label = self.expect_ident("a method label")
         self._remember("method", f"{task.text}/{label.text}", task)
         self.expect_punct("{")
@@ -536,14 +506,10 @@ class _DomainParser(_Parser):
         while not self.at_punct("}"):
             if self.at_keyword("pre"):
                 self.next()
-                pre = tuple(l for l, _ in self.parse_literal_list())
+                pre = self.parse_literal_list()
             elif self.at_keyword("sub"):
                 self.next()
-                subs = [self.parse_task()]
-                while self.at_punct(","):
-                    self.next()
-                    subs.append(self.parse_task())
-                subtasks = tuple(t for t, _ in subs)
+                subtasks = tuple(t for t, _ in self.parse_list(self.parse_task))
             else:
                 raise self.error(self.peek(), "expected 'pre', 'sub', or '}' in method body")
         self.expect_punct("}")

@@ -88,6 +88,16 @@ def feasible_refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
     return _memoized("refine", _refinements, dom, tuple(tn), bel, actor)
 
 
+def available_refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
+                          actor: str) -> tuple[Refinement, ...]:
+    """``feasible_refinements``, reading an agenda that raises
+    :class:`DomainError` as one the actor has no option on."""
+    try:
+        return feasible_refinements(dom, tn, bel, actor)
+    except DomainError:
+        return ()
+
+
 def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
                  actor: str) -> tuple[Refinement, ...]:
     results: dict[tuple, Refinement] = {}
@@ -128,10 +138,6 @@ def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
     return tuple(sorted(results.values(),
                         key=lambda r: (str(r.first_primitive),
                                        tuple(map(str, r.remainder)), r.trace)))
-
-
-def is_fully_decomposed(tn: TaskNetwork) -> bool:
-    return not tn
 
 
 def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
@@ -179,11 +185,8 @@ def advance(dom: DomainModel, tn: TaskNetwork, act: GroundAction, bel: BeliefBas
 
 def _first_primitive_set(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
                          actor: str) -> frozenset[tuple[str, tuple[str, ...]]]:
-    try:
-        refs = feasible_refinements(dom, tn, bel, actor)
-    except DomainError:
-        return frozenset()
-    return frozenset((r.first_primitive.name, r.first_primitive.args) for r in refs)
+    return frozenset((r.first_primitive.name, r.first_primitive.args)
+                     for r in available_refinements(dom, tn, bel, actor))
 
 
 def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,

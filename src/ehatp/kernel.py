@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
-from .htn import Refinement, advance, feasible_refinements
+from .htn import Refinement, advance, available_refinements
 from .model import (
     AGENTS,
     BeliefBase,
@@ -48,9 +48,6 @@ class Event:
     source: tuple  # wid of the source world
     designated: bool
     remainder: TaskNetwork = ()
-
-    def label(self) -> str:
-        return "noop" if self.action is None else str(self.action)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,10 +155,7 @@ def initial_state(dom: DomainModel, prob: ProblemInstance) -> EpistemicState:
 def _anticipated(dom: DomainModel, w: World, allow_ontic: bool) -> tuple[Refinement, ...]:
     if not allow_ontic:
         return ()
-    try:
-        return feasible_refinements(dom, w.tn_rh, w.bel_rh, "R")
-    except DomainError:
-        return ()
+    return available_refinements(dom, w.tn_rh, w.bel_rh, "R")
 
 
 def build_epistemic_action(dom: DomainModel, s: EpistemicState,

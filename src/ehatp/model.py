@@ -34,10 +34,6 @@ class ConflictingEffectsError(EhatpError):
     pass
 
 
-class UnsupportedNestingError(EhatpError):
-    pass
-
-
 class DomainError(EhatpError):
     """Structural problem in a domain model (e.g. task with no method)."""
 
@@ -328,9 +324,6 @@ class Task:
     def __str__(self) -> str:
         return self.name if not self.args else f"{self.name}({','.join(self.args)})"
 
-    def substitute(self, binding: Mapping[str, str]) -> "Task":
-        return Task(self.name, tuple(binding.get(a, a) for a in self.args))
-
 
 TaskNetwork = tuple[Task, ...]
 
@@ -487,82 +480,3 @@ class EpistemicState:
         pend = ",".join(str(p) for p in self.pending)
         return f"{body}@d={d};actor={self.actor};k={self.budget};pending=[{pend}]"
 
-
-# --------------------------------------------------------------------------
-# Epistemic formulas (knowledge nesting capped at two levels)
-
-
-@dataclass(frozen=True, slots=True)
-class FLit:
-    literal: Literal
-
-
-@dataclass(frozen=True, slots=True)
-class FNot:
-    sub: "Formula"
-
-
-@dataclass(frozen=True, slots=True)
-class FAnd:
-    subs: tuple["Formula", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class FOr:
-    subs: tuple["Formula", ...]
-
-
-@dataclass(frozen=True, slots=True)
-class FKnows:
-    agent: str
-    sub: "Formula"
-
-
-Formula = FLit | FNot | FAnd | FOr | FKnows
-
-
-def _modal_depth(f: Formula) -> int:
-    match f:
-        case FLit():
-            return 0
-        case FNot(sub):
-            return _modal_depth(sub)
-        case FAnd(subs) | FOr(subs):
-            return max((_modal_depth(s) for s in subs), default=0)
-        case FKnows(_, sub):
-            return 1 + _modal_depth(sub)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def evaluate(state: EpistemicState, f: Formula) -> bool:
-    """Evaluate a formula; bare literals read the designated world's truth.
-
-    ``K_R`` reads the designated world (the robot always knows which world is
-    real); ``K_H`` quantifies over every world, reading that world's model of
-    whoever the nested formula talks about.
-    """
-    if _modal_depth(f) > 2:
-        raise UnsupportedNestingError("knowledge nesting deeper than two levels")
-    return _eval(state, f, None)
-
-
-def _eval(state: EpistemicState, f: Formula, world: World | None) -> bool:
-    match f:
-        case FLit(l):
-            base = world.bel_rh if world is not None else state.designated_world.bel_r
-            return base.entails(l)
-        case FNot(sub):
-            return not _eval(state, f=sub, world=world)
-        case FAnd(subs):
-            return all(_eval(state, s, world) for s in subs)
-        case FOr(subs):
-            return any(_eval(state, s, world) for s in subs)
-        case FKnows(agent, sub):
-            if agent == "R":
-                # Within a hypothetical world, the human models the robot's
-                # knowledge by bel_rh; at top level R knows the real world.
-                return _eval(state, sub, world)
-            if agent == "H":
-                return all(_eval(state, sub, w) for w in state.worlds)
-            raise EhatpError(f"unknown agent in formula: {agent!r}")
-    raise TypeError(f"not a formula: {f!r}")

@@ -27,8 +27,8 @@ from .dsl import DomainModel, ProblemInstance
 from .htn import (
     Refinement,
     alignment_diff,
+    available_refinements,
     effectively_decomposed,
-    feasible_refinements,
 )
 from .kernel import (
     _trace_enabled,
@@ -63,11 +63,9 @@ class SearchNode:
 
     state: EpistemicState
     kind: str  # "OR" (robot to act) or "AND" (human to act)
-    depth: int
     status: str = UNKNOWN
     children: "list[tuple[str, SearchNode]] | None" = None
     parents: "list[SearchNode]" = field(default_factory=list)
-    nid: int = 0
 
 
 # --------------------------------------------------------------------------
@@ -136,13 +134,8 @@ def _uniform_human_refinements(dom: DomainModel,
                                s: EpistemicState) -> list[Refinement]:
     """Refinements of the human agenda that exist in every world, in the
     designated world's order."""
-    per_world = []
-    for w in s.worlds:
-        try:
-            refs = feasible_refinements(dom, w.tn_h, w.bel_h, "H")
-        except DomainError:
-            refs = ()
-        per_world.append({r.key(): r for r in refs})
+    per_world = [{r.key(): r for r in available_refinements(dom, w.tn_h, w.bel_h, "H")}
+                 for w in s.worlds]
     common = set(per_world[s.designated])
     for m in per_world:
         common &= set(m)
@@ -153,12 +146,8 @@ def _blocked_atoms(dom: DomainModel, s: EpistemicState) -> set[Literal]:
     """Facts the worlds disagree on among the preconditions the human would
     have to trust for its actually-available refinements."""
     d = s.designated_world
-    try:
-        refs = feasible_refinements(dom, d.tn_h, d.bel_h, "H")
-    except DomainError:
-        refs = ()
     atoms: set[Literal] = set()
-    for ref in refs:
+    for ref in available_refinements(dom, d.tn_h, d.bel_h, "H"):
         for l in ref.pres:
             atom = l.atom
             if len({w.bel_h.entails(atom) for w in s.worlds}) > 1:
@@ -231,11 +220,7 @@ def _options(dom: DomainModel, prob: ProblemInstance,
         d = s.designated_world
         ontic: list[tuple[str, EpistemicState]] = []
         if co or s.budget > 0:
-            try:
-                refs = feasible_refinements(dom, d.tn_r, d.bel_r, "R")
-            except DomainError:
-                refs = ()
-            for ref in refs:
+            for ref in available_refinements(dom, d.tn_r, d.bel_r, "R"):
                 try:
                     ontic.append((str(ref.first_primitive),
                                   _step(dom, s, ref, k)))
@@ -365,8 +350,13 @@ class Policy:
         return out
 
 
+def is_speech_act(label: str) -> bool:
+    """Whether an edge label is an ``inform-`` or ``ask-`` speech act."""
+    return label.startswith(("inform-", "ask-"))
+
+
 def _comm_weight(label: str) -> int:
-    return 1 if label.startswith(("inform-", "ask-")) else 0
+    return 1 if is_speech_act(label) else 0
 
 
 def _reachable(root: SearchNode) -> list[SearchNode]:
@@ -470,66 +460,6 @@ def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
 
 
 # --------------------------------------------------------------------------
-# Parallel execution schedule
-
-
-@dataclass(frozen=True)
-class Step:
-    r: str | None
-    h: str | None
-
-
-@dataclass(frozen=True)
-class ExecutionSchedule:
-    traces: tuple[tuple[Step, ...], ...]
-
-
-def parallelize(policy: Policy) -> ExecutionSchedule:
-    """Overlay each trace's separated stretches.
-
-    While the agents are apart their actions do not interact, so a maximal
-    run of edges whose successor state is separated is zipped into joint
-    steps, the shorter side padded with "noop".  Everything face to face
-    stays strictly turn by turn.
-    """
-    traces: list[tuple[Step, ...]] = []
-
-    def compile_edges(edges: list[tuple[str, str, bool]]) -> tuple[Step, ...]:
-        steps: list[Step] = []
-        i = 0
-        while i < len(edges):
-            label, actor, co = edges[i]
-            if co:
-                steps.append(Step(r=label if actor == "R" else None,
-                                  h=label if actor == "H" else None))
-                i += 1
-                continue
-            rs: list[str] = []
-            hs: list[str] = []
-            while i < len(edges) and not edges[i][2]:
-                l, a, _ = edges[i]
-                (rs if a == "R" else hs).append(l)
-                i += 1
-            width = max(len(rs), len(hs))
-            rs += ["noop"] * (width - len(rs))
-            hs += ["noop"] * (width - len(hs))
-            steps.extend(Step(r=r, h=h) for r, h in zip(rs, hs))
-        return tuple(steps)
-
-    def walk(idx: int, acc: list[tuple[str, str, bool]]) -> None:
-        n = policy.nodes[idx]
-        if not n.children:
-            traces.append(compile_edges(acc))
-            return
-        for cid in n.children:
-            c = policy.nodes[cid]
-            walk(cid, acc + [(c.edge, n.actor, c.copresent)])
-
-    walk(0, [])
-    return ExecutionSchedule(tuple(traces))
-
-
-# --------------------------------------------------------------------------
 # Search driver
 
 
@@ -571,8 +501,7 @@ def solve(dom: DomainModel, prob: ProblemInstance,
     start = time.perf_counter()
     dom = replace(dom)  # a fresh HTN memo for this search only
     s0 = initial_state(dom, prob)
-    root = SearchNode(state=s0, kind="OR" if s0.actor == "R" else "AND",
-                      depth=0)
+    root = SearchNode(state=s0, kind="OR" if s0.actor == "R" else "AND")
     by_sig = {s0.signature(): root}
     all_nodes = [root]
     queue: deque[SearchNode] = deque([root])
@@ -593,8 +522,7 @@ def solve(dom: DomainModel, prob: ProblemInstance,
                 child = by_sig.get(sig)
                 if child is None:
                     child = SearchNode(state=cs,
-                                       kind="OR" if cs.actor == "R" else "AND",
-                                       depth=n.depth + 1, nid=len(all_nodes))
+                                       kind="OR" if cs.actor == "R" else "AND")
                     by_sig[sig] = child
                     all_nodes.append(child)
                     max_worlds = max(max_worlds, len(cs.worlds))

@@ -254,7 +254,7 @@ def test_stepper_survives_off_plan_choices(monkeypatch, capsys):
 
 def test_bench_hits_every_target(tmp_path, capsys):
     csv = tmp_path / "bench.csv"
-    assert main(["bench", "--suite", "table1", "-o", str(csv)]) == 0
+    assert main(["bench", "-o", str(csv)]) == 0
     got = capsys.readouterr().out
     assert got.count("[ok]") == len(BENCH_TARGETS)
     assert "MISMATCH" not in got

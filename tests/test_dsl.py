@@ -284,6 +284,53 @@ def test_diagnostic_format():
         assert parts[1].isdigit() and parts[2].isdigit()
 
 
+@pytest.mark.parametrize("text, expected", [
+    pytest.param("""domain d {
+  place mt
+  action a(p place) by R at mt {
+  }
+}
+""", "d.ehatp:3:12: error: parameter 'p' must start uppercase",
+                 id="lowercase-parameter"),
+    pytest.param("""domain d {
+  type cube
+  predicate on(cube, shelf) inferable
+}
+""", "d.ehatp:3:22: error: undeclared type 'shelf'",
+                 id="undeclared-predicate-type"),
+    pytest.param("""domain d {
+  place mt
+  action a() by R at mt {
+    pre at(R, mt
+  }
+}
+""", "d.ehatp:5:3: error: expected ')', got '}'",
+                 id="unclosed-literal"),
+    pytest.param("""domain d {
+  place mt
+  action a(P place) by R at P {
+  }
+  method t m1 {
+    sub a(mt
+  }
+}
+""", "d.ehatp:7:3: error: expected ')', got '}'",
+                 id="unclosed-task"),
+    pytest.param("""domain d {
+  place mt
+  action a() by R at mt {
+    pre at(R, mt),
+  }
+}
+""", "d.ehatp:5:3: error: expected a predicate name, got '}'",
+                 id="missing-literal-after-comma"),
+])
+def test_list_syntax_diagnostics(text, expected):
+    with pytest.raises(ParseError) as e:
+        parse_domain(text, filename="d.ehatp")
+    assert str(e.value.diagnostic) == expected
+
+
 def test_domain_pretty_print_round_trip(cube, cooking):
     for dom in (cube, cooking):
         text = pretty_print_domain(dom)

@@ -5,15 +5,17 @@ shipped method definitions against the stated belief bases; the brute-force
 oracle at the bottom re-derives them independently.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from ehatp.dsl import load_shipped, parse_domain
 from ehatp.htn import (
     advance,
     alignment_diff,
+    available_refinements,
     effectively_decomposed,
     feasible_refinements,
-    is_fully_decomposed,
 )
 from ehatp.model import (
     AlignmentImpossibleError,
@@ -95,8 +97,12 @@ def test_actor_mismatch_is_a_domain_error(cube):
 
 
 def test_methodless_task_is_a_domain_error(cube):
+    dom = replace(cube)  # a fresh memo
+    tn, b = (Task("ghost_task"),), bel("at(R,mt)")
+    assert available_refinements(dom, tn, b, "R") == ()
+    # the memo now holds the error, and the strict query still raises it
     with pytest.raises(DomainError):
-        feasible_refinements(cube, (Task("ghost_task"),), bel("at(R,mt)"), "R")
+        feasible_refinements(dom, tn, b, "R")
 
 
 def test_refinement_trace_names_methods(cube):
@@ -130,11 +136,6 @@ def test_advance_unrelated_action_is_inconsistent(cube):
 
 
 # ------------------------------------------------------------- decomposition
-
-
-def test_fully_decomposed_is_empty_agenda(cube):
-    assert is_fully_decomposed(())
-    assert not is_fully_decomposed((Task("organize"),))
 
 
 def test_effectively_decomposed_via_zero_primitive_methods(cube):

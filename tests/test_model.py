@@ -4,16 +4,10 @@ from ehatp.model import (
     BeliefBase,
     ConflictingEffectsError,
     EpistemicState,
-    FAnd,
-    FKnows,
-    FLit,
-    FNot,
     Literal,
     MalformedLiteralError,
     Task,
-    UnsupportedNestingError,
     World,
-    evaluate,
     lit,
 )
 
@@ -97,77 +91,6 @@ def test_assign():
     base = BeliefBase.of(lit("p"))
     assert base.assign(lit("q"), True) == BeliefBase.of(lit("p"), lit("q"))
     assert base.assign(lit("p"), False) == BeliefBase()
-
-
-def _fig3_like_state() -> EpistemicState:
-    # Two hypotheses about one hidden fact; the second is reality.
-    w1 = World(
-        bel_r=BeliefBase.of(lit("inside", "c_r", "box_2")),
-        bel_h=BeliefBase.of(lit("inside", "c_r", "box_2")),
-        bel_rh=BeliefBase.of(lit("inside", "c_r", "box_2")),
-    )
-    w2 = World(
-        bel_r=BeliefBase.of(lit("inside", "c_r", "box_1")),
-        bel_h=BeliefBase.of(lit("inside", "c_r", "box_1")),
-        bel_rh=BeliefBase.of(lit("inside", "c_r", "box_1")),
-    )
-    return EpistemicState.make([w1, w2], designated=w2, actor="R", budget=1)
-
-
-def test_evaluate_robot_knows_reality():
-    s = _fig3_like_state()
-    assert evaluate(s, FKnows("R", FLit(lit("inside", "c_r", "box_1")))) is True
-
-
-def test_evaluate_human_unsure_either_way():
-    s = _fig3_like_state()
-    assert evaluate(s, FKnows("H", FLit(lit("inside", "c_r", "box_1")))) is False
-    assert evaluate(s, FKnows("H", FLit(lit("inside", "c_r", "box_2")))) is False
-
-
-def test_evaluate_singleton_accessibility():
-    w = World(
-        bel_r=BeliefBase.of(lit("p")),
-        bel_h=BeliefBase.of(lit("p")),
-        bel_rh=BeliefBase.of(lit("p")),
-    )
-    s = EpistemicState.make([w], designated=w, actor="H", budget=0)
-    assert evaluate(s, FKnows("H", FLit(lit("p")))) is True
-
-
-def test_evaluate_knowledge_is_truthful_for_robot():
-    s = _fig3_like_state()
-    phi = FLit(lit("inside", "c_r", "box_1"))
-    if evaluate(s, FKnows("R", phi)):
-        assert evaluate(s, phi)
-
-
-def test_evaluate_second_order():
-    s = _fig3_like_state()
-    # In every world, that world's model of R contains the world's own fact,
-    # so H knows that R knows *which* box only world-relatively; the nested
-    # query about a specific box is false because one world disagrees.
-    f = FKnows("H", FKnows("R", FLit(lit("inside", "c_r", "box_1"))))
-    assert evaluate(s, f) is False
-
-
-def test_evaluate_nesting_cap():
-    deep = FKnows("H", FKnows("R", FKnows("H", FLit(lit("p")))))
-    s = _fig3_like_state()
-    with pytest.raises(UnsupportedNestingError):
-        evaluate(s, deep)
-
-
-def test_evaluate_connectives():
-    s = _fig3_like_state()
-    assert evaluate(s, FNot(FLit(lit("inside", "c_r", "box_2")))) is True
-    assert (
-        evaluate(
-            s,
-            FAnd((FLit(lit("inside", "c_r", "box_1")), FNot(FLit(lit("inside", "c_r", "box_2"))))),
-        )
-        is True
-    )
 
 
 def test_state_dedup_merges_identical_worlds():

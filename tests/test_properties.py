@@ -353,7 +353,7 @@ def _fixpoint(kinds, children, statuses):
 @given(search_graphs())
 def test_status_propagation_matches_fixpoint(graph):
     kinds, children, statuses, order = graph
-    nodes = [SearchNode(state=None, kind=k, depth=0) for k in kinds]
+    nodes = [SearchNode(state=None, kind=k) for k in kinds]
     for i, kids in enumerate(children):
         if kids is None:
             continue

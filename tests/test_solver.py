@@ -1,4 +1,4 @@
-"""Planner search: expansion, evaluation, propagation, extraction, schedules.
+"""Planner search: expansion, evaluation, propagation, extraction.
 
 The communication tests freeze the expected edge sets of the box-stowing
 reunion scene by hand: the robot may tell the human which box is free, or
@@ -26,7 +26,6 @@ from ehatp.solver import (
     evaluate_state,
     expand,
     extract_joint_solution,
-    parallelize,
     propagate_revised_status,
     solve,
     synthesize_communication,
@@ -195,7 +194,7 @@ def test_eval_dead_when_human_work_remains(cube):
 
 
 def node(kind, state, children=None):
-    n = SearchNode(state=state, kind=kind, depth=0)
+    n = SearchNode(state=state, kind=kind)
     if children is not None:
         n.children = []
         for label, c in children:
@@ -237,7 +236,7 @@ def test_propagation_rules(p1):
 
 
 def leaf_node(s):
-    n = SearchNode(state=s, kind="AND", depth=0)
+    n = SearchNode(state=s, kind="AND")
     n.children = []
     n.status = "DONE"
     return n
@@ -246,7 +245,7 @@ def leaf_node(s):
 def chain(s, labels, end):
     head = end
     for label in reversed(labels):
-        parent = SearchNode(state=s, kind="AND", depth=0, status="DONE")
+        parent = SearchNode(state=s, kind="AND", status="DONE")
         parent.children = [(label, head)]
         head.parents.append(parent)
         head = parent
@@ -259,19 +258,19 @@ def test_extraction_prefers_shallow_then_quiet_then_lexicographic(p1):
 
     deep = chain(s, ["go", "go"], leaf_node(s))
     shallow = chain(s, ["zz"], leaf_node(s))
-    root = SearchNode(state=s, kind="OR", depth=0, status="DONE")
+    root = SearchNode(state=s, kind="OR", status="DONE")
     root.children = [("deep", deep), ("fast", shallow)]
     pol = extract_joint_solution(dom, root)
     assert pol.nodes[0].children and pol.nodes[pol.nodes[0].children[0]].edge == "fast"
 
     talky = chain(s, ["inform-p"], leaf_node(s))
     quiet = chain(s, ["act"], leaf_node(s))
-    root = SearchNode(state=s, kind="OR", depth=0, status="DONE")
+    root = SearchNode(state=s, kind="OR", status="DONE")
     root.children = [("a", talky), ("b", quiet)]
     pol = extract_joint_solution(dom, root)
     assert pol.nodes[pol.nodes[0].children[0]].edge == "b"
 
-    root = SearchNode(state=s, kind="OR", depth=0, status="DONE")
+    root = SearchNode(state=s, kind="OR", status="DONE")
     root.children = [("beta", leaf_node(s)), ("alpha", leaf_node(s))]
     pol = extract_joint_solution(dom, root)
     assert pol.nodes[pol.nodes[0].children[0]].edge == "alpha"
@@ -280,9 +279,9 @@ def test_extraction_prefers_shallow_then_quiet_then_lexicographic(p1):
 def test_extraction_keeps_all_human_alternatives(p1):
     dom, prob = p1
     s = initial_state(dom, prob)
-    and_node = SearchNode(state=s, kind="AND", depth=0, status="DONE")
+    and_node = SearchNode(state=s, kind="AND", status="DONE")
     and_node.children = [("l", leaf_node(s)), ("r", leaf_node(s))]
-    root = SearchNode(state=s, kind="OR", depth=0, status="DONE")
+    root = SearchNode(state=s, kind="OR", status="DONE")
     root.children = [("go", and_node)]
     pol = extract_joint_solution(dom, root)
     and_out = pol.nodes[pol.nodes[0].children[0]]
@@ -401,40 +400,6 @@ def test_policy_export_shape(p1):
     for n in doc["nodes"]:
         for c in n["children"]:
             assert c in ids
-
-
-def test_parallelize_pairs_separated_segments(p2):
-    dom, prob = p2
-    res = solve(dom, prob)
-    schedule = parallelize(res.policy)
-    away = [t for t in schedule.traces
-            if any(step.h == "move(mt,ot)" for step in t)]
-    assert away
-    trace = away[0]
-    paired = [s for s in trace if s.r is not None and s.h is not None]
-    assert paired
-    r_actions = {s.r for s in paired}
-    # the robot's whole hidden stint runs alongside the human's trip
-    assert {"pick(c_r,mt)", "place(c_r,box_1)"} <= r_actions
-    # the hidden-action allowance is smaller than the trip, so part of the
-    # stint is spent idling
-    assert "noop" in r_actions
-    # reunion and the exchange afterwards happen turn by turn
-    tail = trace[trace.index(paired[-1]) + 1:]
-    assert all(s.r is None or s.h is None for s in tail)
-    assert any(s.r == "inform-empty(box_2)" for s in tail)
-
-
-def test_parallelize_copresent_prefix_stays_sequential(p1):
-    dom, prob = p1
-    res = solve(dom, prob)
-    schedule = parallelize(res.policy)
-    assert schedule.traces
-    for t in schedule.traces:
-        # everything before the human walks out happens turn by turn
-        split = next((i for i, s in enumerate(t) if s.h == "move(mt,ot)"), len(t))
-        for s in t[:split]:
-            assert s.r is None or s.h is None
 
 
 def test_metrics_csv_round_trip(p1):
