@@ -28,6 +28,7 @@ from .model import (
     EhatpError,
     Literal,
     Task,
+    atom_bit,
     effect_masks,
     is_variable,
 )
@@ -114,6 +115,9 @@ class GroundAction:
     # (add, drop) masks of the effects, built at the first application
     _masks: tuple[int, int] | None = field(
         default=None, init=False, repr=False, compare=False)
+    # (need, forbid) masks of the preconditions, built at the first check
+    _pre: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.name if not self.args else f"{self.name}({','.join(self.args)})"
@@ -128,6 +132,28 @@ class GroundAction:
             masks = effect_masks(self.adds, self.dels)
             object.__setattr__(self, "_masks", masks)
         return masks
+
+    def applicable(self, mask: int) -> bool:
+        """Whether a base with this mask satisfies the preconditions.
+
+        They are checked as a ``(need, forbid)`` mask pair built at the first
+        check.  Every precondition atom is interned then, so the pair stays
+        valid when an atom first enters a base later; a non-ground
+        precondition raises :class:`MalformedLiteralError` and is never
+        cached.
+        """
+        masks = self._pre
+        if masks is None:
+            need = forbid = 0
+            for l in self.pre:
+                if l.positive:
+                    need |= atom_bit(l)
+                else:
+                    forbid |= atom_bit(l.atom)
+            masks = (need, forbid)
+            object.__setattr__(self, "_pre", masks)
+        need, forbid = masks
+        return mask & need == need and not mask & forbid
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,8 +183,10 @@ class DomainModel:
     copresence: tuple[Literal, ...]
     actions: tuple[ActionSchema, ...]
     methods: tuple[MethodSchema, ...]
-    # Answers of the HTN queries (see ``htn._memoized``) and of the kernel's
-    # ground-truth queries (``kernel._copresent``, ``situation_assessment``).
+    # Answers of the HTN queries (see ``htn._memoized``), the ground actions
+    # they surface (``("ground", name, args)``, so each action's cached masks
+    # are built once) and the kernel's ground-truth queries
+    # (``kernel._copresent``, ``situation_assessment``).
     # One search or replay works on its own copy, ``dataclasses.replace(dom)``,
     # so the memo lives exactly as long as that call.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)

@@ -118,8 +118,11 @@ def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
                 raise DomainError(
                     f"task decomposes to {head.name!r}, an action of {schema.actor}, "
                     f"while refining for {actor}")
-            ground = schema.ground(head.args)
-            if all(bel.entails(p) for p in ground.pre):
+            key = ("ground", head.name, head.args)
+            ground = dom.memo.get(key)
+            if ground is None:
+                ground = dom.memo[key] = schema.ground(head.args)
+            if ground.applicable(bel.mask):
                 ref = Refinement(ground, rest, trace, acc + ground.pre)
                 results.setdefault(ref.key(), ref)
             continue

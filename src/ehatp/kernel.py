@@ -269,7 +269,7 @@ def product_update(dom: DomainModel, s: EpistemicState,
         if e.action is not None:
             base = w.bel_h if a.actor == "H" else (
                 w.bel_r if e.designated else w.bel_rh)
-            if not base.entails_all(e.action.pre):
+            if not e.action.applicable(base.mask):
                 if e.designated:
                     raise DomainError(
                         f"designated action {e.action} inapplicable in its world")

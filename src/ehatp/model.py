@@ -15,9 +15,8 @@ built only where it leaves the process.
 from __future__ import annotations
 
 import bisect
-import re
 from dataclasses import FrozenInstanceError, dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 AGENTS = ("R", "H")
 
@@ -59,9 +58,12 @@ def is_variable(symbol: str) -> bool:
     return bool(symbol) and symbol[0].isupper() and symbol not in AGENTS
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    """A predicate applied to argument symbols, with polarity."""
+class Literal(NamedTuple):
+    """A predicate applied to argument symbols, with polarity.
+
+    A tuple, so hashing and equality run in C; its hash is that of the
+    tuple of its fields.
+    """
 
     pred: str
     args: tuple[str, ...] = ()
@@ -87,22 +89,6 @@ class Literal:
             tuple(binding.get(a, a) for a in self.args),
             self.positive,
         )
-
-
-def lit(text: str, *args: str, positive: bool = True) -> Literal:
-    """Literal shorthand: ``lit("on", "c_r", "mt")`` or ``lit("not on(c_r, mt)")``."""
-    if args or ("(" not in text and not text.startswith("not ")):
-        return Literal(text, tuple(args), positive)
-    s = text.strip()
-    if s.startswith("not "):
-        positive = False
-        s = s[4:].strip()
-    m = re.fullmatch(r"(\w+)\s*(?:\(\s*([^()]*?)\s*\))?", s)
-    if m is None:
-        raise MalformedLiteralError(f"cannot parse literal: {text!r}")
-    argstr = m.group(2)
-    parts = tuple(a.strip() for a in argstr.split(",")) if argstr else ()
-    return Literal(m.group(1), parts, positive)
 
 
 def _require_ground(l: Literal) -> None:
@@ -220,12 +206,6 @@ class BeliefBase:
             return not l.positive
         return bool(self.mask & bit) == l.positive
 
-    def entails_all(self, literals: Iterable[Literal]) -> bool:
-        return all(self.entails(l) for l in literals)
-
-    def apply_effects(self, adds: Iterable[Literal], dels: Iterable[Literal]) -> "BeliefBase":
-        return self.apply_masks(*effect_masks(adds, dels))
-
     def apply_masks(self, add: int, drop: int) -> "BeliefBase":
         """The base with the atoms of ``drop`` removed, then those of ``add``."""
         return BeliefBase.from_mask((self.mask & ~drop) | add)
@@ -316,8 +296,10 @@ def match(bel: BeliefBase, literals: Iterable[Literal],
 # Task agendas
 
 
-@dataclass(frozen=True, slots=True)
-class Task:
+class Task(NamedTuple):
+    """A task on an agenda: an action or abstract task name with its
+    argument symbols (a tuple, like :class:`Literal`)."""
+
     name: str
     args: tuple[str, ...] = ()
 

@@ -374,6 +374,75 @@ def _reachable(root: SearchNode) -> list[SearchNode]:
     return order
 
 
+def finished_values(done: list[SearchNode]) -> tuple[
+        dict[int, tuple[float, float]], dict[int, tuple[str, SearchNode]]]:
+    """The value of each finished node and the edge each finished robot node
+    keeps, both keyed by ``id(node)``.
+
+    A value is (worst-case turns, speech acts) to completion, ``inf`` where
+    no finished branch reaches completion; the kept edge minimizes (turns,
+    speech acts, edge label).
+    """
+    value: dict[int, tuple[float, float]] = {id(n): (math.inf, math.inf)
+                                             for n in done}
+    choice: dict[int, tuple[str, SearchNode]] = {}
+    # the finished parents of each finished node: what to re-value when its
+    # value moves
+    users: dict[int, list[SearchNode]] = {id(n): [] for n in done}
+    for n in done:
+        for _, c in n.children or ():
+            if id(c) in users:
+                users[id(c)].append(n)
+
+    # Values only fall from inf, and each operator is monotone, so revisiting
+    # just the parents of a moved node reaches the fixed point a full re-sweep
+    # would; each choice is made by its node's last visit, which follows the
+    # last move of any child.
+    work = deque(n for n in done if not n.children)
+    queued = {id(n) for n in work}
+    while work:
+        n = work.popleft()
+        queued.discard(id(n))
+        if not n.children:
+            new = (0.0, 0.0)
+        elif n.kind == "OR":
+            best = None
+            pick = None
+            for i, (label, c) in enumerate(n.children):
+                vc = value.get(id(c))
+                if vc is None or vc[0] == math.inf:
+                    continue
+                cand = (vc[0] + 1, vc[1] + _comm_weight(label), label, i)
+                if best is None or cand < best:
+                    best = cand
+                    pick = (label, c)
+            if best is None:
+                continue
+            new = (best[0], best[1])
+            choice[id(n)] = pick
+        else:
+            worst = 0.0
+            talk = 0.0
+            feasible = True
+            for label, c in n.children:
+                vc = value.get(id(c))
+                if vc is None or vc[0] == math.inf:
+                    feasible = False
+                    break
+                worst = max(worst, vc[0])
+                talk += vc[1] + _comm_weight(label)
+            if not feasible:
+                continue
+            new = (worst + 1, talk)
+        if new != value[id(n)]:
+            value[id(n)] = new
+            for p in users[id(n)]:
+                if id(p) not in queued:
+                    queued.add(id(p))
+                    work.append(p)
+    return value, choice
+
+
 def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
     """Carve the joint plan out of a finished search graph.
 
@@ -385,62 +454,21 @@ def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
     """
     if root.status != DONE:
         raise EhatpError("no finished joint plan to extract")
+    choice = finished_values([n for n in _reachable(root) if n.status == DONE])[1]
 
-    done = [n for n in _reachable(root) if n.status == DONE]
-    value: dict[int, tuple[float, float]] = {id(n): (math.inf, math.inf)
-                                             for n in done}
-    choice: dict[int, tuple[str, SearchNode]] = {}
-
-    changed = True
-    while changed:
-        changed = False
-        for n in done:
-            if not n.children:
-                new = (0.0, 0.0)
-            elif n.kind == "OR":
-                best = None
-                pick = None
-                for i, (label, c) in enumerate(n.children):
-                    vc = value.get(id(c))
-                    if vc is None or vc[0] == math.inf:
-                        continue
-                    cand = (vc[0] + 1, vc[1] + _comm_weight(label), label, i)
-                    if best is None or cand < best:
-                        best = cand
-                        pick = (label, c)
-                if best is None:
-                    continue
-                new = (best[0], best[1])
-                if choice.get(id(n)) != pick:
-                    choice[id(n)] = pick
-                    changed = True
-            else:
-                worst = 0.0
-                talk = 0.0
-                feasible = True
-                for label, c in n.children:
-                    vc = value.get(id(c))
-                    if vc is None or vc[0] == math.inf:
-                        feasible = False
-                        break
-                    worst = max(worst, vc[0])
-                    talk += vc[1] + _comm_weight(label)
-                if not feasible:
-                    continue
-                new = (worst + 1, talk)
-            if new != value[id(n)]:
-                value[id(n)] = new
-                changed = True
-
+    # Unfold the chosen subgraph in preorder.  Chosen edges strictly lower the
+    # turn count, so the unfolding is finite.
     nodes: list[PolicyNode] = []
-
-    def emit(n: SearchNode, edge: str | None) -> int:
+    stack: list[tuple[SearchNode, str | None, PolicyNode | None]] = [
+        (root, None, None)]
+    while stack:
+        n, edge, parent = stack.pop()
         if not n.children:
             keep: list[tuple[str, SearchNode]] = []
         elif n.kind == "OR":
             keep = [choice[id(n)]]
         else:
-            keep = list(n.children)
+            keep = n.children
         pn = PolicyNode(
             id=len(nodes),
             kind="LEAF" if not keep else n.kind,
@@ -451,11 +479,9 @@ def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
             state=n.state,
         )
         nodes.append(pn)
-        for label, c in keep:
-            pn.children.append(emit(c, label))
-        return pn.id
-
-    emit(root, None)
+        if parent is not None:
+            parent.children.append(pn.id)
+        stack.extend((c, label, pn) for label, c in reversed(keep))
     return Policy(nodes)
 
 

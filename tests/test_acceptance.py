@@ -33,8 +33,9 @@ from ehatp.kernel import (
     product_update,
     state_copresent,
 )
-from ehatp.model import BeliefBase, EpistemicState, Task, World, lit
+from ehatp.model import BeliefBase, EpistemicState, Task, World
 from ehatp.solver import solve
+from helpers import lit
 
 # instance -> (worst-case worlds, policy branches, calibration state count)
 TABLE = {

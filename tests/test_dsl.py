@@ -12,7 +12,8 @@ from ehatp.dsl import (
     pretty_print_problem,
     validate,
 )
-from ehatp.model import Literal, lit
+from ehatp.model import Literal
+from helpers import lit
 
 
 @pytest.fixture(scope="module")

@@ -24,8 +24,8 @@ from ehatp.model import (
     InconsistentAdvanceError,
     Task,
     is_variable,
-    lit,
 )
+from helpers import lit
 
 
 @pytest.fixture(scope="module")

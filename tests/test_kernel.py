@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import ehatp
+from ehatp import model
 from ehatp.dsl import load_instance, load_shipped, parse_domain
 from ehatp.htn import Refinement, feasible_refinements
 from ehatp.kernel import (
@@ -32,11 +33,13 @@ from ehatp.model import (
     BeliefBase,
     BudgetExceededError,
     EpistemicState,
+    Literal,
+    MalformedLiteralError,
     Task,
     World,
-    lit,
 )
 from ehatp.solver import expand, solve
+from helpers import lit
 
 
 @pytest.fixture(scope="module")
@@ -400,8 +403,9 @@ SA_LINES_P2 = """\
 import os, sys
 from ehatp import model
 from ehatp.dsl import load_instance
-from ehatp.model import BeliefBase, lit
+from ehatp.model import BeliefBase
 from ehatp.solver import solve
+from helpers import lit
 earlier = sys.stdin.read().split()
 if earlier:
     # Atoms the other process met get their bits in the reverse order.
@@ -416,11 +420,12 @@ print(*model._ATOMS, sep="\\n")
 
 def test_sa_lines_are_independent_of_intern_history():
     src = str(Path(ehatp.__file__).resolve().parents[1])
+    path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
 
     def run(earlier: str) -> tuple[list[str], str]:
         out = subprocess.run(
             [sys.executable, "-c", SA_LINES_P2], input=earlier,
-            env={**os.environ, "PYTHONPATH": src, "EHATP_LOG": ""},
+            env={**os.environ, "PYTHONPATH": path, "EHATP_LOG": ""},
             capture_output=True, text=True, check=True)
         return out.stdout.split(), out.stderr
 
@@ -447,6 +452,45 @@ def test_memo_answers_match_a_fresh_domain_after_a_warm_search(name):
         assert state_copresent(shared, s) == state_copresent(replace(dom), s)
         assert (situation_assessment(shared, s, prob.k).signature()
                 == situation_assessment(replace(dom), s, prob.k).signature())
+
+
+@pytest.mark.parametrize("name", ["p6", "cooking3"])
+def test_precondition_masks_match_literal_by_literal_entails(name):
+    dom, prob = load_instance(name)
+    states = [n.state for n in solve(dom, prob, exhaust=True).all_nodes]
+    shared = replace(dom)
+    for s in states:
+        expand(shared, prob, s)  # grounds every action the search meets
+    acts = [a for key, a in shared.memo.items() if key[0] == "ground"]
+    assert all(key[1:] == (a.name, a.args)
+               for key, a in shared.memo.items() if key[0] == "ground")
+    assert any(not l.positive for a in acts for l in a.pre)
+    bases = {b for s in states for w in s.worlds
+             for b in (w.bel_r, w.bel_h, w.bel_rh)}
+    never = Literal("never_interned", (name,))
+    assert never not in model._BIT
+    probes = []
+    for a in acts:
+        probes += [a, replace(a, pre=tuple(l.negate() for l in a.pre)),
+                   replace(a, pre=a.pre + (never,)),
+                   replace(a, pre=a.pre + (never.negate(),))]
+    outcomes = set()
+    for a in probes:
+        for b in bases:
+            want = all(b.entails(l) for l in a.pre)
+            assert a.applicable(b.mask) == want
+            outcomes.add(want)
+    assert outcomes == {True, False}
+    # Masks cached before the atom first entered a base still hold after.
+    grown = [BeliefBase(b.atoms | {never}) for b in bases]
+    for a in probes:
+        for b in grown:
+            assert a.applicable(b.mask) == all(b.entails(l) for l in a.pre)
+    for free in (Literal("on", ("X", "mt")), Literal("on", ("X", "mt"), False)):
+        bad = replace(acts[0], pre=(free,) + acts[0].pre)
+        for _ in range(2):  # raised on every check, never cached
+            with pytest.raises(MalformedLiteralError):
+                bad.applicable(0)
 
 
 def test_product_update_honours_the_action_copresence_rule(cube):

@@ -8,8 +8,9 @@ from ehatp.model import (
     MalformedLiteralError,
     Task,
     World,
-    lit,
+    effect_masks,
 )
+from helpers import lit
 
 
 def test_entails_membership():
@@ -47,43 +48,43 @@ def test_updates_reject_non_ground_atoms():
     base = BeliefBase.of(lit("on", "c_r", "mt"))
     free = lit("on", "C", "mt")
     with pytest.raises(MalformedLiteralError):
-        base.apply_effects(adds=[free], dels=[])
+        base.apply_masks(*effect_masks([free], []))
     with pytest.raises(MalformedLiteralError):
-        base.apply_effects(adds=[], dels=[free])
+        base.apply_masks(*effect_masks([], [free]))
     with pytest.raises(MalformedLiteralError):
         base.assign(free, True)
 
 
 def test_apply_effects_pick_semantics():
     base = BeliefBase.of(lit("on", "c_r", "mt"))
-    out = base.apply_effects(adds=[lit("holding", "R", "c_r")], dels=[lit("on", "c_r", "mt")])
+    out = base.apply_masks(*effect_masks([lit("holding", "R", "c_r")], [lit("on", "c_r", "mt")]))
     assert out == BeliefBase.of(lit("holding", "R", "c_r"))
 
 
 def test_apply_effects_identity():
     base = BeliefBase.of(lit("p"))
-    assert base.apply_effects([], []) == base
+    assert base.apply_masks(*effect_masks([], [])) == base
 
 
 def test_apply_effects_place_semantics():
     base = BeliefBase.of(lit("holding", "R", "c_y"))
-    out = base.apply_effects(
-        adds=[lit("inside", "c_y", "box_1")], dels=[lit("holding", "R", "c_y")]
-    )
+    out = base.apply_masks(*effect_masks(
+        [lit("inside", "c_y", "box_1")], [lit("holding", "R", "c_y")]
+    ))
     assert out == BeliefBase.of(lit("inside", "c_y", "box_1"))
 
 
 def test_apply_effects_conflict():
     with pytest.raises(ConflictingEffectsError):
-        BeliefBase().apply_effects(adds=[lit("p")], dels=[lit("p")])
+        BeliefBase().apply_masks(*effect_masks([lit("p")], [lit("p")]))
     base = BeliefBase.of(lit("on", "c_r", "mt"), lit("holding", "R", "c_y"))
     with pytest.raises(ConflictingEffectsError):
-        base.apply_effects(adds=[lit("on", "c_r", "mt")], dels=[lit("on", "c_r", "mt")])
+        base.apply_masks(*effect_masks([lit("on", "c_r", "mt")], [lit("on", "c_r", "mt")]))
 
 
 def test_apply_effects_idempotent_when_subsumed():
     base = BeliefBase.of(lit("p"), lit("q"))
-    out = base.apply_effects(adds=[lit("p")], dels=[lit("r")])
+    out = base.apply_masks(*effect_masks([lit("p")], [lit("r")]))
     assert out == base
 
 

@@ -6,6 +6,8 @@ stand by; a blocked human may ask or wait; a wait forces the inform.
 """
 
 import json
+import math
+import random
 
 import pytest
 
@@ -17,7 +19,6 @@ from ehatp.model import (
     EpistemicState,
     Task,
     World,
-    lit,
 )
 from ehatp.solver import (
     Metrics,
@@ -26,10 +27,12 @@ from ehatp.solver import (
     evaluate_state,
     expand,
     extract_joint_solution,
+    finished_values,
     propagate_revised_status,
     solve,
     synthesize_communication,
 )
+from helpers import lit
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +290,109 @@ def test_extraction_keeps_all_human_alternatives(p1):
     and_out = pol.nodes[pol.nodes[0].children[0]]
     assert len(and_out.children) == 2
     assert pol.leaves == 2
+
+
+def _swept_values(done):
+    """Reference valuation: re-value every finished node until one whole
+    sweep moves no value and no choice."""
+    value = {id(n): (math.inf, math.inf) for n in done}
+    choice = {}
+    changed = True
+    while changed:
+        changed = False
+        for n in done:
+            if not n.children:
+                new = (0.0, 0.0)
+            elif n.kind == "OR":
+                cands = [(value[id(c)][0] + 1,
+                          value[id(c)][1] + label.startswith(("inform-", "ask-")),
+                          label, i, c)
+                         for i, (label, c) in enumerate(n.children)
+                         if value.get(id(c), (math.inf,))[0] != math.inf]
+                if not cands:
+                    continue
+                turns, talk, label, _, c = min(cands, key=lambda t: t[:4])
+                new = (turns, talk)
+                if choice.get(id(n)) != (label, c):
+                    choice[id(n)] = (label, c)
+                    changed = True
+            else:
+                vals = [(value.get(id(c), (math.inf,)), label)
+                        for label, c in n.children]
+                if any(v[0] == math.inf for v, _ in vals):
+                    continue
+                new = (max(v[0] for v, _ in vals) + 1,
+                       sum(v[1] + label.startswith(("inform-", "ask-"))
+                           for v, label in vals))
+            if new != value[id(n)]:
+                value[id(n)] = new
+                changed = True
+    return value, choice
+
+
+def _recursive_policy(dom, root, choice):
+    """Reference unfolding: the chosen subgraph in recursive preorder."""
+    nodes = []
+
+    def emit(n, edge):
+        keep = ([] if not n.children else
+                [choice[id(n)]] if n.kind == "OR" else n.children)
+        out = {"id": len(nodes), "kind": n.kind if keep else "LEAF",
+               "actor": n.state.actor, "edge": edge,
+               "copresent": state_copresent(dom, n.state), "children": []}
+        nodes.append(out)
+        for label, c in keep:
+            out["children"].append(emit(c, label))
+        return out["id"]
+
+    emit(root, None)
+    return nodes
+
+
+@pytest.mark.parametrize("name", ["p2", "p6", "cooking3"])
+def test_extraction_matches_a_full_resweep(name):
+    dom, prob = load_instance(name)
+    res = solve(dom, prob, exhaust=True)
+    done = [n for n in res.all_nodes if n.status == "DONE"]
+    assert res.root.status == "DONE" and len(done) > 1
+    value, choice = finished_values(done)
+    assert (value, choice) == _swept_values(done)
+    assert (extract_joint_solution(dom, res.root).node_dicts()
+            == _recursive_policy(dom, res.root, choice))
+
+
+def test_valuation_matches_a_full_resweep_on_random_graphs():
+    # Shared children, cycles, unfinished children, tied values and speech
+    # acts, so that values move more than once and choices flip on labels.
+    rng = random.Random(5)
+    labels = ("a", "b", "c", "inform-p", "ask-q")
+    for _ in range(400):
+        nodes = [SearchNode(state=None, kind=rng.choice(("OR", "AND")),
+                            status=rng.choice(("DONE",) * 5 + ("DEAD",)))
+                 for _ in range(rng.randint(2, 14))]
+        for n in nodes:
+            if rng.random() < 0.3:
+                n.children = []
+            else:
+                n.children = [(rng.choice(labels), rng.choice(nodes))
+                              for _ in range(rng.randint(1, 4))]
+        done = [n for n in nodes if n.status == "DONE"]
+        assert finished_values(done) == _swept_values(done)
+
+
+def test_extraction_of_a_deep_chain_needs_no_recursion(p1):
+    dom, prob = p1
+    s = initial_state(dom, prob)
+    root = chain(s, ["step"] * 4999, leaf_node(s))
+    pol = extract_joint_solution(dom, root)
+    assert len(pol.nodes) == 5000
+    assert [n.children for n in pol.nodes] == [[i + 1] for i in range(4999)] + [[]]
+    assert pol.nodes[-1].kind == "LEAF" and pol.leaves == 1
+    done = [root]
+    while done[-1].children:
+        done.append(done[-1].children[0][1])
+    value, _ = finished_values(done)
+    assert [value[id(n)] for n in done] == [(4999.0 - i, 0.0) for i in range(5000)]
 
 
 # ------------------------------------------------------------- whole problems

@@ -19,8 +19,9 @@ import ehatp
 from ehatp import model
 from ehatp.cli import write_policy_file
 from ehatp.dsl import load_instance, load_shipped
-from ehatp.model import BeliefBase, EpistemicState, Task, World, lit
+from ehatp.model import BeliefBase, EpistemicState, Task, World
 from ehatp.solver import solve
+from helpers import lit
 
 # Count and SHA-256 of the newline-joined, sorted state signatures of the
 # exhaustive search graph, recorded with string keys before the rewrite.
