@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import product
 from typing import Callable, Iterable, TypeVar
 
 from .model import (
@@ -31,6 +32,7 @@ from .model import (
     atom_bit,
     effect_masks,
     is_variable,
+    unify,
 )
 
 T = TypeVar("T")
@@ -133,14 +135,12 @@ class GroundAction:
             object.__setattr__(self, "_masks", masks)
         return masks
 
-    def applicable(self, mask: int) -> bool:
-        """Whether a base with this mask satisfies the preconditions.
+    def pre_masks(self) -> tuple[int, int]:
+        """The preconditions as a ``(need, forbid)`` mask pair, built once.
 
-        They are checked as a ``(need, forbid)`` mask pair built at the first
-        check.  Every precondition atom is interned then, so the pair stays
-        valid when an atom first enters a base later; a non-ground
-        precondition raises :class:`MalformedLiteralError` and is never
-        cached.
+        Every precondition atom is interned then, so the pair stays valid
+        when an atom first enters a base later; a non-ground precondition
+        raises :class:`MalformedLiteralError` and is never cached.
         """
         masks = self._pre
         if masks is None:
@@ -152,7 +152,11 @@ class GroundAction:
                     forbid |= atom_bit(l.atom)
             masks = (need, forbid)
             object.__setattr__(self, "_pre", masks)
-        need, forbid = masks
+        return masks
+
+    def applicable(self, mask: int) -> bool:
+        """Whether a base with this mask satisfies the preconditions."""
+        need, forbid = self.pre_masks()
         return mask & need == need and not mask & forbid
 
 
@@ -183,31 +187,89 @@ class DomainModel:
     copresence: tuple[Literal, ...]
     actions: tuple[ActionSchema, ...]
     methods: tuple[MethodSchema, ...]
-    # Answers of the HTN queries (see ``htn._memoized``), the ground actions
-    # they surface (``("ground", name, args)``, so each action's cached masks
-    # are built once) and the kernel's ground-truth queries
-    # (``kernel._copresent``, ``situation_assessment``).
-    # One search or replay works on its own copy, ``dataclasses.replace(dom)``,
-    # so the memo lives exactly as long as that call.
+    # Ground instances built on first use (``htn._ground``,
+    # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task``, an
+    # atom or a co-presence rule; no two of these tuples compare equal.  They
+    # depend on the domain alone, so ``dataclasses.replace(dom)`` shares them.
+    table: dict = field(default_factory=dict, compare=False, repr=False)
+    # Answers of the HTN queries (see ``htn._memoized``) and the atoms
+    # situation assessment has judged.  One search or replay works on its own
+    # copy, ``dataclasses.replace(dom)``, so the memo lives as long as that call.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Declarations by name, the first of each name (methods: all, in order)
+    _predicates: dict = field(init=False, compare=False, repr=False)
+    _actions: dict = field(init=False, compare=False, repr=False)
+    _methods: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        methods: dict[str, tuple[MethodSchema, ...]] = {}
+        for m in self.methods:
+            methods[m.task] = methods.get(m.task, ()) + (m,)
+        object.__setattr__(self, "_predicates", {p.name: p for p in reversed(self.predicates)})
+        object.__setattr__(self, "_actions", {a.name: a for a in reversed(self.actions)})
+        object.__setattr__(self, "_methods", methods)
 
     def predicate(self, name: str) -> PredicateDecl | None:
-        for p in self.predicates:
-            if p.name == name:
-                return p
-        return None
+        return self._predicates.get(name)
 
     def action(self, name: str) -> ActionSchema | None:
-        for a in self.actions:
-            if a.name == name:
-                return a
-        return None
+        return self._actions.get(name)
 
     def methods_for(self, task: str) -> tuple[MethodSchema, ...]:
-        return tuple(m for m in self.methods if m.task == task)
+        return self._methods.get(task, ())
 
     def task_names(self) -> frozenset[str]:
         return frozenset(m.task for m in self.methods)
+
+    def instances(self, literals: Iterable[Literal], binding: dict[str, str],
+                  ) -> list[tuple[dict[str, str] | str, int, int]]:
+        """``literals`` solved as a matcher would solve them against a base
+        holding every atom the declared types allow: each binding extending
+        ``binding``, with the ``(need, forbid)`` masks a base must pass for
+        the literals to hold under it.
+
+        Bindings come in the matcher's order: literal by literal, a free
+        positive literal's atoms in the order of their strings.  A free
+        argument ranges over the objects of its declared type (any constant
+        where the predicate is undeclared).  A negative literal left with
+        free variables ends each binding in the ``DomainError`` message a
+        matcher raises once the literals before it hold.
+        """
+        sols: list[tuple] = [(binding, 0, 0)]
+        for l in literals:
+            nxt = []
+            for b, need, forbid in sols:
+                g = l.substitute(b)
+                if g.is_ground():
+                    if g.positive:
+                        nxt.append((b, need | atom_bit(g), forbid))
+                    else:
+                        nxt.append((b, need, forbid | atom_bit(g.atom)))
+                    continue
+                free = [a for a in g.args if is_variable(a)]
+                if not g.positive:
+                    return [(f"negative literal {l} leaves variables {free} unbound", n, f)
+                            for _, n, f in sols]
+                decl = self.predicate(g.pred)
+                types = (decl.param_types if decl and len(decl.param_types) == len(g.args)
+                         else (None,) * len(g.args))
+                pools = [self._of_type(t) if is_variable(a) else (a,)
+                         for a, t in zip(g.args, types)]
+                for atom in sorted((Literal(g.pred, args) for args in product(*pools)), key=str):
+                    trial = unify(g, atom, b)
+                    if trial is not None:
+                        nxt.append((trial, need | atom_bit(atom), forbid))
+            sols = nxt
+        return sols
+
+    def _of_type(self, t: str | None) -> tuple[str, ...]:
+        """The constants of type ``t``, or every constant when ``t`` is None."""
+        if t == "agent":
+            return AGENTS
+        if t == "place":
+            return self.places
+        named = tuple(n for n, ot in self.objects if t is None or ot == t)
+        return AGENTS + self.places + named if t is None else named
 
     def constant_type(self, name: str) -> str | None:
         if name in AGENTS:

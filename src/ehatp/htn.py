@@ -25,7 +25,6 @@ from .model import (
     TaskNetwork,
     atoms_of,
     is_variable,
-    match,
 )
 
 # Expansion of one network may not nest methods deeper than this; the
@@ -38,9 +37,10 @@ class Refinement:
     first_primitive: GroundAction
     remainder: TaskNetwork
     trace: tuple[str, ...]
-    # every ground precondition checked on the way to the first primitive
-    # (method preconditions along the decomposition path, then the action's)
-    pres: tuple[Literal, ...] = ()
+    # the mask of every precondition atom checked on the way to the first
+    # primitive (method preconditions along the decomposition path, then the
+    # action's), whether it was required or forbidden
+    pres: int = 0
 
     def key(self) -> tuple:
         return (self.first_primitive.name, self.first_primitive.args, self.remainder)
@@ -48,10 +48,6 @@ class Refinement:
     def __str__(self) -> str:
         rest = ", ".join(str(t) for t in self.remainder)
         return f"{self.first_primitive} :: [{rest}]"
-
-
-def _substitute_tasks(tasks: tuple[Task, ...], binding: dict[str, str]) -> tuple[Task, ...]:
-    return tuple(Task(t.name, tuple(binding.get(a, a) for a in t.args)) for t in tasks)
 
 
 _MISS = object()
@@ -98,11 +94,46 @@ def available_refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
         return ()
 
 
+def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
+    """``head`` ground once for the life of ``dom.table``: an action's
+    ``GroundAction``, or the instances of an abstract task's methods.
+
+    A method instance is ``(need, forbid, label, subtasks)``: it applies to a
+    base that passes the mask pair, expanding ``head`` into the ground
+    ``subtasks``.  An instance whose binding a negative precondition leaves
+    open carries ``subtasks=None`` and the ``DomainError`` message as its
+    label.
+    """
+    schema = dom.action(head.name)
+    if schema is not None:
+        if any(is_variable(a) for a in head.args):
+            raise DomainError(f"unbound arguments in subtask {head}")
+        entry = dom.table[head] = schema.ground(head.args)
+        return entry
+    out = []
+    shared: dict = {}  # one object for each equal tuple of subtasks
+    for m in dom.methods_for(head.name):
+        if len(m.params) != len(head.args):
+            continue
+        params = dict(zip((p.name for p in m.params), head.args))
+        for b, need, forbid in dom.instances(m.pre, params):
+            if isinstance(b, str):
+                out.append((need, forbid, b, None))
+                continue
+            subs = tuple(Task(t.name, tuple(b.get(a, a) for a in t.args))
+                         for t in m.subtasks)
+            out.append((need, forbid, m.label, shared.setdefault(subs, subs)))
+    entry = dom.table[head] = tuple(out)
+    return entry
+
+
 def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
                  actor: str) -> tuple[Refinement, ...]:
+    mask = bel.mask
+    table = dom.table
     results: dict[tuple, Refinement] = {}
-    frontier: list[tuple[TaskNetwork, tuple[str, ...], int, tuple[Literal, ...]]] = [
-        (tuple(tn), (), 0, ())]
+    frontier: list[tuple[TaskNetwork, tuple[str, ...], int, int]] = [
+        (tuple(tn), (), 0, 0)]
     while frontier:
         agenda, trace, depth, acc = frontier.pop()
         if not agenda:
@@ -110,34 +141,27 @@ def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
         if depth > _MAX_DEPTH:
             raise DomainError(f"decomposition of {agenda[0]} exceeds depth {_MAX_DEPTH}")
         head, rest = agenda[0], agenda[1:]
-        schema = dom.action(head.name)
-        if schema is not None:
-            if any(is_variable(a) for a in head.args):
-                raise DomainError(f"unbound arguments in subtask {head}")
-            if schema.actor != actor:
+        entry = table.get(head)
+        if entry is None:
+            entry = _ground(dom, head)
+        if type(entry) is GroundAction:
+            if entry.actor != actor:
                 raise DomainError(
-                    f"task decomposes to {head.name!r}, an action of {schema.actor}, "
+                    f"task decomposes to {head.name!r}, an action of {entry.actor}, "
                     f"while refining for {actor}")
-            key = ("ground", head.name, head.args)
-            ground = dom.memo.get(key)
-            if ground is None:
-                ground = dom.memo[key] = schema.ground(head.args)
-            if ground.applicable(bel.mask):
-                ref = Refinement(ground, rest, trace, acc + ground.pre)
+            need, forbid = entry.pre_masks()
+            if mask & need == need and not mask & forbid:
+                ref = Refinement(entry, rest, trace, acc | need | forbid)
                 results.setdefault(ref.key(), ref)
             continue
-        methods = dom.methods_for(head.name)
-        if not methods:
+        if not entry and not dom.methods_for(head.name):
             raise DomainError(f"no method declared for abstract task {head.name!r}")
-        for m in methods:
-            if len(m.params) != len(head.args):
-                continue
-            params = dict(zip((p.name for p in m.params), head.args))
-            for binding in match(bel, m.pre, params):
-                subs = _substitute_tasks(m.subtasks, binding)
-                checked = tuple(p.substitute(binding) for p in m.pre)
-                frontier.append((subs + rest, trace + (m.label,), depth + 1,
-                                 acc + checked))
+        for need, forbid, label, subs in entry:
+            if mask & need == need and not mask & forbid:
+                if subs is None:
+                    raise DomainError(label)
+                frontier.append((subs + rest, trace + (label,), depth + 1,
+                                 acc | need | forbid))
     return tuple(sorted(results.values(),
                         key=lambda r: (str(r.first_primitive),
                                        tuple(map(str, r.remainder)), r.trace)))
@@ -152,6 +176,8 @@ def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
 
 def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
                 actor: str) -> bool:
+    mask = bel.mask
+    table = dom.table
     frontier: list[tuple[TaskNetwork, int]] = [(tuple(tn), 0)]
     seen = set()
     while frontier:
@@ -164,13 +190,14 @@ def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
         head, rest = agenda[0], agenda[1:]
         if dom.action(head.name) is not None:
             continue  # a pending primitive: this expansion requires work
-        for m in dom.methods_for(head.name):
-            if len(m.params) != len(head.args):
-                continue
-            params = dict(zip((p.name for p in m.params), head.args))
-            for binding in match(bel, m.pre, params):
-                frontier.append((_substitute_tasks(m.subtasks, binding) + rest,
-                                 depth + 1))
+        entry = table.get(head)
+        if entry is None:
+            entry = _ground(dom, head)
+        for need, forbid, label, subs in entry:
+            if mask & need == need and not mask & forbid:
+                if subs is None:
+                    raise DomainError(label)
+                frontier.append((subs + rest, depth + 1))
     return False
 
 

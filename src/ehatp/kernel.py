@@ -29,7 +29,6 @@ from .model import (
     World,
     atom_bit,
     atoms_of,
-    match,
     unify,
 )
 
@@ -69,69 +68,62 @@ class EpistemicAction:
         return next(e for e in self.events if e.designated)
 
 
-@dataclass(frozen=True, slots=True)
-class ObservationContext:
-    observer: str = "H"
-    observer_place: str | None = None
-    co_present: bool = False
-    witnessed: GroundAction | None = None
-
-
 # --------------------------------------------------------------------------
-# Co-presence
+# Ground-truth queries, as mask tests over instances ground once per domain
 
 
-def copresent(w: World, rule: tuple[Literal, ...]) -> bool:
-    """Whether the agents share each other's presence in ``w`` (ground truth)."""
-    return next(match(w.bel_r, rule), None) is not None
+def _compiled(sols: list[tuple]) -> tuple[tuple[int, int, str | None], ...]:
+    """``(need, forbid, error)`` instances of ``dom.instances`` solutions."""
+    return tuple((need, forbid, b if isinstance(b, str) else None)
+                 for b, need, forbid in sols)
+
+
+def _holds(instances: tuple, mask: int) -> bool:
+    """Whether some instance holds in a base with this mask; one whose
+    binding a negative literal leaves open raises once it holds."""
+    for need, forbid, error in instances:
+        if mask & need == need and not mask & forbid:
+            if error is not None:
+                raise DomainError(error)
+            return True
+    return False
 
 
 def _copresent(dom: DomainModel, w: World, rule: tuple[Literal, ...]) -> bool:
-    """``copresent(w, rule)``, answered from ``dom.memo``.
+    """Whether the agents share each other's presence in ``w`` (ground truth).
 
-    The key holds the rule itself, so an action carrying its own co-presence
-    rule never reads an answer given for the domain's.
+    The rule is the key, so an action carrying its own co-presence rule
+    never reads the instances of the domain's.
     """
-    key = ("co", rule, w.bel_r.mask)
-    hit = dom.memo.get(key)
-    if hit is None:
-        hit = dom.memo[key] = copresent(w, rule)
-    return hit
+    instances = dom.table.get(rule)
+    if instances is None:
+        instances = dom.table[rule] = _compiled(dom.instances(rule, {}))
+    return _holds(instances, w.bel_r.mask)
 
 
 def state_copresent(dom: DomainModel, s: EpistemicState) -> bool:
     return _copresent(dom, s.designated_world, dom.copresence)
 
 
-# --------------------------------------------------------------------------
-# Observability
+def _observable(dom: DomainModel, atom: Literal, truth: int) -> bool:
+    """Can the human settle the truth of ``atom`` when reality has mask ``truth``?
 
-
-def observable(dom: DomainModel, l: Literal, ctx: ObservationContext,
-               w: World) -> bool:
-    """Can ``ctx.observer`` settle the truth of ``l`` in world ``w``?
-
-    ``w`` supplies the ground truth the knowledge-rule antecedents are judged
-    against.  Effects of a witnessed action are settled regardless of the
-    predicate's declared visibility.
+    An observable predicate's atom is in view when the antecedent of some
+    knowledge rule whose target names it holds, with the observer bound to
+    the human; the instances are those of every such rule, in rule order.
     """
-    atom = l.atom
-    if ctx.witnessed is not None:
-        touched = {eff.atom for eff in ctx.witnessed.adds}
-        touched |= {eff.atom for eff in ctx.witnessed.dels}
-        if atom in touched:
-            return True
-    decl = dom.predicate(atom.pred)
-    if decl is None or not decl.observable:
-        return False
-    for rule in dom.rules:
-        binding = unify(rule.target, atom)
-        if binding is None:
-            continue
-        binding[OBSERVER] = ctx.observer
-        if next(match(w.bel_r, rule.antecedent, binding), None) is not None:
-            return True
-    return False
+    instances = dom.table.get(atom)
+    if instances is None:
+        sols: list[tuple] = []
+        decl = dom.predicate(atom.pred)
+        if decl is not None and decl.observable:
+            for rule in dom.rules:
+                binding = unify(rule.target, atom)
+                if binding is not None:
+                    binding[OBSERVER] = "H"
+                    sols += dom.instances(rule.antecedent, binding)
+        instances = dom.table[atom] = _compiled(sols)
+    return _holds(instances, truth)
 
 
 # --------------------------------------------------------------------------
@@ -292,22 +284,7 @@ def product_update(dom: DomainModel, s: EpistemicState,
 # Situation assessment
 
 
-def _default_context(dom: DomainModel, d: World) -> ObservationContext:
-    """The human's view of reality ``d``, answered from ``dom.memo``.
-
-    Only a context is stored, so a world that puts an agent in two places
-    raises on every call.
-    """
-    key = ("ctx", d.bel_r.mask)
-    ctx = dom.memo.get(key)
-    if ctx is None:
-        co = _copresent(dom, d, dom.copresence)
-        ctx = dom.memo[key] = ObservationContext("H", d.agent_place.get("H"), co)
-    return ctx
-
-
-def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
-                         ctx: ObservationContext | None = None) -> EpistemicState:
+def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> EpistemicState:
     """Remove worlds the human can now tell apart; share what is in view.
 
     A world goes when it was marked while being watched, or when it disagrees
@@ -317,27 +294,24 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
     """
     d = s.designated_world
     truth = d.bel_r.mask
-    if ctx is None:
-        ctx = _default_context(dom, d)
-
-    # Whether an atom is observable depends only on the atom, the observer,
-    # reality and a witnessed action, so without one each atom is judged once
-    # per truth mask for the whole call, and with one once per assessment.
-    # ``seen`` holds the atoms judged so far and those found in view.
-    if ctx.witnessed is None:
-        key = ("seen", ctx.observer, truth)
-        seen = dom.memo.get(key)
-        if seen is None:
-            seen = dom.memo[key] = [0, 0]
-    else:
-        seen = [0, 0]
+    # Whether an atom is observable depends only on the atom and reality, so
+    # each atom is judged once per truth mask for the whole call.  ``seen``
+    # holds the atoms judged so far and those found in view; it is stored
+    # only for a reality that puts each agent in one place, so any other
+    # raises on every assessment.
+    key = ("seen", truth)
+    seen = dom.memo.get(key)
+    if seen is None:
+        d.agent_place  # raises MalformedLiteralError for an agent at two places
+        seen = dom.memo[key] = [0, 0]
+    co_present = _copresent(dom, d, dom.copresence)
 
     def visible(mask: int) -> int:
         judged, in_view = seen
         fresh = mask & ~judged
         if fresh:
             for atom in atoms_of(fresh):
-                if observable(dom, atom, ctx, d):
+                if _observable(dom, atom, truth):
                     in_view |= atom_bit(atom)
             seen[0] = judged | fresh
             seen[1] = in_view
@@ -365,7 +339,7 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
                 for w, clash in removed):
             print(f"SA: removed {text} reason={reason}", file=sys.stderr)
 
-    if not removed and not ctx.co_present:
+    if not removed and not co_present:
         return s
 
     folded: list[World] = []
@@ -375,11 +349,11 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int,
         bel_h = BeliefBase.from_mask((w.bel_h.mask & ~shown) | (truth & shown))
         bel_rh = BeliefBase.from_mask((w.bel_rh.mask & ~shown) | (truth & shown))
         child = World(w.bel_r, bel_h, bel_rh, w.tn_r, w.tn_h, w.tn_rh,
-                      0 if ctx.co_present else w.acted)
+                      0 if co_present else w.acted)
         folded.append(child)
         if w is d:
             designated_out = child
     assert designated_out is not None
-    budget = k if ctx.co_present else s.budget
+    budget = k if co_present else s.budget
     return EpistemicState.make(folded, designated_out, actor=s.actor,
                                budget=budget, pending=s.pending)

@@ -14,7 +14,6 @@ built only where it leaves the process.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -107,9 +106,6 @@ def _require_ground(l: Literal) -> None:
 
 _BIT: dict[Literal, int] = {}  # atom -> its bit (a power of two)
 _ATOMS: list[Literal] = []  # bit index -> atom
-# (pred, arity) -> [(str(atom), bit, atom)] sorted by the string, so that
-# matching visits candidate atoms in the same order as sorting them by str
-_BY_PRED: dict[tuple[str, int], list[tuple[str, int, Literal]]] = {}
 
 
 def atom_bit(atom: Literal) -> int:
@@ -125,8 +121,6 @@ def atom_bit(atom: Literal) -> int:
         _require_ground(atom)
         bit = _BIT[atom] = 1 << len(_ATOMS)
         _ATOMS.append(atom)
-        bisect.insort(_BY_PRED.setdefault((atom.pred, len(atom.args)), []),
-                      (str(atom), bit, atom))
     return bit
 
 
@@ -234,7 +228,7 @@ class BeliefBase:
 
 
 # --------------------------------------------------------------------------
-# Matching conjunctions against a base
+# Unification
 
 
 def unify(pattern: Literal, atom: Literal,
@@ -250,46 +244,6 @@ def unify(pattern: Literal, atom: Literal,
         elif want != got:
             return None
     return out
-
-
-def match(bel: BeliefBase, literals: Iterable[Literal],
-          binding: Mapping[str, str] | None = None) -> Iterator[dict[str, str]]:
-    """Bindings of the free variables under which ``bel`` entails every
-    literal, each extending ``binding``.
-
-    Literals are solved left to right; a free positive literal is matched
-    against the base's atoms in the order of their strings, so the bindings
-    come out in a deterministic order.  A negative literal must be ground
-    once the literals before it are bound.
-    """
-    solutions = [dict(binding) if binding else {}]
-    mask = bel.mask
-    for l in literals:
-        nxt: list[dict[str, str]] = []
-        for b in solutions:
-            g = l.substitute(b) if b else l
-            free = [a for a in g.args if is_variable(a)]
-            if not free:
-                if bel.entails(g):
-                    nxt.append(b)
-            elif g.positive:
-                for _, bit, atom in _BY_PRED.get((g.pred, len(g.args)), ()):
-                    if mask & bit:
-                        trial = unify(g, atom, b)
-                        if trial is not None:
-                            nxt.append(trial)
-            else:
-                raise DomainError(
-                    f"negative literal {l} leaves variables {free} unbound")
-        solutions = nxt
-        if not solutions:
-            return
-    seen: set[tuple] = set()
-    for b in solutions:
-        key = tuple(sorted(b.items()))
-        if key not in seen:
-            seen.add(key)
-            yield b
 
 
 # --------------------------------------------------------------------------
@@ -383,9 +337,8 @@ class World:
     @property
     def agent_place(self) -> dict[str, str]:
         places: dict[str, str] = {}
-        mask = self.bel_r.mask
-        for _, bit, a in _BY_PRED.get(("at", 2), ()):
-            if mask & bit and a.args[0] in AGENTS:
+        for a in atoms_of(self.bel_r.mask):
+            if a.pred == "at" and len(a.args) == 2 and a.args[0] in AGENTS:
                 agent, place = a.args
                 if agent in places and places[agent] != place:
                     raise MalformedLiteralError(

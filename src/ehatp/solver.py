@@ -45,6 +45,7 @@ from .model import (
     EhatpError,
     EpistemicState,
     Literal,
+    atoms_of,
 )
 
 UNKNOWN = "UNKNOWN"
@@ -148,8 +149,7 @@ def _blocked_atoms(dom: DomainModel, s: EpistemicState) -> set[Literal]:
     d = s.designated_world
     atoms: set[Literal] = set()
     for ref in available_refinements(dom, d.tn_h, d.bel_h, "H"):
-        for l in ref.pres:
-            atom = l.atom
+        for atom in atoms_of(ref.pres):
             if len({w.bel_h.entails(atom) for w in s.worlds}) > 1:
                 atoms.add(atom)
     return atoms

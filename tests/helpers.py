@@ -3,8 +3,19 @@
 from __future__ import annotations
 
 import re
+from typing import Iterable, Iterator, Mapping
 
-from ehatp.model import Literal, MalformedLiteralError
+from ehatp.dsl import OBSERVER, DomainModel
+from ehatp.model import (
+    BeliefBase,
+    DomainError,
+    Literal,
+    MalformedLiteralError,
+    World,
+    atoms_of,
+    is_variable,
+    unify,
+)
 
 
 def lit(text: str, *args: str, positive: bool = True) -> Literal:
@@ -21,3 +32,69 @@ def lit(text: str, *args: str, positive: bool = True) -> Literal:
     argstr = m.group(2)
     parts = tuple(a.strip() for a in argstr.split(",")) if argstr else ()
     return Literal(m.group(1), parts, positive)
+
+
+# --------------------------------------------------------------------------
+# The first-order reference the compiled mask tests are checked against
+
+
+def match(bel: BeliefBase, literals: Iterable[Literal],
+          binding: Mapping[str, str] | None = None) -> Iterator[dict[str, str]]:
+    """Bindings of the free variables under which ``bel`` entails every
+    literal, each extending ``binding``.
+
+    Literals are solved left to right; a free positive literal is matched
+    against the base's atoms in the order of their strings.  A negative
+    literal must be ground once the literals before it are bound.
+    """
+    solutions = [dict(binding) if binding else {}]
+    for l in literals:
+        nxt: list[dict[str, str]] = []
+        for b in solutions:
+            g = l.substitute(b) if b else l
+            free = [a for a in g.args if is_variable(a)]
+            if not free:
+                if bel.entails(g):
+                    nxt.append(b)
+            elif g.positive:
+                for atom in sorted(atoms_of(bel.mask), key=str):
+                    trial = unify(g, atom, b)
+                    if trial is not None:
+                        nxt.append(trial)
+            else:
+                raise DomainError(
+                    f"negative literal {l} leaves variables {free} unbound")
+        solutions = nxt
+        if not solutions:
+            return
+    seen: set[tuple] = set()
+    for b in solutions:
+        key = tuple(sorted(b.items()))
+        if key not in seen:
+            seen.add(key)
+            yield b
+
+
+def copresent(w: World, rule: tuple[Literal, ...]) -> bool:
+    """Whether the agents share each other's presence in ``w`` (ground truth)."""
+    return next(match(w.bel_r, rule), None) is not None
+
+
+def observable(dom: DomainModel, l: Literal, w: World) -> bool:
+    """Can the human settle the truth of ``l`` in world ``w``?
+
+    ``w`` supplies the ground truth the knowledge-rule antecedents are
+    judged against.
+    """
+    atom = l.atom
+    decl = dom.predicate(atom.pred)
+    if decl is None or not decl.observable:
+        return False
+    for rule in dom.rules:
+        binding = unify(rule.target, atom)
+        if binding is None:
+            continue
+        binding[OBSERVER] = "H"
+        if next(match(w.bel_r, rule.antecedent, binding), None) is not None:
+            return True
+    return False

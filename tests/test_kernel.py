@@ -15,16 +15,13 @@ import pytest
 
 import ehatp
 from ehatp import model
-from ehatp.dsl import load_instance, load_shipped, parse_domain
+from ehatp.dsl import GroundAction, load_instance, load_shipped, parse_domain
 from ehatp.htn import Refinement, feasible_refinements
 from ehatp.kernel import (
     EpistemicAction,
     Event,
-    ObservationContext,
     build_epistemic_action,
-    copresent,
     initial_state,
-    observable,
     product_update,
     situation_assessment,
     state_copresent,
@@ -39,7 +36,7 @@ from ehatp.model import (
     World,
 )
 from ehatp.solver import expand, solve
-from helpers import lit
+from helpers import copresent, lit, observable
 
 
 @pytest.fixture(scope="module")
@@ -92,41 +89,27 @@ domain d {
 # --------------------------------------------------------------- observability
 
 
-CTX = ObservationContext(observer="H", observer_place="mt", co_present=True)
-
-
 def test_observable_transparent_box(cube):
     w = world("at(R,mt)", "at(H,mt)", "transparent(box_1)", "inside(c_r,box_1)")
-    assert observable(cube, lit("inside(c_r,box_1)"), CTX, w)
+    assert observable(cube, lit("inside(c_r,box_1)"), w)
 
 
 def test_observable_opaque_box_without_witness(cube):
     w = world("at(R,mt)", "at(H,mt)", "inside(c_r,box_1)")
-    assert not observable(cube, lit("inside(c_r,box_1)"), CTX, w)
-
-
-def test_observable_witnessed_effect_pierces_opacity(cube):
-    w = world("at(R,mt)", "at(H,mt)", "inside(c_r,box_1)")
-    ctx = ObservationContext(observer="H", observer_place="mt", co_present=True,
-                             witnessed=cube.action("place").ground(("c_r", "box_1")))
-    assert observable(cube, lit("inside(c_r,box_1)"), ctx, w)
-    assert observable(cube, lit("empty(box_1)"), ctx, w)  # deleted by the event
-    assert not observable(cube, lit("empty(box_2)"), ctx, w)
+    assert not observable(cube, lit("inside(c_r,box_1)"), w)
 
 
 def test_observable_inferable_predicate_stays_hidden():
     cooking = parse_domain(load_shipped("cooking"))
     w = world("at(R,kitchen)", "at(H,kitchen)", "chopped(veg)", "washed(veg)")
-    ctx = ObservationContext(observer="H", observer_place="kitchen", co_present=True)
-    assert not observable(cooking, lit("washed(veg)"), ctx, w)
-    assert observable(cooking, lit("chopped(veg)"), ctx, w)
+    assert not observable(cooking, lit("washed(veg)"), w)
+    assert observable(cooking, lit("chopped(veg)"), w)
 
 
 def test_observable_needs_observer_at_place(cube):
     w = world("at(R,mt)", "at(H,ot)", "on(c_r,mt)")
-    ctx = ObservationContext(observer="H", observer_place="ot", co_present=False)
-    assert not observable(cube, lit("on(c_r,mt)"), ctx, w)
-    assert observable(cube, lit("on(c_w,ot)"), ctx, w)
+    assert not observable(cube, lit("on(c_r,mt)"), w)
+    assert observable(cube, lit("on(c_w,ot)"), w)
 
 
 # ------------------------------------------------------------- initial state
@@ -447,7 +430,8 @@ def test_memo_answers_match_a_fresh_domain_after_a_warm_search(name):
     shared = replace(dom)
     for s in states:
         expand(shared, prob, s)  # fills the memo as a search does
-    assert {key[0] for key in shared.memo} >= {"co", "ctx", "seen"}
+    assert {key[0] for key in shared.memo} >= {"seen"}
+    assert shared.copresence in shared.table  # co-presence is ground per domain
     for s in states:
         assert state_copresent(shared, s) == state_copresent(replace(dom), s)
         assert (situation_assessment(shared, s, prob.k).signature()
@@ -461,9 +445,9 @@ def test_precondition_masks_match_literal_by_literal_entails(name):
     shared = replace(dom)
     for s in states:
         expand(shared, prob, s)  # grounds every action the search meets
-    acts = [a for key, a in shared.memo.items() if key[0] == "ground"]
-    assert all(key[1:] == (a.name, a.args)
-               for key, a in shared.memo.items() if key[0] == "ground")
+    acts = [a for a in shared.table.values() if isinstance(a, GroundAction)]
+    assert all(key == (a.name, a.args)
+               for key, a in shared.table.items() if isinstance(a, GroundAction))
     assert any(not l.positive for a in acts for l in a.pre)
     bases = {b for s in states for w in s.worlds
              for b in (w.bel_r, w.bel_h, w.bel_rh)}
@@ -516,13 +500,14 @@ def test_product_update_honours_the_action_copresence_rule(cube):
     assert unseen_out.budget == 1
 
 
-def _plain_assessment(dom, s, k, ctx):
-    """Situation assessment under ``ctx``, atom by atom over plain sets."""
+def _plain_assessment(dom, s, k):
+    """Situation assessment atom by atom over plain sets."""
     d = s.designated_world
+    co = copresent(d, dom.copresence)
     truth = d.bel_r.atoms
 
     def shown(atoms):
-        return {a for a in atoms if observable(dom, a, ctx, d)}
+        return {a for a in atoms if observable(dom, a, d)}
 
     survivors = [w for w in s.worlds if w is d or (
         not w.distinguishable and not shown(truth ^ w.bel_rh.atoms))]
@@ -533,20 +518,22 @@ def _plain_assessment(dom, s, k, ctx):
             w.bel_r,
             BeliefBase((w.bel_h.atoms - view) | (truth & view)),
             BeliefBase((w.bel_rh.atoms - view) | (truth & view)),
-            w.tn_r, w.tn_h, w.tn_rh, 0 if ctx.co_present else w.acted))
+            w.tn_r, w.tn_h, w.tn_rh, 0 if co else w.acted))
     return EpistemicState.make(folded, folded[survivors.index(d)], s.actor,
-                               k if ctx.co_present else s.budget, s.pending)
+                               k if co else s.budget, s.pending)
 
 
-def test_sa_with_a_witnessed_action_bypasses_the_memo(cube):
-    s, *_ = reunion_state(transparent=False)
-    plain = ObservationContext("H", "mt", True)
-    witnessed = replace(plain, witnessed=cube.action("place").ground(("c_r", "box_1")))
+def test_sa_on_one_memo_matches_the_plain_reference(cube):
+    opaque, *_ = reunion_state(transparent=False)
+    clear, *_ = reunion_state(transparent=True)
     dom = replace(cube)
-    for ctx in (None, witnessed, None, plain):
-        got = situation_assessment(dom, s, k=2, ctx=ctx)
-        want = _plain_assessment(cube, s, 2, ctx or plain)
-        assert got.signature() == want.signature()
-    # Seeing c_r go into box_1 rules out the box_2 hypothesis too.
-    assert len(situation_assessment(dom, s, k=2, ctx=witnessed).worlds) == 1
-    assert len(situation_assessment(dom, s, k=2).worlds) == 2
+    for s in (opaque, clear, opaque, clear):  # later calls read the memo
+        got = situation_assessment(dom, s, k=2)
+        assert got.signature() == _plain_assessment(cube, s, 2).signature()
+    assert [len(situation_assessment(dom, s, k=2).worlds)
+            for s in (opaque, clear)] == [2, 1]
+    split = world("at(R,mt)", "at(H,mt)", "at(H,ot)")
+    torn = EpistemicState.make([split], designated=split, actor="R", budget=2)
+    for _ in range(2):  # raised on every call, never stored
+        with pytest.raises(MalformedLiteralError):
+            situation_assessment(dom, torn, k=2)

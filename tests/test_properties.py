@@ -55,7 +55,7 @@ from ehatp.solver import (
     SearchNode,
     propagate_revised_status,
 )
-from helpers import lit
+from helpers import copresent, lit, observable
 
 CUBE = parse_domain(load_shipped("cube_org"))
 CUBES = ("c_r", "c_y", "c_w")
@@ -175,11 +175,10 @@ def _plain_assessment(s: EpistemicState, k: int) -> EpistemicState:
     """Situation assessment read straight off its definition, atom by atom
     over plain sets."""
     d = s.designated_world
-    co = kernel.copresent(d, CUBE.copresence)
-    ctx = kernel.ObservationContext("H", d.agent_place.get("H"), co)
+    co = copresent(d, CUBE.copresence)
 
     def seen(atom) -> bool:
-        return kernel.observable(CUBE, atom, ctx, d)
+        return observable(CUBE, atom, d)
 
     truth = d.bel_r.atoms
     survivors = [w for w in s.worlds if w is d or (
@@ -232,7 +231,7 @@ def test_product_pairs_account_for_every_world(s, k, act):
     # three bases are also predicted over plain sets, (atoms - dels) | adds.
     by_wid = {w.wid: w for w in s.worlds}
     d_event = a.designated_event
-    co = kernel.copresent(by_wid[d_event.source], a.copresence)
+    co = copresent(by_wid[d_event.source], a.copresence)
     pairs = 0
     outcomes = set()
     bases = set()
