@@ -16,7 +16,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .dsl import (
@@ -142,7 +142,7 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
     is re-counted against the budget.  Any branch that cannot be driven to a
     finished state becomes a DEAD trace with the reason attached.
     """
-    dom = replace(dom)  # a fresh HTN memo for this replay only
+    dom = dom.with_fresh_memo()  # a fresh HTN memo for this replay only
     traces: list[SimulationTrace] = []
 
     def finish(steps: list[SimStep], outcome: str, note: str = "") -> None:

@@ -18,6 +18,7 @@ that produce warnings live in :func:`validate`.  `pretty_print_domain` /
 from __future__ import annotations
 
 import re
+from copy import copy
 from dataclasses import dataclass, field
 from importlib import resources
 from itertools import product
@@ -188,26 +189,43 @@ class DomainModel:
     actions: tuple[ActionSchema, ...]
     methods: tuple[MethodSchema, ...]
     # Ground instances built on first use (``htn._ground``,
-    # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task``, an
-    # atom or a co-presence rule; no two of these tuples compare equal.  They
-    # depend on the domain alone, so ``dataclasses.replace(dom)`` shares them.
-    table: dict = field(default_factory=dict, compare=False, repr=False)
+    # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task`` (two
+    # fields), an atom (a ``Literal``, three fields) or a co-presence rule (a
+    # tuple of literals), so no two keys compare equal.  They depend on the
+    # declarations alone: ``with_fresh_memo`` shares the table, while
+    # ``dataclasses.replace``, which may change declarations, starts it empty.
+    table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # Answers of the HTN queries (see ``htn._memoized``) and the atoms
     # situation assessment has judged.  One search or replay works on its own
-    # copy, ``dataclasses.replace(dom)``, so the memo lives as long as that call.
+    # copy, ``with_fresh_memo()``, so the memo lives as long as that call.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # Declarations by name, the first of each name (methods: all, in order)
+    # Declarations by name, the first of each name (methods: all, in order);
+    # each constant's type, and the constants of each type (None: all)
     _predicates: dict = field(init=False, compare=False, repr=False)
     _actions: dict = field(init=False, compare=False, repr=False)
     _methods: dict = field(init=False, compare=False, repr=False)
+    _types: dict = field(init=False, compare=False, repr=False)
+    _of_type: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         methods: dict[str, tuple[MethodSchema, ...]] = {}
         for m in self.methods:
             methods[m.task] = methods.get(m.task, ()) + (m,)
+        types = {n: t for n, t in reversed(self.objects)}
+        types.update({p: "place" for p in self.places} | {a: "agent" for a in AGENTS})
+        of_type = {t: tuple(n for n, k in types.items() if k == t) for t in set(types.values())}
+        of_type[None] = tuple(types)
         object.__setattr__(self, "_predicates", {p.name: p for p in reversed(self.predicates)})
         object.__setattr__(self, "_actions", {a.name: a for a in reversed(self.actions)})
         object.__setattr__(self, "_methods", methods)
+        object.__setattr__(self, "_types", types)
+        object.__setattr__(self, "_of_type", of_type)
+
+    def with_fresh_memo(self) -> "DomainModel":
+        """A copy with an empty ``memo`` that shares this domain's ``table``."""
+        dom = copy(self)
+        object.__setattr__(dom, "memo", {})
+        return dom
 
     def predicate(self, name: str) -> PredicateDecl | None:
         return self._predicates.get(name)
@@ -230,10 +248,12 @@ class DomainModel:
 
         Bindings come in the matcher's order: literal by literal, a free
         positive literal's atoms in the order of their strings.  A free
-        argument ranges over the objects of its declared type (any constant
-        where the predicate is undeclared).  A negative literal left with
-        free variables ends each binding in the ``DomainError`` message a
-        matcher raises once the literals before it hold.
+        argument ranges over the constants ``constant_type`` gives its
+        declared type (any constant where the predicate is undeclared), so
+        the instances grow as the objects to the power of the free variables.
+        A negative literal left with free variables ends each binding in the
+        ``DomainError`` message a matcher raises once the literals before it
+        hold.
         """
         sols: list[tuple] = [(binding, 0, 0)]
         for l in literals:
@@ -253,7 +273,7 @@ class DomainModel:
                 decl = self.predicate(g.pred)
                 types = (decl.param_types if decl and len(decl.param_types) == len(g.args)
                          else (None,) * len(g.args))
-                pools = [self._of_type(t) if is_variable(a) else (a,)
+                pools = [self._of_type.get(t, ()) if is_variable(a) else (a,)
                          for a, t in zip(g.args, types)]
                 for atom in sorted((Literal(g.pred, args) for args in product(*pools)), key=str):
                     trial = unify(g, atom, b)
@@ -262,24 +282,8 @@ class DomainModel:
             sols = nxt
         return sols
 
-    def _of_type(self, t: str | None) -> tuple[str, ...]:
-        """The constants of type ``t``, or every constant when ``t`` is None."""
-        if t == "agent":
-            return AGENTS
-        if t == "place":
-            return self.places
-        named = tuple(n for n, ot in self.objects if t is None or ot == t)
-        return AGENTS + self.places + named if t is None else named
-
     def constant_type(self, name: str) -> str | None:
-        if name in AGENTS:
-            return "agent"
-        if name in self.places:
-            return "place"
-        for n, t in self.objects:
-            if n == name:
-                return t
-        return None
+        return self._types.get(name)
 
 
 @dataclass(frozen=True, slots=True)
@@ -539,6 +543,8 @@ class _DomainParser(_Parser):
         if not any(p.name == "at" for p in predicates):
             # Agent positions are framework-level; declare implicitly.
             predicates.insert(0, PredicateDecl("at", ("agent", "place"), False))
+        if next(p for p in predicates if p.name == "at").param_types != ("agent", "place"):
+            raise self.error(name, "predicate 'at' must be declared as at(agent, place)")
 
         dom = DomainModel(
             name=name.text,
@@ -644,7 +650,7 @@ class _DomainParser(_Parser):
 
         for act in dom.actions:
             bound = {p.name: p.type for p in act.params}
-            if act.place not in dom.places and bound.get(act.place) != "place":
+            if dom.constant_type(act.place) != "place" and bound.get(act.place) != "place":
                 raise self._ref_error("action", act.name,
                                       f"action {act.name}: execution place {act.place!r} is neither "
                                       "a place nor a place-typed parameter")
@@ -685,6 +691,28 @@ class _DomainParser(_Parser):
                     if is_variable(arg) and arg not in positives_seen:
                         raise self._ref_error("method", mkey,
                                               f"subtask argument {arg!r} in {mkey} is unbound")
+                why = _argument_type_error(dom, st, bound)
+                if why is not None:
+                    raise self._ref_error("method", mkey, f"subtask {why} in {mkey}")
+
+
+def _argument_type_error(dom: DomainModel, task: Task, types: dict[str, str]) -> str | None:
+    """Why ``task``'s arguments do not fit the action it names or every method
+    of its arity, or None when they do; ``types`` gives a variable's type.
+
+    Effects then add only atoms whose arguments have the declared types, the
+    atoms ``DomainModel.instances`` grounds free variables over.
+    """
+    schema = dom.action(task.name)
+    if schema is not None and len(schema.params) != len(task.args):
+        return f"{task} expects {len(schema.params)} arguments"
+    for params in ([schema.params] if schema is not None else
+                   [m.params for m in dom.methods_for(task.name) if len(m.params) == len(task.args)]):
+        for arg, p in zip(task.args, params):
+            have = types.get(arg) if is_variable(arg) else dom.constant_type(arg)
+            if have != p.type:
+                return f"argument {arg!r} of {task} has type {have!r}, expected {p.type!r}"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -738,7 +766,7 @@ class _ProblemParser(_Parser):
                 who = self.next()
                 self.expect_keyword("at")
                 place = self.expect_ident("a place")
-                if place.text not in self.dom.places:
+                if self.dom.constant_type(place.text) != "place":
                     raise self.error(place, f"unknown place {place.text!r}")
                 if who.text == "robot":
                     robot_place = place.text
@@ -753,6 +781,9 @@ class _ProblemParser(_Parser):
                 if t.name not in self.dom.task_names() and self.dom.action(t.name) is None:
                     raise self.error(head, f"root task {t.name!r} is not declared in the domain")
                 self._check_ground_args(t.args, head)
+                why = _argument_type_error(self.dom, t, {})
+                if why is not None:
+                    raise self.error(head, f"root task {why}")
                 if actor.text == "R":
                     task_r = t
                 else:

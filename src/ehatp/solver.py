@@ -525,7 +525,7 @@ def solve(dom: DomainModel, prob: ProblemInstance,
     estimated worlds may drift, and states are deduplicated).
     """
     start = time.perf_counter()
-    dom = replace(dom)  # a fresh HTN memo for this search only
+    dom = dom.with_fresh_memo()  # a fresh HTN memo for this search only
     s0 = initial_state(dom, prob)
     root = SearchNode(state=s0, kind="OR" if s0.actor == "R" else "AND")
     by_sig = {s0.signature(): root}

@@ -5,18 +5,20 @@ with mask tests.  Here every answer is checked against the first-order
 reference in ``helpers``, on every base of exhaustive search graphs: the
 refinements with their order-dependent traces and checked preconditions,
 effective decomposition, each atom's observability under each reality, and
-co-presence under the domain's rule and an action-carried one.
+co-presence under the domain's rule and an action-carried one.  The
+hand-written domain declares a place and an agent as objects, which the
+grounding must range over like the built-in ones.
 """
 
+import re
 import sys
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from ehatp import kernel
-from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
+from ehatp.dsl import ParseError, load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.htn import effectively_decomposed, feasible_refinements
 from ehatp.model import BeliefBase, DomainError, Task, World, is_variable
 from ehatp.solver import solve
@@ -29,7 +31,8 @@ HAND = """
 domain hand {
   type thing
   place a
-  place b
+  object b place
+  object bob agent
   object t2 thing
   object t1 thing
   predicate focus(agent, place) inferable
@@ -38,6 +41,7 @@ domain hand {
   predicate glow(thing) observable
   predicate done(thing) inferable
   rule see_glow: glow(T) when at(observer, P), at(R, P), focus(observer, P), not done(T)
+  rule glow_shown: glow(T) when at(observer, b), focus(A, b), not done(T)
   copresent when at(R, P), at(H, P), focus(H, P)
   action light(T thing) by R at a {
     pre at(R, a), not glow(T)
@@ -108,8 +112,24 @@ UNBOUND = HAND.replace(
 CARRIED = (lit("at(H,P)"), lit("not focus(H,P)"))
 
 # Every base over these atoms is checked on the hand-written domain.
-POOL = ("at(R,a)", "at(H,a)", "at(H,b)", "focus(H,a)", "partner(t1,t1)",
+POOL = ("at(R,a)", "at(H,a)", "at(H,b)", "focus(H,a)", "focus(bob,b)", "partner(t1,t1)",
         "partner(t1,t2)", "label(t2)", "glow(t1)", "done(t1)", "done(t2)")
+
+# Arguments the grounding would not range over, each rejected at parse time.
+MISTYPED = [
+    (HAND.replace("sub light(U)", "sub walk(a, U)"), HAND_PROBLEM,
+     "argument 'U' of walk(a,U) has type 'thing', expected 'place'"),
+    (HAND.replace("sub light(T), rest(T)", "sub light(T), rest(b)"), HAND_PROBLEM,
+     "argument 'b' of rest(b) has type 'place', expected 'thing'"),
+    (HAND, HAND_PROBLEM.replace("work(t1)", "work(a)"),
+     "root task argument 'a' of work(a) has type 'place', expected 'thing'"),
+    (HAND, HAND_PROBLEM.replace("task H roam", "task H look(t1)"),
+     "root task argument 't1' of look(t1) has type 'thing', expected 'place'"),
+    (HAND, HAND_PROBLEM.replace("task H roam", "task H look"),
+     "root task look expects 1 arguments"),
+    (HAND.replace("place a\n", "place a\n  predicate at(agent, thing) inferable\n"),
+     HAND_PROBLEM, "predicate 'at' must be declared as at(agent, place)"),
+]
 
 
 def _answer(fn, *args):
@@ -183,7 +203,7 @@ def plain_decomposed(dom, tn, bel):
 
 def compiled_refinements(dom, tn, bel, actor):
     return [(r.first_primitive.name, r.first_primitive.args, r.remainder, r.trace, r.pres)
-            for r in feasible_refinements(replace(dom), tn, bel, actor)]
+            for r in feasible_refinements(dom.with_fresh_memo(), tn, bel, actor)]
 
 
 def check_graph(dom, worlds, rules):
@@ -197,7 +217,7 @@ def check_graph(dom, worlds, rules):
     for tn, b, actor in queries:
         assert (_answer(compiled_refinements, dom, tn, b, actor)
                 == _answer(plain_refinements, dom, tn, b, actor)), (tn, b, actor)
-        assert (_answer(effectively_decomposed, replace(dom), tn, b, actor)
+        assert (_answer(effectively_decomposed, dom.with_fresh_memo(), tn, b, actor)
                 == _answer(plain_decomposed, dom, tn, b)), (tn, b, actor)
     atoms = {a for w in worlds for b in (w.bel_r, w.bel_h, w.bel_rh) for a in b}
     realities = {w.bel_r.mask: w for w in worlds}
@@ -252,6 +272,12 @@ def test_compiled_queries_match_the_reference_on_a_hand_written_domain():
         return {r[3] for r in compiled_refinements(dom, (Task("work", (thing,)),), base, "R")}
 
     assert ("alone",) in traces("t2") and ("alone",) not in traces("t1")
+
+
+@pytest.mark.parametrize("domain, problem, message", MISTYPED)
+def test_arguments_outside_the_declared_types_are_rejected(domain, problem, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_problem(problem, parse_domain(domain))
 
 
 def test_a_negative_antecedent_left_unbound_raises_once_the_rest_holds():
