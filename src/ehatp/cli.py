@@ -29,7 +29,7 @@ from .dsl import (
     validate,
 )
 from .htn import available_refinements
-from .kernel import initial_state, state_copresent
+from .kernel import initial_state, state_copresent, with_call_memo
 from .model import EpistemicState
 from .solver import (
     DEAD,
@@ -142,7 +142,7 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
     is re-counted against the budget.  Any branch that cannot be driven to a
     finished state becomes a DEAD trace with the reason attached.
     """
-    dom = dom.with_fresh_memo()  # a fresh HTN memo for this replay only
+    dom = with_call_memo(dom)
     traces: list[SimulationTrace] = []
 
     def finish(steps: list[SimStep], outcome: str, note: str = "") -> None:

@@ -195,9 +195,10 @@ class DomainModel:
     # declarations alone: ``with_fresh_memo`` shares the table, while
     # ``dataclasses.replace``, which may change declarations, starts it empty.
     table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # Answers of the HTN queries (see ``htn._memoized``) and the atoms
-    # situation assessment has judged.  One search or replay works on its own
-    # copy, ``with_fresh_memo()``, so the memo lives as long as that call.
+    # Answers of the HTN queries (see ``htn._memoized``), the atoms
+    # situation assessment has judged, the kernel's world transitions and
+    # the ``EHATP_LOG`` flag.  One search or replay works on its own copy
+    # (``kernel.with_call_memo``), so the memo lives as long as that call.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # Declarations by name, the first of each name (methods: all, in order);
     # each constant's type, and the constants of each type (None: all)

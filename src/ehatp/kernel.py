@@ -33,15 +33,35 @@ from .model import (
 )
 
 
-def _trace_enabled(channel: str) -> bool:
-    flag = os.environ.get("EHATP_LOG", "")
+_LOG = "EHATP_LOG"  # also the memo key of the flag
+
+
+def with_call_memo(dom: DomainModel) -> DomainModel:
+    """``dom`` with a fresh memo for one search or replay, holding the
+    ``EHATP_LOG`` flag as it reads when the call starts."""
+    dom = dom.with_fresh_memo()
+    dom.memo[_LOG] = os.environ.get(_LOG, "")
+    return dom
+
+
+def _trace_enabled(dom: DomainModel, channel: str) -> bool:
+    flag = dom.memo.get(_LOG)
+    if flag is None:  # a direct kernel call on a parsed domain
+        flag = os.environ.get(_LOG, "")
     return flag == channel or flag == "all"
 
 
-@dataclass(frozen=True, slots=True)
+_MISS = object()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Event:
     """One possible occurrence: an action (or None for doing nothing) in one
-    source world.  ``remainder`` is the acting agent's agenda afterwards."""
+    source world.  ``remainder`` is the acting agent's agenda afterwards.
+
+    Compared by identity: a world's anticipated events are built once per
+    memo, and product update keys their successors on the event itself.
+    """
 
     action: GroundAction | None
     source: tuple  # wid of the source world
@@ -176,9 +196,15 @@ def build_epistemic_action(dom: DomainModel, s: EpistemicState,
         events.append(Event(choice.first_primitive, d.wid, True, choice.remainder))
     co = state_copresent(dom, s)
     for w in s.worlds:
-        for r in _anticipated(dom, w, allow_ontic=co or w.acted < k):
-            events.append(Event(r.first_primitive, w.wid, False, r.remainder))
-        events.append(Event(None, w.wid, False, w.tn_rh))
+        allow = co or w.acted < k
+        key = ("anticipate", w._key, allow)
+        anticipated = dom.memo.get(key)
+        if anticipated is None:
+            anticipated = [Event(r.first_primitive, w.wid, False, r.remainder)
+                           for r in _anticipated(dom, w, allow_ontic=allow)]
+            anticipated.append(Event(None, w.wid, False, w.tn_rh))
+            anticipated = dom.memo[key] = tuple(anticipated)
+        events.extend(anticipated)
     return EpistemicAction(tuple(events), dom.copresence, "R")
 
 
@@ -232,6 +258,18 @@ def _apply_human_event(w: World, e: Event) -> World:
     )
 
 
+def _successor(dom: DomainModel, w: World, e: Event, actor: str,
+               mark: bool) -> World | None:
+    """The world ``e`` makes of ``w`` (marked distinguishable if ``mark``),
+    or None when its action is inapplicable there."""
+    if e.action is not None:
+        base = w.bel_h if actor == "H" else (w.bel_r if e.designated else w.bel_rh)
+        if not e.action.applicable(base.mask):
+            return None
+    child = _apply_human_event(w, e) if actor == "H" else _apply_robot_event(dom, w, e)
+    return replace(child, distinguishable=True) if mark else child
+
+
 def product_update(dom: DomainModel, s: EpistemicState,
                    a: EpistemicAction) -> EpistemicState:
     """Cross worlds with events; the designated pair tracks what really happens.
@@ -254,26 +292,31 @@ def product_update(dom: DomainModel, s: EpistemicState,
                 f"hidden action {d_event.action} with no budget left")
         budget -= 1
 
+    # A hypothetical successor is a function of its source world and event:
+    # a robot event object (built once per memo) with its witnessed mark, or
+    # a human action's content, which ``(name, args)`` fixes in one domain.
     successors: list[World] = []
     new_designated: World | None = None
     for e in a.events:
-        w = by_wid[e.source]
-        if e.action is not None:
-            base = w.bel_h if a.actor == "H" else (
-                w.bel_r if e.designated else w.bel_rh)
-            if not e.action.applicable(base.mask):
-                if e.designated:
-                    raise DomainError(
-                        f"designated action {e.action} inapplicable in its world")
-                continue
-        child = (_apply_human_event(w, e) if a.actor == "H"
-                 else _apply_robot_event(dom, w, e))
-        if (co and a.actor == "R" and not e.designated
-                and not _same_act(e.action, d_event.action)):
-            child = replace(child, distinguishable=True)
-        successors.append(child)
         if e.designated:
-            new_designated = child
+            child = new_designated = _successor(dom, by_wid[e.source], e, a.actor, False)
+            if child is None:
+                raise DomainError(
+                    f"designated action {e.action} inapplicable in its world")
+        else:
+            mark = a.actor == "R" and co and not _same_act(e.action, d_event.action)
+            if a.actor == "R":
+                key = (e, mark)
+            else:
+                act = e.action and (e.action.name, e.action.args)
+                key = ("human", e.source, act, e.remainder)
+            child = dom.memo.get(key, _MISS)
+            if child is _MISS:
+                child = dom.memo[key] = _successor(dom, by_wid[e.source], e,
+                                                   a.actor, mark)
+            if child is None:
+                continue
+        successors.append(child)
     assert new_designated is not None
     other = "H" if a.actor == "R" else "R"
     return EpistemicState.make(successors, new_designated, actor=other,
@@ -332,7 +375,7 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
         else:
             survivors.append(w)
 
-    if _trace_enabled("sa"):
+    if _trace_enabled(dom, "sa"):
         # Worlds by their text, which every process spells the same way.
         for text, reason in sorted(
                 (w.describe(), min(map(str, atoms_of(clash))) if clash else "witness")
@@ -342,14 +385,18 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
     if not removed and not co_present:
         return s
 
+    # A fold depends on the world and on ``truth``, which fixes co-presence.
     folded: list[World] = []
     designated_out: World | None = None
     for w in survivors:
-        shown = visible(truth | w.bel_h.mask | w.bel_rh.mask)
-        bel_h = BeliefBase.from_mask((w.bel_h.mask & ~shown) | (truth & shown))
-        bel_rh = BeliefBase.from_mask((w.bel_rh.mask & ~shown) | (truth & shown))
-        child = World(w.bel_r, bel_h, bel_rh, w.tn_r, w.tn_h, w.tn_rh,
-                      0 if co_present else w.acted)
+        key = ("fold", w._key, truth)
+        child = dom.memo.get(key)
+        if child is None:
+            shown = visible(truth | w.bel_h.mask | w.bel_rh.mask)
+            bel_h = BeliefBase.from_mask((w.bel_h.mask & ~shown) | (truth & shown))
+            bel_rh = BeliefBase.from_mask((w.bel_rh.mask & ~shown) | (truth & shown))
+            child = dom.memo[key] = World(w.bel_r, bel_h, bel_rh, w.tn_r, w.tn_h,
+                                          w.tn_rh, 0 if co_present else w.acted)
         folded.append(child)
         if w is d:
             designated_out = child

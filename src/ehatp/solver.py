@@ -37,6 +37,7 @@ from .kernel import (
     product_update,
     situation_assessment,
     state_copresent,
+    with_call_memo,
 )
 from .model import (
     AlignmentImpossibleError,
@@ -183,7 +184,7 @@ def expand(dom: DomainModel, prob: ProblemInstance,
     """All labeled successor states of ``s``, in a deterministic order:
     speech acts first, then refinements, then standing by."""
     children = _options(dom, prob, s)
-    if _trace_enabled("expand"):
+    if _trace_enabled(dom, "expand"):
         print(f"EXPAND: {s.actor} |W|={len(s.worlds)} -> "
               + (", ".join(label for label, _ in children) or "(dead end)"),
               file=sys.stderr)
@@ -333,21 +334,6 @@ class Policy:
 
     def to_json(self) -> str:
         return json.dumps({"nodes": self.node_dicts()}, indent=2)
-
-    def traces(self) -> list[tuple[str, ...]]:
-        """Every root-to-leaf sequence of edge labels."""
-        out: list[tuple[str, ...]] = []
-
-        def walk(idx: int, acc: tuple[str, ...]) -> None:
-            n = self.nodes[idx]
-            if not n.children:
-                out.append(acc)
-                return
-            for cid in n.children:
-                walk(cid, acc + (self.nodes[cid].edge,))
-
-        walk(0, ())
-        return out
 
 
 def is_speech_act(label: str) -> bool:
@@ -525,7 +511,7 @@ def solve(dom: DomainModel, prob: ProblemInstance,
     estimated worlds may drift, and states are deduplicated).
     """
     start = time.perf_counter()
-    dom = dom.with_fresh_memo()  # a fresh HTN memo for this search only
+    dom = with_call_memo(dom)
     s0 = initial_state(dom, prob)
     root = SearchNode(state=s0, kind="OR" if s0.actor == "R" else "AND")
     by_sig = {s0.signature(): root}

@@ -16,6 +16,7 @@ from ehatp.model import (
     is_variable,
     unify,
 )
+from ehatp.solver import Policy
 
 
 def lit(text: str, *args: str, positive: bool = True) -> Literal:
@@ -32,6 +33,20 @@ def lit(text: str, *args: str, positive: bool = True) -> Literal:
     argstr = m.group(2)
     parts = tuple(a.strip() for a in argstr.split(",")) if argstr else ()
     return Literal(m.group(1), parts, positive)
+
+
+def traces(policy: Policy) -> list[tuple[str, ...]]:
+    """Every root-to-leaf sequence of edge labels, leftmost branch first."""
+    out: list[tuple[str, ...]] = []
+    stack: list[tuple[int, tuple[str, ...]]] = [(0, ())]
+    while stack:
+        idx, acc = stack.pop()
+        children = policy.nodes[idx].children
+        if not children:
+            out.append(acc)
+        stack.extend((cid, acc + (policy.nodes[cid].edge,))
+                     for cid in reversed(children))
+    return out
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from ehatp.kernel import (
 )
 from ehatp.model import BeliefBase, EpistemicState, Task, World
 from ehatp.solver import solve
-from helpers import lit
+from helpers import lit, traces
 
 # instance -> (worst-case worlds, policy branches, calibration state count)
 TABLE = {
@@ -124,7 +124,7 @@ def test_gate2_branch_families_and_reunion_pruning():
         any(l.startswith("inform-") for l in tr)
         and max(i for i, l in enumerate(tr) if l.startswith("inform-"))
         < max(i for i, l in enumerate(tr) if human_physical(l))
-        for tr in res.policy.traces())
+        for tr in traces(res.policy))
 
     # Family (b): the human may hold position and ask; the robot answers.
     blocked = [n for n in nodes if n.children

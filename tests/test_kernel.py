@@ -15,8 +15,8 @@ import pytest
 
 import ehatp
 from ehatp import kernel, model
-from ehatp.dsl import GroundAction, load_instance, load_shipped, parse_domain
-from ehatp.htn import Refinement, feasible_refinements
+from ehatp.dsl import GroundAction, load_instance, load_shipped, parse_domain, parse_problem
+from ehatp.htn import Refinement, available_refinements, feasible_refinements
 from ehatp.kernel import (
     EpistemicAction,
     Event,
@@ -29,13 +29,14 @@ from ehatp.kernel import (
 from ehatp.model import (
     BeliefBase,
     BudgetExceededError,
+    DomainError,
     EpistemicState,
     Literal,
     MalformedLiteralError,
     Task,
     World,
 )
-from ehatp.solver import expand, solve
+from ehatp.solver import _step, _uniform_human_refinements, expand, solve
 from helpers import copresent, lit, observable
 
 
@@ -444,6 +445,84 @@ def test_memo_answers_match_a_fresh_domain_after_a_warm_search(name):
         assert state_copresent(shared, s) == state_copresent(replace(dom), s)
         assert (situation_assessment(shared, s, prob.k).signature()
                 == situation_assessment(replace(dom), s, prob.k).signature())
+
+
+def _step_outcome(dom, s, choice, k):
+    try:
+        out = _step(dom, s, choice, k)
+    except (DomainError, BudgetExceededError) as e:
+        return type(e)
+    return out.signature(), out.describe()
+
+
+def _choices(dom, s):
+    """Every choice the search hands ``_step`` at ``s``, and standing by."""
+    if s.actor == "H":
+        return (*_uniform_human_refinements(dom, s), None)
+    d = s.designated_world
+    return (*available_refinements(dom, d.tn_r, d.bel_r, "R"), None)
+
+
+@pytest.mark.parametrize("names", [["p2"], ["p6"], ["cooking3"], ["p1", "p2"]])
+def test_steps_on_a_warm_memo_match_a_fresh_memo(names):
+    # One parsed domain for all the problems, so the memo warmed on the
+    # first holds its entries when the last is checked.
+    dom = load_instance(names[0])[0]
+    warm = dom.with_fresh_memo()
+    for name in names:
+        prob = parse_problem(load_shipped(name), dom)
+        states = [n.state for n in solve(dom, prob, exhaust=True).all_nodes]
+        for s in states:
+            expand(warm, prob, s)  # fills the memo as the search does
+    assert any(key[0] == "fold" for key in warm.memo)
+    assert any(isinstance(key[0], Event) for key in warm.memo)
+    for s in states:
+        for choice in _choices(warm, s):
+            assert (_step_outcome(warm, s, choice, prob.k)
+                    == _step_outcome(dom.with_fresh_memo(), s, choice, prob.k))
+
+
+def test_anticipated_events_depend_on_the_allowance(cube):
+    # ``w`` has spent its allowance, so it anticipates the robot's pick only
+    # while the agents share a place.
+    w = world("at(R,mt)", "at(H,ot)", "on(c_r,mt)",
+              tn_rh=(Task("ensure_stored", ("c_r",)),), acted=1)
+    shared = cube.with_fresh_memo()
+    for d in (world("at(R,ot)", "at(H,ot)"), world("at(R,mt)", "at(H,ot)")):
+        s = EpistemicState.make([d, w], designated=d, actor="R", budget=0)
+        got, want = (build_epistemic_action(dom, s, None, k=1)
+                     for dom in (shared, cube.with_fresh_memo()))
+        assert ([(e.action, e.source, e.remainder) for e in got.events]
+                == [(e.action, e.source, e.remainder) for e in want.events])
+
+
+def test_a_human_successor_depends_on_the_remainder(cube):
+    move = cube.action("move").ground(("ot", "mt"))
+    d = world("at(R,mt)", "at(H,ot)", "on(c_r,mt)")
+    w = world("at(R,mt)", "at(H,ot)", "on(c_y,mt)")
+    s = EpistemicState.make([d, w], designated=d, actor="H", budget=1)
+    shared = cube.with_fresh_memo()
+    for rest in ((), (Task("finish_up"),)):
+        a = EpistemicAction((Event(move, d.wid, True, rest),
+                             Event(move, w.wid, False, rest)), cube.copresence, "H")
+        assert {x.tn_h for x in product_update(shared, s, a).worlds} == {rest}
+
+
+def test_a_fold_depends_on_the_truth_it_is_made_under(cube):
+    # ``w`` survives under both realities; only the first shows the human
+    # the red cube on the main table.
+    base = ("at(R,mt)", "on(c_r,mt)", "on(c_y,ot)")
+    w = world(*base, "at(H,mt)", bel_h=bel("at(R,mt)", "at(H,mt)", "on(c_y,ot)"))
+    together = world(*base, "at(H,mt)")
+    apart = world(*base, "at(H,ot)")
+    misses_c_y = world("at(R,mt)", "at(H,ot)", "on(c_r,mt)")
+    shared = cube.with_fresh_memo()
+    for s in (EpistemicState.make([together, w], designated=together,
+                                  actor="R", budget=0),
+              EpistemicState.make([apart, w, misses_c_y], designated=apart,
+                                  actor="R", budget=0)):
+        assert (situation_assessment(shared, s, k=2).signature()
+                == situation_assessment(cube.with_fresh_memo(), s, k=2).signature())
 
 
 @pytest.mark.parametrize("name", ["p6", "cooking3"])
