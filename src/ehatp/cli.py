@@ -144,22 +144,24 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
     """
     dom = with_call_memo(dom)
     traces: list[SimulationTrace] = []
-
-    def finish(steps: list[SimStep], outcome: str, note: str = "") -> None:
-        traces.append(SimulationTrace(tuple(steps), outcome, note))
-
-    def follow(idx: int, s: EpistemicState, steps: list[SimStep],
-               hidden: int) -> None:
+    # Depth first, children in recorded order: a branch is a state to
+    # follow, or the trace it already ended in.
+    stack: list[tuple | SimulationTrace] = [(0, initial_state(dom, prob), (), 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, SimulationTrace):
+            traces.append(item)
+            continue
+        idx, s, steps, hidden = item
         node = policy.nodes[idx]
         if not node.children:
             if evaluate_state(dom, s) == DONE:
-                finish(steps, DONE)
+                traces.append(SimulationTrace(steps, DONE))
             else:
-                finish(steps, DEAD, "execution stops before the task is finished")
-            return
-        offered: dict[str, list[EpistemicState]] = {}
-        for label, succ in expand(dom, prob, s):
-            offered.setdefault(label, []).append(succ)
+                traces.append(SimulationTrace(
+                    steps, DEAD, "execution stops before the task is finished"))
+            continue
+        offered = _offered(dom, prob, s)
         if s.actor == "H":
             recorded: dict[str, int] = {}
             for cid in node.children:
@@ -168,40 +170,49 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
             missing = sorted(l for l, succs in offered.items()
                              if recorded.get(l, 0) < len(succs))
             if missing:
-                finish(steps, DEAD,
-                       f"uncovered human alternative: {missing[0]}")
-                return
+                traces.append(SimulationTrace(
+                    steps, DEAD, f"uncovered human alternative: {missing[0]}"))
+                continue
+        branches: list[tuple | SimulationTrace] = []
         consumed: dict[str, int] = {}
         for cid in node.children:
             label = policy.nodes[cid].edge
             pos = consumed.get(label, 0)
             consumed[label] = pos + 1
             succs = offered.get(label, ())
+            ontic = _is_ontic(label)
+            # The robot's out-of-sight work since the agents last met.
+            run = hidden + (s.actor == "R" and ontic and not state_copresent(dom, s))
             if pos >= len(succs):
-                finish(steps, DEAD, f"recorded action unavailable: {label}")
+                note = f"recorded action unavailable: {label}"
+            elif s.actor == "H" and ontic and not _universally_applicable(dom, s, label):
+                note = f"human action not applicable in every world: {label}"
+            elif run > prob.k:
+                note = f"budget exceeded: {run} unseen actions > K={prob.k}"
+            else:
+                succ = succs[pos]
+                co = state_copresent(dom, succ)
+                step = SimStep(s.actor, label, co, len(succ.worlds))
+                branches.append((cid, succ, steps + (step,), 0 if co else run))
                 continue
-            succ = succs[pos]
-            if (s.actor == "H" and _is_ontic(label)
-                    and not _universally_applicable(dom, s, label)):
-                finish(steps, DEAD,
-                       f"human action not applicable in every world: {label}")
-                continue
-            run = hidden
-            if (s.actor == "R" and _is_ontic(label)
-                    and not state_copresent(dom, s)):
-                run += 1
-                if run > prob.k:
-                    finish(steps, DEAD,
-                           f"budget exceeded: {run} unseen actions > K={prob.k}")
-                    continue
-            if state_copresent(dom, succ):
-                run = 0
-            step = SimStep(s.actor, label, state_copresent(dom, succ),
-                           len(succ.worlds))
-            follow(cid, succ, steps + [step], run)
-
-    follow(0, initial_state(dom, prob), [], 0)
+            branches.append(SimulationTrace(steps, DEAD, note))
+        stack.extend(reversed(branches))
     return SimulationReport(tuple(traces))
+
+
+def _offered(dom: DomainModel, prob: ProblemInstance,
+             s: EpistemicState) -> dict[str, list[EpistemicState]]:
+    """The successors the semantics offers at ``s``, by label in offer
+    order, expanded once per call memo: a replay reaches a state again
+    through another branch, and a load-bearing check replays the policy once
+    per speech act."""
+    key = ("offer", s.signature())
+    offered = dom.memo.get(key)
+    if offered is None:
+        offered = dom.memo[key] = {}
+        for label, succ in expand(dom, prob, s):
+            offered.setdefault(label, []).append(succ)
+    return offered
 
 
 def communication_edges(policy: Policy) -> list[int]:
@@ -221,7 +232,11 @@ def drop_edge(policy: Policy, node_id: int) -> Policy:
 
 def communication_is_load_bearing(dom: DomainModel, prob: ProblemInstance,
                                   policy: Policy) -> bool:
-    """True when removing any single speech-act edge breaks the replay."""
+    """True when removing any single speech-act edge breaks the replay.
+
+    The replays share one call memo, so each finds every state expanded
+    already but those behind the edge it dropped."""
+    dom = with_call_memo(dom)
     return all(not simulate(dom, prob, drop_edge(policy, nid)).ok
                for nid in communication_edges(policy))
 

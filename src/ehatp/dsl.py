@@ -312,59 +312,76 @@ class ProblemInstance:
 # Lexer
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # ident | int | punct | eof
-    text: str
-    line: int
-    col: int
+# A token is ``(kind, text, index)``: ``kind`` is ident | int | punct | eof
+# and ``index`` is the offset of its first character.  Line and column are
+# worked out from the index only when a diagnostic reports them.
+_Token = tuple[str, str, int]
+
+# One match per token, with the layout (blanks, newlines, ``#`` comments)
+# before it.  ``\w`` is exactly ``str.isalnum()`` or ``_``: an identifier's
+# tail.  A run of word characters the ASCII groups cannot take (a non-ASCII
+# start, or digits before a non-ASCII character), a ``-`` before no digit and
+# any other character fall to the fourth group, which `_split_word` checks
+# with the ``str`` tests.  No atomic groups or possessive quantifiers: Python
+# 3.10 has neither.
+_TOKEN = re.compile(r"""
+    ([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
+    (?: ([A-Za-z_]\w*)
+      | ([{}(),:])
+      | (-?[0-9]+)(?![0-9]|[^\x00-\x7f])
+      | (-?\w+|.)
+      | \Z )
+""", re.VERBOSE | re.DOTALL)
 
 
-_PUNCT = "{}(),:"
+def _position(text: str, index: int) -> tuple[int, int]:
+    """Line and column, both from 1, of offset ``index`` in ``text``."""
+    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
 
 
 def _tokenize(text: str, filename: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c in _PUNCT:
-            tokens.append(_Token("punct", c, line, col))
-            i += 1
-            col += 1
-        elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            start, start_col = i, col
-            i += 1
-            col += 1
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(_Token("int", text[start:i], line, start_col))
-        elif c.isalpha() or c == "_":
-            start, start_col = i, col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("ident", text[start:i], line, start_col))
-        else:
-            raise ParseError(Diagnostic(filename, line, col, "error", f"unexpected character {c!r}"))
-    tokens.append(_Token("eof", "", line, col))
+    append = tokens.append
+    i = 0
+    for layout, ident, punct, num, other in _TOKEN.findall(text):
+        i += len(layout)
+        if ident:
+            append(("ident", ident, i))
+        elif punct:
+            append(("punct", punct, i))
+        elif num:
+            append(("int", num, i))
+        elif other:
+            _split_word(text, filename, other, i, tokens)
+        i += len(ident or punct or num or other)
+    # A comment's characters take no column, which shows only when the last
+    # line ends in one: the end of input is then placed where it starts.
+    comment = text.find("#", text.rfind("\n") + 1)
+    append(("eof", "", len(text) if comment < 0 else comment))
     return tokens
+
+
+def _split_word(text: str, filename: str, word: str, index: int,
+                tokens: list[_Token]) -> None:
+    """Append the integer and identifier that ``word`` (at ``index``) holds,
+    or raise on the first character that starts neither."""
+    j = 0
+    if word[0].isdigit() or (word[0] == "-" and word[1:2].isdigit()):
+        j = 1
+        while j < len(word) and word[j].isdigit():
+            j += 1
+        tokens.append(("int", word[:j], index))
+    if j < len(word):
+        if not (word[j].isalpha() or word[j] == "_"):
+            line, col = _position(text, index + j)
+            raise ParseError(Diagnostic(filename, line, col, "error",
+                                        f"unexpected character {word[j]!r}"))
+        tokens.append(("ident", word[j:], index + j))
 
 
 class _Parser:
     def __init__(self, text: str, filename: str):
+        self.text = text
         self.filename = filename
         self.tokens = _tokenize(text, filename)
         self.pos = 0
@@ -376,38 +393,39 @@ class _Parser:
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def error(self, tok: _Token, message: str) -> ParseError:
-        return ParseError(Diagnostic(self.filename, tok.line, tok.col, "error", message))
+        line, col = _position(self.text, tok[2])
+        return ParseError(Diagnostic(self.filename, line, col, "error", message))
 
     def expect_ident(self, what: str) -> _Token:
         tok = self.next()
-        if tok.kind != "ident":
-            raise self.error(tok, f"expected {what}, got {tok.text!r}" if tok.text else f"expected {what}")
+        if tok[0] != "ident":
+            raise self.error(tok, f"expected {what}, got {tok[1]!r}" if tok[1] else f"expected {what}")
         return tok
 
     def expect_keyword(self, word: str) -> _Token:
         tok = self.next()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.error(tok, f"expected {word!r}, got {tok.text!r}" if tok.text else f"expected {word!r}")
+        if tok[0] != "ident" or tok[1] != word:
+            raise self.error(tok, f"expected {word!r}, got {tok[1]!r}" if tok[1] else f"expected {word!r}")
         return tok
 
     def expect_punct(self, ch: str) -> _Token:
         tok = self.next()
-        if tok.kind != "punct" or tok.text != ch:
-            raise self.error(tok, f"expected {ch!r}, got {tok.text!r}" if tok.text else f"expected {ch!r}")
+        if tok[0] != "punct" or tok[1] != ch:
+            raise self.error(tok, f"expected {ch!r}, got {tok[1]!r}" if tok[1] else f"expected {ch!r}")
         return tok
 
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
+        return tok[0] == "ident" and tok[1] == word
 
     def at_punct(self, ch: str) -> bool:
         tok = self.peek()
-        return tok.kind == "punct" and tok.text == ch
+        return tok[0] == "punct" and tok[1] == ch
 
     # -- shared pieces -----------------------------------------------------
 
@@ -429,7 +447,7 @@ class _Parser:
         return out
 
     def parse_argument(self) -> str:
-        return self.expect_ident("an argument").text
+        return self.expect_ident("an argument")[1]
 
     def parse_literal(self) -> tuple[Literal, _Token]:
         positive = True
@@ -438,7 +456,7 @@ class _Parser:
             positive = False
         head = self.expect_ident("a predicate name")
         args = self.parse_parens(self.parse_argument)
-        return Literal(head.text, args, positive), head
+        return Literal(head[1], args, positive), head
 
     def parse_literal_list(self) -> tuple[Literal, ...]:
         return tuple(l for l, _ in self.parse_list(self.parse_literal))
@@ -446,13 +464,13 @@ class _Parser:
     def parse_task(self) -> tuple[Task, _Token]:
         head = self.expect_ident("a task name")
         args = self.parse_parens(self.parse_argument)
-        return Task(head.text, args), head
+        return Task(head[1], args), head
 
     def parse_param(self) -> Param:
         name = self.expect_ident("a parameter name")
-        if not is_variable(name.text):
-            raise self.error(name, f"parameter {name.text!r} must start uppercase")
-        return Param(name.text, self.expect_ident("a parameter type").text)
+        if not is_variable(name[1]):
+            raise self.error(name, f"parameter {name[1]!r} must start uppercase")
+        return Param(name[1], self.expect_ident("a parameter type")[1])
 
 
 # --------------------------------------------------------------------------
@@ -462,22 +480,24 @@ class _Parser:
 class _DomainParser(_Parser):
     def __init__(self, text: str, filename: str):
         super().__init__(text, filename)
-        # Source position of each declaration, for post-parse reference errors.
-        self._decl_pos: dict[str, tuple[int, int]] = {}
+        # The token of each declaration, for post-parse reference errors.
+        self._decl_tok: dict[str, _Token] = {}
 
     def _remember(self, kind: str, name: str, tok: _Token) -> None:
-        self._decl_pos[f"{kind}:{name}"] = (tok.line, tok.col)
+        self._decl_tok[f"{kind}:{name}"] = tok
 
     def _ref_error(self, kind: str, name: str, message: str) -> ParseError:
-        line, col = self._decl_pos.get(f"{kind}:{name}", (0, 0))
-        return ParseError(Diagnostic(self.filename, line, col, "error", message))
+        tok = self._decl_tok.get(f"{kind}:{name}")
+        if tok is not None:
+            return self.error(tok, message)
+        return ParseError(Diagnostic(self.filename, 0, 0, "error", message))
 
     def parse_type(self, types: list[str], what: str) -> str:
         """A built-in type or one of the declared ``types``."""
         tok = self.expect_ident(what)
-        if tok.text not in types and tok.text not in BUILTIN_TYPES:
-            raise self.error(tok, f"undeclared type {tok.text!r}")
-        return tok.text
+        if tok[1] not in types and tok[1] not in BUILTIN_TYPES:
+            raise self.error(tok, f"undeclared type {tok[1]!r}")
+        return tok[1]
 
     def parse(self) -> DomainModel:
         self.expect_keyword("domain")
@@ -494,35 +514,35 @@ class _DomainParser(_Parser):
 
         while not self.at_punct("}"):
             tok = self.peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 raise self.error(tok, "unterminated domain block")
             if self.at_keyword("type"):
                 self.next()
-                types.append(self.expect_ident("a type name").text)
+                types.append(self.expect_ident("a type name")[1])
             elif self.at_keyword("place"):
                 self.next()
-                places.append(self.expect_ident("a place name").text)
+                places.append(self.expect_ident("a place name")[1])
             elif self.at_keyword("object"):
                 self.next()
                 oname = self.expect_ident("an object name")
-                objects.append((oname.text, self.parse_type(types, "an object type")))
+                objects.append((oname[1], self.parse_type(types, "an object type")))
             elif self.at_keyword("predicate"):
                 self.next()
                 pname = self.expect_ident("a predicate name")
                 ptypes = self.parse_parens(lambda: self.parse_type(types, "a type"))
                 klass = self.expect_ident("'observable' or 'inferable'")
-                if klass.text not in ("observable", "inferable"):
+                if klass[1] not in ("observable", "inferable"):
                     raise self.error(klass, "predicate class must be 'observable' or 'inferable'")
-                predicates.append(PredicateDecl(pname.text, ptypes, klass.text == "observable"))
+                predicates.append(PredicateDecl(pname[1], ptypes, klass[1] == "observable"))
             elif self.at_keyword("rule"):
                 self.next()
                 rname = self.expect_ident("a rule name")
-                self._remember("rule", rname.text, rname)
+                self._remember("rule", rname[1], rname)
                 self.expect_punct(":")
                 target, _ = self.parse_literal()
                 self.expect_keyword("when")
                 antecedent = self.parse_literal_list()
-                rules.append(KnowledgeRule(rname.text, target, antecedent))
+                rules.append(KnowledgeRule(rname[1], target, antecedent))
             elif self.at_keyword("copresent"):
                 tok = self.next()
                 self._remember("copresent", "", tok)
@@ -535,7 +555,7 @@ class _DomainParser(_Parser):
             elif self.at_keyword("method"):
                 methods.append(self.parse_method())
             else:
-                raise self.error(tok, f"unexpected {tok.text!r} in domain block")
+                raise self.error(tok, f"unexpected {tok[1]!r} in domain block")
         self.expect_punct("}")
 
         if copresence is None:
@@ -548,7 +568,7 @@ class _DomainParser(_Parser):
             raise self.error(name, "predicate 'at' must be declared as at(agent, place)")
 
         dom = DomainModel(
-            name=name.text,
+            name=name[1],
             types=tuple(types),
             places=tuple(places),
             objects=tuple(objects),
@@ -564,14 +584,14 @@ class _DomainParser(_Parser):
     def parse_action(self) -> ActionSchema:
         self.expect_keyword("action")
         name = self.expect_ident("an action name")
-        self._remember("action", name.text, name)
+        self._remember("action", name[1], name)
         params = self.parse_parens(self.parse_param)
         self.expect_keyword("by")
         actor = self.expect_ident("an actor (R or H)")
-        if actor.text not in AGENTS:
-            raise self.error(actor, f"actor must be R or H, got {actor.text!r}")
+        if actor[1] not in AGENTS:
+            raise self.error(actor, f"actor must be R or H, got {actor[1]!r}")
         self.expect_keyword("at")
-        place = self.expect_ident("a place or place-typed parameter").text
+        place = self.expect_ident("a place or place-typed parameter")[1]
         self.expect_punct("{")
         pre: tuple[Literal, ...] = ()
         adds: tuple[Literal, ...] = ()
@@ -589,14 +609,14 @@ class _DomainParser(_Parser):
             else:
                 raise self.error(self.peek(), "expected 'pre', 'add', 'del', or '}' in action body")
         self.expect_punct("}")
-        return ActionSchema(name.text, actor.text, params, place, pre, adds, dels)
+        return ActionSchema(name[1], actor[1], params, place, pre, adds, dels)
 
     def parse_method(self) -> MethodSchema:
         self.expect_keyword("method")
         task = self.expect_ident("a task name")
         params = self.parse_parens(self.parse_param)
         label = self.expect_ident("a method label")
-        self._remember("method", f"{task.text}/{label.text}", task)
+        self._remember("method", f"{task[1]}/{label[1]}", task)
         self.expect_punct("{")
         pre: tuple[Literal, ...] = ()
         subtasks: tuple[Task, ...] = ()
@@ -610,7 +630,7 @@ class _DomainParser(_Parser):
             else:
                 raise self.error(self.peek(), "expected 'pre', 'sub', or '}' in method body")
         self.expect_punct("}")
-        return MethodSchema(task.text, params, label.text, pre, subtasks)
+        return MethodSchema(task[1], params, label[1], pre, subtasks)
 
     # -- reference/arity checks (hard errors) -------------------------------
 
@@ -741,42 +761,42 @@ class _ProblemParser(_Parser):
 
         while not self.at_punct("}"):
             tok = self.peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 raise self.error(tok, "unterminated problem block")
             if self.at_keyword("domain"):
                 self.next()
-                domain_name = self.expect_ident("a domain name").text
+                domain_name = self.expect_ident("a domain name")[1]
                 if domain_name != self.dom.name:
                     raise self.error(tok, f"problem references domain {domain_name!r}, "
                                           f"but {self.dom.name!r} was loaded")
             elif self.at_keyword("k"):
                 self.next()
                 num = self.next()
-                if num.kind != "int":
+                if num[0] != "int":
                     raise self.error(num, "expected an integer after 'k'")
-                k = int(num.text)
+                k = int(num[1])
                 if k < 0:
                     raise self.error(num, "k must be >= 0")
             elif self.at_keyword("communication"):
                 self.next()
                 mode = self.expect_ident("'on' or 'off'")
-                if mode.text not in ("on", "off"):
+                if mode[1] not in ("on", "off"):
                     raise self.error(mode, "communication must be 'on' or 'off'")
-                comm = mode.text == "on"
+                comm = mode[1] == "on"
             elif self.at_keyword("robot") or self.at_keyword("human"):
                 who = self.next()
                 self.expect_keyword("at")
                 place = self.expect_ident("a place")
-                if self.dom.constant_type(place.text) != "place":
-                    raise self.error(place, f"unknown place {place.text!r}")
-                if who.text == "robot":
-                    robot_place = place.text
+                if self.dom.constant_type(place[1]) != "place":
+                    raise self.error(place, f"unknown place {place[1]!r}")
+                if who[1] == "robot":
+                    robot_place = place[1]
                 else:
-                    human_place = place.text
+                    human_place = place[1]
             elif self.at_keyword("task"):
                 self.next()
                 actor = self.expect_ident("R or H")
-                if actor.text not in AGENTS:
+                if actor[1] not in AGENTS:
                     raise self.error(actor, "task actor must be R or H")
                 t, head = self.parse_task()
                 if t.name not in self.dom.task_names() and self.dom.action(t.name) is None:
@@ -785,7 +805,7 @@ class _ProblemParser(_Parser):
                 why = _argument_type_error(self.dom, t, {})
                 if why is not None:
                     raise self.error(head, f"root task {why}")
-                if actor.text == "R":
+                if actor[1] == "R":
                     task_r = t
                 else:
                     task_h = t
@@ -793,7 +813,7 @@ class _ProblemParser(_Parser):
                 self.next()
                 self.expect_punct("{")
                 while not self.at_punct("}"):
-                    if self.peek().kind == "eof":
+                    if self.peek()[0] == "eof":
                         raise self.error(self.peek(), "unterminated init block")
                     l, head = self.parse_literal()
                     if not l.positive:
@@ -812,7 +832,7 @@ class _ProblemParser(_Parser):
                 self._check_ground_literal(l, head)
                 deltas.append(l)
             else:
-                raise self.error(tok, f"unexpected {tok.text!r} in problem block")
+                raise self.error(tok, f"unexpected {tok[1]!r} in problem block")
         self.expect_punct("}")
 
         missing = [label for label, v in (
@@ -826,7 +846,7 @@ class _ProblemParser(_Parser):
         truth = BeliefBase(frozenset(init_atoms)
                            | {Literal("at", ("R", robot_place)), Literal("at", ("H", human_place))})
         return ProblemInstance(
-            name=name.text,
+            name=name[1],
             domain_name=domain_name,
             k=k,
             comm_allowed=comm,

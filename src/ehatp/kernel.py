@@ -38,7 +38,10 @@ _LOG = "EHATP_LOG"  # also the memo key of the flag
 
 def with_call_memo(dom: DomainModel) -> DomainModel:
     """``dom`` with a fresh memo for one search or replay, holding the
-    ``EHATP_LOG`` flag as it reads when the call starts."""
+    ``EHATP_LOG`` flag as it reads when the call starts; ``dom`` itself when
+    it carries such a memo already, so a call made inside another shares it."""
+    if _LOG in dom.memo:
+        return dom
     dom = dom.with_fresh_memo()
     dom.memo[_LOG] = os.environ.get(_LOG, "")
     return dom

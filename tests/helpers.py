@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
-from ehatp.dsl import OBSERVER, DomainModel
+from ehatp.dsl import OBSERVER, Diagnostic, DomainModel, ParseError
 from ehatp.model import (
     BeliefBase,
     DomainError,
@@ -47,6 +47,52 @@ def traces(policy: Policy) -> list[tuple[str, ...]]:
         stack.extend((cid, acc + (policy.nodes[cid].edge,))
                      for cid in reversed(children))
     return out
+
+
+# --------------------------------------------------------------------------
+# The character-at-a-time lexer `dsl._tokenize` is checked against
+
+
+def tokenize_reference(text: str, filename: str) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, col)`` of every token, ending with ``eof``; raises
+    the lexer's `ParseError` at the first character that starts no token."""
+    tokens: list[tuple[str, str, int, int]] = []
+    line, col, i = 1, 1, 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c in " \t\r":
+            i += 1
+            col += 1
+        elif c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c in "{}(),:":
+            tokens.append(("punct", c, line, col))
+            i += 1
+            col += 1
+        elif c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+            start, start_col = i, col
+            i += 1
+            col += 1
+            while i < n and text[i].isdigit():
+                i += 1
+                col += 1
+            tokens.append(("int", text[start:i], line, start_col))
+        elif c.isalpha() or c == "_":
+            start, start_col = i, col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            tokens.append(("ident", text[start:i], line, start_col))
+        else:
+            raise ParseError(Diagnostic(filename, line, col, "error", f"unexpected character {c!r}"))
+    tokens.append(("eof", "", line, col))
+    return tokens
 
 
 # --------------------------------------------------------------------------

@@ -1,0 +1,156 @@
+"""Replay on a shared call memo.
+
+`simulate` keeps each state's offered successors in the call memo, and
+`communication_is_load_bearing` runs all of its dropped-edge replays on one
+memo.  A warm memo must not change what a replay reports, and only calls
+nested in another call may share one.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from ehatp import cli, kernel
+from ehatp.cli import (
+    communication_edges,
+    communication_is_load_bearing,
+    drop_edge,
+    read_policy_file,
+    simulate,
+)
+from ehatp.dsl import load_shipped, parse_domain, parse_problem
+from ehatp.solver import solve
+from helpers import traces
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "planbench"))
+from variants import draws  # noqa: E402
+
+GOLDEN = sorted((ROOT / "planbench" / "golden").glob("*.policy.json"))
+
+
+def _descriptions(report):
+    return [t.describe() for t in report.traces]
+
+
+def _variant_policies():
+    dom = parse_domain(load_shipped("cube_org"))
+    out = []
+    for d in draws(3):
+        prob = parse_problem(d.text(), dom)
+        res = solve(dom, prob)
+        if res.policy is not None:
+            out.append((d.name, dom, prob, res.policy))
+    return out
+
+
+def _shipped_policies():
+    return [(p.name, *read_policy_file(p)) for p in GOLDEN]
+
+
+@pytest.fixture(scope="module")
+def policies():
+    found = _shipped_policies() + _variant_policies()
+    assert len(found) > len(GOLDEN) + 10
+    return found
+
+
+def test_a_warm_memo_replays_as_a_fresh_one(policies):
+    for name, dom, prob, policy in policies:
+        warm = kernel.with_call_memo(dom)
+        edges = communication_edges(policy)
+        # Warm the memo with every dropped-edge replay, then replay it all.
+        for nid in edges:
+            cut = drop_edge(policy, nid)
+            assert (_descriptions(simulate(warm, prob, cut))
+                    == _descriptions(simulate(dom, prob, cut))), name
+        assert (_descriptions(simulate(warm, prob, policy))
+                == _descriptions(simulate(dom, prob, policy))), name
+        assert (_descriptions(simulate(warm, prob, policy))
+                == _descriptions(simulate(dom, prob, policy))), name
+
+
+def test_traces_come_in_policy_preorder(policies):
+    for name, dom, prob, policy in policies:
+        report = simulate(dom, prob, policy)
+        assert report.ok, name
+        assert [tuple(st.action for st in t.steps) for t in report.traces] == traces(policy), name
+
+
+def test_load_bearing_verdict_matches_fresh_replays(policies):
+    spoke = 0
+    for name, dom, prob, policy in policies:
+        edges = communication_edges(policy)
+        spoke += bool(edges)
+        fresh = all(not simulate(dom, prob, drop_edge(policy, nid)).ok for nid in edges)
+        assert communication_is_load_bearing(dom, prob, policy) == fresh, name
+    assert spoke >= 3
+
+
+@pytest.fixture
+def expanded(monkeypatch):
+    """The signature of each state `simulate` expands, in order."""
+    seen = []
+    real = cli.expand
+
+    def counting(d, p, s):
+        seen.append(s.signature())
+        return real(d, p, s)
+
+    monkeypatch.setattr(cli, "expand", counting)
+    return seen
+
+
+def test_only_nested_calls_share_a_memo(expanded):
+    dom, prob, policy = read_policy_file(GOLDEN[0])
+    simulate(dom, prob, policy)
+    once = len(expanded)
+    assert once > 0 and len(set(expanded)) == once
+    # Two top-level calls in a row: each starts from an empty memo.
+    simulate(dom, prob, policy)
+    assert len(expanded) == 2 * once
+    assert kernel.with_call_memo(dom) is not kernel.with_call_memo(dom)
+    # Calls made inside one call memo share it.
+    outer = kernel.with_call_memo(dom)
+    assert kernel.with_call_memo(outer) is outer
+    simulate(outer, prob, policy)
+    simulate(outer, prob, policy)
+    assert len(expanded) == 3 * once
+
+
+def test_load_bearing_check_expands_each_state_once(expanded):
+    dom, prob, policy = read_policy_file(GOLDEN[-1])
+    assert len(communication_edges(policy)) > 1
+    communication_is_load_bearing(dom, prob, policy)
+    assert expanded and len(set(expanded)) == len(expanded)
+
+
+def test_replay_of_a_policy_deeper_than_the_recursion_limit():
+    ticks = sys.getrecursionlimit() // 2 + 100
+    dom = parse_domain(f"""
+domain chain {{
+  place here
+  action tick by R at here {{ }}
+  method run steps {{ sub {", ".join(["tick"] * ticks)} }}
+  method idle rest {{ }}
+}}
+""")
+    prob = parse_problem("""
+problem chain {
+  domain chain
+  k 0
+  communication off
+  robot at here
+  human at here
+  task R run
+  task H idle
+  init { }
+}
+""", dom)
+    policy = solve(dom, prob).policy
+    # The human waits out every tick: one level per turn.
+    assert len(policy.nodes) == 2 * ticks + 1 > sys.getrecursionlimit()
+    report = simulate(dom, prob, policy)
+    assert report.ok and len(report.traces) == 1
+    assert len(report.traces[0].steps) == 2 * ticks
