@@ -81,7 +81,29 @@ def read_policy_file(path: str | Path) -> tuple[DomainModel, ProblemInstance, Po
     nodes = [PolicyNode(n["id"], n["kind"], n["actor"], n["edge"],
                         n["copresent"], list(n["children"]))
              for n in doc["nodes"]]
+    _check_tree(nodes)
     return dom, prob, Policy(nodes)
+
+
+def _check_tree(nodes: list[PolicyNode]) -> None:
+    """Raise ``ValueError`` unless ``nodes`` form a tree stored root first:
+    node ``i`` has id ``i``, only the root lacks an incoming edge label, and
+    every other node is listed exactly once as a child of an earlier node."""
+    if not nodes:
+        raise ValueError("policy has no nodes")
+    listed = [0] * len(nodes)
+    for i, n in enumerate(nodes):
+        if n.id != i:
+            raise ValueError(f"node {i} has id {n.id!r}")
+        if not (n.edge is None if i == 0 else isinstance(n.edge, str)):
+            raise ValueError(f"node {i} has edge {n.edge!r}")
+        for j in n.children:
+            if not i < j < len(nodes):
+                raise ValueError(f"node {i} lists child {j!r}")
+            listed[j] += 1
+    for j in range(1, len(nodes)):
+        if listed[j] != 1:
+            raise ValueError(f"node {j} is listed as a child {listed[j]} times")
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,8 @@ except the reserved agent names `R` and `H`.
 
 Parsing is deterministic and raises :class:`ParseError` (a diagnostic with
 file/line/column) on the first syntax or reference error; whole-model checks
-that produce warnings live in :func:`validate`.  `pretty_print_domain` /
-`pretty_print_problem` emit canonical text that reparses to an equal model.
+that produce warnings live in :func:`validate`.  In every conjunction the
+planner grounds, an earlier positive literal must bind each negative's variables.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class ActionSchema:
     pre: tuple[Literal, ...]
     adds: tuple[Literal, ...]
     dels: tuple[Literal, ...]
-    ontic: bool = True
 
     def ground(self, args: tuple[str, ...]) -> "GroundAction":
         if len(args) != len(self.params):
@@ -102,7 +101,6 @@ class ActionSchema:
             pre=tuple(l.substitute(binding) for l in self.pre),
             adds=tuple(l.substitute(binding) for l in self.adds),
             dels=tuple(l.substitute(binding) for l in self.dels),
-            ontic=self.ontic,
         )
 
 
@@ -114,7 +112,6 @@ class GroundAction:
     pre: tuple[Literal, ...]
     adds: tuple[Literal, ...]
     dels: tuple[Literal, ...]
-    ontic: bool = True
     # (add, drop) masks of the effects, built at the first application
     _masks: tuple[int, int] | None = field(
         default=None, init=False, repr=False, compare=False)
@@ -201,7 +198,7 @@ class DomainModel:
     # (``kernel.with_call_memo``), so the memo lives as long as that call.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # Declarations by name, the first of each name (methods: all, in order);
-    # each constant's type, and the constants of each type (None: all)
+    # each constant's type, and the constants of each type
     _predicates: dict = field(init=False, compare=False, repr=False)
     _actions: dict = field(init=False, compare=False, repr=False)
     _methods: dict = field(init=False, compare=False, repr=False)
@@ -215,7 +212,6 @@ class DomainModel:
         types = {n: t for n, t in reversed(self.objects)}
         types.update({p: "place" for p in self.places} | {a: "agent" for a in AGENTS})
         of_type = {t: tuple(n for n, k in types.items() if k == t) for t in set(types.values())}
-        of_type[None] = tuple(types)
         object.__setattr__(self, "_predicates", {p.name: p for p in reversed(self.predicates)})
         object.__setattr__(self, "_actions", {a.name: a for a in reversed(self.actions)})
         object.__setattr__(self, "_methods", methods)
@@ -241,7 +237,7 @@ class DomainModel:
         return frozenset(m.task for m in self.methods)
 
     def instances(self, literals: Iterable[Literal], binding: dict[str, str],
-                  ) -> list[tuple[dict[str, str] | str, int, int]]:
+                  ) -> list[tuple[dict[str, str], int, int]]:
         """``literals`` solved as a matcher would solve them against a base
         holding every atom the declared types allow: each binding extending
         ``binding``, with the ``(need, forbid)`` masks a base must pass for
@@ -250,32 +246,24 @@ class DomainModel:
         Bindings come in the matcher's order: literal by literal, a free
         positive literal's atoms in the order of their strings.  A free
         argument ranges over the constants ``constant_type`` gives its
-        declared type (any constant where the predicate is undeclared), so
-        the instances grow as the objects to the power of the free variables.
-        A negative literal left with free variables ends each binding in the
-        ``DomainError`` message a matcher raises once the literals before it
-        hold.
+        declared type, so the instances grow as the objects to the power of
+        the free variables.  The parser has checked that each predicate is
+        declared and each negative literal is ground once the literals
+        before it are bound; ``atom_bit`` rejects one that is not.
         """
         sols: list[tuple] = [(binding, 0, 0)]
         for l in literals:
             nxt = []
             for b, need, forbid in sols:
                 g = l.substitute(b)
-                if g.is_ground():
-                    if g.positive:
-                        nxt.append((b, need | atom_bit(g), forbid))
-                    else:
-                        nxt.append((b, need, forbid | atom_bit(g.atom)))
-                    continue
-                free = [a for a in g.args if is_variable(a)]
                 if not g.positive:
-                    return [(f"negative literal {l} leaves variables {free} unbound", n, f)
-                            for _, n, f in sols]
-                decl = self.predicate(g.pred)
-                types = (decl.param_types if decl and len(decl.param_types) == len(g.args)
-                         else (None,) * len(g.args))
+                    nxt.append((b, need, forbid | atom_bit(g.atom)))
+                    continue
+                if g.is_ground():
+                    nxt.append((b, need | atom_bit(g), forbid))
+                    continue
                 pools = [self._of_type.get(t, ()) if is_variable(a) else (a,)
-                         for a, t in zip(g.args, types)]
+                         for a, t in zip(g.args, self._predicates[g.pred].param_types)]
                 for atom in sorted((Literal(g.pred, args) for args in product(*pools)), key=str):
                     trial = unify(g, atom, b)
                     if trial is not None:
@@ -659,15 +647,25 @@ class _DomainParser(_Parser):
                         raise self._ref_error(kind, name,
                                               f"object {arg!r} has type {ctype!r}, expected {want!r} in {where}")
 
+        def check_conjunction(literals: tuple[Literal, ...], kind: str, name: str, where: str,
+                              what: str, bound: dict[str, str]) -> None:
+            """``check_literal`` each of ``literals``, solved left to right, adding
+            their variables to ``bound``: a negative one may use only those bound."""
+            for l in literals:
+                free = [a for a in l.args if is_variable(a) and a not in bound]
+                check_literal(l, kind, name, where, bound)
+                if free and not l.positive:
+                    raise self._ref_error(kind, name, f"variable {free[0]!r} in a negative {what} "
+                                                      "is not bound by an earlier positive")
+
         for rule in dom.rules:
             bound: dict[str, str] = {}
             check_literal(rule.target, "rule", rule.name, f"rule {rule.name}", bound)
-            for l in rule.antecedent:
-                check_literal(l, "rule", rule.name, f"rule {rule.name}", bound)
+            check_conjunction(rule.antecedent, "rule", rule.name, f"rule {rule.name}",
+                              f"antecedent of rule {rule.name}", bound)
 
-        bound = {}
-        for l in dom.copresence:
-            check_literal(l, "copresent", "", "copresent rule", bound)
+        check_conjunction(dom.copresence, "copresent", "", "copresent rule",
+                          "literal of the copresent rule", {})
 
         for act in dom.actions:
             bound = {p.name: p.type for p in act.params}
@@ -687,17 +685,7 @@ class _DomainParser(_Parser):
         for m in dom.methods:
             mkey = f"{m.task}/{m.label}"
             bound = {p.name: p.type for p in m.params}
-            positives_seen: set[str] = set(bound)
-            for l in m.pre:
-                check_literal(l, "method", mkey, f"method {mkey}", bound)
-                if not l.positive:
-                    for arg in l.args:
-                        if is_variable(arg) and arg not in positives_seen:
-                            raise self._ref_error("method", mkey,
-                                                  f"variable {arg!r} in a negative precondition of "
-                                                  f"{mkey} is not bound by an earlier positive")
-                else:
-                    positives_seen.update(a for a in l.args if is_variable(a))
+            check_conjunction(m.pre, "method", mkey, f"method {mkey}", f"precondition of {mkey}", bound)
             for st in m.subtasks:
                 schema = dom.action(st.name)
                 if schema is not None:
@@ -709,7 +697,7 @@ class _DomainParser(_Parser):
                                           f"subtask {st.name!r} in {mkey} resolves to "
                                           "neither an action nor a method")
                 for arg in st.args:
-                    if is_variable(arg) and arg not in positives_seen:
+                    if is_variable(arg) and arg not in bound:
                         raise self._ref_error("method", mkey,
                                               f"subtask argument {arg!r} in {mkey} is unbound")
                 why = _argument_type_error(dom, st, bound)
@@ -913,12 +901,7 @@ def validate(dom: DomainModel, prob: ProblemInstance | None = None,
         if l.pred != "at":
             warn(f"copresent rule references {l.pred!r}; only agent positions are conventional")
 
-    # Task reachability: every method subtask chain must bottom out at actions.
     task_names = dom.task_names()
-    for m in dom.methods:
-        for st in m.subtasks:
-            if dom.action(st.name) is None and st.name not in task_names:
-                err(f"method {m.task}/{m.label}: subtask {st.name!r} is unresolvable")
     for t in sorted(task_names):
         if dom.action(t) is not None:
             err(f"{t!r} is both an action and a method task name")
@@ -952,9 +935,6 @@ def validate(dom: DomainModel, prob: ProblemInstance | None = None,
                 on_path.add(nxt)
 
     if prob is not None:
-        for t, label in ((prob.root_task_r, "R"), (prob.root_task_h, "H")):
-            if t.name not in task_names and dom.action(t.name) is None:
-                err(f"root task for {label} {t.name!r} is unresolvable")
         for d in prob.belief_deltas:
             truth = prob.ground_truth.entails(d)
             if not truth:
@@ -964,46 +944,7 @@ def validate(dom: DomainModel, prob: ProblemInstance | None = None,
 
 
 # --------------------------------------------------------------------------
-# Canonical pretty-printing (round-trips through the parser)
-
-
-def _fmt_literals(literals: Iterable[Literal]) -> str:
-    return ", ".join(str(l) for l in literals)
-
-
-def pretty_print_domain(dom: DomainModel) -> str:
-    lines = [f"domain {dom.name} {{"]
-    for t in dom.types:
-        lines.append(f"  type {t}")
-    for p in dom.places:
-        lines.append(f"  place {p}")
-    for name, typ in dom.objects:
-        lines.append(f"  object {name} {typ}")
-    for p in dom.predicates:
-        lines.append(f"  predicate {p}")
-    for r in dom.rules:
-        lines.append(f"  rule {r.name}: {r.target} when {_fmt_literals(r.antecedent)}")
-    lines.append(f"  copresent when {_fmt_literals(dom.copresence)}")
-    for a in dom.actions:
-        params = "" if not a.params else "(" + ", ".join(str(p) for p in a.params) + ")"
-        lines.append(f"  action {a.name}{params} by {a.actor} at {a.place} {{")
-        if a.pre:
-            lines.append(f"    pre {_fmt_literals(a.pre)}")
-        if a.adds:
-            lines.append(f"    add {_fmt_literals(a.adds)}")
-        if a.dels:
-            lines.append(f"    del {_fmt_literals(a.dels)}")
-        lines.append("  }")
-    for m in dom.methods:
-        params = "" if not m.params else "(" + ", ".join(str(p) for p in m.params) + ")"
-        lines.append(f"  method {m.task}{params} {m.label} {{")
-        if m.pre:
-            lines.append(f"    pre {_fmt_literals(m.pre)}")
-        if m.subtasks:
-            lines.append(f"    sub {', '.join(str(t) for t in m.subtasks)}")
-        lines.append("  }")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+# Bundled files
 
 
 def load_shipped(name: str) -> str:
@@ -1020,23 +961,3 @@ def load_instance(name: str) -> tuple[DomainModel, ProblemInstance]:
                                     "problem file lacks a domain reference"))
     dom = parse_domain(load_shipped(m.group(1)), filename=f"{m.group(1)}.ehatp")
     return dom, parse_problem(text, dom, filename=f"{name}.ehatp")
-
-
-def pretty_print_problem(prob: ProblemInstance) -> str:
-    lines = [f"problem {prob.name} {{"]
-    lines.append(f"  domain {prob.domain_name}")
-    lines.append(f"  k {prob.k}")
-    lines.append(f"  communication {'on' if prob.comm_allowed else 'off'}")
-    lines.append(f"  robot at {prob.robot_place}")
-    lines.append(f"  human at {prob.human_place}")
-    lines.append(f"  task R {prob.root_task_r}")
-    lines.append(f"  task H {prob.root_task_h}")
-    lines.append("  init {")
-    for atom in prob.ground_truth.canonical():
-        if not atom.startswith("at(R,") and not atom.startswith("at(H,"):
-            lines.append(f"    {atom}")
-    lines.append("  }")
-    for d in prob.belief_deltas:
-        lines.append(f"  believe {d}")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

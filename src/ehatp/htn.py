@@ -24,7 +24,6 @@ from .model import (
     Task,
     TaskNetwork,
     atoms_of,
-    is_variable,
 )
 
 # Expansion of one network may not nest methods deeper than this; the
@@ -100,14 +99,10 @@ def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
 
     A method instance is ``(need, forbid, label, subtasks)``: it applies to a
     base that passes the mask pair, expanding ``head`` into the ground
-    ``subtasks``.  An instance whose binding a negative precondition leaves
-    open carries ``subtasks=None`` and the ``DomainError`` message as its
-    label.
+    ``subtasks``.
     """
     schema = dom.action(head.name)
     if schema is not None:
-        if any(is_variable(a) for a in head.args):
-            raise DomainError(f"unbound arguments in subtask {head}")
         entry = dom.table[head] = schema.ground(head.args)
         return entry
     out = []
@@ -117,9 +112,6 @@ def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
             continue
         params = dict(zip((p.name for p in m.params), head.args))
         for b, need, forbid in dom.instances(m.pre, params):
-            if isinstance(b, str):
-                out.append((need, forbid, b, None))
-                continue
             subs = tuple(Task(t.name, tuple(b.get(a, a) for a in t.args))
                          for t in m.subtasks)
             out.append((need, forbid, m.label, shared.setdefault(subs, subs)))
@@ -158,8 +150,6 @@ def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
             raise DomainError(f"no method declared for abstract task {head.name!r}")
         for need, forbid, label, subs in entry:
             if mask & need == need and not mask & forbid:
-                if subs is None:
-                    raise DomainError(label)
                 frontier.append((subs + rest, trace + (label,), depth + 1,
                                  acc | need | forbid))
     return tuple(sorted(results.values(),
@@ -195,8 +185,6 @@ def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
             entry = _ground(dom, head)
         for need, forbid, label, subs in entry:
             if mask & need == need and not mask & forbid:
-                if subs is None:
-                    raise DomainError(label)
                 frontier.append((subs + rest, depth + 1))
     return False
 
@@ -213,15 +201,14 @@ def advance(dom: DomainModel, tn: TaskNetwork, act: GroundAction, bel: BeliefBas
     return matches[0].remainder
 
 
-def _first_primitive_set(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
-                         actor: str) -> frozenset[tuple[str, tuple[str, ...]]]:
+def _first_primitive_set(dom: DomainModel, tn: TaskNetwork,
+                         bel: BeliefBase) -> frozenset[tuple[str, tuple[str, ...]]]:
     return frozenset((r.first_primitive.name, r.first_primitive.args)
-                     for r in available_refinements(dom, tn, bel, actor))
+                     for r in available_refinements(dom, tn, bel, "R"))
 
 
 def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
-                   bel_rh: BeliefBase, tn_rh: TaskNetwork,
-                   actor: str = "R") -> frozenset[Literal]:
+                   bel_rh: BeliefBase, tn_rh: TaskNetwork) -> frozenset[Literal]:
     """Minimal facts to transfer from ``bel_r`` into ``bel_rh`` so that both
     perspectives agree on the set of first primitives the robot may take.
 
@@ -231,10 +218,10 @@ def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
     the full difference).  Raises :class:`AlignmentImpossibleError` when no
     transfer can reconcile structurally diverged agendas.
     """
-    target = _first_primitive_set(dom, tn_r, bel_r, actor)
+    target = _first_primitive_set(dom, tn_r, bel_r)
 
     def aligned(base: BeliefBase) -> bool:
-        return _first_primitive_set(dom, tn_rh, base, actor) == target
+        return _first_primitive_set(dom, tn_rh, base) == target
 
     if aligned(bel_rh):
         return frozenset()
@@ -259,7 +246,7 @@ def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
 
     relevant_atoms = {
         p.atom for base, tn in ((bel_r, tn_r), (bel_rh, tn_rh))
-        for r in feasible_refinements(dom, tn, base, actor)
+        for r in feasible_refinements(dom, tn, base, "R")
         for p in r.first_primitive.pre}
     fallback = [l for l in candidates if l.atom in relevant_atoms]
     if fallback and aligned(transfer(fallback)):

@@ -95,19 +95,15 @@ class EpistemicAction:
 # Ground-truth queries, as mask tests over instances ground once per domain
 
 
-def _compiled(sols: list[tuple]) -> tuple[tuple[int, int, str | None], ...]:
-    """``(need, forbid, error)`` instances of ``dom.instances`` solutions."""
-    return tuple((need, forbid, b if isinstance(b, str) else None)
-                 for b, need, forbid in sols)
+def _compiled(sols: list[tuple]) -> tuple[tuple[int, int], ...]:
+    """``(need, forbid)`` instances of ``dom.instances`` solutions."""
+    return tuple((need, forbid) for _, need, forbid in sols)
 
 
 def _holds(instances: tuple, mask: int) -> bool:
-    """Whether some instance holds in a base with this mask; one whose
-    binding a negative literal leaves open raises once it holds."""
-    for need, forbid, error in instances:
+    """Whether some instance holds in a base with this mask."""
+    for need, forbid in instances:
         if mask & need == need and not mask & forbid:
-            if error is not None:
-                raise DomainError(error)
             return True
     return False
 
@@ -245,7 +241,7 @@ def _apply_robot_event(dom: DomainModel, w: World, e: Event) -> World:
         bel_r = bel_rh
         tn_r = e.remainder
         tn_rh = e.remainder
-    acted = w.acted + (1 if act.ontic else 0)
+    acted = w.acted + 1
     return World(bel_r, bel_h, bel_rh, tn_r, w.tn_h, tn_rh, acted)
 
 
@@ -288,8 +284,7 @@ def product_update(dom: DomainModel, s: EpistemicState,
     co = _copresent(dom, d_source, a.copresence)
 
     budget = s.budget
-    if (a.actor == "R" and d_event.action is not None
-            and d_event.action.ontic and not co):
+    if a.actor == "R" and d_event.action is not None and not co:
         if budget <= 0:
             raise BudgetExceededError(
                 f"hidden action {d_event.action} with no budget left")

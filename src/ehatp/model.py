@@ -171,10 +171,6 @@ class BeliefBase:
         _set(self, "mask", mask)
 
     @classmethod
-    def of(cls, *literals: Literal) -> "BeliefBase":
-        return cls(literals)
-
-    @classmethod
     def from_mask(cls, mask: int) -> "BeliefBase":
         b = _new(cls)
         _set(b, "mask", mask)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Mapping
 
-from ehatp.dsl import OBSERVER, Diagnostic, DomainModel, ParseError
+from ehatp.dsl import OBSERVER, Diagnostic, DomainModel, ParseError, ProblemInstance
 from ehatp.model import (
     BeliefBase,
     DomainError,
@@ -33,6 +33,11 @@ def lit(text: str, *args: str, positive: bool = True) -> Literal:
     argstr = m.group(2)
     parts = tuple(a.strip() for a in argstr.split(",")) if argstr else ()
     return Literal(m.group(1), parts, positive)
+
+
+def base_of(*literals: Literal) -> BeliefBase:
+    """A belief base holding ``literals``: ``base_of(lit("p"), lit("q"))``."""
+    return BeliefBase(literals)
 
 
 def traces(policy: Policy) -> list[tuple[str, ...]]:
@@ -159,3 +164,67 @@ def observable(dom: DomainModel, l: Literal, w: World) -> bool:
         if next(match(w.bel_r, rule.antecedent, binding), None) is not None:
             return True
     return False
+
+
+# --------------------------------------------------------------------------
+# Canonical text of a parsed model (round-trips through the parser)
+
+
+def _fmt_literals(literals: Iterable[Literal]) -> str:
+    return ", ".join(str(l) for l in literals)
+
+
+def pretty_print_domain(dom: DomainModel) -> str:
+    lines = [f"domain {dom.name} {{"]
+    for t in dom.types:
+        lines.append(f"  type {t}")
+    for p in dom.places:
+        lines.append(f"  place {p}")
+    for name, typ in dom.objects:
+        lines.append(f"  object {name} {typ}")
+    for p in dom.predicates:
+        lines.append(f"  predicate {p}")
+    for r in dom.rules:
+        lines.append(f"  rule {r.name}: {r.target} when {_fmt_literals(r.antecedent)}")
+    lines.append(f"  copresent when {_fmt_literals(dom.copresence)}")
+    for a in dom.actions:
+        params = "" if not a.params else "(" + ", ".join(str(p) for p in a.params) + ")"
+        lines.append(f"  action {a.name}{params} by {a.actor} at {a.place} {{")
+        if a.pre:
+            lines.append(f"    pre {_fmt_literals(a.pre)}")
+        if a.adds:
+            lines.append(f"    add {_fmt_literals(a.adds)}")
+        if a.dels:
+            lines.append(f"    del {_fmt_literals(a.dels)}")
+        lines.append("  }")
+    for m in dom.methods:
+        params = "" if not m.params else "(" + ", ".join(str(p) for p in m.params) + ")"
+        lines.append(f"  method {m.task}{params} {m.label} {{")
+        if m.pre:
+            lines.append(f"    pre {_fmt_literals(m.pre)}")
+        if m.subtasks:
+            lines.append(f"    sub {', '.join(str(t) for t in m.subtasks)}")
+        lines.append("  }")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+
+def pretty_print_problem(prob: ProblemInstance) -> str:
+    lines = [f"problem {prob.name} {{"]
+    lines.append(f"  domain {prob.domain_name}")
+    lines.append(f"  k {prob.k}")
+    lines.append(f"  communication {'on' if prob.comm_allowed else 'off'}")
+    lines.append(f"  robot at {prob.robot_place}")
+    lines.append(f"  human at {prob.human_place}")
+    lines.append(f"  task R {prob.root_task_r}")
+    lines.append(f"  task H {prob.root_task_h}")
+    lines.append("  init {")
+    for atom in prob.ground_truth.canonical():
+        if not atom.startswith("at(R,") and not atom.startswith("at(H,"):
+            lines.append(f"    {atom}")
+    lines.append("  }")
+    for d in prob.belief_deltas:
+        lines.append(f"  believe {d}")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -97,6 +97,28 @@ def test_plan_rejects_malformed_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, declaration", [
+    ("rule see_on_table: on(C, P) when at(observer, P)\n",
+     "rule see_on_table: on(C, P) when at(observer, P), not transparent(X)\n",
+     "see_on_table"),
+    ("copresent when at(R, P), at(H, P)\n",
+     "copresent when at(R, P), at(H, P), not holding(A, C)\n",
+     "copresent when"),
+])
+def test_plan_rejects_an_unbound_negative_at_its_declaration(tmp_path, capsys,
+                                                             old, new, declaration):
+    text = load_shipped("cube_org")
+    assert old in text
+    bad = tmp_path / "cube_org.ehatp"
+    bad.write_text(text.replace(old, new))
+    code = main(["plan", "-d", str(bad), "-p", _data_path("p1"),
+                 "-o", str(tmp_path / "x.json")])
+    at = text.index(declaration)
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"{bad}:{line}:{col}: error: variable ")
+
+
 def test_plan_reports_unsolvable_instance(tmp_path, capsys):
     d = tmp_path / "stuck.ehatp"
     p = tmp_path / "hopeless.ehatp"
@@ -114,6 +136,40 @@ def test_policy_file_round_trip(p2_policy):
     again = json.loads(policy.to_json())["nodes"]
     original = json.loads(p2_policy.read_text())["nodes"]
     assert again == original
+
+
+def _leaf(nodes):
+    return next(i for i, n in enumerate(nodes) if not n["children"])
+
+
+# One edit each to a policy file, and the fault the loader names.
+MALFORMED = {
+    "child out of range": (lambda ns: ns[0]["children"].append(99), "lists child 99"),
+    "negative child": (lambda ns: ns[0]["children"].append(-1), "lists child -1"),
+    "leaf back to the root": (lambda ns: ns[_leaf(ns)]["children"].append(0),
+                              "lists child 0"),
+    "no nodes": (lambda ns: ns.clear(), "policy has no nodes"),
+    "id out of place": (lambda ns: ns[1].update(id=7), "node 1 has id 7"),
+    "edge on the root": (lambda ns: ns[0].update(edge="wait"), "node 0 has edge 'wait'"),
+    "no edge below the root": (lambda ns: ns[1].update(edge=None), "node 1 has edge None"),
+    "child listed twice": (lambda ns: ns[0]["children"].append(ns[0]["children"][0]),
+                           "is listed as a child 2 times"),
+    "orphan": (lambda ns: ns[0]["children"].pop(), "is listed as a child 0 times"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_simulate_rejects_a_malformed_policy_file(p2_policy, tmp_path, capsys, case):
+    edit, message = MALFORMED[case]
+    doc = json.loads(p2_policy.read_text())
+    edit(doc["nodes"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        read_policy_file(bad)
+    assert main(["simulate", "-P", str(bad), "--exhaustive"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load policy: ") and message in err
 
 
 # -- exhaustive replay -----------------------------------------------------

@@ -8,12 +8,10 @@ from ehatp.dsl import (
     load_shipped,
     parse_domain,
     parse_problem,
-    pretty_print_domain,
-    pretty_print_problem,
     validate,
 )
 from ehatp.model import Literal
-from helpers import lit
+from helpers import lit, pretty_print_domain, pretty_print_problem
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +58,6 @@ def test_action_grounding(cube):
     assert lit("on(c_r,mt)") in g.pre
     assert g.adds == (lit("holding(R,c_r)"),)
     assert g.dels == (lit("on(c_r,mt)"),)
-    assert g.ontic
 
 
 def test_empty_string_is_syntax_error_at_1_1():

@@ -103,10 +103,24 @@ problem hand1 {
 }
 """
 
-# A rule whose negative antecedent leaves ``P`` unbound once ``label(T)`` holds.
-UNBOUND = HAND.replace(
-    "  copresent when",
-    "  rule guessed: glow(T) when label(T), not focus(H, P)\n  copresent when")
+# Conjunctions whose negative literal names a variable that neither an
+# earlier positive literal nor (for a rule) the target binds: the text, the
+# declaration the parser points at, and its message.
+UNBOUND = {
+    "rule": (HAND.replace("  copresent when",
+                          "  rule guessed: glow(T) when label(T), not focus(H, P)\n  copresent when"),
+             "guessed: glow",
+             "variable 'P' in a negative antecedent of rule guessed is not bound by an "
+             "earlier positive"),
+    "copresent": (HAND.replace("at(H, P), focus(H, P)\n", "at(H, P), not done(T)\n"),
+                  "copresent when",
+                  "variable 'T' in a negative literal of the copresent rule is not bound by an "
+                  "earlier positive"),
+    "method": (HAND.replace("label(U), not done(U)", "not done(V), label(V)"),
+               "work(T thing) paired",
+               "variable 'V' in a negative precondition of work/paired is not bound by an "
+               "earlier positive"),
+}
 
 # A co-presence rule an epistemic action may carry instead of the domain's.
 CARRIED = (lit("at(H,P)"), lit("not focus(H,P)"))
@@ -280,19 +294,11 @@ def test_arguments_outside_the_declared_types_are_rejected(domain, problem, mess
         parse_problem(problem, parse_domain(domain))
 
 
-def test_a_negative_antecedent_left_unbound_raises_once_the_rest_holds():
-    dom = parse_domain(UNBOUND)
-    glow = lit("glow(t1)")
-    labelled = World(*[BeliefBase([lit("at(R,a)"), lit("at(H,b)"), lit("label(t1)")])] * 3)
-    bare = World(*[BeliefBase([lit("at(R,a)"), lit("at(H,b)")])] * 3)
-    seen = World(*[BeliefBase([lit("at(R,a)"), lit("at(H,a)"), lit("focus(H,a)"),
-                               lit("label(t1)")])] * 3)
-    for w, want in ((bare, False), (seen, True)):  # the earlier rule decides
-        assert kernel._observable(dom, glow, w.bel_r.mask) is want
-        assert observable(dom, glow, w) is want
-    for check in (lambda: kernel._observable(dom, glow, labelled.bel_r.mask),
-                  lambda: observable(dom, glow, labelled)):
-        with pytest.raises(DomainError, match="leaves variables"):
-            check()
-    assert (_answer(kernel._observable, dom, glow, labelled.bel_r.mask)
-            == _answer(observable, dom, glow, labelled))
+@pytest.mark.parametrize("kind", sorted(UNBOUND))
+def test_an_unbound_negative_literal_is_rejected_at_its_declaration(kind):
+    text, declaration, message = UNBOUND[kind]
+    with pytest.raises(ParseError) as e:
+        parse_domain(text, filename="hand.ehatp")
+    at = text.index(declaration)
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    assert str(e.value) == f"hand.ehatp:{line}:{col}: error: {message}"

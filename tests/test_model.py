@@ -10,16 +10,16 @@ from ehatp.model import (
     World,
     effect_masks,
 )
-from helpers import lit
+from helpers import base_of, lit
 
 
 def test_entails_membership():
-    base = BeliefBase.of(lit("inside", "c_r", "box_1"))
+    base = base_of(lit("inside", "c_r", "box_1"))
     assert base.entails(lit("inside", "c_r", "box_1")) is True
 
 
 def test_entails_closed_world_negative():
-    base = BeliefBase.of(lit("inside", "c_r", "box_1"))
+    base = base_of(lit("inside", "c_r", "box_1"))
     assert base.entails(lit("inside", "c_r", "box_2", positive=False)) is True
     assert base.entails(lit("inside", "c_r", "box_2")) is False
 
@@ -29,23 +29,23 @@ def test_entails_empty_base():
 
 
 def test_entails_rejects_unbound_variable():
-    base = BeliefBase.of(lit("on", "c_r", "mt"))
+    base = base_of(lit("on", "c_r", "mt"))
     with pytest.raises(MalformedLiteralError):
         base.entails(lit("on", "C", "mt"))
 
 
 def test_base_rejects_negative_members():
     with pytest.raises(MalformedLiteralError):
-        BeliefBase.of(lit("on", "c_r", "mt", positive=False))
+        base_of(lit("on", "c_r", "mt", positive=False))
 
 
 def test_base_rejects_non_ground_members():
     with pytest.raises(MalformedLiteralError):
-        BeliefBase.of(lit("on", "C", "mt"))
+        base_of(lit("on", "C", "mt"))
 
 
 def test_updates_reject_non_ground_atoms():
-    base = BeliefBase.of(lit("on", "c_r", "mt"))
+    base = base_of(lit("on", "c_r", "mt"))
     free = lit("on", "C", "mt")
     with pytest.raises(MalformedLiteralError):
         base.apply_masks(*effect_masks([free], []))
@@ -56,54 +56,54 @@ def test_updates_reject_non_ground_atoms():
 
 
 def test_apply_effects_pick_semantics():
-    base = BeliefBase.of(lit("on", "c_r", "mt"))
+    base = base_of(lit("on", "c_r", "mt"))
     out = base.apply_masks(*effect_masks([lit("holding", "R", "c_r")], [lit("on", "c_r", "mt")]))
-    assert out == BeliefBase.of(lit("holding", "R", "c_r"))
+    assert out == base_of(lit("holding", "R", "c_r"))
 
 
 def test_apply_effects_identity():
-    base = BeliefBase.of(lit("p"))
+    base = base_of(lit("p"))
     assert base.apply_masks(*effect_masks([], [])) == base
 
 
 def test_apply_effects_place_semantics():
-    base = BeliefBase.of(lit("holding", "R", "c_y"))
+    base = base_of(lit("holding", "R", "c_y"))
     out = base.apply_masks(*effect_masks(
         [lit("inside", "c_y", "box_1")], [lit("holding", "R", "c_y")]
     ))
-    assert out == BeliefBase.of(lit("inside", "c_y", "box_1"))
+    assert out == base_of(lit("inside", "c_y", "box_1"))
 
 
 def test_apply_effects_conflict():
     with pytest.raises(ConflictingEffectsError):
         BeliefBase().apply_masks(*effect_masks([lit("p")], [lit("p")]))
-    base = BeliefBase.of(lit("on", "c_r", "mt"), lit("holding", "R", "c_y"))
+    base = base_of(lit("on", "c_r", "mt"), lit("holding", "R", "c_y"))
     with pytest.raises(ConflictingEffectsError):
         base.apply_masks(*effect_masks([lit("on", "c_r", "mt")], [lit("on", "c_r", "mt")]))
 
 
 def test_apply_effects_idempotent_when_subsumed():
-    base = BeliefBase.of(lit("p"), lit("q"))
+    base = base_of(lit("p"), lit("q"))
     out = base.apply_masks(*effect_masks([lit("p")], [lit("r")]))
     assert out == base
 
 
 def test_assign():
-    base = BeliefBase.of(lit("p"))
-    assert base.assign(lit("q"), True) == BeliefBase.of(lit("p"), lit("q"))
+    base = base_of(lit("p"))
+    assert base.assign(lit("q"), True) == base_of(lit("p"), lit("q"))
     assert base.assign(lit("p"), False) == BeliefBase()
 
 
 def test_state_dedup_merges_identical_worlds():
     w = World(
-        bel_r=BeliefBase.of(lit("p")),
-        bel_h=BeliefBase.of(lit("p")),
-        bel_rh=BeliefBase.of(lit("p")),
+        bel_r=base_of(lit("p")),
+        bel_h=base_of(lit("p")),
+        bel_rh=base_of(lit("p")),
     )
     dup = World(
-        bel_r=BeliefBase.of(lit("p")),
-        bel_h=BeliefBase.of(lit("p")),
-        bel_rh=BeliefBase.of(lit("p")),
+        bel_r=base_of(lit("p")),
+        bel_h=base_of(lit("p")),
+        bel_rh=base_of(lit("p")),
     )
     s = EpistemicState.make([w, dup], designated=w, actor="R", budget=2)
     assert len(s.worlds) == 1
@@ -111,8 +111,8 @@ def test_state_dedup_merges_identical_worlds():
 
 
 def test_state_signature_is_order_insensitive():
-    w1 = World(bel_r=BeliefBase.of(lit("p")), bel_h=BeliefBase(), bel_rh=BeliefBase())
-    w2 = World(bel_r=BeliefBase.of(lit("q")), bel_h=BeliefBase(), bel_rh=BeliefBase())
+    w1 = World(bel_r=base_of(lit("p")), bel_h=BeliefBase(), bel_rh=BeliefBase())
+    w2 = World(bel_r=base_of(lit("q")), bel_h=BeliefBase(), bel_rh=BeliefBase())
     a = EpistemicState.make([w1, w2], designated=w1, actor="R", budget=0)
     b = EpistemicState.make([w2, w1], designated=w1, actor="R", budget=0)
     assert a.signature() == b.signature()
@@ -120,7 +120,7 @@ def test_state_signature_is_order_insensitive():
 
 def test_agent_place():
     w = World(
-        bel_r=BeliefBase.of(lit("at", "R", "mt"), lit("at", "H", "ot")),
+        bel_r=base_of(lit("at", "R", "mt"), lit("at", "H", "ot")),
         bel_h=BeliefBase(),
         bel_rh=BeliefBase(),
     )
@@ -129,7 +129,7 @@ def test_agent_place():
 
 def test_agent_place_rejects_two_places():
     w = World(
-        bel_r=BeliefBase.of(lit("at", "R", "mt"), lit("at", "R", "ot")),
+        bel_r=base_of(lit("at", "R", "mt"), lit("at", "R", "ot")),
         bel_h=BeliefBase(),
         bel_rh=BeliefBase(),
     )
@@ -138,7 +138,7 @@ def test_agent_place_rejects_two_places():
 
 
 def test_world_key_includes_networks_and_acted():
-    base = BeliefBase.of(lit("p"))
+    base = base_of(lit("p"))
     w1 = World(bel_r=base, bel_h=base, bel_rh=base, tn_r=(Task("go"),))
     w2 = World(bel_r=base, bel_h=base, bel_rh=base, tn_r=())
     w3 = World(bel_r=base, bel_h=base, bel_rh=base, tn_r=(Task("go"),), acted=1)

@@ -1,0 +1,49 @@
+"""`src/` holds no code that only tests use.
+
+Every public top-level function and class of `src/ehatp`, and every public
+method, must be named somewhere in `src/ehatp` or `planbench` other than its
+own definition: as a name, an attribute, or a part of a dotted string (the
+benchmark's tracer names the functions it wraps that way).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "ehatp").glob("*.py"))
+FILES = SOURCES + sorted((ROOT / "planbench").glob("*.py"))
+DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+
+def _definitions(tree: ast.Module):
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}"
+
+
+def _used(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and DOTTED.fullmatch(node.value)):
+            yield from node.value.split(".")
+
+
+def test_every_public_definition_in_src_is_used_outside_the_tests():
+    used = set()
+    for path in FILES:
+        used.update(_used(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = [f"{path.name}: {name}"
+              for path in SOURCES
+              for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
+              if name.rsplit(".", 1)[-1] not in used]
+    assert unused == []

@@ -21,7 +21,6 @@ from ehatp.dsl import (
     PredicateDecl,
     load_shipped,
     parse_domain,
-    pretty_print_domain,
 )
 from ehatp.htn import (
     _first_primitive_set,
@@ -55,7 +54,7 @@ from ehatp.solver import (
     SearchNode,
     propagate_revised_status,
 )
-from helpers import copresent, lit, observable
+from helpers import base_of, copresent, lit, observable, pretty_print_domain
 
 CUBE = parse_domain(load_shipped("cube_org"))
 CUBES = ("c_r", "c_y", "c_w")
@@ -101,7 +100,7 @@ def cube_truth(layout, r_at, h_at, wrapped, scanned, transparent) -> BeliefBase:
     atoms += [lit("wrapped", c) for c in wrapped]
     atoms += [lit("scanned", p) for p in scanned]
     atoms += [lit("transparent", b) for b in transparent]
-    return BeliefBase.of(*atoms)
+    return base_of(*atoms)
 
 
 layouts = st.tuples(*(st.sampled_from(SPOTS) for _ in CUBES))
@@ -417,8 +416,8 @@ def test_alignment_patch_is_minimal(view):
         assume(False)
     if not diff:
         # An empty patch must mean the views already induce the same options.
-        assert (_first_primitive_set(CUBE, tn_rh, bel_rh, "R")
-                == _first_primitive_set(CUBE, tn, bel_r, "R"))
+        assert (_first_primitive_set(CUBE, tn_rh, bel_rh)
+                == _first_primitive_set(CUBE, tn, bel_r))
         return
     assert alignment_diff(CUBE, bel_r, tn, _transfer(bel_rh, diff),
                           tn_rh) == frozenset()

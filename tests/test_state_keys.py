@@ -21,7 +21,7 @@ from ehatp.cli import write_policy_file
 from ehatp.dsl import load_instance, load_shipped
 from ehatp.model import BeliefBase, EpistemicState, Task, World
 from ehatp.solver import solve
-from helpers import lit
+from helpers import base_of, lit
 
 # Count and SHA-256 of the newline-joined, sorted state signatures of the
 # exhaustive search graph, recorded with string keys before the rewrite.
@@ -42,7 +42,7 @@ def test_exhaustive_graph_matches_frozen_digest(name):
 
 
 def test_describe_orders_worlds_by_their_text():
-    b = BeliefBase.of(lit("p"))
+    b = base_of(lit("p"))
     later = World(b, b, b, tn_r=(Task("zz"),))
     earlier = World(b, b, b, tn_r=(Task("aa"),), acted=1, distinguishable=True)
     s = EpistemicState.make([later, earlier], designated=later, actor="H",
