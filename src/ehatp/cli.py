@@ -381,11 +381,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except ParseError as e:
         print(e, file=sys.stderr)
         return 1
-    diags = validate(dom, prob, filename=args.domain)
-    for d in diags:
+    for d in validate(dom, prob, filename=args.domain):
         print(d, file=sys.stderr)
-    if any(d.severity == "error" for d in diags):
-        return 1
 
     res = solve(dom, prob)
     if res.policy is None:

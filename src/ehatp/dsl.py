@@ -10,9 +10,12 @@ comment.  Identifiers beginning with an uppercase letter are variables,
 except the reserved agent names `R` and `H`.
 
 Parsing is deterministic and raises :class:`ParseError` (a diagnostic with
-file/line/column) on the first syntax or reference error; whole-model checks
-that produce warnings live in :func:`validate`.  In every conjunction the
-planner grounds, an earlier positive literal must bind each negative's variables.
+file/line/column) on the first error, so every entry point rejects a
+malformed model the same way: syntax, references, types, a knowledge rule on
+an inferable-only predicate, a name that is both an action and a method task,
+and a recursive task decomposition.  In every conjunction the planner grounds,
+an earlier positive literal must bind each negative's variables.
+:func:`validate` only warns about conventions and notes false beliefs.
 """
 
 from __future__ import annotations
@@ -475,10 +478,7 @@ class _DomainParser(_Parser):
         self._decl_tok[f"{kind}:{name}"] = tok
 
     def _ref_error(self, kind: str, name: str, message: str) -> ParseError:
-        tok = self._decl_tok.get(f"{kind}:{name}")
-        if tok is not None:
-            return self.error(tok, message)
-        return ParseError(Diagnostic(self.filename, 0, 0, "error", message))
+        return self.error(self._decl_tok[f"{kind}:{name}"], message)
 
     def parse_type(self, types: list[str], what: str) -> str:
         """A built-in type or one of the declared ``types``."""
@@ -661,6 +661,10 @@ class _DomainParser(_Parser):
         for rule in dom.rules:
             bound: dict[str, str] = {}
             check_literal(rule.target, "rule", rule.name, f"rule {rule.name}", bound)
+            if not dom.predicate(rule.target.pred).observable:
+                raise self._ref_error("rule", rule.name,
+                                      f"knowledge rule {rule.name!r} targets inferable-only "
+                                      f"predicate {rule.target.pred!r}")
             check_conjunction(rule.antecedent, "rule", rule.name, f"rule {rule.name}",
                               f"antecedent of rule {rule.name}", bound)
 
@@ -682,8 +686,14 @@ class _DomainParser(_Parser):
                                                   f"variable {arg!r} in action {act.name} is not a parameter")
 
         task_names = dom.task_names()
+        edges: dict[str, set[str]] = {}  # each task to the tasks its methods expand into
         for m in dom.methods:
             mkey = f"{m.task}/{m.label}"
+            if dom.action(m.task) is not None:
+                raise self._ref_error("method", mkey,
+                                      f"{m.task!r} is both an action and a method task name")
+            edges.setdefault(m.task, set()).update(
+                st.name for st in m.subtasks if st.name in task_names)
             bound = {p.name: p.type for p in m.params}
             check_conjunction(m.pre, "method", mkey, f"method {mkey}", f"precondition of {mkey}", bound)
             for st in m.subtasks:
@@ -703,6 +713,29 @@ class _DomainParser(_Parser):
                 why = _argument_type_error(dom, st, bound)
                 if why is not None:
                     raise self._ref_error("method", mkey, f"subtask {why} in {mkey}")
+
+        # Decomposition must terminate: one depth-first pass over the task
+        # graph, in name order, rejects the first cycle it meets.
+        on_path: dict[str, bool] = {}  # True while on the path, False once left
+        for start in sorted(edges):
+            if start in on_path:
+                continue
+            path, stack = [start], [iter(sorted(edges[start]))]
+            on_path[start] = True
+            while stack:
+                nxt = next(stack[-1], None)
+                if nxt is None:
+                    stack.pop()
+                    on_path[path.pop()] = False
+                elif on_path.get(nxt):
+                    cycle = path[path.index(nxt):] + [nxt]
+                    first = dom.methods_for(nxt)[0]
+                    raise self._ref_error("method", f"{first.task}/{first.label}",
+                                          f"recursive task decomposition: {' -> '.join(cycle)}")
+                elif nxt not in on_path:
+                    on_path[nxt] = True
+                    path.append(nxt)
+                    stack.append(iter(sorted(edges[nxt])))
 
 
 def _argument_type_error(dom: DomainModel, task: Task, types: dict[str, str]) -> str | None:
@@ -760,7 +793,9 @@ class _ProblemParser(_Parser):
             elif self.at_keyword("k"):
                 self.next()
                 num = self.next()
-                if num[0] != "int":
+                # ``int()`` takes only decimal digits; the lexer also reads
+                # ``²`` as one.
+                if num[0] != "int" or not num[1].lstrip("-").isdecimal():
                     raise self.error(num, "expected an integer after 'k'")
                 k = int(num[1])
                 if k < 0:
@@ -876,15 +911,15 @@ def parse_problem(text: str, dom: DomainModel, filename: str = "<problem>") -> P
 
 
 # --------------------------------------------------------------------------
-# Validation (whole-model diagnostics; parse already rejects broken references)
+# Validation (warnings and notes; every error is raised by the parser)
 
 
 def validate(dom: DomainModel, prob: ProblemInstance | None = None,
              filename: str = "<domain>") -> list[Diagnostic]:
+    """Warnings about conventions a parsed model may break, and a note for
+    each initial false belief of ``prob``'s human.  Never an error: the
+    parser rejects every malformed model with a positioned diagnostic."""
     out: list[Diagnostic] = []
-
-    def err(msg: str) -> None:
-        out.append(Diagnostic(filename, 0, 0, "error", msg))
 
     def warn(msg: str) -> None:
         out.append(Diagnostic(filename, 0, 0, "warning", msg))
@@ -893,46 +928,9 @@ def validate(dom: DomainModel, prob: ProblemInstance | None = None,
     for p in dom.predicates:
         if p.observable and p.name not in ruled:
             warn(f"observable predicate {p.name!r} has no knowledge rule")
-    for r in dom.rules:
-        decl = dom.predicate(r.target.pred)
-        if decl is not None and not decl.observable:
-            err(f"knowledge rule {r.name!r} targets inferable-only predicate {r.target.pred!r}")
     for l in dom.copresence:
         if l.pred != "at":
             warn(f"copresent rule references {l.pred!r}; only agent positions are conventional")
-
-    task_names = dom.task_names()
-    for t in sorted(task_names):
-        if dom.action(t) is not None:
-            err(f"{t!r} is both an action and a method task name")
-
-    # Reject recursive method structure: decomposition must terminate.
-    edges: dict[str, set[str]] = {}
-    for m in dom.methods:
-        edges.setdefault(m.task, set()).update(
-            st.name for st in m.subtasks if st.name in task_names)
-    done: set[str] = set()
-    for start in sorted(edges):
-        stack, path = [(start, iter(sorted(edges.get(start, ()))))], [start]
-        on_path = {start}
-        while stack:
-            node, it = stack[-1]
-            nxt = next(it, None)
-            if nxt is None:
-                stack.pop()
-                path.pop()
-                on_path.discard(node)
-                done.add(node)
-                continue
-            if nxt in on_path:
-                cycle = path[path.index(nxt):] + [nxt]
-                err(f"recursive task decomposition: {' -> '.join(cycle)}")
-                done.update(on_path)
-                stack.clear()
-            elif nxt not in done:
-                stack.append((nxt, iter(sorted(edges.get(nxt, ())))))
-                path.append(nxt)
-                on_path.add(nxt)
 
     if prob is not None:
         for d in prob.belief_deltas:

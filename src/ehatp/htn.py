@@ -26,11 +26,6 @@ from .model import (
     atoms_of,
 )
 
-# Expansion of one network may not nest methods deeper than this; the
-# validator already rejects recursive methods, so hitting it means a bug.
-_MAX_DEPTH = 64
-
-
 @dataclass(frozen=True, slots=True)
 class Refinement:
     first_primitive: GroundAction
@@ -124,14 +119,11 @@ def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
     mask = bel.mask
     table = dom.table
     results: dict[tuple, Refinement] = {}
-    frontier: list[tuple[TaskNetwork, tuple[str, ...], int, int]] = [
-        (tuple(tn), (), 0, 0)]
+    frontier: list[tuple[TaskNetwork, tuple[str, ...], int]] = [(tuple(tn), (), 0)]
     while frontier:
-        agenda, trace, depth, acc = frontier.pop()
+        agenda, trace, acc = frontier.pop()
         if not agenda:
             continue
-        if depth > _MAX_DEPTH:
-            raise DomainError(f"decomposition of {agenda[0]} exceeds depth {_MAX_DEPTH}")
         head, rest = agenda[0], agenda[1:]
         entry = table.get(head)
         if entry is None:
@@ -150,8 +142,7 @@ def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
             raise DomainError(f"no method declared for abstract task {head.name!r}")
         for need, forbid, label, subs in entry:
             if mask & need == need and not mask & forbid:
-                frontier.append((subs + rest, trace + (label,), depth + 1,
-                                 acc | need | forbid))
+                frontier.append((subs + rest, trace + (label,), acc | need | forbid))
     return tuple(sorted(results.values(),
                         key=lambda r: (str(r.first_primitive),
                                        tuple(map(str, r.remainder)), r.trace)))
@@ -168,13 +159,13 @@ def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
                 actor: str) -> bool:
     mask = bel.mask
     table = dom.table
-    frontier: list[tuple[TaskNetwork, int]] = [(tuple(tn), 0)]
+    frontier: list[TaskNetwork] = [tuple(tn)]
     seen = set()
     while frontier:
-        agenda, depth = frontier.pop()
+        agenda = frontier.pop()
         if not agenda:
             return True
-        if depth > _MAX_DEPTH or agenda in seen:
+        if agenda in seen:
             continue
         seen.add(agenda)
         head, rest = agenda[0], agenda[1:]
@@ -185,7 +176,7 @@ def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
             entry = _ground(dom, head)
         for need, forbid, label, subs in entry:
             if mask & need == need and not mask & forbid:
-                frontier.append((subs + rest, depth + 1))
+                frontier.append(subs + rest)
     return False
 
 

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -67,7 +68,6 @@ def p2_policy(tmp_path_factory):
 
 def _data_path(name):
     import ehatp
-    from pathlib import Path
     return str(Path(ehatp.__file__).parent / "data" / f"{name}.ehatp")
 
 
@@ -117,6 +117,30 @@ def test_plan_rejects_an_unbound_negative_at_its_declaration(tmp_path, capsys,
     line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
     assert code == 1
     assert capsys.readouterr().err.startswith(f"{bad}:{line}:{col}: error: variable ")
+
+
+def test_a_recursive_domain_is_rejected_by_simulate_and_plan(tmp_path, capsys):
+    """Two methods that expand into each other, spliced into the domain a
+    frozen policy file embeds: every entry point rejects them at the first."""
+    golden = Path(__file__).resolve().parents[1] / "planbench" / "golden" / "p2.policy.json"
+    doc = json.loads(golden.read_text(encoding="utf-8"))
+    end = doc["domain"].rindex("}")
+    text = doc["domain"] = (doc["domain"][:end] + "  method loop_a la {\n    sub loop_b\n  }\n"
+                            "  method loop_b lb {\n    sub loop_a\n  }\n" + doc["domain"][end:])
+    at = text.index("loop_a la")
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    error = f"{line}:{col}: error: recursive task decomposition: loop_a -> loop_b -> loop_a"
+
+    policy = tmp_path / "p2.policy.json"
+    policy.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "-P", str(policy), "--exhaustive"]) == 1
+    assert capsys.readouterr().err == f"error: cannot load policy: {policy}#domain:{error}\n"
+
+    dom, prob = tmp_path / "cube_org.ehatp", tmp_path / "p2.ehatp"
+    dom.write_text(text, encoding="utf-8")
+    prob.write_text(doc["problem"], encoding="utf-8")
+    assert main(["plan", "-d", str(dom), "-p", str(prob), "-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"{dom}:{error}\n"
 
 
 def test_plan_reports_unsolvable_instance(tmp_path, capsys):

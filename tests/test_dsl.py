@@ -164,6 +164,14 @@ problem bad {
     assert "k" in str(e.value)
 
 
+def test_a_non_decimal_digit_after_k_is_rejected(cube):
+    """``²`` lexes as a digit, but ``int()`` reads only decimal ones."""
+    text = load_shipped("p3").replace("k 2", "k ²a2")
+    with pytest.raises(ParseError) as e:
+        parse_problem(text, cube, "p3.ehatp")
+    assert str(e.value) == "p3.ehatp:4:5: error: expected an integer after 'k'"
+
+
 def test_missing_fields_reported(cube):
     with pytest.raises(ParseError) as e:
         parse_problem("problem p { domain cube_org }", cube)
@@ -202,24 +210,6 @@ def test_validate_clean_on_shipped_pairs():
         assert validate(dom, prob) == [], name
 
 
-def test_validate_rule_on_inferable_predicate():
-    text = """
-domain d {
-  place mt
-  predicate hidden(place) inferable
-  rule peek: hidden(P) when at(observer, P)
-  action a() by R at mt {
-    add hidden(mt)
-  }
-}
-"""
-    # 'at' must exist for the antecedent.
-    text = text.replace("predicate hidden", "predicate at(agent, place) inferable\n  predicate hidden")
-    dom = parse_domain(text)
-    diags = validate(dom)
-    assert any(d.severity == "error" and "inferable" in d.message for d in diags)
-
-
 def test_validate_observable_without_rule_warns():
     text = """
 domain d {
@@ -234,24 +224,59 @@ domain d {
     assert any(d.severity == "warning" and "glow" in d.message for d in diags)
 
 
-def test_validate_recursive_methods_rejected():
-    text = """
+# The errors a whole model can have, each raised at the declaration named.
+MODEL_ERRORS = {
+    "inferable-rule-target": ("""\
 domain d {
   place mt
-  predicate p(place) inferable
+  predicate hidden(place) inferable
+  rule peek: hidden(P) when at(observer, P)
+}
+""", "d.ehatp:4:8: error: knowledge rule 'peek' targets inferable-only predicate 'hidden'"),
+    "action-and-method-task": ("""\
+domain d {
+  place mt
   action a() by R at mt {
-    add p(mt)
+  }
+  method b m0 {
+    sub a
+  }
+  method a m1 {
+  }
+  method a m2 {
+    sub a
+  }
+}
+""", "d.ehatp:8:10: error: 'a' is both an action and a method task name"),
+    "recursion": ("""\
+domain d {
+  place mt
+  action a() by R at mt {
+  }
+  method t0 m0 {
+    sub t2
+  }
+  method t2 m2 {
+    sub a, t1
   }
   method t1 m1 {
     sub t2
   }
-  method t2 m2 {
-    sub t1
+  method t1 m1b {
   }
 }
-"""
-    diags = validate(parse_domain(text))
-    assert any("recursive" in d.message for d in diags)
+""", "d.ehatp:8:10: error: recursive task decomposition: t2 -> t1 -> t2"),
+    "self-recursion": ("domain d {\n  place mt\n  method t0 m0 {\n    sub t0\n  }\n}\n",
+                       "d.ehatp:3:10: error: recursive task decomposition: t0 -> t0"),
+}
+
+
+@pytest.mark.parametrize("case", MODEL_ERRORS)
+def test_a_model_error_is_raised_at_its_declaration(case):
+    text, expected = MODEL_ERRORS[case]
+    with pytest.raises(ParseError) as e:
+        parse_domain(text, "d.ehatp")
+    assert str(e.value) == expected
 
 
 def test_unresolvable_subtask_rejected_at_parse():

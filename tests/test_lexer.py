@@ -10,7 +10,7 @@ import re
 from importlib import resources
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ehatp.dsl import (
@@ -61,9 +61,13 @@ def test_lexer_matches_the_reference(text):
     assert _lexed(text) == _reference(text)
 
 
+P3 = next(p for p in SHIPPED if p.name == "p3.ehatp")
+
+
 @CASES
 @given(st.sampled_from(SHIPPED), st.integers(min_value=0),
        st.lists(st.sampled_from(PIECES), min_size=1, max_size=4).map("".join))
+@example(path=P3, at=P3.read_text(encoding="utf-8").index("k 2") + 2, piece="²a")
 def test_spliced_files_lex_and_report_as_the_reference(path, at, piece):
     """An edit anywhere in a shipped file lexes as the reference does, and a
     syntax error it causes points at the start of a reference token."""
@@ -83,7 +87,7 @@ def test_spliced_files_lex_and_report_as_the_reference(path, at, piece):
             parse_problem(text, DOMAINS[domain.group(1)], "f")
     except ParseError as e:
         d = e.diagnostic
-        assert (d.line, d.col) in starts | {(0, 0)}, str(e)
+        assert (d.line, d.col) in starts, str(e)
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
