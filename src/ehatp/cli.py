@@ -28,7 +28,7 @@ from .dsl import (
     parse_problem,
     validate,
 )
-from .htn import available_refinements
+from .htn import feasible_refinements
 from .kernel import initial_state, state_copresent, with_call_memo
 from .model import EpistemicState
 from .solver import (
@@ -147,7 +147,7 @@ def _universally_applicable(dom: DomainModel, s: EpistemicState,
                             label: str) -> bool:
     """The human action is a feasible next step under every world's bel_h."""
     return all(any(str(r.first_primitive) == label
-                   for r in available_refinements(dom, w.tn_h, w.bel_h, "H"))
+                   for r in feasible_refinements(dom, w.tn_h, w.bel_h))
                for w in s.worlds)
 
 
@@ -351,7 +351,7 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             if reply == "q":
                 print("stopped.")
                 return 1
-            pick = int(reply) if reply.isdigit() else hint
+            pick = int(reply) if reply.isdecimal() else hint
             if not 1 <= pick <= len(options):
                 pick = hint
             label = options[pick - 1]

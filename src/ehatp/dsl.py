@@ -604,6 +604,8 @@ class _DomainParser(_Parser):
         task = self.expect_ident("a task name")
         params = self.parse_parens(self.parse_param)
         label = self.expect_ident("a method label")
+        if f"method:{task[1]}/{label[1]}" in self._decl_tok:
+            raise self.error(label, f"duplicate method label {label[1]!r} for task {task[1]!r}")
         self._remember("method", f"{task[1]}/{label[1]}", task)
         self.expect_punct("{")
         pre: tuple[Literal, ...] = ()
@@ -748,12 +750,37 @@ def _argument_type_error(dom: DomainModel, task: Task, types: dict[str, str]) ->
     schema = dom.action(task.name)
     if schema is not None and len(schema.params) != len(task.args):
         return f"{task} expects {len(schema.params)} arguments"
-    for params in ([schema.params] if schema is not None else
-                   [m.params for m in dom.methods_for(task.name) if len(m.params) == len(task.args)]):
+    fitting = ([schema.params] if schema is not None else
+               [m.params for m in dom.methods_for(task.name) if len(m.params) == len(task.args)])
+    if not fitting:
+        return f"{task} has no method taking {len(task.args)} arguments"
+    for params in fitting:
         for arg, p in zip(task.args, params):
             have = types.get(arg) if is_variable(arg) else dom.constant_type(arg)
             if have != p.type:
                 return f"argument {arg!r} of {task} has type {have!r}, expected {p.type!r}"
+    return None
+
+
+def _foreign_action(dom: DomainModel, task: Task, agent: str) -> ActionSchema | None:
+    """The nearest action of the agent other than ``agent`` that ``task``
+    can decompose to, or None: one breadth-first pass, in declaration order,
+    over the ``(name, arity)`` pairs reachable through methods that fit."""
+    todo = [(task.name, len(task.args))]
+    seen = set(todo)
+    for name, arity in todo:  # ``todo`` grows while it is walked
+        schema = dom.action(name)
+        if schema is not None:
+            if schema.actor != agent:
+                return schema
+            continue
+        for m in dom.methods_for(name):
+            if len(m.params) == arity:
+                for st in m.subtasks:
+                    key = (st.name, len(st.args))
+                    if key not in seen:
+                        seen.add(key)
+                        todo.append(key)
     return None
 
 
@@ -828,6 +855,12 @@ class _ProblemParser(_Parser):
                 why = _argument_type_error(self.dom, t, {})
                 if why is not None:
                     raise self.error(head, f"root task {why}")
+                # An agenda is refined for its owner alone, so it may reach
+                # only that agent's actions.
+                foreign = _foreign_action(self.dom, t, actor[1])
+                if foreign is not None:
+                    raise self.error(head, f"root task {t.name!r} of {actor[1]} decomposes to "
+                                           f"{foreign.name!r}, an action of {foreign.actor}")
                 if actor[1] == "R":
                     task_r = t
                 else:

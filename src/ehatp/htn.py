@@ -15,16 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from .dsl import DomainModel, GroundAction
-from .model import (
-    AlignmentImpossibleError,
-    BeliefBase,
-    DomainError,
-    InconsistentAdvanceError,
-    Literal,
-    Task,
-    TaskNetwork,
-    atoms_of,
-)
+from .model import BeliefBase, Literal, Task, TaskNetwork, atoms_of
 
 @dataclass(frozen=True, slots=True)
 class Refinement:
@@ -44,48 +35,29 @@ class Refinement:
         return f"{self.first_primitive} :: [{rest}]"
 
 
-_MISS = object()
+def _memoized(kind: str, fn, dom: DomainModel, tn: TaskNetwork, bel: BeliefBase):
+    """``fn(dom, tn, bel)``, computed once per ``dom.memo``.
 
-
-def _memoized(kind: str, fn, dom: DomainModel, tn: TaskNetwork,
-              bel: BeliefBase, actor: str):
-    """``fn(dom, tn, bel, actor)``, computed once per ``dom.memo``.
-
-    A refinement depends only on the agenda, the base and the actor, so a
-    repeat within one search or replay is answered from the memo; a raised
-    :class:`DomainError` is remembered and raised again.
+    A refinement depends only on the agenda and the base, so a repeat within
+    one search or replay is answered from the memo.
     """
-    key = (kind, tn, bel.mask, actor)
-    hit = dom.memo.get(key, _MISS)
-    if hit is _MISS:
-        try:
-            hit = fn(dom, tn, bel, actor)
-        except DomainError as e:
-            hit = e
-        dom.memo[key] = hit
-    if isinstance(hit, DomainError):
-        raise hit.with_traceback(None)
+    key = (kind, tn, bel.mask)
+    hit = dom.memo.get(key)
+    if hit is None:  # neither query answers None
+        hit = dom.memo[key] = fn(dom, tn, bel)
     return hit
 
 
-def feasible_refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
-                         actor: str) -> tuple[Refinement, ...]:
+def feasible_refinements(dom: DomainModel, tn: TaskNetwork,
+                         bel: BeliefBase) -> tuple[Refinement, ...]:
     """Every way to decompose ``tn`` down to an applicable first action.
 
     The result is exhaustive over method choices and deterministic; an
-    empty tuple means the actor cannot act on this agenda under ``bel``.
+    empty tuple means the agenda's owner cannot act on it under ``bel``.
+    Every action it reaches belongs to that one owner: the parser rejects a
+    root task that decomposes to the other agent's action.
     """
-    return _memoized("refine", _refinements, dom, tuple(tn), bel, actor)
-
-
-def available_refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
-                          actor: str) -> tuple[Refinement, ...]:
-    """``feasible_refinements``, reading an agenda that raises
-    :class:`DomainError` as one the actor has no option on."""
-    try:
-        return feasible_refinements(dom, tn, bel, actor)
-    except DomainError:
-        return ()
+    return _memoized("refine", _refinements, dom, tuple(tn), bel)
 
 
 def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
@@ -114,8 +86,8 @@ def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
     return entry
 
 
-def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
-                 actor: str) -> tuple[Refinement, ...]:
+def _refinements(dom: DomainModel, tn: TaskNetwork,
+                 bel: BeliefBase) -> tuple[Refinement, ...]:
     mask = bel.mask
     table = dom.table
     results: dict[tuple, Refinement] = {}
@@ -129,17 +101,11 @@ def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
         if entry is None:
             entry = _ground(dom, head)
         if type(entry) is GroundAction:
-            if entry.actor != actor:
-                raise DomainError(
-                    f"task decomposes to {head.name!r}, an action of {entry.actor}, "
-                    f"while refining for {actor}")
             need, forbid = entry.pre_masks()
             if mask & need == need and not mask & forbid:
                 ref = Refinement(entry, rest, trace, acc | need | forbid)
                 results.setdefault(ref.key(), ref)
             continue
-        if not entry and not dom.methods_for(head.name):
-            raise DomainError(f"no method declared for abstract task {head.name!r}")
         for need, forbid, label, subs in entry:
             if mask & need == need and not mask & forbid:
                 frontier.append((subs + rest, trace + (label,), acc | need | forbid))
@@ -148,15 +114,13 @@ def _refinements(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
                                        tuple(map(str, r.remainder)), r.trace)))
 
 
-def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
-                           actor: str) -> bool:
+def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase) -> bool:
     """True iff the agenda can reach empty through zero-primitive methods:
-    nothing is left that would require ``actor`` to act under ``bel``."""
-    return _memoized("done", _decomposed, dom, tuple(tn), bel, actor)
+    nothing is left that would require its owner to act under ``bel``."""
+    return _memoized("done", _decomposed, dom, tuple(tn), bel)
 
 
-def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
-                actor: str) -> bool:
+def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase) -> bool:
     mask = bel.mask
     table = dom.table
     frontier: list[TaskNetwork] = [tuple(tn)]
@@ -180,34 +144,34 @@ def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase,
     return False
 
 
-def advance(dom: DomainModel, tn: TaskNetwork, act: GroundAction, bel: BeliefBase,
-            actor: str) -> TaskNetwork:
+def advance(dom: DomainModel, tn: TaskNetwork, act: GroundAction,
+            bel: BeliefBase) -> TaskNetwork:
     """The agenda remaining after executing ``act`` as the first primitive
-    of one of ``tn``'s feasible refinements."""
-    matches = [r for r in feasible_refinements(dom, tn, bel, actor)
-               if r.first_primitive.name == act.name
-               and r.first_primitive.args == act.args]
-    if not matches:
-        raise InconsistentAdvanceError(f"{act} is not derivable from [{', '.join(map(str, tn))}]")
-    return matches[0].remainder
+    of one of ``tn``'s feasible refinements, or ``tn`` itself when ``act``
+    is not derivable from it (an agenda ascribed to the robot that the
+    robot's real step does not follow)."""
+    for r in feasible_refinements(dom, tn, bel):
+        if r.first_primitive.name == act.name and r.first_primitive.args == act.args:
+            return r.remainder
+    return tn
 
 
 def _first_primitive_set(dom: DomainModel, tn: TaskNetwork,
                          bel: BeliefBase) -> frozenset[tuple[str, tuple[str, ...]]]:
     return frozenset((r.first_primitive.name, r.first_primitive.args)
-                     for r in available_refinements(dom, tn, bel, "R"))
+                     for r in feasible_refinements(dom, tn, bel))
 
 
 def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
-                   bel_rh: BeliefBase, tn_rh: TaskNetwork) -> frozenset[Literal]:
+                   bel_rh: BeliefBase, tn_rh: TaskNetwork) -> frozenset[Literal] | None:
     """Minimal facts to transfer from ``bel_r`` into ``bel_rh`` so that both
     perspectives agree on the set of first primitives the robot may take.
 
     Candidates come from the symmetric difference of the two bases, each
     stated with ``bel_r``'s polarity; subsets are tried in increasing size
     (capped at 4, then falling back to the precondition-relevant part of
-    the full difference).  Raises :class:`AlignmentImpossibleError` when no
-    transfer can reconcile structurally diverged agendas.
+    the full difference).  None when no transfer can reconcile structurally
+    diverged agendas.
     """
     target = _first_primitive_set(dom, tn_r, bel_r)
 
@@ -227,8 +191,7 @@ def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
         return base
 
     if not aligned(transfer(candidates)):
-        raise AlignmentImpossibleError(
-            "perspectives disagree structurally; no fact transfer aligns them")
+        return None
 
     for size in range(1, min(4, len(candidates)) + 1):
         for subset in itertools.combinations(candidates, size):
@@ -237,7 +200,7 @@ def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
 
     relevant_atoms = {
         p.atom for base, tn in ((bel_r, tn_r), (bel_rh, tn_rh))
-        for r in feasible_refinements(dom, tn, base, "R")
+        for r in feasible_refinements(dom, tn, base)
         for p in r.first_primitive.pre}
     fallback = [l for l in candidates if l.atom in relevant_atoms]
     if fallback and aligned(transfer(fallback)):

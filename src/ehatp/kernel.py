@@ -15,14 +15,13 @@ import sys
 from dataclasses import dataclass, replace
 
 from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
-from .htn import Refinement, advance, available_refinements
+from .htn import Refinement, advance, feasible_refinements
 from .model import (
     AGENTS,
     BeliefBase,
     BudgetExceededError,
     DomainError,
     EpistemicState,
-    InconsistentAdvanceError,
     Literal,
     NoEventError,
     TaskNetwork,
@@ -163,12 +162,6 @@ def initial_state(dom: DomainModel, prob: ProblemInstance) -> EpistemicState:
     return EpistemicState.make([w], w, actor="H", budget=prob.k)
 
 
-def _anticipated(dom: DomainModel, w: World, allow_ontic: bool) -> tuple[Refinement, ...]:
-    if not allow_ontic:
-        return ()
-    return available_refinements(dom, w.tn_rh, w.bel_rh, "R")
-
-
 def build_epistemic_action(dom: DomainModel, s: EpistemicState,
                            choice: Refinement | None, k: int) -> EpistemicAction:
     """Lift one concrete choice of the current actor into an epistemic action.
@@ -199,8 +192,9 @@ def build_epistemic_action(dom: DomainModel, s: EpistemicState,
         key = ("anticipate", w._key, allow)
         anticipated = dom.memo.get(key)
         if anticipated is None:
+            refs = feasible_refinements(dom, w.tn_rh, w.bel_rh) if allow else ()
             anticipated = [Event(r.first_primitive, w.wid, False, r.remainder)
-                           for r in _anticipated(dom, w, allow_ontic=allow)]
+                           for r in refs]
             anticipated.append(Event(None, w.wid, False, w.tn_rh))
             anticipated = dom.memo[key] = tuple(anticipated)
         events.extend(anticipated)
@@ -217,14 +211,6 @@ def _same_act(a: GroundAction | None, b: GroundAction | None) -> bool:
     return a.name == b.name and a.args == b.args
 
 
-def _advance_or_keep(dom: DomainModel, tn: TaskNetwork, act: GroundAction,
-                     bel: BeliefBase, actor: str) -> TaskNetwork:
-    try:
-        return advance(dom, tn, act, bel, actor)
-    except (InconsistentAdvanceError, DomainError):
-        return tn
-
-
 def _apply_robot_event(dom: DomainModel, w: World, e: Event) -> World:
     if e.action is None:
         return w
@@ -235,7 +221,7 @@ def _apply_robot_event(dom: DomainModel, w: World, e: Event) -> World:
     if e.designated:
         bel_r = w.bel_r.apply_masks(add, drop)
         tn_r = e.remainder
-        tn_rh = _advance_or_keep(dom, w.tn_rh, act, w.bel_rh, "R")
+        tn_rh = advance(dom, w.tn_rh, act, w.bel_rh)
     else:
         # Hypothetical course: its ground truth is the human's projection.
         bel_r = bel_rh
@@ -276,7 +262,8 @@ def product_update(dom: DomainModel, s: EpistemicState,
     While the agents share a place, witnessing settles the robot's move: a
     successor whose event differs from the designated action is marked for
     removal at the next assessment.  A hidden ontic robot action spends one
-    unit of budget; running dry raises :class:`BudgetExceededError`.
+    unit of budget; running dry raises :class:`BudgetExceededError`, which
+    the search never meets, as it offers such a step only with budget left.
     """
     by_wid = {w.wid: w for w in s.worlds}
     d_event = a.designated_event

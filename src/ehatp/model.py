@@ -33,15 +33,7 @@ class ConflictingEffectsError(EhatpError):
 
 
 class DomainError(EhatpError):
-    """Structural problem in a domain model (e.g. task with no method)."""
-
-
-class InconsistentAdvanceError(EhatpError):
-    pass
-
-
-class AlignmentImpossibleError(EhatpError):
-    pass
+    """A step the model cannot take (e.g. an inapplicable designated action)."""
 
 
 class NoEventError(EhatpError):

@@ -27,8 +27,8 @@ from .dsl import DomainModel, ProblemInstance
 from .htn import (
     Refinement,
     alignment_diff,
-    available_refinements,
     effectively_decomposed,
+    feasible_refinements,
 )
 from .kernel import (
     _trace_enabled,
@@ -39,15 +39,7 @@ from .kernel import (
     state_copresent,
     with_call_memo,
 )
-from .model import (
-    AlignmentImpossibleError,
-    BudgetExceededError,
-    DomainError,
-    EhatpError,
-    EpistemicState,
-    Literal,
-    atoms_of,
-)
+from .model import EhatpError, EpistemicState, Literal, atoms_of
 
 UNKNOWN = "UNKNOWN"
 DONE = "DONE"
@@ -78,9 +70,9 @@ def evaluate_state(dom: DomainModel, s: EpistemicState) -> str:
     """DONE iff, in every world, all three agendas can reach empty without
     another action; otherwise DEAD (meaning: not finished as it stands)."""
     for w in s.worlds:
-        if not (effectively_decomposed(dom, w.tn_r, w.bel_r, "R")
-                and effectively_decomposed(dom, w.tn_h, w.bel_h, "H")
-                and effectively_decomposed(dom, w.tn_rh, w.bel_rh, "R")):
+        if not (effectively_decomposed(dom, w.tn_r, w.bel_r)
+                and effectively_decomposed(dom, w.tn_h, w.bel_h)
+                and effectively_decomposed(dom, w.tn_rh, w.bel_rh)):
             return DEAD
     return DONE
 
@@ -99,7 +91,8 @@ def synthesize_communication(dom: DomainModel, s: EpistemicState, p: Literal,
     resulting state twice, once with each agent to move: as the outcome of a
     question (robot answers, robot's turn follows) and of a volunteered fact
     (human's turn follows).  Raises :class:`EhatpError` when the exchange
-    would change nothing.
+    would change nothing: the search asks only about facts some world
+    disagrees on, so that is a broken invariant, not an option to skip.
     """
     atom = p if p.positive else p.negate()
     d = s.designated_world
@@ -136,7 +129,7 @@ def _uniform_human_refinements(dom: DomainModel,
                                s: EpistemicState) -> list[Refinement]:
     """Refinements of the human agenda that exist in every world, in the
     designated world's order."""
-    per_world = [{r.key(): r for r in available_refinements(dom, w.tn_h, w.bel_h, "H")}
+    per_world = [{r.key(): r for r in feasible_refinements(dom, w.tn_h, w.bel_h)}
                  for w in s.worlds]
     common = set(per_world[s.designated])
     for m in per_world:
@@ -149,7 +142,7 @@ def _blocked_atoms(dom: DomainModel, s: EpistemicState) -> set[Literal]:
     have to trust for its actually-available refinements."""
     d = s.designated_world
     atoms: set[Literal] = set()
-    for ref in available_refinements(dom, d.tn_h, d.bel_h, "H"):
+    for ref in feasible_refinements(dom, d.tn_h, d.bel_h):
         for atom in atoms_of(ref.pres):
             if len({w.bel_h.entails(atom) for w in s.worlds}) > 1:
                 atoms.add(atom)
@@ -160,11 +153,9 @@ def _inform_candidates(dom: DomainModel, s: EpistemicState) -> list[Literal]:
     d = s.designated_world
     atoms: set[Literal] = set()
     for w in s.worlds:
-        try:
-            diff = alignment_diff(dom, d.bel_r, d.tn_r, w.bel_rh, w.tn_rh)
-        except AlignmentImpossibleError:
-            continue
-        atoms.update(l.atom for l in diff)
+        diff = alignment_diff(dom, d.bel_r, d.tn_r, w.bel_rh, w.tn_rh)
+        if diff is not None:
+            atoms.update(l.atom for l in diff)
     atoms |= _blocked_atoms(dom, s)
     return sorted(atoms, key=str)
 
@@ -201,32 +192,20 @@ def _options(dom: DomainModel, prob: ProblemInstance,
         if s.pending:
             # An answer is owed before anything else may happen.
             for p in sorted(s.pending, key=str):
-                try:
-                    _, inform = synthesize_communication(dom, s, p, k)
-                except EhatpError:
-                    continue
+                _, inform = synthesize_communication(dom, s, p, k)
                 children.append((f"inform-{p.atom}", inform))
-            if children:
-                return children
-            s = replace(s, pending=())  # the questions settled themselves
+            return children
 
         if co and prob.comm_allowed:
             for atom in _inform_candidates(dom, s):
-                try:
-                    _, inform = synthesize_communication(dom, s, atom, k)
-                except EhatpError:
-                    continue
+                _, inform = synthesize_communication(dom, s, atom, k)
                 children.append((f"inform-{atom}", inform))
 
         d = s.designated_world
         ontic: list[tuple[str, EpistemicState]] = []
         if co or s.budget > 0:
-            for ref in available_refinements(dom, d.tn_r, d.bel_r, "R"):
-                try:
-                    ontic.append((str(ref.first_primitive),
-                                  _step(dom, s, ref, k)))
-                except (DomainError, BudgetExceededError):
-                    continue
+            for ref in feasible_refinements(dom, d.tn_r, d.bel_r):
+                ontic.append((str(ref.first_primitive), _step(dom, s, ref, k)))
         children.extend(ontic)
 
         # Out of sight the robot may always bide its time; face to face it
@@ -237,20 +216,13 @@ def _options(dom: DomainModel, prob: ProblemInstance,
 
     uniform = _uniform_human_refinements(dom, s)
     for ref in uniform:
-        try:
-            children.append((str(ref.first_primitive), _step(dom, s, ref, k)))
-        except (DomainError, BudgetExceededError):
-            continue
+        children.append((str(ref.first_primitive), _step(dom, s, ref, k)))
 
     if not uniform and co and prob.comm_allowed:
-        asked: list[Literal] = []
-        for atom in sorted(_blocked_atoms(dom, s), key=str):
-            try:
-                ask, _ = synthesize_communication(dom, s, atom, k)
-            except EhatpError:
-                continue
+        asked = sorted(_blocked_atoms(dom, s), key=str)
+        for atom in asked:
+            ask, _ = synthesize_communication(dom, s, atom, k)
             children.append((f"ask-{atom}", ask))
-            asked.append(atom)
         if asked:
             waiting = EpistemicState.make(
                 s.worlds, s.designated_world, actor="R",

@@ -119,11 +119,13 @@ def test_plan_rejects_an_unbound_negative_at_its_declaration(tmp_path, capsys,
     assert capsys.readouterr().err.startswith(f"{bad}:{line}:{col}: error: variable ")
 
 
+GOLDEN_P2 = Path(__file__).resolve().parents[1] / "planbench" / "golden" / "p2.policy.json"
+
+
 def test_a_recursive_domain_is_rejected_by_simulate_and_plan(tmp_path, capsys):
     """Two methods that expand into each other, spliced into the domain a
     frozen policy file embeds: every entry point rejects them at the first."""
-    golden = Path(__file__).resolve().parents[1] / "planbench" / "golden" / "p2.policy.json"
-    doc = json.loads(golden.read_text(encoding="utf-8"))
+    doc = json.loads(GOLDEN_P2.read_text(encoding="utf-8"))
     end = doc["domain"].rindex("}")
     text = doc["domain"] = (doc["domain"][:end] + "  method loop_a la {\n    sub loop_b\n  }\n"
                             "  method loop_b lb {\n    sub loop_a\n  }\n" + doc["domain"][end:])
@@ -141,6 +143,38 @@ def test_a_recursive_domain_is_rejected_by_simulate_and_plan(tmp_path, capsys):
     prob.write_text(doc["problem"], encoding="utf-8")
     assert main(["plan", "-d", str(dom), "-p", str(prob), "-o", str(tmp_path / "x.json")]) == 1
     assert capsys.readouterr().err == f"{dom}:{error}\n"
+
+
+@pytest.mark.parametrize("edit", ["robot-root-task", "guarded-method"])
+def test_a_human_root_task_reaching_a_robot_action_is_rejected_by_simulate_and_plan(
+        tmp_path, capsys, edit):
+    """The human's root task swapped for the robot's, or one guarded method
+    that picks a cube added to the human's: the frozen p2 policy file and
+    its two model files are rejected at the problem's ``task H`` line."""
+    doc = json.loads(GOLDEN_P2.read_text(encoding="utf-8"))
+    if edit == "robot-root-task":
+        task = "organize"
+        doc["problem"] = doc["problem"].replace("task H organize_h", "task H organize")
+    else:
+        task = "organize_h"
+        end = doc["domain"].rindex("}")
+        doc["domain"] = (doc["domain"][:end] + "  method organize_h borrow_gripper {\n"
+                         "    pre on(c_y, mt)\n    sub pick(c_y, mt)\n  }\n" + doc["domain"][end:])
+    text = doc["problem"]
+    at = text.index("task H ") + len("task H ")
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    error = f"{line}:{col}: error: root task {task!r} of H decomposes to 'pick', an action of R"
+
+    policy = tmp_path / "p2.policy.json"
+    policy.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "-P", str(policy), "--exhaustive"]) == 1
+    assert capsys.readouterr().err == f"error: cannot load policy: {policy}#problem:{error}\n"
+
+    dom, prob = tmp_path / "cube_org.ehatp", tmp_path / "p2.ehatp"
+    dom.write_text(doc["domain"], encoding="utf-8")
+    prob.write_text(text, encoding="utf-8")
+    assert main(["plan", "-d", str(dom), "-p", str(prob), "-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"{prob}:{error}\n"
 
 
 def test_plan_reports_unsolvable_instance(tmp_path, capsys):
@@ -314,6 +348,24 @@ def test_stepper_lets_the_human_wait_for_the_answer(monkeypatch, capsys):
     after_wait = got.split("human: wait", 1)[1]
     assert "robot: inform-empty(box_2)" in after_wait
     assert "worlds=1" in after_wait
+
+
+def test_stepper_reads_a_non_decimal_digit_as_the_suggested_choice(monkeypatch, capsys):
+    # ``'²'.isdigit()`` holds, but ``int('²')`` raises.
+    prompts, replies = [], iter(["²", "q"])
+
+    def reply(prompt):
+        prompts.append(prompt)
+        return next(replies)
+
+    monkeypatch.setattr("builtins.input", reply)
+    assert main(["simulate", "-P", str(GOLDEN_P2), "--interactive"]) == 1
+    out = capsys.readouterr().out
+    hint = prompts[0].removeprefix("choice [").removesuffix("]: ")
+    label = next(l.split(") ", 1)[1] for l in out.splitlines()
+                 if l.startswith(f"  {hint}) "))
+    assert f"[t0] human: {label.removesuffix('  (off plan)')}\n" in out
+    assert out.endswith("stopped.\n")
 
 
 def test_stepper_survives_off_plan_choices(monkeypatch, capsys):

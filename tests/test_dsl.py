@@ -268,6 +268,19 @@ domain d {
 """, "d.ehatp:8:10: error: recursive task decomposition: t2 -> t1 -> t2"),
     "self-recursion": ("domain d {\n  place mt\n  method t0 m0 {\n    sub t0\n  }\n}\n",
                        "d.ehatp:3:10: error: recursive task decomposition: t0 -> t0"),
+    "duplicate-method-label": ("""\
+domain d {
+  place mt
+  action a() by R at mt {
+  }
+  method t m {
+    sub a, zz
+  }
+  method t m {
+    sub a
+  }
+}
+""", "d.ehatp:8:12: error: duplicate method label 'm' for task 't'"),
 }
 
 

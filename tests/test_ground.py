@@ -129,7 +129,8 @@ CARRIED = (lit("at(H,P)"), lit("not focus(H,P)"))
 POOL = ("at(R,a)", "at(H,a)", "at(H,b)", "focus(H,a)", "focus(bob,b)", "partner(t1,t1)",
         "partner(t1,t2)", "label(t2)", "glow(t1)", "done(t1)", "done(t2)")
 
-# Arguments the grounding would not range over, each rejected at parse time.
+# Arguments the grounding would not range over, or a count of them that no
+# method takes, each rejected at parse time.
 MISTYPED = [
     (HAND.replace("sub light(U)", "sub walk(a, U)"), HAND_PROBLEM,
      "argument 'U' of walk(a,U) has type 'thing', expected 'place'"),
@@ -141,6 +142,10 @@ MISTYPED = [
      "root task argument 't1' of look(t1) has type 'thing', expected 'place'"),
     (HAND, HAND_PROBLEM.replace("task H roam", "task H look"),
      "root task look expects 1 arguments"),
+    (HAND, HAND_PROBLEM.replace("task H roam", "task H roam(a)"),
+     "root task roam(a) has no method taking 1 arguments"),
+    (HAND.replace("sub look(a)", "sub look(a), work(t1, t2)"), HAND_PROBLEM,
+     "subtask work(t1,t2) has no method taking 2 arguments in roam/stay"),
     (HAND.replace("place a\n", "place a\n  predicate at(agent, thing) inferable\n"),
      HAND_PROBLEM, "predicate 'at' must be declared as at(agent, place)"),
 ]
@@ -153,7 +158,7 @@ def _answer(fn, *args):
         return DomainError, str(e)
 
 
-def plain_refinements(dom, tn, bel, actor):
+def plain_refinements(dom, tn, bel):
     """Refinements read off the definition: methods bound with ``match``,
     actions checked literal by literal, as ``(name, args, remainder, trace,
     mask of the checked precondition atoms)`` in the planner's order."""
@@ -168,18 +173,11 @@ def plain_refinements(dom, tn, bel, actor):
         if schema is not None:
             if any(is_variable(a) for a in head.args):
                 raise DomainError(f"unbound arguments in subtask {head}")
-            if schema.actor != actor:
-                raise DomainError(
-                    f"task decomposes to {head.name!r}, an action of {schema.actor}, "
-                    f"while refining for {actor}")
             g = schema.ground(head.args)
             if all(bel.entails(l) for l in g.pre):
                 found.setdefault((g.name, g.args, rest), (str(g), trace, acc + g.pre))
             continue
-        methods = dom.methods_for(head.name)
-        if not methods:
-            raise DomainError(f"no method declared for abstract task {head.name!r}")
-        for m in methods:
+        for m in dom.methods_for(head.name):
             if len(m.params) != len(head.args):
                 continue
             params = dict(zip((p.name for p in m.params), head.args))
@@ -215,9 +213,9 @@ def plain_decomposed(dom, tn, bel):
     return False
 
 
-def compiled_refinements(dom, tn, bel, actor):
+def compiled_refinements(dom, tn, bel):
     return [(r.first_primitive.name, r.first_primitive.args, r.remainder, r.trace, r.pres)
-            for r in feasible_refinements(dom.with_fresh_memo(), tn, bel, actor)]
+            for r in feasible_refinements(dom.with_fresh_memo(), tn, bel)]
 
 
 def check_graph(dom, worlds, rules):
@@ -225,14 +223,13 @@ def check_graph(dom, worlds, rules):
 
     Returns how many refinement queries, atoms and realities were checked.
     """
-    queries = {(tn, b, actor) for w in worlds
-               for tn, b, actor in ((w.tn_r, w.bel_r, "R"), (w.tn_h, w.bel_h, "H"),
-                                    (w.tn_rh, w.bel_rh, "R"))}
-    for tn, b, actor in queries:
-        assert (_answer(compiled_refinements, dom, tn, b, actor)
-                == _answer(plain_refinements, dom, tn, b, actor)), (tn, b, actor)
-        assert (_answer(effectively_decomposed, dom.with_fresh_memo(), tn, b, actor)
-                == _answer(plain_decomposed, dom, tn, b)), (tn, b, actor)
+    queries = {(tn, b) for w in worlds
+               for tn, b in ((w.tn_r, w.bel_r), (w.tn_h, w.bel_h), (w.tn_rh, w.bel_rh))}
+    for tn, b in queries:
+        assert (_answer(compiled_refinements, dom, tn, b)
+                == _answer(plain_refinements, dom, tn, b)), (tn, b)
+        assert (effectively_decomposed(dom.with_fresh_memo(), tn, b)
+                == plain_decomposed(dom, tn, b)), (tn, b)
     atoms = {a for w in worlds for b in (w.bel_r, w.bel_h, w.bel_rh) for a in b}
     realities = {w.bel_r.mask: w for w in worlds}
     for d in realities.values():
@@ -283,7 +280,7 @@ def test_compiled_queries_match_the_reference_on_a_hand_written_domain():
     base = BeliefBase([lit("at(R,a)"), lit("partner(t1,t2)"), lit("partner(t2,t2)")])
 
     def traces(thing):
-        return {r[3] for r in compiled_refinements(dom, (Task("work", (thing,)),), base, "R")}
+        return {r[3] for r in compiled_refinements(dom, (Task("work", (thing,)),), base)}
 
     assert ("alone",) in traces("t2") and ("alone",) not in traces("t1")
 

@@ -5,26 +5,11 @@ shipped method definitions against the stated belief bases; the brute-force
 oracle at the bottom re-derives them independently.
 """
 
-from dataclasses import replace
-
 import pytest
 
-from ehatp.dsl import load_shipped, parse_domain
-from ehatp.htn import (
-    advance,
-    alignment_diff,
-    available_refinements,
-    effectively_decomposed,
-    feasible_refinements,
-)
-from ehatp.model import (
-    AlignmentImpossibleError,
-    BeliefBase,
-    DomainError,
-    InconsistentAdvanceError,
-    Task,
-    is_variable,
-)
+from ehatp.dsl import ParseError, load_shipped, parse_domain, parse_problem
+from ehatp.htn import advance, alignment_diff, effectively_decomposed, feasible_refinements
+from ehatp.model import BeliefBase, Task, is_variable
 from helpers import lit
 
 
@@ -51,32 +36,32 @@ def prims(refs):
 
 def test_organize_refines_to_pick_only(cube):
     b = bel("on(c_r,mt)", "empty(box_1)", "empty(box_2)", "at(R,mt)")
-    refs = feasible_refinements(cube, (Task("organize"),), b, "R")
+    refs = feasible_refinements(cube, (Task("organize"),), b)
     assert prims(refs) == {("pick", ("c_r", "mt"))}
     (r,) = refs
     assert r.remainder == (Task("put_away", ("c_r",)),)
 
 
 def test_empty_network_has_no_refinements(cube):
-    assert feasible_refinements(cube, (), bel("at(R,mt)"), "R") == ()
+    assert feasible_refinements(cube, (), bel("at(R,mt)")) == ()
 
 
 def test_place_choice_appears_only_after_holding(cube):
     b = bel("at(R,mt)", "holding(R,c_r)", "empty(box_1)", "empty(box_2)",
             "main(box_1)", "spare(box_2)", "any_box(c_r)", "partner(c_r,c_r)")
-    refs = feasible_refinements(cube, (Task("put_away", ("c_r",)),), b, "R")
+    refs = feasible_refinements(cube, (Task("put_away", ("c_r",)),), b)
     assert prims(refs) == {("place", ("c_r", "box_1")), ("place", ("c_r", "box_2"))}
     assert all(r.remainder == () for r in refs)
 
 
 def test_robot_yields_table_while_human_is_there(cube):
     b = bel("on(c_r,mt)", "empty(box_1)", "empty(box_2)", "at(R,mt)", "at(H,mt)")
-    assert feasible_refinements(cube, (Task("organize"),), b, "R") == ()
+    assert feasible_refinements(cube, (Task("organize"),), b) == ()
 
 
 def test_prepare_skips_completed_steps(cooking):
     b = bel("at(R,kitchen)", "chopped(veg)")
-    refs = feasible_refinements(cooking, (Task("prepare", ("veg",)),), b, "R")
+    refs = feasible_refinements(cooking, (Task("prepare", ("veg",)),), b)
     assert prims(refs) == {("wash", ("veg",))}
     (r,) = refs
     assert [t.name for t in r.remainder] == ["ensure_cooked", "ensure_seasoned"]
@@ -86,28 +71,45 @@ def test_human_root_offers_fetch_and_store(cube):
     b = bel("on(c_r,mt)", "on(c_w,ot)", "empty(box_1)", "empty(box_2)",
             "at(R,mt)", "at(H,mt)", "main(box_1)", "spare(box_2)",
             "any_box(c_r)", "partner(c_r,c_r)")
-    refs = feasible_refinements(cube, (Task("organize_h"),), b, "H")
+    refs = feasible_refinements(cube, (Task("organize_h"),), b)
     assert prims(refs) == {("move", ("mt", "ot")), ("pick_h", ("c_r", "mt"))}
 
 
-def test_actor_mismatch_is_a_domain_error(cube):
-    b = bel("on(c_r,mt)", "empty(box_1)", "empty(box_2)", "at(R,mt)")
-    with pytest.raises(DomainError):
-        feasible_refinements(cube, (Task("organize"),), b, "H")
+def _error_at(text, dom, needle, filename):
+    """The positioned error that parsing ``text`` raises, and the position of
+    ``needle``'s last word in ``text``."""
+    with pytest.raises(ParseError) as e:
+        if dom is None:
+            parse_domain(text, filename)
+        else:
+            parse_problem(text, dom, filename)
+    at = text.index(needle) + needle.rindex(" ") + 1
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    return str(e.value), f"{filename}:{line}:{col}"
 
 
-def test_methodless_task_is_a_domain_error(cube):
-    dom = replace(cube)  # a fresh memo
-    tn, b = (Task("ghost_task"),), bel("at(R,mt)")
-    assert available_refinements(dom, tn, b, "R") == ()
-    # the memo now holds the error, and the strict query still raises it
-    with pytest.raises(DomainError):
-        feasible_refinements(dom, tn, b, "R")
+def test_a_root_task_reaching_the_other_agents_action_is_a_parse_error(cube):
+    # Each agenda is refined for its owner alone, so the parser, not the
+    # search, rejects a root task that reaches the other agent's action.
+    text = load_shipped("p2").replace("task H organize_h", "task H organize")
+    error, at = _error_at(text, cube, "task H organize", "p2.ehatp")
+    assert error == f"{at}: error: root task 'organize' of H decomposes to 'pick', an action of R"
+
+
+def test_a_methodless_task_is_a_parse_error(cube):
+    text = load_shipped("p2").replace("task R organize", "task R ghost_task")
+    error, at = _error_at(text, cube, "task R ghost_task", "p2.ehatp")
+    assert error == f"{at}: error: root task 'ghost_task' is not declared in the domain"
+    text = load_shipped("cube_org").replace("sub pick(C, mt), put_away(C)",
+                                            "sub pick(C, mt), ghost_task", 1)
+    error, at = _error_at(text, None, "method ensure_stored", "cube_org.ehatp")
+    assert error == (f"{at}: error: subtask 'ghost_task' in ensure_stored/store "
+                     "resolves to neither an action nor a method")
 
 
 def test_refinement_trace_names_methods(cube):
     b = bel("on(c_r,mt)", "empty(box_1)", "empty(box_2)", "at(R,mt)")
-    (r,) = feasible_refinements(cube, (Task("organize"),), b, "R")
+    (r,) = feasible_refinements(cube, (Task("organize"),), b)
     assert "one_job" in r.trace and "store" in r.trace
 
 
@@ -117,7 +119,7 @@ def test_refinement_trace_names_methods(cube):
 def test_advance_consumes_first_primitive(cube):
     b = bel("on(c_r,mt)", "empty(box_1)", "empty(box_2)", "at(R,mt)")
     act = cube.action("pick").ground(("c_r", "mt"))
-    rest = advance(cube, (Task("organize"),), act, b, "R")
+    rest = advance(cube, (Task("organize"),), act, b)
     assert rest == (Task("put_away", ("c_r",)),)
 
 
@@ -125,14 +127,14 @@ def test_advance_past_last_primitive_empties_network(cube):
     b = bel("at(R,mt)", "holding(R,c_r)", "empty(box_1)", "empty(box_2)",
             "main(box_1)", "spare(box_2)", "any_box(c_r)", "partner(c_r,c_r)")
     act = cube.action("place").ground(("c_r", "box_1"))
-    assert advance(cube, (Task("put_away", ("c_r",)),), act, b, "R") == ()
+    assert advance(cube, (Task("put_away", ("c_r",)),), act, b) == ()
 
 
-def test_advance_unrelated_action_is_inconsistent(cube):
+def test_advance_past_an_underivable_action_keeps_the_agenda(cube):
     b = bel("on(c_r,mt)", "empty(box_1)", "empty(box_2)", "at(R,mt)")
     act = cube.action("place").ground(("c_r", "box_1"))
-    with pytest.raises(InconsistentAdvanceError):
-        advance(cube, (Task("organize"),), act, b, "R")
+    tn = (Task("organize"),)
+    assert advance(cube, tn, act, b) is tn
 
 
 # ------------------------------------------------------------- decomposition
@@ -141,8 +143,8 @@ def test_advance_unrelated_action_is_inconsistent(cube):
 def test_effectively_decomposed_via_zero_primitive_methods(cube):
     # ensure_stored bottoms out in leave_it once the cube is off the table.
     tn = (Task("ensure_stored", ("c_r",)),)
-    assert effectively_decomposed(cube, tn, bel("inside(c_r,box_1)", "at(R,mt)"), "R")
-    assert not effectively_decomposed(cube, tn, bel("on(c_r,mt)", "at(R,mt)"), "R")
+    assert effectively_decomposed(cube, tn, bel("inside(c_r,box_1)", "at(R,mt)"))
+    assert not effectively_decomposed(cube, tn, bel("on(c_r,mt)", "at(R,mt)"))
 
 
 def test_effectively_decomposed_cooking_skips(cooking):
@@ -150,8 +152,8 @@ def test_effectively_decomposed_cooking_skips(cooking):
     done = bel("at(R,kitchen)", "chopped(veg)", "washed(veg)", "boiled(veg)",
                "seasoned(veg)")
     half = bel("at(R,kitchen)", "chopped(veg)", "washed(veg)", "boiled(veg)")
-    assert effectively_decomposed(cooking, tn, done, "R")
-    assert not effectively_decomposed(cooking, tn, half, "R")
+    assert effectively_decomposed(cooking, tn, done)
+    assert not effectively_decomposed(cooking, tn, half)
 
 
 # ------------------------------------------------------------ alignment diff
@@ -202,9 +204,8 @@ def test_alignment_can_require_a_negative_transfer(cooking):
 def test_alignment_structural_divergence_impossible(cube, cooking):
     # No fact transfer makes an empty agenda produce put_in_pan.
     bel_r = bel("at(R,kitchen)", "chopped(veg)", "washed(veg)")
-    with pytest.raises(AlignmentImpossibleError):
-        alignment_diff(cooking, bel_r, (Task("ensure_cooked", ("veg",)),),
-                       bel_r, ())
+    assert alignment_diff(cooking, bel_r, (Task("ensure_cooked", ("veg",)),),
+                          bel_r, ()) is None
 
 
 def test_alignment_finished_perspectives_agree(cooking):
@@ -220,7 +221,7 @@ def test_alignment_finished_perspectives_agree(cooking):
 # --------------------------------------------------- brute-force completeness
 
 
-def brute_force_refinements(dom, tn, b, actor, depth=6):
+def brute_force_refinements(dom, tn, b, depth=6):
     """Naive recursive enumeration of every method tree, as a cross-check."""
     out = set()
 
@@ -283,8 +284,8 @@ def test_refinements_match_brute_force(cube, case):
     tn = (Task(name, args),)
     b = bel(*atoms)
     got = {(r.first_primitive.name, r.first_primitive.args, r.remainder)
-           for r in feasible_refinements(cube, tn, b, "R")}
-    assert got == brute_force_refinements(cube, tn, b, "R")
+           for r in feasible_refinements(cube, tn, b)}
+    assert got == brute_force_refinements(cube, tn, b)
 
 
 def test_cooking_refinements_match_brute_force(cooking):
@@ -298,5 +299,5 @@ def test_cooking_refinements_match_brute_force(cooking):
         b = bel("at(R,kitchen)", *atoms)
         tn = (Task("prepare", ("veg",)),)
         got = {(r.first_primitive.name, r.first_primitive.args, r.remainder)
-               for r in feasible_refinements(cooking, tn, b, "R")}
-        assert got == brute_force_refinements(cooking, tn, b, "R"), atoms
+               for r in feasible_refinements(cooking, tn, b)}
+        assert got == brute_force_refinements(cooking, tn, b), atoms

@@ -16,7 +16,7 @@ import pytest
 import ehatp
 from ehatp import kernel, model
 from ehatp.dsl import GroundAction, load_instance, load_shipped, parse_domain, parse_problem
-from ehatp.htn import Refinement, available_refinements, feasible_refinements
+from ehatp.htn import feasible_refinements
 from ehatp.kernel import (
     EpistemicAction,
     Event,
@@ -231,7 +231,7 @@ def test_budget_underflow_raises(cube):
 
 def robot_choice(dom, s):
     (ref,) = feasible_refinements(dom, s.designated_world.tn_r,
-                                  s.designated_world.bel_r, "R")
+                                  s.designated_world.bel_r)
     return ref
 
 
@@ -239,7 +239,7 @@ def test_build_after_departure_offers_act_and_noop():
     dom, prob = load_instance("p2")
     s = initial_state(dom, prob)
     move = next(r for r in feasible_refinements(dom, s.designated_world.tn_h,
-                                                s.designated_world.bel_h, "H")
+                                                s.designated_world.bel_h)
                 if r.first_primitive.name == "move")
     act = build_epistemic_action(dom, s, move, prob.k)
     gone = product_update(dom, s, act)
@@ -261,17 +261,17 @@ def test_second_step_yields_four_possibilities():
     dom, prob = load_instance("p2")
     s = initial_state(dom, prob)
     move = next(r for r in feasible_refinements(dom, s.designated_world.tn_h,
-                                                s.designated_world.bel_h, "H")
+                                                s.designated_world.bel_h)
                 if r.first_primitive.name == "move")
     gone = product_update(dom, s, build_epistemic_action(dom, s, move, prob.k))
     s2 = product_update(dom, gone,
                         build_epistemic_action(dom, gone, robot_choice(dom, gone), prob.k))
     scan = next(r for r in feasible_refinements(dom, s2.designated_world.tn_h,
-                                                s2.designated_world.bel_h, "H"))
+                                                s2.designated_world.bel_h))
     s3 = product_update(dom, s2, build_epistemic_action(dom, s2, scan, prob.k))
 
     place = next(r for r in feasible_refinements(dom, s3.designated_world.tn_r,
-                                                 s3.designated_world.bel_r, "R")
+                                                 s3.designated_world.bel_r)
                  if r.first_primitive.args[-1] == "box_1")
     s4 = product_update(dom, s3, build_epistemic_action(dom, s3, place, prob.k))
     assert len(s4.worlds) == 4
@@ -287,7 +287,7 @@ def test_anticipation_respects_acted_cap():
     dom, prob = load_instance("p2")
     s = initial_state(dom, prob)
     move = next(r for r in feasible_refinements(dom, s.designated_world.tn_h,
-                                                s.designated_world.bel_h, "H")
+                                                s.designated_world.bel_h)
                 if r.first_primitive.name == "move")
     s = product_update(dom, s, build_epistemic_action(dom, s, move, prob.k))
     sizes = [len(s.worlds)]
@@ -307,7 +307,7 @@ def test_copresent_single_world_single_event(cube):
     s = initial_state(dom, prob)
     s = EpistemicState.make(s.worlds, s.designated_world, actor="R", budget=prob.k)
     gate_free = feasible_refinements(dom, s.designated_world.tn_r,
-                                     s.designated_world.bel_r, "R")
+                                     s.designated_world.bel_r)
     assert gate_free == ()  # H at the table: the robot yields
 
 
@@ -460,7 +460,7 @@ def _choices(dom, s):
     if s.actor == "H":
         return (*_uniform_human_refinements(dom, s), None)
     d = s.designated_world
-    return (*available_refinements(dom, d.tn_r, d.bel_r, "R"), None)
+    return (*feasible_refinements(dom, d.tn_r, d.bel_r), None)
 
 
 @pytest.mark.parametrize("names", [["p2"], ["p6"], ["cooking3"], ["p1", "p2"]])

@@ -3,7 +3,8 @@
 Every public top-level function and class of `src/ehatp`, and every public
 method, must be named somewhere in `src/ehatp` or `planbench` other than its
 own definition: as a name, an attribute, or a part of a dotted string (the
-benchmark's tracer names the functions it wraps that way).
+benchmark's tracer names the functions it wraps that way). And no module
+but `cli.py` catches an exception.
 """
 
 import ast
@@ -47,3 +48,14 @@ def test_every_public_definition_in_src_is_used_outside_the_tests():
               for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
               if name.rsplit(".", 1)[-1] not in used]
     assert unused == []
+
+
+def test_only_the_cli_catches_exceptions():
+    """The parser rejects every malformed model, so a search or replay meets
+    no exception as a normal outcome: only `cli.py`, which turns errors into
+    exit codes, holds a `try` statement."""
+    kinds = (ast.Try, getattr(ast, "TryStar", ast.Try))  # ``except*`` from 3.11
+    trying = [path.name for path in SOURCES if path.name != "cli.py"
+              if any(isinstance(node, kinds)
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
+    assert trying == []

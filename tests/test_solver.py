@@ -8,10 +8,12 @@ stand by; a blocked human may ask or wait; a wait forces the inform.
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from ehatp.dsl import load_instance, load_shipped, parse_domain
+from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.kernel import initial_state, state_copresent
 from ehatp.model import (
     BeliefBase,
@@ -33,6 +35,9 @@ from ehatp.solver import (
     synthesize_communication,
 )
 from helpers import lit
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "planbench"))
+from variants import draws  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -473,11 +478,33 @@ problem impossible {
   init { }
 }
 """
-    from ehatp.dsl import parse_problem
     prob = parse_problem(prob_text, dom)
     res = solve(dom, prob)
     assert res.policy is None
     assert res.root.status in ("DEAD", "UNKNOWN")
+
+
+# Every option the search builds is a step that succeeds: a hidden robot step
+# is offered only with budget left, and a speech act only on a fact some
+# world disagrees on.  So a whole reachable graph is searched without an
+# exception, and each root settles as pinned here.
+SHIPPED = ("p1", "p2", "p3", "p4", "p5", "p6", "cooking1", "cooking2", "cooking3")
+# The first letter of each seed-3 ``variants`` draw's root status, in draw
+# order: a draw with no plan stays UNKNOWN once its graph is exhausted.
+VARIANTS_SEED_3 = "DUUDDUDDDUUDUUDDUUUUDDUUUUUUDD"
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_shipped_graph_is_searched_whole_without_an_exception(name):
+    dom, prob = load_instance(name)
+    assert solve(dom, prob, exhaust=True).root.status == "DONE"
+
+
+def test_each_variants_graph_is_searched_whole_without_an_exception():
+    dom = parse_domain(load_shipped("cube_org"))
+    got = "".join(solve(dom, parse_problem(d.text(), dom), exhaust=True).root.status[0]
+                  for d in draws(3))
+    assert got == VARIANTS_SEED_3
 
 
 def test_solver_is_deterministic(p2):
