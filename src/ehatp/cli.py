@@ -7,8 +7,9 @@ a file, either exhaustively over every human alternative or as an
 interactive stepper; ``bench`` runs the shipped instances and compares their
 structural metrics against the calibration targets.
 
-Exit codes: 0 success, 1 diagnostics (unreadable or malformed input),
-2 planning or replay failure, or a missed bench target.
+Exit codes: 0 success, 1 diagnostics (unreadable or malformed input, or an
+output file that cannot be written), 2 planning or replay failure, or a
+missed bench target.
 ``EHATP_LOG=sa|expand|all`` turns on trace logging on stderr.
 """
 
@@ -389,11 +390,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
         print(f"no joint solution for {prob.name}: search settled "
               f"{res.root.status}", file=sys.stderr)
         return 2
-    write_policy_file(args.out, dom_text, prob_text, res.policy)
-    if args.metrics:
-        Path(args.metrics).write_text(
-            Metrics.csv_header() + "\n" + res.metrics.csv_line() + "\n",
-            encoding="utf-8")
+    try:
+        write_policy_file(args.out, dom_text, prob_text, res.policy)
+        if args.metrics:
+            Path(args.metrics).write_text(
+                Metrics.csv_header() + "\n" + res.metrics.csv_line() + "\n",
+                encoding="utf-8")
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     m = res.metrics
     print(f"{prob.name}: policy with {m.leaves} branches "
           f"(states={m.states}, maxW={m.maxW}) -> {args.out}")
@@ -436,10 +441,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not ok:
             suspects.append(name)
     if args.out:
-        Path(args.out).write_text(
-            Metrics.csv_header() + "\n"
-            + "".join(m.csv_line() + "\n" for m in rows),
-            encoding="utf-8")
+        try:
+            Path(args.out).write_text(
+                Metrics.csv_header() + "\n"
+                + "".join(m.csv_line() + "\n" for m in rows),
+                encoding="utf-8")
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
     print(STATES_NOTE)
     if suspects:
         print(f"encodings to review: {', '.join(suspects)}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from itertools import product
 from typing import Callable, Iterable, TypeVar
@@ -192,9 +192,10 @@ class DomainModel:
     # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task`` (two
     # fields), an atom (a ``Literal``, three fields) or a co-presence rule (a
     # tuple of literals), so no two keys compare equal.  They depend on the
-    # declarations alone: ``with_fresh_memo`` shares the table, while
-    # ``dataclasses.replace``, which may change declarations, starts it empty.
-    table: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # declarations alone, so every model with equal declarations shares one
+    # table from ``_TABLES``: each parse, ``with_fresh_memo`` copy and
+    # ``dataclasses.replace`` that keeps them.
+    table: dict = field(init=False, compare=False, repr=False)
     # Answers of the HTN queries (see ``htn._memoized``), the atoms
     # situation assessment has judged, the kernel's world transitions and
     # the ``EHATP_LOG`` flag.  One search or replay works on its own copy
@@ -209,6 +210,8 @@ class DomainModel:
     _of_type: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        declarations = tuple(getattr(self, name) for name in _DECLARATIONS)
+        object.__setattr__(self, "table", _TABLES.setdefault(declarations, {}))
         methods: dict[str, tuple[MethodSchema, ...]] = {}
         for m in self.methods:
             methods[m.task] = methods.get(m.task, ()) + (m,)
@@ -222,7 +225,8 @@ class DomainModel:
         object.__setattr__(self, "_of_type", of_type)
 
     def with_fresh_memo(self) -> "DomainModel":
-        """A copy with an empty ``memo`` that shares this domain's ``table``."""
+        """A copy with an empty ``memo``; it shares ``table``, as every model
+        with these declarations does."""
         dom = copy(self)
         object.__setattr__(dom, "memo", {})
         return dom
@@ -276,6 +280,13 @@ class DomainModel:
 
     def constant_type(self, name: str) -> str | None:
         return self._types.get(name)
+
+
+# The table of each distinct set of declarations, kept for the life of the
+# process like the atom numbering its masks are built on (``model.atom_bit``).
+# The key is the declarations, not a model, so no memo is kept alive.
+_DECLARATIONS = tuple(f.name for f in fields(DomainModel) if f.compare)
+_TABLES: dict[tuple, dict] = {}
 
 
 @dataclass(frozen=True, slots=True)

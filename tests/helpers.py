@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from copy import copy
 from typing import Iterable, Iterator, Mapping
 
 from ehatp.dsl import OBSERVER, Diagnostic, DomainModel, ParseError, ProblemInstance
@@ -38,6 +39,15 @@ def lit(text: str, *args: str, positive: bool = True) -> Literal:
 def base_of(*literals: Literal) -> BeliefBase:
     """A belief base holding ``literals``: ``base_of(lit("p"), lit("q"))``."""
     return BeliefBase(literals)
+
+
+def cold(dom: DomainModel) -> DomainModel:
+    """A copy of ``dom`` with its own empty ``table`` and ``memo``: nothing is
+    ground yet, whatever the process has ground for equal declarations."""
+    dom = copy(dom)
+    object.__setattr__(dom, "table", {})
+    object.__setattr__(dom, "memo", {})
+    return dom
 
 
 def traces(policy: Policy) -> list[tuple[str, ...]]:

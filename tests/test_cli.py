@@ -405,6 +405,21 @@ def test_bench_fails_on_a_missed_target(monkeypatch, capsys):
     assert "encodings to review: p2" in got
 
 
+@pytest.mark.parametrize("argv", [
+    ["plan", "-o", "{missing}"],
+    ["plan", "-o", "{ok}", "--metrics", "{missing}"],
+    ["bench", "-o", "{missing}"],
+], ids=["plan-out", "plan-metrics", "bench-out"])
+def test_an_unwritable_output_path_is_a_diagnostic(tmp_path, capsys, argv):
+    missing = tmp_path / "missing" / "out"
+    argv = [a.format(missing=missing, ok=tmp_path / "p1.json") for a in argv]
+    if argv[0] == "plan":
+        argv += ["-d", _data_path("cube_org"), "-p", _data_path("p1")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f"{missing}'\n")
+
+
 def test_log_channels_print_traces(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("EHATP_LOG", "all")
     assert main(["plan", "-d", _data_path("cube_org"), "-p", _data_path("p1"),

@@ -7,22 +7,26 @@ refinements with their order-dependent traces and checked preconditions,
 effective decomposition, each atom's observability under each reality, and
 co-presence under the domain's rule and an action-carried one.  The
 hand-written domain declares a place and an agent as objects, which the
-grounding must range over like the built-in ones.
+grounding must range over like the built-in ones.  Every model with equal
+declarations shares one table, so a search on a table other problems warmed
+must answer as on a cold one.
 """
 
 import re
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
 import pytest
 
 from ehatp import kernel
+from ehatp.cli import write_policy_file
 from ehatp.dsl import ParseError, load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.htn import effectively_decomposed, feasible_refinements
 from ehatp.model import BeliefBase, DomainError, Task, World, is_variable
 from ehatp.solver import solve
-from helpers import copresent, lit, match, observable
+from helpers import cold, copresent, lit, match, observable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "planbench"))
 from variants import draws  # noqa: E402
@@ -222,7 +226,10 @@ def check_graph(dom, worlds, rules):
     """Every compiled answer over ``worlds`` equals the reference's.
 
     Returns how many refinement queries, atoms and realities were checked.
+    The compiled answers come from a cold table, so each check grounds what
+    it asks whatever ran earlier in the process.
     """
+    dom = cold(dom)
     queries = {(tn, b) for w in worlds
                for tn, b in ((w.tn_r, w.bel_r), (w.tn_h, w.bel_h), (w.tn_rh, w.bel_rh))}
     for tn, b in queries:
@@ -283,6 +290,32 @@ def test_compiled_queries_match_the_reference_on_a_hand_written_domain():
         return {r[3] for r in compiled_refinements(dom, (Task("work", (thing,)),), base)}
 
     assert ("alone",) in traces("t2") and ("alone",) not in traces("t1")
+
+
+def test_equal_declarations_share_one_table():
+    text = load_shipped("cube_org")
+    dom = parse_domain(text)
+    assert parse_domain(text).table is dom.table
+    assert replace(dom).table is dom.table
+    assert dom.with_fresh_memo().table is dom.table
+    assert replace(dom, objects=dom.objects + (("c_x", "cube"),)).table is not dom.table
+
+
+def test_a_table_warmed_by_other_problems_solves_as_a_cold_one(tmp_path):
+    texts = {name: load_shipped(name) for name in ("cube_org", "p1", "p2", "p3", "p4",
+                                                   "p5", "p6")}
+    dom = parse_domain(texts["cube_org"])
+    for name in ("p1", "p2", "p3", "p4", "p5"):
+        solve(dom, parse_problem(texts[name], dom))
+    prob = parse_problem(texts["p6"], dom)
+    assert len(dom.table) > 50
+    out = []
+    for d in (dom, cold(dom)):
+        res = solve(d, prob)
+        path = tmp_path / f"{len(out)}.json"
+        write_policy_file(path, texts["cube_org"], texts["p6"], res.policy)
+        out.append((path.read_bytes(), replace(res.metrics, time_ms=0)))
+    assert out[0] == out[1]
 
 
 @pytest.mark.parametrize("domain, problem, message", MISTYPED)

@@ -37,7 +37,7 @@ from ehatp.model import (
     World,
 )
 from ehatp.solver import _step, _uniform_human_refinements, expand, solve
-from helpers import copresent, lit, observable
+from helpers import cold, copresent, lit, observable
 
 
 @pytest.fixture(scope="module")
@@ -436,15 +436,15 @@ def test_sa_lines_are_independent_of_intern_history():
 def test_memo_answers_match_a_fresh_domain_after_a_warm_search(name):
     dom, prob = load_instance(name)
     states = [n.state for n in solve(dom, prob, exhaust=True).all_nodes]
-    shared = replace(dom)
+    shared = cold(dom)
     for s in states:
         expand(shared, prob, s)  # fills the memo as a search does
     assert {key[0] for key in shared.memo} >= {"seen"}
     assert shared.copresence in shared.table  # co-presence is ground per domain
     for s in states:
-        assert state_copresent(shared, s) == state_copresent(replace(dom), s)
+        assert state_copresent(shared, s) == state_copresent(cold(dom), s)
         assert (situation_assessment(shared, s, prob.k).signature()
-                == situation_assessment(replace(dom), s, prob.k).signature())
+                == situation_assessment(cold(dom), s, prob.k).signature())
 
 
 def _step_outcome(dom, s, choice, k):
@@ -529,7 +529,7 @@ def test_a_fold_depends_on_the_truth_it_is_made_under(cube):
 def test_precondition_masks_match_literal_by_literal_entails(name):
     dom, prob = load_instance(name)
     states = [n.state for n in solve(dom, prob, exhaust=True).all_nodes]
-    shared = replace(dom)
+    shared = cold(dom)
     for s in states:
         expand(shared, prob, s)  # grounds every action the search meets
     acts = [a for a in shared.table.values() if isinstance(a, GroundAction)]

@@ -19,6 +19,7 @@ from ehatp.dsl import (
     MethodSchema,
     Param,
     PredicateDecl,
+    _foreign_action,
     load_shipped,
     parse_domain,
 )
@@ -102,7 +103,13 @@ def cube_truth(layout, r_at, h_at, wrapped, scanned, transparent) -> BeliefBase:
 
 
 layouts = st.tuples(*(st.sampled_from(SPOTS) for _ in CUBES))
-agendas = st.lists(st.sampled_from(TASKS), max_size=2).map(tuple)
+# Agendas an agent may hold: tasks that decompose to none of the other
+# agent's actions, as the parser requires of root tasks.  ``tn_r`` and
+# ``tn_rh`` are the robot's agenda, ``tn_h`` the human's.
+OWN_TASKS = {agent: [t for t in TASKS if _foreign_action(CUBE, t, agent) is None]
+             for agent in ("R", "H")}
+agendas = {agent: st.lists(st.sampled_from(tasks), max_size=2).map(tuple)
+           for agent, tasks in OWN_TASKS.items()}
 
 
 @st.composite
@@ -112,8 +119,8 @@ def cube_states(draw, max_worlds=4):
     wrapped = draw(st.sets(st.sampled_from(CUBES)))
     scanned = draw(st.sets(st.sampled_from(("mt", "ot"))))
     transparent = draw(st.sets(st.sampled_from(BOXES)))
-    tn_r = draw(agendas)
-    tn_h = draw(agendas)
+    tn_r = draw(agendas["R"])
+    tn_h = draw(agendas["H"])
 
     def world(i: int) -> World:
         lay_r = draw(layouts)
@@ -125,7 +132,7 @@ def cube_states(draw, max_worlds=4):
             bel_rh=cube_truth(lay_rh, r_at, h_at, wrapped, scanned, transparent),
             tn_r=tn_r,
             tn_h=tn_h,
-            tn_rh=draw(agendas),
+            tn_rh=draw(agendas["R"]),
             acted=draw(st.integers(0, 2)),
             distinguishable=i > 0 and draw(st.booleans()),
         )
@@ -273,9 +280,9 @@ def separated_starts(draw):
         bel_r=cube_truth(lay, "mt", "ot", frozenset(), frozenset(), frozenset()),
         bel_h=cube_truth(lay_h, "mt", "ot", frozenset(), frozenset(), frozenset()),
         bel_rh=cube_truth(lay_h, "mt", "ot", frozenset(), frozenset(), frozenset()),
-        tn_r=draw(agendas),
-        tn_h=draw(agendas),
-        tn_rh=draw(agendas),
+        tn_r=draw(agendas["R"]),
+        tn_h=draw(agendas["H"]),
+        tn_rh=draw(agendas["R"]),
     )
     k = draw(st.integers(1, 2))
     return EpistemicState.make([w], w, actor="R", budget=k), k
@@ -381,8 +388,8 @@ def divergent_views(draw):
     lay = tuple(draw(st.sampled_from(("mt", "mt", "ot", "box_1", "box_2", "H")))
                 for _ in CUBES)
     bel_r = cube_truth(lay, "mt", h_at, frozenset(), frozenset(), frozenset())
-    tn = draw(st.lists(st.sampled_from(TASKS), min_size=1, max_size=2).map(tuple))
-    tn_rh = tn if draw(st.integers(0, 4)) else draw(agendas)
+    tn = draw(st.lists(st.sampled_from(OWN_TASKS["R"]), min_size=1, max_size=2).map(tuple))
+    tn_rh = tn if draw(st.integers(0, 4)) else draw(agendas["R"])
     rel = sorted(_relevant_atoms(bel_r, tn) | _relevant_atoms(bel_r, tn_rh),
                  key=str)
     extra = ([lit("on", c, p) for c in CUBES for p in ("mt", "ot")]
@@ -615,7 +622,7 @@ MEMO_CUBE = replace(CUBE)
 
 @CASES
 @given(layouts, st.sampled_from(("mt", "ot")), st.sets(st.sampled_from(CUBES)),
-       st.sets(st.sampled_from(BOXES)), agendas)
+       st.sets(st.sampled_from(BOXES)), st.one_of(agendas["R"], agendas["H"]))
 def test_memoized_htn_queries_match_fresh_calls(lay, h_at, wrapped, transparent, tn):
     bel = cube_truth(lay, "mt", h_at, wrapped, frozenset(), transparent)
     for fn in (feasible_refinements, effectively_decomposed):

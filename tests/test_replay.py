@@ -1,9 +1,10 @@
-"""Replay on a shared call memo.
+"""Replay on a shared call memo and a shared ground table.
 
 `simulate` keeps each state's offered successors in the call memo, and
 `communication_is_load_bearing` runs all of its dropped-edge replays on one
 memo.  A warm memo must not change what a replay reports, and only calls
-nested in another call may share one.
+nested in another call may share one.  Each policy file parses its domain
+afresh, and the parse takes the table already ground for equal declarations.
 """
 
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ehatp import cli, kernel
+from ehatp import cli, htn, kernel
 from ehatp.cli import (
     communication_edges,
     communication_is_load_bearing,
@@ -21,7 +22,7 @@ from ehatp.cli import (
 )
 from ehatp.dsl import load_shipped, parse_domain, parse_problem
 from ehatp.solver import solve
-from helpers import traces
+from helpers import cold, traces
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "planbench"))
@@ -124,6 +125,20 @@ def test_load_bearing_check_expands_each_state_once(expanded):
     assert len(communication_edges(policy)) > 1
     communication_is_load_bearing(dom, prob, policy)
     assert expanded and len(set(expanded)) == len(expanded)
+
+
+def test_a_second_read_of_a_policy_file_grounds_nothing(monkeypatch):
+    path = ROOT / "planbench" / "golden" / "p6.policy.json"
+    first = simulate(*read_policy_file(path))
+    grounded = []
+    ground = htn._ground
+    monkeypatch.setattr(htn, "_ground",
+                        lambda dom, head: grounded.append(head) or ground(dom, head))
+    dom, prob, policy = read_policy_file(path)
+    assert simulate(dom, prob, policy) == first
+    assert grounded == []
+    assert simulate(cold(dom), prob, policy) == first
+    assert grounded  # the counter counts on a table nobody warmed
 
 
 def test_replay_of_a_policy_deeper_than_the_recursion_limit():
