@@ -304,6 +304,7 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
     ``q`` stops.  Prints co-presence, the surviving-world count, and a
     belief divergence summary after every move.
     """
+    dom = with_call_memo(dom)
     rng = random.Random(seed)
     s = initial_state(dom, prob)
     idx: int | None = 0
@@ -318,9 +319,7 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             return 0
         # First-wins on duplicate labels, on both sides: the first recorded
         # branch is paired with the first offered alternative of that label.
-        offers: dict[str, EpistemicState] = {}
-        for label, succ in expand(dom, prob, s):
-            offers.setdefault(label, succ)
+        offers = {label: succs[0] for label, succs in _offered(dom, prob, s).items()}
         if not offers:
             print("no moves left; DEAD")
             return 2
@@ -382,7 +381,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except ParseError as e:
         print(e, file=sys.stderr)
         return 1
-    for d in validate(dom, prob, filename=args.domain):
+    for d in validate(dom, prob, filename=args.domain, problem_file=args.problem):
         print(d, file=sys.stderr)
 
     res = solve(dom, prob)

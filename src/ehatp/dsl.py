@@ -11,10 +11,11 @@ except the reserved agent names `R` and `H`.
 
 Parsing is deterministic and raises :class:`ParseError` (a diagnostic with
 file/line/column) on the first error, so every entry point rejects a
-malformed model the same way: syntax, references, types, a knowledge rule on
-an inferable-only predicate, a name that is both an action and a method task,
-and a recursive task decomposition.  In every conjunction the planner grounds,
-an earlier positive literal must bind each negative's variables.
+malformed model the same way: syntax, references, types, a second declaration
+of a name, a knowledge rule on an inferable-only predicate, a name that is
+both an action and a method task, and a recursive task decomposition.  In
+every conjunction the planner grounds, an earlier positive literal must bind
+each negative's variables.
 :func:`validate` only warns about conventions and notes false beliefs.
 """
 
@@ -196,13 +197,14 @@ class DomainModel:
     # table from ``_TABLES``: each parse, ``with_fresh_memo`` copy and
     # ``dataclasses.replace`` that keeps them.
     table: dict = field(init=False, compare=False, repr=False)
-    # Answers of the HTN queries (see ``htn._memoized``), the atoms
-    # situation assessment has judged, the kernel's world transitions and
-    # the ``EHATP_LOG`` flag.  One search or replay works on its own copy
-    # (``kernel.with_call_memo``), so the memo lives as long as that call.
+    # Both HTN answers for each (agenda, mask) (see ``htn._answers``), the
+    # atoms situation assessment has judged, the kernel's world transitions
+    # and the ``EHATP_LOG`` flag.  One search, replay or stepper run works on
+    # its own copy (``kernel.with_call_memo``), so the memo lives as long as
+    # that call.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # Declarations by name, the first of each name (methods: all, in order);
-    # each constant's type, and the constants of each type
+    # Declarations by name (the parser rejects a repeated name; methods: all,
+    # in order); each constant's type, and the constants of each type
     _predicates: dict = field(init=False, compare=False, repr=False)
     _actions: dict = field(init=False, compare=False, repr=False)
     _methods: dict = field(init=False, compare=False, repr=False)
@@ -215,11 +217,11 @@ class DomainModel:
         methods: dict[str, tuple[MethodSchema, ...]] = {}
         for m in self.methods:
             methods[m.task] = methods.get(m.task, ()) + (m,)
-        types = {n: t for n, t in reversed(self.objects)}
+        types = dict(self.objects)
         types.update({p: "place" for p in self.places} | {a: "agent" for a in AGENTS})
         of_type = {t: tuple(n for n, k in types.items() if k == t) for t in set(types.values())}
-        object.__setattr__(self, "_predicates", {p.name: p for p in reversed(self.predicates)})
-        object.__setattr__(self, "_actions", {a.name: a for a in reversed(self.actions)})
+        object.__setattr__(self, "_predicates", {p.name: p for p in self.predicates})
+        object.__setattr__(self, "_actions", {a.name: a for a in self.actions})
         object.__setattr__(self, "_methods", methods)
         object.__setattr__(self, "_types", types)
         object.__setattr__(self, "_of_type", of_type)
@@ -387,6 +389,9 @@ class _Parser:
         self.filename = filename
         self.tokens = _tokenize(text, filename)
         self.pos = 0
+        # The token of each declaration by ``kind:name``: a second one is an
+        # error, and a domain's reference errors are raised at the first.
+        self._decl_tok: dict[str, _Token] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -428,6 +433,16 @@ class _Parser:
     def at_punct(self, ch: str) -> bool:
         tok = self.peek()
         return tok[0] == "punct" and tok[1] == ch
+
+    def _remember(self, kind: str, name: str, tok: _Token, what: str = "",
+                  at: _Token | None = None) -> None:
+        """Keep ``tok``, the declaration of ``name``; raise "duplicate
+        ``what``" (``kind 'name'`` when empty) at ``at`` (``tok`` when None)
+        if ``name`` is declared already as a ``kind``."""
+        key = f"{kind}:{name}"
+        if key in self._decl_tok:
+            raise self.error(at or tok, f"duplicate {what or f'{kind} {name!r}'}")
+        self._decl_tok[key] = tok
 
     # -- shared pieces -----------------------------------------------------
 
@@ -482,11 +497,10 @@ class _Parser:
 class _DomainParser(_Parser):
     def __init__(self, text: str, filename: str):
         super().__init__(text, filename)
-        # The token of each declaration, for post-parse reference errors.
-        self._decl_tok: dict[str, _Token] = {}
-
-    def _remember(self, kind: str, name: str, tok: _Token) -> None:
-        self._decl_tok[f"{kind}:{name}"] = tok
+        # Places, objects and the agents share one namespace of constants;
+        # an agent's token is never reported.
+        for a in AGENTS:
+            self._decl_tok[f"constant:{a}"] = ("ident", a, 0)
 
     def _ref_error(self, kind: str, name: str, message: str) -> ParseError:
         return self.error(self._decl_tok[f"{kind}:{name}"], message)
@@ -517,17 +531,23 @@ class _DomainParser(_Parser):
                 raise self.error(tok, "unterminated domain block")
             if self.at_keyword("type"):
                 self.next()
-                types.append(self.expect_ident("a type name")[1])
+                tname = self.expect_ident("a type name")
+                self._remember("type", tname[1], tname)
+                types.append(tname[1])
             elif self.at_keyword("place"):
                 self.next()
-                places.append(self.expect_ident("a place name")[1])
+                pname = self.expect_ident("a place name")
+                self._remember("constant", pname[1], pname)
+                places.append(pname[1])
             elif self.at_keyword("object"):
                 self.next()
                 oname = self.expect_ident("an object name")
+                self._remember("constant", oname[1], oname)
                 objects.append((oname[1], self.parse_type(types, "an object type")))
             elif self.at_keyword("predicate"):
                 self.next()
                 pname = self.expect_ident("a predicate name")
+                self._remember("predicate", pname[1], pname)
                 ptypes = self.parse_parens(lambda: self.parse_type(types, "a type"))
                 klass = self.expect_ident("'observable' or 'inferable'")
                 if klass[1] not in ("observable", "inferable"):
@@ -544,10 +564,8 @@ class _DomainParser(_Parser):
                 rules.append(KnowledgeRule(rname[1], target, antecedent))
             elif self.at_keyword("copresent"):
                 tok = self.next()
-                self._remember("copresent", "", tok)
+                self._remember("copresent", "", tok, "copresent rule")
                 self.expect_keyword("when")
-                if copresence is not None:
-                    raise self.error(tok, "duplicate copresent rule")
                 copresence = self.parse_literal_list()
             elif self.at_keyword("action"):
                 actions.append(self.parse_action())
@@ -615,9 +633,8 @@ class _DomainParser(_Parser):
         task = self.expect_ident("a task name")
         params = self.parse_parens(self.parse_param)
         label = self.expect_ident("a method label")
-        if f"method:{task[1]}/{label[1]}" in self._decl_tok:
-            raise self.error(label, f"duplicate method label {label[1]!r} for task {task[1]!r}")
-        self._remember("method", f"{task[1]}/{label[1]}", task)
+        self._remember("method", f"{task[1]}/{label[1]}", task,
+                       f"method label {label[1]!r} for task {task[1]!r}", at=label)
         self.expect_punct("{")
         pre: tuple[Literal, ...] = ()
         subtasks: tuple[Task, ...] = ()
@@ -824,12 +841,14 @@ class _ProblemParser(_Parser):
                 raise self.error(tok, "unterminated problem block")
             if self.at_keyword("domain"):
                 self.next()
+                self._remember("line", "domain", tok)
                 domain_name = self.expect_ident("a domain name")[1]
                 if domain_name != self.dom.name:
                     raise self.error(tok, f"problem references domain {domain_name!r}, "
                                           f"but {self.dom.name!r} was loaded")
             elif self.at_keyword("k"):
                 self.next()
+                self._remember("line", "k", tok)
                 num = self.next()
                 # ``int()`` takes only decimal digits; the lexer also reads
                 # ``²`` as one.
@@ -840,12 +859,14 @@ class _ProblemParser(_Parser):
                     raise self.error(num, "k must be >= 0")
             elif self.at_keyword("communication"):
                 self.next()
+                self._remember("line", "communication", tok)
                 mode = self.expect_ident("'on' or 'off'")
                 if mode[1] not in ("on", "off"):
                     raise self.error(mode, "communication must be 'on' or 'off'")
                 comm = mode[1] == "on"
             elif self.at_keyword("robot") or self.at_keyword("human"):
                 who = self.next()
+                self._remember("line", f"{who[1]} at", tok)
                 self.expect_keyword("at")
                 place = self.expect_ident("a place")
                 if self.dom.constant_type(place[1]) != "place":
@@ -859,6 +880,7 @@ class _ProblemParser(_Parser):
                 actor = self.expect_ident("R or H")
                 if actor[1] not in AGENTS:
                     raise self.error(actor, "task actor must be R or H")
+                self._remember("line", f"task {actor[1]}", tok)
                 t, head = self.parse_task()
                 if t.name not in self.dom.task_names() and self.dom.action(t.name) is None:
                     raise self.error(head, f"root task {t.name!r} is not declared in the domain")
@@ -897,6 +919,7 @@ class _ProblemParser(_Parser):
                 self.next()
                 l, head = self.parse_literal()
                 self._check_ground_literal(l, head)
+                self._remember("believe", str(l.atom), head, f"belief about {l.atom}")
                 deltas.append(l)
             else:
                 raise self.error(tok, f"unexpected {tok[1]!r} in problem block")
@@ -959,10 +982,11 @@ def parse_problem(text: str, dom: DomainModel, filename: str = "<problem>") -> P
 
 
 def validate(dom: DomainModel, prob: ProblemInstance | None = None,
-             filename: str = "<domain>") -> list[Diagnostic]:
-    """Warnings about conventions a parsed model may break, and a note for
-    each initial false belief of ``prob``'s human.  Never an error: the
-    parser rejects every malformed model with a positioned diagnostic."""
+             filename: str = "<domain>", problem_file: str = "<problem>") -> list[Diagnostic]:
+    """Warnings about conventions a parsed model may break, against
+    ``filename``, and a note for each initial false belief of ``prob``'s
+    human, against ``problem_file``.  Never an error: the parser rejects
+    every malformed model with a positioned diagnostic."""
     out: list[Diagnostic] = []
 
     def warn(msg: str) -> None:
@@ -980,7 +1004,7 @@ def validate(dom: DomainModel, prob: ProblemInstance | None = None,
         for d in prob.belief_deltas:
             truth = prob.ground_truth.entails(d)
             if not truth:
-                out.append(Diagnostic(filename, 0, 0, "note",
+                out.append(Diagnostic(problem_file, 0, 0, "note",
                                       f"initial false belief: human believes {d}"))
     return out
 

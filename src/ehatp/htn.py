@@ -35,19 +35,6 @@ class Refinement:
         return f"{self.first_primitive} :: [{rest}]"
 
 
-def _memoized(kind: str, fn, dom: DomainModel, tn: TaskNetwork, bel: BeliefBase):
-    """``fn(dom, tn, bel)``, computed once per ``dom.memo``.
-
-    A refinement depends only on the agenda and the base, so a repeat within
-    one search or replay is answered from the memo.
-    """
-    key = (kind, tn, bel.mask)
-    hit = dom.memo.get(key)
-    if hit is None:  # neither query answers None
-        hit = dom.memo[key] = fn(dom, tn, bel)
-    return hit
-
-
 def feasible_refinements(dom: DomainModel, tn: TaskNetwork,
                          bel: BeliefBase) -> tuple[Refinement, ...]:
     """Every way to decompose ``tn`` down to an applicable first action.
@@ -57,7 +44,13 @@ def feasible_refinements(dom: DomainModel, tn: TaskNetwork,
     Every action it reaches belongs to that one owner: the parser rejects a
     root task that decomposes to the other agent's action.
     """
-    return _memoized("refine", _refinements, dom, tuple(tn), bel)
+    return _answers(dom, tuple(tn), bel)[0]
+
+
+def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase) -> bool:
+    """True iff the agenda can reach empty through zero-primitive methods:
+    nothing is left that would require its owner to act under ``bel``."""
+    return _answers(dom, tuple(tn), bel)[1]
 
 
 def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
@@ -86,15 +79,31 @@ def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
     return entry
 
 
-def _refinements(dom: DomainModel, tn: TaskNetwork,
-                 bel: BeliefBase) -> tuple[Refinement, ...]:
+def _answers(dom: DomainModel, tn: TaskNetwork,
+             bel: BeliefBase) -> tuple[tuple[Refinement, ...], bool]:
+    """``_walk(dom, tn, bel)``, computed once per ``dom.memo``: a repeat
+    within one search or replay, or the other question about the same
+    agenda and base, is answered from the memo."""
+    key = ("htn", tn, bel.mask)
+    hit = dom.memo.get(key)
+    if hit is None:  # the walk never answers None
+        hit = dom.memo[key] = _walk(dom, tn, bel)
+    return hit
+
+
+def _walk(dom: DomainModel, tn: TaskNetwork,
+          bel: BeliefBase) -> tuple[tuple[Refinement, ...], bool]:
+    """``tn``'s refinements under ``bel``, and whether it can reach empty,
+    from one depth-first walk over the applicable method instances."""
     mask = bel.mask
     table = dom.table
     results: dict[tuple, Refinement] = {}
-    frontier: list[tuple[TaskNetwork, tuple[str, ...], int]] = [(tuple(tn), (), 0)]
+    done = False
+    frontier: list[tuple[TaskNetwork, tuple[str, ...], int]] = [(tn, (), 0)]
     while frontier:
         agenda, trace, acc = frontier.pop()
         if not agenda:
+            done = True
             continue
         head, rest = agenda[0], agenda[1:]
         entry = table.get(head)
@@ -111,37 +120,7 @@ def _refinements(dom: DomainModel, tn: TaskNetwork,
                 frontier.append((subs + rest, trace + (label,), acc | need | forbid))
     return tuple(sorted(results.values(),
                         key=lambda r: (str(r.first_primitive),
-                                       tuple(map(str, r.remainder)), r.trace)))
-
-
-def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase) -> bool:
-    """True iff the agenda can reach empty through zero-primitive methods:
-    nothing is left that would require its owner to act under ``bel``."""
-    return _memoized("done", _decomposed, dom, tuple(tn), bel)
-
-
-def _decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase) -> bool:
-    mask = bel.mask
-    table = dom.table
-    frontier: list[TaskNetwork] = [tuple(tn)]
-    seen = set()
-    while frontier:
-        agenda = frontier.pop()
-        if not agenda:
-            return True
-        if agenda in seen:
-            continue
-        seen.add(agenda)
-        head, rest = agenda[0], agenda[1:]
-        if dom.action(head.name) is not None:
-            continue  # a pending primitive: this expansion requires work
-        entry = table.get(head)
-        if entry is None:
-            entry = _ground(dom, head)
-        for need, forbid, label, subs in entry:
-            if mask & need == need and not mask & forbid:
-                frontier.append(subs + rest)
-    return False
+                                       tuple(map(str, r.remainder)), r.trace))), done
 
 
 def advance(dom: DomainModel, tn: TaskNetwork, act: GroundAction,

@@ -46,7 +46,7 @@ def with_call_memo(dom: DomainModel) -> DomainModel:
     return dom
 
 
-def _trace_enabled(dom: DomainModel, channel: str) -> bool:
+def trace_enabled(dom: DomainModel, channel: str) -> bool:
     flag = dom.memo.get(_LOG)
     if flag is None:  # a direct kernel call on a parsed domain
         flag = os.environ.get(_LOG, "")
@@ -360,7 +360,7 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
         else:
             survivors.append(w)
 
-    if _trace_enabled(dom, "sa"):
+    if trace_enabled(dom, "sa"):
         # Worlds by their text, which every process spells the same way.
         for text, reason in sorted(
                 (w.describe(), min(map(str, atoms_of(clash))) if clash else "witness")

@@ -31,12 +31,12 @@ from .htn import (
     feasible_refinements,
 )
 from .kernel import (
-    _trace_enabled,
     build_epistemic_action,
     initial_state,
     product_update,
     situation_assessment,
     state_copresent,
+    trace_enabled,
     with_call_memo,
 )
 from .model import EhatpError, EpistemicState, Literal, atoms_of
@@ -175,7 +175,7 @@ def expand(dom: DomainModel, prob: ProblemInstance,
     """All labeled successor states of ``s``, in a deterministic order:
     speech acts first, then refinements, then standing by."""
     children = _options(dom, prob, s)
-    if _trace_enabled(dom, "expand"):
+    if trace_enabled(dom, "expand"):
         print(f"EXPAND: {s.actor} |W|={len(s.worlds)} -> "
               + (", ".join(label for label, _ in children) or "(dead end)"),
               file=sys.stderr)

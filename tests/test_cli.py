@@ -177,6 +177,17 @@ def test_a_human_root_task_reaching_a_robot_action_is_rejected_by_simulate_and_p
     assert capsys.readouterr().err == f"{prob}:{error}\n"
 
 
+def test_a_false_belief_note_names_the_problem_file(tmp_path, capsys):
+    text = load_shipped("p1")
+    problem = tmp_path / "p1b.ehatp"
+    problem.write_text(text.replace("  init {", "  believe not transparent(box_2)\n  init {"))
+    main(["plan", "-d", _data_path("cube_org"), "-p", str(problem),
+          "-o", str(tmp_path / "x.json")])
+    notes = [l for l in capsys.readouterr().err.splitlines() if ": note: " in l]
+    assert notes == [f"{problem}:0:0: note: initial false belief: "
+                     "human believes not transparent(box_2)"]
+
+
 def test_plan_reports_unsolvable_instance(tmp_path, capsys):
     d = tmp_path / "stuck.ehatp"
     p = tmp_path / "hopeless.ehatp"
@@ -293,6 +304,7 @@ def test_stepper_follows_the_plan(p2_policy, monkeypatch, capsys):
     assert "robot: inform-empty(box_2)" in got
     assert "worlds=1" in got
     assert "finished: DONE" in got
+    assert dom.memo == {}  # the run kept its work in its own call memo
 
 
 def test_stepper_lets_the_human_wait_for_the_answer(monkeypatch, capsys):

@@ -292,6 +292,67 @@ def test_a_model_error_is_raised_at_its_declaration(case):
     assert str(e.value) == expected
 
 
+def _insert_at(text, cut, lines, word):
+    """``text`` with ``lines`` inserted at offset ``cut``, the start of a
+    line, and the ``line:col`` of the last ``word`` in them."""
+    at = lines.rindex(word)
+    line_no = text.count("\n", 0, cut) + lines.count("\n", 0, at) + 1
+    col = at - lines.rfind("\n", 0, at)
+    return text[:cut] + lines + text[cut:], f"{line_no}:{col}"
+
+
+# A second declaration of a name is an error at the second one, whatever its
+# kind; places, objects and the agents share one namespace.  Each case adds
+# its line at the end of the domain block.
+DUPLICATE_DECLARATIONS = {
+    "type": ("  type cube\n", "cube", "type 'cube'"),
+    "place": ("  place ot\n", "ot", "constant 'ot'"),
+    "object": ("  object c_w box\n", "c_w", "constant 'c_w'"),
+    "object-named-as-a-place": ("  object mt box\n", "mt", "constant 'mt'"),
+    "place-named-as-an-agent": ("  place H\n", "H", "constant 'H'"),
+    "predicate": ("  predicate empty(cube) observable\n", "empty", "predicate 'empty'"),
+    "rule": ("  rule see_holding: on(C, P) when at(observer, P)\n", "see_holding",
+             "rule 'see_holding'"),
+    "copresent": ("  copresent when at(R, P), at(H, P)\n", "copresent", "copresent rule"),
+    "action": ("  action pick() by R at mt {\n  }\n", "pick", "action 'pick'"),
+}
+
+
+@pytest.mark.parametrize("case", DUPLICATE_DECLARATIONS)
+def test_a_duplicate_declaration_is_an_error_at_the_second(case):
+    line, word, what = DUPLICATE_DECLARATIONS[case]
+    text = load_shipped("cube_org")
+    text, pos = _insert_at(text, text.rindex("}"), line, word)
+    with pytest.raises(ParseError) as e:
+        parse_domain(text, "cube_org.ehatp")
+    assert str(e.value) == f"cube_org.ehatp:{pos}: error: duplicate {what}"
+
+
+# Each of these lines may appear once in a problem, and one belief per atom:
+# a second would say another start, budget, agenda or belief than the first.
+DUPLICATE_PROBLEM_LINES = {
+    "domain": ("  domain cube_org\n", "domain", "line 'domain'"),
+    "k": ("  k 5\n", "k", "line 'k'"),
+    "communication": ("  communication on\n", "communication", "line 'communication'"),
+    "robot at": ("  robot at ot\n", "robot", "line 'robot at'"),
+    "human at": ("  human at ot\n", "human", "line 'human at'"),
+    "task R": ("  task R organize\n", "task", "line 'task R'"),
+    "task H": ("  task H organize_h\n", "task", "line 'task H'"),
+    "believe": ("  believe not main(box_2)\n  believe main(box_2)\n", "main",
+                "belief about main(box_2)"),
+}
+
+
+@pytest.mark.parametrize("case", DUPLICATE_PROBLEM_LINES)
+def test_a_repeated_problem_line_is_an_error_at_the_second(cube, case):
+    line, word, what = DUPLICATE_PROBLEM_LINES[case]
+    text = load_shipped("p1")
+    text, pos = _insert_at(text, text.index("  init {"), line, word)
+    with pytest.raises(ParseError) as e:
+        parse_problem(text, cube, "p1.ehatp")
+    assert str(e.value) == f"p1.ehatp:{pos}: error: duplicate {what}"
+
+
 def test_unresolvable_subtask_rejected_at_parse():
     text = """
 domain d {

@@ -7,6 +7,7 @@ oracle at the bottom re-derives them independently.
 
 import pytest
 
+from ehatp import htn
 from ehatp.dsl import ParseError, load_shipped, parse_domain, parse_problem
 from ehatp.htn import advance, alignment_diff, effectively_decomposed, feasible_refinements
 from ehatp.model import BeliefBase, Task, is_variable
@@ -154,6 +155,45 @@ def test_effectively_decomposed_cooking_skips(cooking):
     half = bel("at(R,kitchen)", "chopped(veg)", "washed(veg)", "boiled(veg)")
     assert effectively_decomposed(cooking, tn, done)
     assert not effectively_decomposed(cooking, tn, half)
+
+
+@pytest.mark.parametrize("first, second", [
+    (effectively_decomposed, feasible_refinements),
+    (feasible_refinements, effectively_decomposed),
+], ids=["decomposed-first", "refinements-first"])
+def test_both_answers_come_from_one_walk_per_memo(cube, monkeypatch, first, second):
+    walks = []
+    walk = htn._walk
+    monkeypatch.setattr(htn, "_walk", lambda *args: walks.append(args) or walk(*args))
+    dom = cube.with_fresh_memo()
+    tn = (Task("ensure_stored", ("c_r",)),)
+    b = bel("on(c_r,mt)", "empty(box_1)", "empty(box_2)", "at(R,mt)")
+    for fn in (first, second, first, second):
+        fn(dom, tn, b)
+    assert len(walks) == 1
+
+
+CHORE = """
+domain d {
+  place mt
+  predicate done inferable
+  action work() by R at mt {
+    add done
+  }
+  method chore skip {
+  }
+  method chore act {
+    sub work
+  }
+}
+"""
+
+
+def test_an_agenda_can_both_act_and_be_decomposed():
+    dom = parse_domain(CHORE)
+    tn, b = (Task("chore"),), bel("at(R,mt)")
+    assert prims(feasible_refinements(dom, tn, b)) == {("work", ())}
+    assert effectively_decomposed(dom, tn, b)
 
 
 # ------------------------------------------------------------ alignment diff

@@ -3,8 +3,9 @@
 Every public top-level function and class of `src/ehatp`, and every public
 method, must be named somewhere in `src/ehatp` or `planbench` other than its
 own definition: as a name, an attribute, or a part of a dotted string (the
-benchmark's tracer names the functions it wraps that way). And no module
-but `cli.py` catches an exception.
+benchmark's tracer names the functions it wraps that way). No module but
+`cli.py` catches an exception, and no module imports another's underscore
+name.
 """
 
 import ast
@@ -59,3 +60,15 @@ def test_only_the_cli_catches_exceptions():
               if any(isinstance(node, kinds)
                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))]
     assert trying == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """An underscore name is its module's own: a name another module needs
+    is public, so the check above sees whether anything uses it."""
+    private = [f"{path.name}: {node.module or '.'}.{alias.name}"
+               for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "ehatp")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
