@@ -14,9 +14,12 @@ missed bench target.
 """
 
 import argparse
+import errno
 import json
+import os
 import random
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -163,26 +166,35 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
     within each label, in offer order.  Each human action is re-checked for
     applicability in all surviving worlds, and the robot's out-of-sight work
     is re-counted against the budget.  Any branch that cannot be driven to a
-    finished state becomes a DEAD trace with the reason attached.
+    finished state becomes a DEAD trace with the reason attached.  Traces
+    come in policy preorder.
     """
-    dom = with_call_memo(dom)
-    traces: list[SimulationTrace] = []
-    # Depth first, children in recorded order: a branch is a state to
-    # follow, or the trace it already ended in.
+    return SimulationReport(tuple(_replay(with_call_memo(dom), prob, policy)))
+
+
+def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
+            toward: frozenset[int] = frozenset()) -> Iterator[SimulationTrace]:
+    """The traces of `simulate`, one at a time and on ``dom``'s call memo.
+
+    Depth first, children in recorded order, except that a child whose id is
+    in ``toward`` goes before its siblings: a caller that stops at the first
+    DEAD trace walks the path through the ``toward`` nodes before any other.
+    """
+    # A branch is a state to follow, or the trace it already ended in.
     stack: list[tuple | SimulationTrace] = [(0, initial_state(dom, prob), (), 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, SimulationTrace):
-            traces.append(item)
+            yield item
             continue
         idx, s, steps, hidden = item
         node = policy.nodes[idx]
         if not node.children:
             if evaluate_state(dom, s) == DONE:
-                traces.append(SimulationTrace(steps, DONE))
+                yield SimulationTrace(steps, DONE)
             else:
-                traces.append(SimulationTrace(
-                    steps, DEAD, "execution stops before the task is finished"))
+                yield SimulationTrace(
+                    steps, DEAD, "execution stops before the task is finished")
             continue
         offered = _offered(dom, prob, s)
         if s.actor == "H":
@@ -193,8 +205,8 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
             missing = sorted(l for l, succs in offered.items()
                              if recorded.get(l, 0) < len(succs))
             if missing:
-                traces.append(SimulationTrace(
-                    steps, DEAD, f"uncovered human alternative: {missing[0]}"))
+                yield SimulationTrace(
+                    steps, DEAD, f"uncovered human alternative: {missing[0]}")
                 continue
         branches: list[tuple | SimulationTrace] = []
         consumed: dict[str, int] = {}
@@ -207,20 +219,20 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
             # The robot's out-of-sight work since the agents last met.
             run = hidden + (s.actor == "R" and ontic and not state_copresent(dom, s))
             if pos >= len(succs):
-                note = f"recorded action unavailable: {label}"
+                branch = SimulationTrace(steps, DEAD, f"recorded action unavailable: {label}")
             elif s.actor == "H" and ontic and not _universally_applicable(dom, s, label):
-                note = f"human action not applicable in every world: {label}"
+                branch = SimulationTrace(
+                    steps, DEAD, f"human action not applicable in every world: {label}")
             elif run > prob.k:
-                note = f"budget exceeded: {run} unseen actions > K={prob.k}"
+                branch = SimulationTrace(
+                    steps, DEAD, f"budget exceeded: {run} unseen actions > K={prob.k}")
             else:
                 succ = succs[pos]
                 co = state_copresent(dom, succ)
                 step = SimStep(s.actor, label, co, len(succ.worlds))
-                branches.append((cid, succ, steps + (step,), 0 if co else run))
-                continue
-            branches.append(SimulationTrace(steps, DEAD, note))
+                branch = (cid, succ, steps + (step,), 0 if co else run)
+            branches.insert(0 if cid in toward else len(branches), branch)
         stack.extend(reversed(branches))
-    return SimulationReport(tuple(traces))
 
 
 def _offered(dom: DomainModel, prob: ProblemInstance,
@@ -257,10 +269,23 @@ def communication_is_load_bearing(dom: DomainModel, prob: ProblemInstance,
                                   policy: Policy) -> bool:
     """True when removing any single speech-act edge breaks the replay.
 
-    The replays share one call memo, so each finds every state expanded
-    already but those behind the edge it dropped."""
+    Each dropped-edge replay heads first for the dropped edge and stops at
+    its first DEAD trace, so it is `not simulate(cut).ok` but walks the
+    whole cut policy only when the speech act turns out not to be needed.
+    The replays share one call memo, so none expands a state another has
+    expanded already."""
     dom = with_call_memo(dom)
-    return all(not simulate(dom, prob, drop_edge(policy, nid)).ok
+    parent = {c: n.id for n in policy.nodes for c in n.children}
+
+    def ancestors(nid: int) -> frozenset[int]:
+        path = []
+        while nid in parent:
+            nid = parent[nid]
+            path.append(nid)
+        return frozenset(path)
+
+    return all(any(t.outcome != DONE
+                   for t in _replay(dom, prob, drop_edge(policy, nid), ancestors(nid)))
                for nid in communication_edges(policy))
 
 
@@ -368,6 +393,19 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
 # Subcommands
 
 
+def _missing_parent(*paths: str | None) -> OSError | None:
+    """The error writing the first of ``paths`` whose parent is not a
+    directory would raise, found before any work is done."""
+    for path in paths:
+        if path is None:
+            continue
+        parent = Path(path).parent
+        if not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            return OSError(code, os.strerror(code), path)
+    return None
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     try:
         dom_text = Path(args.domain).read_text(encoding="utf-8")
@@ -383,6 +421,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return 1
     for d in validate(dom, prob, filename=args.domain, problem_file=args.problem):
         print(d, file=sys.stderr)
+    unwritable = _missing_parent(args.out, args.metrics)
+    if unwritable is not None:
+        print(f"error: {unwritable}", file=sys.stderr)
+        return 1
 
     res = solve(dom, prob)
     if res.policy is None:
@@ -425,6 +467,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    unwritable = _missing_parent(args.out)
+    if unwritable is not None:
+        print(f"error: {unwritable}", file=sys.stderr)
+        return 1
     rows: list[Metrics] = []
     suspects: list[str] = []
     for name in sorted(BENCH_TARGETS):

@@ -303,6 +303,8 @@ class ProblemInstance:
     root_task_h: Task
     ground_truth: BeliefBase
     belief_deltas: tuple[Literal, ...]  # human's initial divergences from truth
+    # (line, column) of the ``believe`` of each delta, for diagnostics
+    belief_at: tuple[tuple[int, int], ...] = field(compare=False)
 
     @property
     def initial_bel_h(self) -> BeliefBase:
@@ -833,7 +835,7 @@ class _ProblemParser(_Parser):
         task_r: Task | None = None
         task_h: Task | None = None
         init_atoms: list[Literal] = []
-        deltas: list[Literal] = []
+        deltas: list[tuple[Literal, tuple[int, int]]] = []
 
         while not self.at_punct("}"):
             tok = self.peek()
@@ -920,7 +922,7 @@ class _ProblemParser(_Parser):
                 l, head = self.parse_literal()
                 self._check_ground_literal(l, head)
                 self._remember("believe", str(l.atom), head, f"belief about {l.atom}")
-                deltas.append(l)
+                deltas.append((l, _position(self.text, tok[2])))
             else:
                 raise self.error(tok, f"unexpected {tok[1]!r} in problem block")
         self.expect_punct("}")
@@ -933,6 +935,7 @@ class _ProblemParser(_Parser):
         if missing:
             raise self.error(self.peek(), "problem is missing: " + ", ".join(missing))
 
+        deltas.sort(key=lambda d: str(d[0]))
         truth = BeliefBase(frozenset(init_atoms)
                            | {Literal("at", ("R", robot_place)), Literal("at", ("H", human_place))})
         return ProblemInstance(
@@ -945,7 +948,8 @@ class _ProblemParser(_Parser):
             root_task_r=task_r,
             root_task_h=task_h,
             ground_truth=truth,
-            belief_deltas=tuple(sorted(deltas, key=str)),
+            belief_deltas=tuple(l for l, _ in deltas),
+            belief_at=tuple(at for _, at in deltas),
         )
 
     def _check_ground_args(self, args: tuple[str, ...], head: _Token) -> None:
@@ -985,8 +989,8 @@ def validate(dom: DomainModel, prob: ProblemInstance | None = None,
              filename: str = "<domain>", problem_file: str = "<problem>") -> list[Diagnostic]:
     """Warnings about conventions a parsed model may break, against
     ``filename``, and a note for each initial false belief of ``prob``'s
-    human, against ``problem_file``.  Never an error: the parser rejects
-    every malformed model with a positioned diagnostic."""
+    human, at its ``believe`` in ``problem_file``.  Never an error: the
+    parser rejects every malformed model with a positioned diagnostic."""
     out: list[Diagnostic] = []
 
     def warn(msg: str) -> None:
@@ -1001,10 +1005,9 @@ def validate(dom: DomainModel, prob: ProblemInstance | None = None,
             warn(f"copresent rule references {l.pred!r}; only agent positions are conventional")
 
     if prob is not None:
-        for d in prob.belief_deltas:
-            truth = prob.ground_truth.entails(d)
-            if not truth:
-                out.append(Diagnostic(problem_file, 0, 0, "note",
+        for d, (line, col) in zip(prob.belief_deltas, prob.belief_at):
+            if not prob.ground_truth.entails(d):
+                out.append(Diagnostic(problem_file, line, col, "note",
                                       f"initial false belief: human believes {d}"))
     return out
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ehatp import cli
 from ehatp.cli import (
     BENCH_TARGETS,
     communication_edges,
@@ -184,7 +185,8 @@ def test_a_false_belief_note_names_the_problem_file(tmp_path, capsys):
     main(["plan", "-d", _data_path("cube_org"), "-p", str(problem),
           "-o", str(tmp_path / "x.json")])
     notes = [l for l in capsys.readouterr().err.splitlines() if ": note: " in l]
-    assert notes == [f"{problem}:0:0: note: initial false belief: "
+    line = text[:text.index("  init {")].count("\n") + 1
+    assert notes == [f"{problem}:{line}:3: note: initial false belief: "
                      "human believes not transparent(box_2)"]
 
 
@@ -417,19 +419,36 @@ def test_bench_fails_on_a_missed_target(monkeypatch, capsys):
     assert "encodings to review: p2" in got
 
 
+@pytest.fixture
+def no_search(monkeypatch):
+    """Output paths are checked before the search: here it may not run."""
+    def refuse(dom, prob):
+        raise AssertionError("solved before checking the output path")
+
+    monkeypatch.setattr(cli, "solve", refuse)
+
+
 @pytest.mark.parametrize("argv", [
     ["plan", "-o", "{missing}"],
     ["plan", "-o", "{ok}", "--metrics", "{missing}"],
     ["bench", "-o", "{missing}"],
 ], ids=["plan-out", "plan-metrics", "bench-out"])
-def test_an_unwritable_output_path_is_a_diagnostic(tmp_path, capsys, argv):
+def test_an_unwritable_output_path_is_a_diagnostic(tmp_path, capsys, no_search, argv):
     missing = tmp_path / "missing" / "out"
     argv = [a.format(missing=missing, ok=tmp_path / "p1.json") for a in argv]
     if argv[0] == "plan":
         argv += ["-d", _data_path("cube_org"), "-p", _data_path("p1")]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith(f"{missing}'\n")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert list(tmp_path.iterdir()) == []  # not even the policy before --metrics
+
+
+def test_an_output_path_under_a_file_is_a_diagnostic(tmp_path, capsys, no_search):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out.csv"
+    assert main(["bench", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{out}'\n"
 
 
 def test_log_channels_print_traces(tmp_path, capsys, monkeypatch):

@@ -203,6 +203,28 @@ problem fb {
     assert len(notes) == 2
 
 
+def test_false_belief_notes_point_at_their_believe(cube):
+    text = """problem fb {
+  domain cube_org
+  k 1
+  communication off
+  robot at mt
+  human at mt
+  task R organize
+  task H organize_h
+  init { on(c_r, mt) }
+    believe not on(c_r, mt)
+  believe inside(c_r, box_1)
+}
+"""
+    prob = parse_problem(text, cube, "fb.ehatp")
+    notes = [str(d) for d in validate(cube, prob, problem_file="fb.ehatp")]
+    assert notes == [
+        "fb.ehatp:11:3: note: initial false belief: human believes inside(c_r,box_1)",
+        "fb.ehatp:10:5: note: initial false belief: human believes not on(c_r,mt)",
+    ]
+
+
 def test_validate_clean_on_shipped_pairs():
     for name in ("p1", "p2", "p3", "p4", "p5", "p6",
                  "cooking1", "cooking2", "cooking3"):

@@ -3,8 +3,12 @@
 `simulate` keeps each state's offered successors in the call memo, and
 `communication_is_load_bearing` runs all of its dropped-edge replays on one
 memo.  A warm memo must not change what a replay reports, and only calls
-nested in another call may share one.  Each policy file parses its domain
-afresh, and the parse takes the table already ground for equal declarations.
+nested in another call may share one.  Each dropped-edge replay heads first
+for the dropped edge and stops at its first DEAD trace: a load-bearing
+speech act costs only the states on the way to it, and one that is not
+costs the whole cut policy, with the verdict of a full replay either way.
+Each policy file parses its domain afresh, and the parse takes the table
+already ground for equal declarations.
 """
 
 import sys
@@ -20,8 +24,9 @@ from ehatp.cli import (
     read_policy_file,
     simulate,
 )
-from ehatp.dsl import load_shipped, parse_domain, parse_problem
-from ehatp.solver import solve
+from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
+from ehatp.kernel import state_copresent
+from ehatp.solver import DONE, Policy, PolicyNode, finished_values, solve
 from helpers import cold, traces
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,6 +130,87 @@ def test_load_bearing_check_expands_each_state_once(expanded):
     assert len(communication_edges(policy)) > 1
     communication_is_load_bearing(dom, prob, policy)
     assert expanded and len(set(expanded)) == len(expanded)
+
+
+def _path_to(policy, nid):
+    """Ids of the nodes from the root down to ``nid``'s parent."""
+    parent = {c: n.id for n in policy.nodes for c in n.children}
+    path = []
+    while nid in parent:
+        nid = parent[nid]
+        path.append(nid)
+    return path[::-1]
+
+
+def test_load_bearing_check_expands_only_the_way_to_each_speech_act(expanded):
+    counts = {}
+    for name in ("p2", "p4", "p6"):
+        dom, prob = load_instance(name)
+        policy = solve(dom, prob).policy
+        # Each dropped-edge replay stops at the dropped edge's parent, a
+        # robot node left with no child: every state on the way is
+        # expanded, the parent is only evaluated.
+        on_the_way = set()
+        for nid in communication_edges(policy):
+            cut = drop_edge(policy, nid)
+            on_the_way |= {policy.nodes[a].state.signature()
+                           for a in _path_to(policy, nid) if cut.nodes[a].children}
+        expanded.clear()
+        assert communication_is_load_bearing(dom, prob, policy), name
+        assert sorted(expanded) == sorted(on_the_way), name
+        counts[name] = len(expanded)
+    assert counts == {"p2": 9, "p4": 21, "p6": 21}
+
+
+def _unfold(dom, root, keep):
+    """The policy tree below ``root`` that keeps the edges ``keep(node)``
+    names at each search node, with preorder ids."""
+    nodes = []
+    stack = [(root, None, None)]
+    while stack:
+        n, edge, parent = stack.pop()
+        kept = keep(n)
+        pn = PolicyNode(len(nodes), n.kind if kept else "LEAF", n.state.actor, edge,
+                        state_copresent(dom, n.state), [], n.state)
+        nodes.append(pn)
+        if parent is not None:
+            parent.children.append(pn.id)
+        stack.extend((c, label, pn) for label, c in reversed(kept))
+    return Policy(nodes)
+
+
+def test_a_speech_act_with_a_finished_alternative_is_not_load_bearing(expanded):
+    dom, prob = load_instance("p2")
+    res = solve(dom, prob)
+    choice = finished_values([n for n in res.all_nodes if n.status == DONE])[1]
+
+    def extracted(n):
+        if not n.children:
+            return []
+        return [choice[id(n)]] if n.kind == "OR" else n.children
+
+    assert _unfold(dom, res.root, extracted).node_dicts() == res.policy.node_dicts()
+
+    def both(n):
+        # Where the robot informs, it could also stand by and still finish.
+        kept = extracted(n)
+        noop = [(l, c) for l, c in n.children or () if l == "noop" and c.status == DONE]
+        return kept + noop if kept and kept[0][0] == "inform-empty(box_2)" else kept
+
+    policy = _unfold(dom, res.root, both)
+    edges = communication_edges(policy)
+    inform = edges[0]
+    assert [policy.nodes[c].edge for c in policy.nodes[_path_to(policy, inform)[-1]].children] \
+        == ["inform-empty(box_2)", "noop"]
+    assert simulate(dom, prob, policy).ok
+    cut = drop_edge(policy, inform)
+    assert simulate(dom, prob, cut).ok
+    fresh = all(not simulate(dom, prob, drop_edge(policy, nid)).ok for nid in edges)
+
+    expanded.clear()
+    assert communication_is_load_bearing(dom, prob, policy) is fresh is False
+    # No trace of the first cut dies, so the check walks the whole of it.
+    assert sorted(expanded) == sorted({n.state.signature() for n in cut.nodes if n.children})
 
 
 def test_a_second_read_of_a_policy_file_grounds_nothing(monkeypatch):
