@@ -173,8 +173,10 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
 
 
 def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
-            toward: frozenset[int] = frozenset()) -> Iterator[SimulationTrace]:
-    """The traces of `simulate`, one at a time and on ``dom``'s call memo.
+            toward: frozenset[int] = frozenset(), skip: int | None = None,
+            ) -> Iterator[SimulationTrace]:
+    """The traces of `simulate`, one at a time and on ``dom``'s call memo,
+    with the edge into node ``skip`` left out of the policy.
 
     Depth first, children in recorded order, except that a child whose id is
     in ``toward`` goes before its siblings: a caller that stops at the first
@@ -188,8 +190,10 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             yield item
             continue
         idx, s, steps, hidden = item
-        node = policy.nodes[idx]
-        if not node.children:
+        children = policy.nodes[idx].children
+        if skip in children:
+            children = [c for c in children if c != skip]
+        if not children:
             if evaluate_state(dom, s) == DONE:
                 yield SimulationTrace(steps, DONE)
             else:
@@ -199,7 +203,7 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
         offered = _offered(dom, prob, s)
         if s.actor == "H":
             recorded: dict[str, int] = {}
-            for cid in node.children:
+            for cid in children:
                 edge = policy.nodes[cid].edge
                 recorded[edge] = recorded.get(edge, 0) + 1
             missing = sorted(l for l, succs in offered.items()
@@ -210,7 +214,7 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
                 continue
         branches: list[tuple | SimulationTrace] = []
         consumed: dict[str, int] = {}
-        for cid in node.children:
+        for cid in children:
             label = policy.nodes[cid].edge
             pos = consumed.get(label, 0)
             consumed[label] = pos + 1
@@ -256,21 +260,12 @@ def communication_edges(policy: Policy) -> list[int]:
             if n.edge is not None and is_speech_act(n.edge)]
 
 
-def drop_edge(policy: Policy, node_id: int) -> Policy:
-    """A copy of ``policy`` without the edge into ``node_id`` (the subtree
-    behind it becomes unreachable)."""
-    return Policy([
-        PolicyNode(n.id, n.kind, n.actor, n.edge, n.copresent,
-                   [c for c in n.children if c != node_id], n.state)
-        for n in policy.nodes])
-
-
 def communication_is_load_bearing(dom: DomainModel, prob: ProblemInstance,
                                   policy: Policy) -> bool:
     """True when removing any single speech-act edge breaks the replay.
 
-    Each dropped-edge replay heads first for the dropped edge and stops at
-    its first DEAD trace, so it is `not simulate(cut).ok` but walks the
+    Each replay leaves one speech-act edge out, heads first for it and stops
+    at its first DEAD trace, so it is `not simulate(cut).ok` but walks the
     whole cut policy only when the speech act turns out not to be needed.
     The replays share one call memo, so none expands a state another has
     expanded already."""
@@ -285,7 +280,7 @@ def communication_is_load_bearing(dom: DomainModel, prob: ProblemInstance,
         return frozenset(path)
 
     return all(any(t.outcome != DONE
-                   for t in _replay(dom, prob, drop_edge(policy, nid), ancestors(nid)))
+                   for t in _replay(dom, prob, policy, ancestors(nid), nid))
                for nid in communication_edges(policy))
 
 

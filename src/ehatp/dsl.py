@@ -25,8 +25,9 @@ import re
 from copy import copy
 from dataclasses import dataclass, field, fields
 from importlib import resources
-from itertools import product
-from typing import Callable, Iterable, TypeVar
+from itertools import islice, product
+from operator import itemgetter
+from typing import Iterable, Iterator, KeysView, NamedTuple
 
 from .model import (
     AGENTS,
@@ -40,9 +41,8 @@ from .model import (
     unify,
 )
 
-T = TypeVar("T")
-
 OBSERVER = "observer"
+_tuple = tuple.__new__  # builds a named tuple without its Python ``__new__``
 BUILTIN_TYPES = ("agent", "place")
 
 
@@ -64,8 +64,7 @@ class ParseError(EhatpError):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True, slots=True)
-class Param:
+class Param(NamedTuple):
     name: str
     type: str
 
@@ -73,8 +72,7 @@ class Param:
         return f"{self.name} {self.type}"
 
 
-@dataclass(frozen=True, slots=True)
-class PredicateDecl:
+class PredicateDecl(NamedTuple):
     name: str
     param_types: tuple[str, ...]
     observable: bool
@@ -84,8 +82,7 @@ class PredicateDecl:
         return f"{sig} {'observable' if self.observable else 'inferable'}"
 
 
-@dataclass(frozen=True, slots=True)
-class ActionSchema:
+class ActionSchema(NamedTuple):
     name: str
     actor: str
     params: tuple[Param, ...]
@@ -162,8 +159,7 @@ class GroundAction:
         return mask & need == need and not mask & forbid
 
 
-@dataclass(frozen=True, slots=True)
-class MethodSchema:
+class MethodSchema(NamedTuple):
     task: str
     params: tuple[Param, ...]
     label: str
@@ -171,8 +167,7 @@ class MethodSchema:
     subtasks: tuple[Task, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class KnowledgeRule:
+class KnowledgeRule(NamedTuple):
     name: str
     target: Literal
     antecedent: tuple[Literal, ...]
@@ -203,6 +198,10 @@ class DomainModel:
     # its own copy (``kernel.with_call_memo``), so the memo lives as long as
     # that call.
     memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # (line, column) of each observable predicate's name, by ``("predicate",
+    # name)``, and of the ``copresent`` keyword, by ``("copresent", "")``:
+    # where `validate` warns
+    declared_at: dict = field(default_factory=dict, compare=False, repr=False)
     # Declarations by name (the parser rejects a repeated name; methods: all,
     # in order); each constant's type, and the constants of each type
     _predicates: dict = field(init=False, compare=False, repr=False)
@@ -242,8 +241,8 @@ class DomainModel:
     def methods_for(self, task: str) -> tuple[MethodSchema, ...]:
         return self._methods.get(task, ())
 
-    def task_names(self) -> frozenset[str]:
-        return frozenset(m.task for m in self.methods)
+    def task_names(self) -> KeysView[str]:
+        return self._methods.keys()
 
     def instances(self, literals: Iterable[Literal], binding: dict[str, str],
                   ) -> list[tuple[dict[str, str], int, int]]:
@@ -318,26 +317,29 @@ class ProblemInstance:
 # Lexer
 
 
-# A token is ``(kind, text, index)``: ``kind`` is ident | int | punct | eof
-# and ``index`` is the offset of its first character.  Line and column are
-# worked out from the index only when a diagnostic reports them.
-_Token = tuple[str, str, int]
+# A token is ``(layout, ident, mark, word)``, one match of ``_TOKEN``: the
+# layout (blanks, newlines, ``#`` comments) before it, then its text in one
+# of three groups, the other two empty: an identifier, a mark (a punctuation
+# mark or an integer), or a word that `_split_words` takes apart.  No token
+# from `_lex` holds a word, and the end of input is the one with neither an
+# identifier nor a mark.  Offsets are counted only when a position is
+# reported (`_tokenize`).
+_Token = tuple[str, str, str, str]
 
-# One match per token, with the layout (blanks, newlines, ``#`` comments)
-# before it.  ``\w`` is exactly ``str.isalnum()`` or ``_``: an identifier's
-# tail.  A run of word characters the ASCII groups cannot take (a non-ASCII
-# start, or digits before a non-ASCII character), a ``-`` before no digit and
-# any other character fall to the fourth group, which `_split_word` checks
-# with the ``str`` tests.  No atomic groups or possessive quantifiers: Python
-# 3.10 has neither.
+# ``\w`` is exactly ``str.isalnum()`` or ``_``: an identifier's tail.  A run
+# of word characters the ASCII groups cannot take (a non-ASCII start, or
+# digits before a non-ASCII character), a ``-`` before no digit and any other
+# character fall to the word group, which `_split_words` checks with the
+# ``str`` tests.  No atomic groups or possessive quantifiers: Python 3.10 has
+# neither.
 _TOKEN = re.compile(r"""
     ([ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*)
     (?: ([A-Za-z_]\w*)
-      | ([{}(),:])
-      | (-?[0-9]+)(?![0-9]|[^\x00-\x7f])
+      | ([{}(),:]|-?[0-9]+(?![0-9]|[^\x00-\x7f]))
       | (-?\w+|.)
       | \Z )
 """, re.VERBOSE | re.DOTALL)
+_WORD = itemgetter(3)
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -345,151 +347,196 @@ def _position(text: str, index: int) -> tuple[int, int]:
     return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
 
 
-def _tokenize(text: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    append = tokens.append
+def _lex(text: str, filename: str) -> list[_Token]:
+    """The tokens of ``text``, the end of input last."""
+    tokens = _TOKEN.findall(text)
+    if len(tokens) > 1 and not any(tokens[-2][1:]):
+        tokens.pop()  # the empty match after trailing layout
+    return _split_words(text, filename, tokens) if any(map(_WORD, tokens)) else tokens
+
+
+def _split_words(text: str, filename: str, tokens: list[_Token]) -> list[_Token]:
+    """``tokens`` with each word replaced by the integer and the identifier
+    it holds; raise on the first character that starts neither."""
+    out: list[_Token] = []
     i = 0
-    for layout, ident, punct, num, other in _TOKEN.findall(text):
+    for layout, ident, mark, word in tokens:
         i += len(layout)
-        if ident:
-            append(("ident", ident, i))
-        elif punct:
-            append(("punct", punct, i))
-        elif num:
-            append(("int", num, i))
-        elif other:
-            _split_word(text, filename, other, i, tokens)
-        i += len(ident or punct or num or other)
+        if not word:
+            out.append((layout, ident, mark, word))
+            i += len(ident or mark)
+            continue
+        j = 0
+        if word[0].isdigit() or (word[0] == "-" and word[1:2].isdigit()):
+            j = 1
+            while j < len(word) and word[j].isdigit():
+                j += 1
+            out.append((layout, "", word[:j], ""))
+            layout = ""
+        if j < len(word):
+            if not (word[j].isalpha() or word[j] == "_"):
+                line, col = _position(text, i + j)
+                raise ParseError(Diagnostic(filename, line, col, "error",
+                                            f"unexpected character {word[j]!r}"))
+            out.append((layout, word[j:], "", ""))
+        i += len(word)
+    return out
+
+
+def _tokenize(text: str, filename: str, tokens: list[_Token] | None = None,
+              ) -> Iterator[tuple[str, str, int]]:
+    """``(kind, text, index)`` of each token of ``text``, lexed unless
+    ``tokens`` holds them: ``kind`` is ident | int | punct | eof and
+    ``index`` is the offset of the token's first character."""
+    if tokens is None:
+        tokens = _lex(text, filename)
+    i = 0
+    for layout, ident, mark, _ in islice(tokens, len(tokens) - 1):
+        i += len(layout)
+        yield ("ident", ident, i) if ident else ("punct" if mark in "{}(),:" else "int", mark, i)
+        i += len(ident or mark)
     # A comment's characters take no column, which shows only when the last
     # line ends in one: the end of input is then placed where it starts.
     comment = text.find("#", text.rfind("\n") + 1)
-    append(("eof", "", len(text) if comment < 0 else comment))
-    return tokens
-
-
-def _split_word(text: str, filename: str, word: str, index: int,
-                tokens: list[_Token]) -> None:
-    """Append the integer and identifier that ``word`` (at ``index``) holds,
-    or raise on the first character that starts neither."""
-    j = 0
-    if word[0].isdigit() or (word[0] == "-" and word[1:2].isdigit()):
-        j = 1
-        while j < len(word) and word[j].isdigit():
-            j += 1
-        tokens.append(("int", word[:j], index))
-    if j < len(word):
-        if not (word[j].isalpha() or word[j] == "_"):
-            line, col = _position(text, index + j)
-            raise ParseError(Diagnostic(filename, line, col, "error",
-                                        f"unexpected character {word[j]!r}"))
-        tokens.append(("ident", word[j:], index + j))
+    yield "eof", "", len(text) if comment < 0 else comment
 
 
 class _Parser:
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.tokens = _tokenize(text, filename)
+        self.tokens = _lex(text, filename)
         self.pos = 0
-        # The token of each declaration by ``kind:name``: a second one is an
-        # error, and a domain's reference errors are raised at the first.
-        self._decl_tok: dict[str, _Token] = {}
+        # The index of each declaration's token by ``(kind, name)``: a second
+        # one is an error, and a domain's reference errors are raised at the
+        # first.  Places, objects and the agents share one namespace of
+        # constants; an agent's token is never reported.
+        self._decl_tok: dict[tuple[str, str], int] = {("constant", a): -1 for a in AGENTS}
+        self._view = _tokenize(text, filename, self.tokens)
+        self._seen: list[tuple[str, str, int]] = []  # what `_view` gave so far
 
     # -- token plumbing ----------------------------------------------------
+    # A keyword is read off a token's ``[1]`` and a mark off its ``[2]``;
+    # lists are read straight off ``tokens`` with a local index.
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def at(self, k: int) -> tuple[int, int]:
+        """Line and column of token ``k``: offsets are counted once, up to
+        the furthest token asked for."""
+        seen = self._seen
+        if k >= len(seen):
+            seen.extend(islice(self._view, k + 1 - len(seen)))
+        return _position(self.text, seen[k][2])
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
-
-    def error(self, tok: _Token, message: str) -> ParseError:
-        line, col = _position(self.text, tok[2])
+    def error(self, k: int, message: str) -> ParseError:
+        line, col = self.at(k)
         return ParseError(Diagnostic(self.filename, line, col, "error", message))
 
-    def expect_ident(self, what: str) -> _Token:
-        tok = self.next()
-        if tok[0] != "ident":
-            raise self.error(tok, f"expected {what}, got {tok[1]!r}" if tok[1] else f"expected {what}")
-        return tok
+    def expected(self, k: int, what: str) -> ParseError:
+        text = self.tokens[k][1] or self.tokens[k][2]
+        return self.error(k, f"expected {what}, got {text!r}" if text else f"expected {what}")
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.next()
-        if tok[0] != "ident" or tok[1] != word:
-            raise self.error(tok, f"expected {word!r}, got {tok[1]!r}" if tok[1] else f"expected {word!r}")
-        return tok
+    def ident(self, what: str) -> str:
+        """The next token, which must be an identifier (``what``)."""
+        name = self.tokens[self.pos][1]
+        if not name:
+            raise self.expected(self.pos, what)
+        self.pos += 1
+        return name
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.next()
-        if tok[0] != "punct" or tok[1] != ch:
-            raise self.error(tok, f"expected {ch!r}, got {tok[1]!r}" if tok[1] else f"expected {ch!r}")
-        return tok
+    def expect(self, word: str) -> None:
+        """Skip the next token, which must read ``word``."""
+        tok = self.tokens[self.pos]
+        if tok[1] != word and tok[2] != word:
+            raise self.expected(self.pos, repr(word))
+        self.pos += 1
 
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "ident" and tok[1] == word
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok[0] == "punct" and tok[1] == ch
-
-    def _remember(self, kind: str, name: str, tok: _Token, what: str = "",
-                  at: _Token | None = None) -> None:
-        """Keep ``tok``, the declaration of ``name``; raise "duplicate
-        ``what``" (``kind 'name'`` when empty) at ``at`` (``tok`` when None)
-        if ``name`` is declared already as a ``kind``."""
-        key = f"{kind}:{name}"
+    def _remember(self, kind: str, name: str, k: int, what: str = "",
+                  at: int | None = None) -> None:
+        """Keep ``k``, the token of the declaration of ``name``; raise
+        "duplicate ``what``" (``kind 'name'`` when empty) at token ``at``
+        (``k`` when None) if ``name`` is declared already as a ``kind``."""
+        key = (kind, name)
         if key in self._decl_tok:
-            raise self.error(at or tok, f"duplicate {what or f'{kind} {name!r}'}")
-        self._decl_tok[key] = tok
+            raise self.error(k if at is None else at, f"duplicate {what or f'{kind} {name!r}'}")
+        self._decl_tok[key] = k
 
     # -- shared pieces -----------------------------------------------------
 
-    def parse_list(self, item: Callable[[], T]) -> tuple[T, ...]:
-        """One or more ``item``s separated by commas."""
-        out = [item()]
-        while self.at_punct(","):
-            self.next()
-            out.append(item())
+    def parens(self, types: list[str] | None = None) -> tuple:
+        """``(Name type, ...)`` parameters or, given ``types``, ``(type, ...)``
+        with each one of them or built in; possibly empty, or nothing when no
+        ``(`` follows."""
+        toks = self.tokens
+        i = self.pos
+        if toks[i][2] != "(":
+            return ()
+        out: list = []
+        if toks[i + 1][2] != ")":
+            while True:
+                i += 1
+                name = toks[i][1]
+                if types is not None:
+                    if not name:
+                        raise self.expected(i, "a type")
+                    if name not in types and name not in BUILTIN_TYPES:
+                        raise self.error(i, f"undeclared type {name!r}")
+                    out.append(name)
+                else:
+                    if not name:
+                        raise self.expected(i, "a parameter name")
+                    if not is_variable(name):
+                        raise self.error(i, f"parameter {name!r} must start uppercase")
+                    i += 1
+                    if not toks[i][1]:
+                        raise self.expected(i, "a parameter type")
+                    out.append(_tuple(Param, (name, toks[i][1])))
+                i += 1
+                if toks[i][2] != ",":
+                    break
+            if toks[i][2] != ")":
+                raise self.expected(i, "')'")
+        self.pos = i + 1 if out else i + 2
         return tuple(out)
 
-    def parse_parens(self, item: Callable[[], T]) -> tuple[T, ...]:
-        """``(item, ...)``, possibly empty, or nothing when no ``(`` follows."""
-        if not self.at_punct("("):
-            return ()
-        self.next()
-        out = () if self.at_punct(")") else self.parse_list(item)
-        self.expect_punct(")")
-        return out
-
-    def parse_argument(self) -> str:
-        return self.expect_ident("an argument")[1]
-
-    def parse_literal(self) -> tuple[Literal, _Token]:
-        positive = True
-        if self.at_keyword("not"):
-            self.next()
-            positive = False
-        head = self.expect_ident("a predicate name")
-        args = self.parse_parens(self.parse_argument)
-        return Literal(head[1], args, positive), head
-
-    def parse_literal_list(self) -> tuple[Literal, ...]:
-        return tuple(l for l, _ in self.parse_list(self.parse_literal))
-
-    def parse_task(self) -> tuple[Task, _Token]:
-        head = self.expect_ident("a task name")
-        args = self.parse_parens(self.parse_argument)
-        return Task(head[1], args), head
-
-    def parse_param(self) -> Param:
-        name = self.expect_ident("a parameter name")
-        if not is_variable(name[1]):
-            raise self.error(name, f"parameter {name[1]!r} must start uppercase")
-        return Param(name[1], self.expect_ident("a parameter type")[1])
+    def terms(self, what: str, one: bool = False) -> tuple[tuple, int]:
+        """One ``[not] name[(arg, ...)]`` or, unless ``one``, more separated
+        by commas, and the index of the last one's name: literals, or tasks
+        (which take no ``not``) when ``what`` is "a task name"."""
+        toks = self.tokens
+        i = self.pos
+        task = what == "a task name"
+        out = []
+        while True:
+            positive = task or toks[i][1] != "not"
+            if not positive:
+                i += 1
+            head = i
+            name = toks[i][1]
+            if not name:
+                raise self.expected(i, what)
+            args: list[str] = []
+            if toks[i + 1][2] != "(":
+                i += 1
+            elif toks[i + 2][2] == ")":
+                i += 3
+            else:
+                while True:
+                    arg = toks[i + 2][1]
+                    if not arg:
+                        raise self.expected(i + 2, "an argument")
+                    args.append(arg)
+                    i += 2
+                    if toks[i + 1][2] != ",":
+                        break
+                if toks[i + 1][2] != ")":
+                    raise self.expected(i + 1, "')'")
+                i += 2
+            out.append(_tuple(Task, (name, tuple(args))) if task
+                       else _tuple(Literal, (name, tuple(args), positive)))
+            if one or toks[i][2] != ",":
+                self.pos = i
+                return tuple(out), head
+            i += 1
 
 
 # --------------------------------------------------------------------------
@@ -497,27 +544,13 @@ class _Parser:
 
 
 class _DomainParser(_Parser):
-    def __init__(self, text: str, filename: str):
-        super().__init__(text, filename)
-        # Places, objects and the agents share one namespace of constants;
-        # an agent's token is never reported.
-        for a in AGENTS:
-            self._decl_tok[f"constant:{a}"] = ("ident", a, 0)
-
     def _ref_error(self, kind: str, name: str, message: str) -> ParseError:
-        return self.error(self._decl_tok[f"{kind}:{name}"], message)
-
-    def parse_type(self, types: list[str], what: str) -> str:
-        """A built-in type or one of the declared ``types``."""
-        tok = self.expect_ident(what)
-        if tok[1] not in types and tok[1] not in BUILTIN_TYPES:
-            raise self.error(tok, f"undeclared type {tok[1]!r}")
-        return tok[1]
+        return self.error(self._decl_tok[kind, name], message)
 
     def parse(self) -> DomainModel:
-        self.expect_keyword("domain")
-        name = self.expect_ident("a domain name")
-        self.expect_punct("{")
+        self.expect("domain")
+        name = self.ident("a domain name")
+        self.expect("{")
         types: list[str] = []
         places: list[str] = []
         objects: list[tuple[str, str]] = []
@@ -526,56 +559,53 @@ class _DomainParser(_Parser):
         copresence: tuple[Literal, ...] | None = None
         actions: list[ActionSchema] = []
         methods: list[MethodSchema] = []
+        declared_at: dict[tuple[str, str], tuple[int, int]] = {}
 
-        while not self.at_punct("}"):
-            tok = self.peek()
-            if tok[0] == "eof":
-                raise self.error(tok, "unterminated domain block")
-            if self.at_keyword("type"):
-                self.next()
-                tname = self.expect_ident("a type name")
-                self._remember("type", tname[1], tname)
-                types.append(tname[1])
-            elif self.at_keyword("place"):
-                self.next()
-                pname = self.expect_ident("a place name")
-                self._remember("constant", pname[1], pname)
-                places.append(pname[1])
-            elif self.at_keyword("object"):
-                self.next()
-                oname = self.expect_ident("an object name")
-                self._remember("constant", oname[1], oname)
-                objects.append((oname[1], self.parse_type(types, "an object type")))
-            elif self.at_keyword("predicate"):
-                self.next()
-                pname = self.expect_ident("a predicate name")
-                self._remember("predicate", pname[1], pname)
-                ptypes = self.parse_parens(lambda: self.parse_type(types, "a type"))
-                klass = self.expect_ident("'observable' or 'inferable'")
-                if klass[1] not in ("observable", "inferable"):
-                    raise self.error(klass, "predicate class must be 'observable' or 'inferable'")
-                predicates.append(PredicateDecl(pname[1], ptypes, klass[1] == "observable"))
-            elif self.at_keyword("rule"):
-                self.next()
-                rname = self.expect_ident("a rule name")
-                self._remember("rule", rname[1], rname)
-                self.expect_punct(":")
-                target, _ = self.parse_literal()
-                self.expect_keyword("when")
-                antecedent = self.parse_literal_list()
-                rules.append(KnowledgeRule(rname[1], target, antecedent))
-            elif self.at_keyword("copresent"):
-                tok = self.next()
-                self._remember("copresent", "", tok, "copresent rule")
-                self.expect_keyword("when")
-                copresence = self.parse_literal_list()
-            elif self.at_keyword("action"):
+        toks = self.tokens
+        while toks[self.pos][2] != "}":
+            k = self.pos
+            word = toks[k][1]
+            if word == "action":
                 actions.append(self.parse_action())
-            elif self.at_keyword("method"):
+            elif word == "method":
                 methods.append(self.parse_method())
+            elif word in ("type", "place", "object", "predicate", "rule"):
+                self.pos += 1
+                decl = self.ident(f"{'an object' if word == 'object' else f'a {word}'} name")
+                self._remember("constant" if word in ("place", "object") else word, decl, k + 1)
+                if word == "type":
+                    types.append(decl)
+                elif word == "place":
+                    places.append(decl)
+                elif word == "object":
+                    otype = self.ident("an object type")
+                    if otype not in types and otype not in BUILTIN_TYPES:
+                        raise self.error(k + 2, f"undeclared type {otype!r}")
+                    objects.append((decl, otype))
+                elif word == "predicate":
+                    ptypes = self.parens(types)
+                    klass = self.ident("'observable' or 'inferable'")
+                    if klass not in ("observable", "inferable"):
+                        raise self.error(self.pos - 1, "predicate class must be 'observable' or 'inferable'")
+                    predicates.append(_tuple(PredicateDecl, (decl, ptypes, klass == "observable")))
+                    if klass == "observable":  # what `validate` may warn about
+                        declared_at["predicate", decl] = self.at(k + 1)
+                else:
+                    self.expect(":")
+                    (target,), _ = self.terms("a predicate name", one=True)
+                    self.expect("when")
+                    rules.append(_tuple(KnowledgeRule, (decl, target, self.terms("a predicate name")[0])))
+            elif word == "copresent":
+                self.pos += 1
+                self._remember("copresent", "", k, "copresent rule")
+                declared_at["copresent", ""] = self.at(k)
+                self.expect("when")
+                copresence = self.terms("a predicate name")[0]
             else:
-                raise self.error(tok, f"unexpected {tok[1]!r} in domain block")
-        self.expect_punct("}")
+                text = word or toks[k][2]
+                raise self.error(k, f"unexpected {text!r} in domain block" if text
+                                 else "unterminated domain block")
+        self.pos += 1
 
         if copresence is None:
             # Default: same place.
@@ -584,10 +614,10 @@ class _DomainParser(_Parser):
             # Agent positions are framework-level; declare implicitly.
             predicates.insert(0, PredicateDecl("at", ("agent", "place"), False))
         if next(p for p in predicates if p.name == "at").param_types != ("agent", "place"):
-            raise self.error(name, "predicate 'at' must be declared as at(agent, place)")
+            raise self.error(1, "predicate 'at' must be declared as at(agent, place)")
 
         dom = DomainModel(
-            name=name[1],
+            name=name,
             types=tuple(types),
             places=tuple(places),
             objects=tuple(objects),
@@ -596,67 +626,63 @@ class _DomainParser(_Parser):
             copresence=copresence,
             actions=tuple(actions),
             methods=tuple(methods),
+            declared_at=declared_at,
         )
         self._check_references(dom)
         return dom
 
     def parse_action(self) -> ActionSchema:
-        self.expect_keyword("action")
-        name = self.expect_ident("an action name")
-        self._remember("action", name[1], name)
-        params = self.parse_parens(self.parse_param)
-        self.expect_keyword("by")
-        actor = self.expect_ident("an actor (R or H)")
-        if actor[1] not in AGENTS:
-            raise self.error(actor, f"actor must be R or H, got {actor[1]!r}")
-        self.expect_keyword("at")
-        place = self.expect_ident("a place or place-typed parameter")[1]
-        self.expect_punct("{")
-        pre: tuple[Literal, ...] = ()
-        adds: tuple[Literal, ...] = ()
-        dels: tuple[Literal, ...] = ()
-        while not self.at_punct("}"):
-            if self.at_keyword("pre"):
-                self.next()
-                pre = self.parse_literal_list()
-            elif self.at_keyword("add"):
-                self.next()
-                adds = self.parse_literal_list()
-            elif self.at_keyword("del"):
-                self.next()
-                dels = self.parse_literal_list()
-            else:
-                raise self.error(self.peek(), "expected 'pre', 'add', 'del', or '}' in action body")
-        self.expect_punct("}")
-        return ActionSchema(name[1], actor[1], params, place, pre, adds, dels)
+        self.pos += 1
+        k = self.pos
+        name = self.ident("an action name")
+        self._remember("action", name, k)
+        params = self.parens()
+        self.expect("by")
+        actor = self.ident("an actor (R or H)")
+        if actor not in AGENTS:
+            raise self.error(self.pos - 1, f"actor must be R or H, got {actor!r}")
+        self.expect("at")
+        place = self.ident("a place or place-typed parameter")
+        self.expect("{")
+        body: dict[str, tuple[Literal, ...]] = {"pre": (), "add": (), "del": ()}
+        while (word := self.tokens[self.pos])[2] != "}":
+            if word[1] not in body:
+                raise self.error(self.pos, "expected 'pre', 'add', 'del', or '}' in action body")
+            self.pos += 1
+            body[word[1]] = self.terms("a predicate name")[0]
+        self.pos += 1
+        return _tuple(ActionSchema, (name, actor, params, place, body["pre"], body["add"], body["del"]))
 
     def parse_method(self) -> MethodSchema:
-        self.expect_keyword("method")
-        task = self.expect_ident("a task name")
-        params = self.parse_parens(self.parse_param)
-        label = self.expect_ident("a method label")
-        self._remember("method", f"{task[1]}/{label[1]}", task,
-                       f"method label {label[1]!r} for task {task[1]!r}", at=label)
-        self.expect_punct("{")
-        pre: tuple[Literal, ...] = ()
-        subtasks: tuple[Task, ...] = ()
-        while not self.at_punct("}"):
-            if self.at_keyword("pre"):
-                self.next()
-                pre = self.parse_literal_list()
-            elif self.at_keyword("sub"):
-                self.next()
-                subtasks = tuple(t for t, _ in self.parse_list(self.parse_task))
-            else:
-                raise self.error(self.peek(), "expected 'pre', 'sub', or '}' in method body")
-        self.expect_punct("}")
-        return MethodSchema(task[1], params, label[1], pre, subtasks)
+        self.pos += 1
+        k = self.pos
+        task = self.ident("a task name")
+        params = self.parens()
+        label = self.ident("a method label")
+        self._remember("method", f"{task}/{label}", k,
+                       f"method label {label!r} for task {task!r}", at=self.pos - 1)
+        self.expect("{")
+        body: dict[str, tuple] = {"pre": (), "sub": ()}
+        while (word := self.tokens[self.pos])[2] != "}":
+            if word[1] not in body:
+                raise self.error(self.pos, "expected 'pre', 'sub', or '}' in method body")
+            self.pos += 1
+            body[word[1]] = self.terms("a task name" if word[1] == "sub" else "a predicate name")[0]
+        self.pos += 1
+        return _tuple(MethodSchema, (task, params, label, body["pre"], body["sub"]))
 
     # -- reference/arity checks (hard errors) -------------------------------
 
     def _check_references(self, dom: DomainModel) -> None:
+        predicates, constants, actions, task_names = (
+            dom._predicates, dom._types, dom._actions, dom._methods)
+        # Each scope starts from the constants that are not variables, so one
+        # lookup gives an argument's type: a constant's, or a variable's once
+        # bound.
+        plain = {c: t for c, t in constants.items() if not is_variable(c)}
+
         def check_literal(l: Literal, kind: str, name: str, where: str, bound: dict[str, str]) -> None:
-            decl = dom.predicate(l.pred)
+            decl = predicates.get(l.pred)
             if decl is None:
                 raise self._ref_error(kind, name, f"undeclared predicate {l.pred!r} in {where}")
             if len(l.args) != len(decl.param_types):
@@ -664,7 +690,7 @@ class _DomainParser(_Parser):
                                       f"arity mismatch for {l.pred!r} in {where}: "
                                       f"expected {len(decl.param_types)}, got {len(l.args)}")
             for arg, want in zip(l.args, decl.param_types):
-                if arg == OBSERVER:
+                if bound.get(arg) == want or arg == OBSERVER:
                     continue
                 if is_variable(arg):
                     have = bound.setdefault(arg, want)
@@ -672,28 +698,25 @@ class _DomainParser(_Parser):
                         raise self._ref_error(kind, name,
                                               f"variable {arg!r} used as {want!r} and {have!r} in {where}")
                 else:
-                    ctype = dom.constant_type(arg)
-                    if ctype is None:
-                        raise self._ref_error(kind, name, f"unknown object {arg!r} in {where}")
-                    if ctype != want:
-                        raise self._ref_error(kind, name,
-                                              f"object {arg!r} has type {ctype!r}, expected {want!r} in {where}")
+                    ctype = constants.get(arg)
+                    raise self._ref_error(kind, name, f"unknown object {arg!r} in {where}" if ctype is None
+                                          else f"object {arg!r} has type {ctype!r}, expected {want!r} in {where}")
 
         def check_conjunction(literals: tuple[Literal, ...], kind: str, name: str, where: str,
                               what: str, bound: dict[str, str]) -> None:
             """``check_literal`` each of ``literals``, solved left to right, adding
             their variables to ``bound``: a negative one may use only those bound."""
             for l in literals:
-                free = [a for a in l.args if is_variable(a) and a not in bound]
+                free = () if l.positive else [a for a in l.args if a not in bound and is_variable(a)]
                 check_literal(l, kind, name, where, bound)
-                if free and not l.positive:
+                if free:
                     raise self._ref_error(kind, name, f"variable {free[0]!r} in a negative {what} "
                                                       "is not bound by an earlier positive")
 
         for rule in dom.rules:
-            bound: dict[str, str] = {}
+            bound = dict(plain)
             check_literal(rule.target, "rule", rule.name, f"rule {rule.name}", bound)
-            if not dom.predicate(rule.target.pred).observable:
+            if not predicates[rule.target.pred].observable:
                 raise self._ref_error("rule", rule.name,
                                       f"knowledge rule {rule.name!r} targets inferable-only "
                                       f"predicate {rule.target.pred!r}")
@@ -701,35 +724,38 @@ class _DomainParser(_Parser):
                               f"antecedent of rule {rule.name}", bound)
 
         check_conjunction(dom.copresence, "copresent", "", "copresent rule",
-                          "literal of the copresent rule", {})
+                          "literal of the copresent rule", dict(plain))
 
         for act in dom.actions:
-            bound = {p.name: p.type for p in act.params}
-            if dom.constant_type(act.place) != "place" and bound.get(act.place) != "place":
+            bound = plain | {p.name: p.type for p in act.params}
+            if constants.get(act.place) != "place" and bound.get(act.place) != "place":
                 raise self._ref_error("action", act.name,
                                       f"action {act.name}: execution place {act.place!r} is neither "
                                       "a place nor a place-typed parameter")
+            declared = len(bound)
             for group, gname in ((act.pre, "pre"), (act.adds, "add"), (act.dels, "del")):
+                where = f"action {act.name} {gname}"
                 for l in group:
-                    check_literal(l, "action", act.name, f"action {act.name} {gname}", bound)
-                    for arg in l.args:
-                        if is_variable(arg) and arg not in (p.name for p in act.params):
-                            raise self._ref_error("action", act.name,
-                                                  f"variable {arg!r} in action {act.name} is not a parameter")
+                    check_literal(l, "action", act.name, where, bound)
+                    if len(bound) > declared:  # a variable that is not a parameter
+                        arg = next(a for a in l.args if is_variable(a)
+                                   and a not in (p.name for p in act.params))
+                        raise self._ref_error("action", act.name,
+                                              f"variable {arg!r} in action {act.name} is not a parameter")
 
-        task_names = dom.task_names()
         edges: dict[str, set[str]] = {}  # each task to the tasks its methods expand into
         for m in dom.methods:
             mkey = f"{m.task}/{m.label}"
-            if dom.action(m.task) is not None:
+            if m.task in actions:
                 raise self._ref_error("method", mkey,
                                       f"{m.task!r} is both an action and a method task name")
             edges.setdefault(m.task, set()).update(
                 st.name for st in m.subtasks if st.name in task_names)
-            bound = {p.name: p.type for p in m.params}
-            check_conjunction(m.pre, "method", mkey, f"method {mkey}", f"precondition of {mkey}", bound)
+            bound = plain | {p.name: p.type for p in m.params}
+            if m.pre:
+                check_conjunction(m.pre, "method", mkey, f"method {mkey}", f"precondition of {mkey}", bound)
             for st in m.subtasks:
-                schema = dom.action(st.name)
+                schema = actions.get(st.name)
                 if schema is not None:
                     if len(st.args) != len(schema.params):
                         raise self._ref_error("method", mkey,
@@ -739,7 +765,7 @@ class _DomainParser(_Parser):
                                           f"subtask {st.name!r} in {mkey} resolves to "
                                           "neither an action nor a method")
                 for arg in st.args:
-                    if is_variable(arg) and arg not in bound:
+                    if arg not in bound and is_variable(arg):
                         raise self._ref_error("method", mkey,
                                               f"subtask argument {arg!r} in {mkey} is unbound")
                 why = _argument_type_error(dom, st, bound)
@@ -772,23 +798,23 @@ class _DomainParser(_Parser):
 
 def _argument_type_error(dom: DomainModel, task: Task, types: dict[str, str]) -> str | None:
     """Why ``task``'s arguments do not fit the action it names or every method
-    of its arity, or None when they do; ``types`` gives a variable's type.
+    of its arity, or None when they do; ``types`` gives each argument's type,
+    a constant's or a variable's.
 
     Effects then add only atoms whose arguments have the declared types, the
     atoms ``DomainModel.instances`` grounds free variables over.
     """
-    schema = dom.action(task.name)
+    schema = dom._actions.get(task.name)
     if schema is not None and len(schema.params) != len(task.args):
         return f"{task} expects {len(schema.params)} arguments"
     fitting = ([schema.params] if schema is not None else
-               [m.params for m in dom.methods_for(task.name) if len(m.params) == len(task.args)])
+               [m.params for m in dom._methods.get(task.name, ()) if len(m.params) == len(task.args)])
     if not fitting:
         return f"{task} has no method taking {len(task.args)} arguments"
     for params in fitting:
         for arg, p in zip(task.args, params):
-            have = types.get(arg) if is_variable(arg) else dom.constant_type(arg)
-            if have != p.type:
-                return f"argument {arg!r} of {task} has type {have!r}, expected {p.type!r}"
+            if types.get(arg) != p.type:
+                return f"argument {arg!r} of {task} has type {types.get(arg)!r}, expected {p.type!r}"
     return None
 
 
@@ -796,15 +822,16 @@ def _foreign_action(dom: DomainModel, task: Task, agent: str) -> ActionSchema | 
     """The nearest action of the agent other than ``agent`` that ``task``
     can decompose to, or None: one breadth-first pass, in declaration order,
     over the ``(name, arity)`` pairs reachable through methods that fit."""
+    actions, methods = dom._actions, dom._methods
     todo = [(task.name, len(task.args))]
     seen = set(todo)
     for name, arity in todo:  # ``todo`` grows while it is walked
-        schema = dom.action(name)
+        schema = actions.get(name)
         if schema is not None:
             if schema.actor != agent:
                 return schema
             continue
-        for m in dom.methods_for(name):
+        for m in methods.get(name, ()):
             if len(m.params) == arity:
                 for st in m.subtasks:
                     key = (st.name, len(st.args))
@@ -824,9 +851,9 @@ class _ProblemParser(_Parser):
         self.dom = dom
 
     def parse(self) -> ProblemInstance:
-        self.expect_keyword("problem")
-        name = self.expect_ident("a problem name")
-        self.expect_punct("{")
+        self.expect("problem")
+        name = self.ident("a problem name")
+        self.expect("{")
         domain_name: str | None = None
         k: int | None = None
         comm: bool | None = None
@@ -837,76 +864,17 @@ class _ProblemParser(_Parser):
         init_atoms: list[Literal] = []
         deltas: list[tuple[Literal, tuple[int, int]]] = []
 
-        while not self.at_punct("}"):
-            tok = self.peek()
-            if tok[0] == "eof":
-                raise self.error(tok, "unterminated problem block")
-            if self.at_keyword("domain"):
-                self.next()
-                self._remember("line", "domain", tok)
-                domain_name = self.expect_ident("a domain name")[1]
-                if domain_name != self.dom.name:
-                    raise self.error(tok, f"problem references domain {domain_name!r}, "
-                                          f"but {self.dom.name!r} was loaded")
-            elif self.at_keyword("k"):
-                self.next()
-                self._remember("line", "k", tok)
-                num = self.next()
-                # ``int()`` takes only decimal digits; the lexer also reads
-                # ``²`` as one.
-                if num[0] != "int" or not num[1].lstrip("-").isdecimal():
-                    raise self.error(num, "expected an integer after 'k'")
-                k = int(num[1])
-                if k < 0:
-                    raise self.error(num, "k must be >= 0")
-            elif self.at_keyword("communication"):
-                self.next()
-                self._remember("line", "communication", tok)
-                mode = self.expect_ident("'on' or 'off'")
-                if mode[1] not in ("on", "off"):
-                    raise self.error(mode, "communication must be 'on' or 'off'")
-                comm = mode[1] == "on"
-            elif self.at_keyword("robot") or self.at_keyword("human"):
-                who = self.next()
-                self._remember("line", f"{who[1]} at", tok)
-                self.expect_keyword("at")
-                place = self.expect_ident("a place")
-                if self.dom.constant_type(place[1]) != "place":
-                    raise self.error(place, f"unknown place {place[1]!r}")
-                if who[1] == "robot":
-                    robot_place = place[1]
-                else:
-                    human_place = place[1]
-            elif self.at_keyword("task"):
-                self.next()
-                actor = self.expect_ident("R or H")
-                if actor[1] not in AGENTS:
-                    raise self.error(actor, "task actor must be R or H")
-                self._remember("line", f"task {actor[1]}", tok)
-                t, head = self.parse_task()
-                if t.name not in self.dom.task_names() and self.dom.action(t.name) is None:
-                    raise self.error(head, f"root task {t.name!r} is not declared in the domain")
-                self._check_ground_args(t.args, head)
-                why = _argument_type_error(self.dom, t, {})
-                if why is not None:
-                    raise self.error(head, f"root task {why}")
-                # An agenda is refined for its owner alone, so it may reach
-                # only that agent's actions.
-                foreign = _foreign_action(self.dom, t, actor[1])
-                if foreign is not None:
-                    raise self.error(head, f"root task {t.name!r} of {actor[1]} decomposes to "
-                                           f"{foreign.name!r}, an action of {foreign.actor}")
-                if actor[1] == "R":
-                    task_r = t
-                else:
-                    task_h = t
-            elif self.at_keyword("init"):
-                self.next()
-                self.expect_punct("{")
-                while not self.at_punct("}"):
-                    if self.peek()[0] == "eof":
-                        raise self.error(self.peek(), "unterminated init block")
-                    l, head = self.parse_literal()
+        toks = self.tokens
+        while toks[self.pos][2] != "}":
+            kw = self.pos
+            word = toks[kw][1]
+            if word == "init":
+                self.pos += 1
+                self.expect("{")
+                while toks[self.pos][2] != "}":
+                    if not toks[self.pos][1] and not toks[self.pos][2]:
+                        raise self.error(self.pos, "unterminated init block")
+                    (l,), head = self.terms("a predicate name", one=True)
                     if not l.positive:
                         raise self.error(head, "init atoms must be positive (closed world)")
                     if l.pred == "at" and l.args and l.args[0] in AGENTS:
@@ -914,18 +882,79 @@ class _ProblemParser(_Parser):
                                                "'robot at'/'human at' lines, not init")
                     self._check_ground_literal(l, head)
                     init_atoms.append(l)
-                    if self.at_punct(","):
-                        self.next()
-                self.expect_punct("}")
-            elif self.at_keyword("believe"):
-                self.next()
-                l, head = self.parse_literal()
+                    if toks[self.pos][2] == ",":
+                        self.pos += 1
+                self.pos += 1
+            elif word == "task":
+                self.pos += 1
+                actor = self.ident("R or H")
+                if actor not in AGENTS:
+                    raise self.error(self.pos - 1, "task actor must be R or H")
+                self._remember("line", f"task {actor}", kw)
+                (t,), head = self.terms("a task name", one=True)
+                if t.name not in self.dom.task_names() and self.dom.action(t.name) is None:
+                    raise self.error(head, f"root task {t.name!r} is not declared in the domain")
+                self._check_ground_args(t.args, head)
+                why = _argument_type_error(self.dom, t, self.dom._types)
+                if why is not None:
+                    raise self.error(head, f"root task {why}")
+                # An agenda is refined for its owner alone, so it may reach
+                # only that agent's actions.
+                foreign = _foreign_action(self.dom, t, actor)
+                if foreign is not None:
+                    raise self.error(head, f"root task {t.name!r} of {actor} decomposes to "
+                                           f"{foreign.name!r}, an action of {foreign.actor}")
+                if actor == "R":
+                    task_r = t
+                else:
+                    task_h = t
+            elif word in ("robot", "human"):
+                self.pos += 1
+                self._remember("line", f"{word} at", kw)
+                self.expect("at")
+                place = self.ident("a place")
+                if self.dom.constant_type(place) != "place":
+                    raise self.error(self.pos - 1, f"unknown place {place!r}")
+                if word == "robot":
+                    robot_place = place
+                else:
+                    human_place = place
+            elif word == "believe":
+                self.pos += 1
+                (l,), head = self.terms("a predicate name", one=True)
                 self._check_ground_literal(l, head)
                 self._remember("believe", str(l.atom), head, f"belief about {l.atom}")
-                deltas.append((l, _position(self.text, tok[2])))
+                deltas.append((l, self.at(kw)))
+            elif word == "domain":
+                self.pos += 1
+                self._remember("line", "domain", kw)
+                domain_name = self.ident("a domain name")
+                if domain_name != self.dom.name:
+                    raise self.error(kw, f"problem references domain {domain_name!r}, "
+                                         f"but {self.dom.name!r} was loaded")
+            elif word == "k":
+                self._remember("line", "k", kw)
+                # ``int()`` takes only decimal digits; the lexer also reads
+                # ``²`` as one.
+                num = toks[kw + 1][2]
+                if not num.lstrip("-").isdecimal():
+                    raise self.error(kw + 1, "expected an integer after 'k'")
+                self.pos += 2
+                k = int(num)
+                if k < 0:
+                    raise self.error(kw + 1, "k must be >= 0")
+            elif word == "communication":
+                self.pos += 1
+                self._remember("line", "communication", kw)
+                mode = self.ident("'on' or 'off'")
+                if mode not in ("on", "off"):
+                    raise self.error(self.pos - 1, "communication must be 'on' or 'off'")
+                comm = mode == "on"
             else:
-                raise self.error(tok, f"unexpected {tok[1]!r} in problem block")
-        self.expect_punct("}")
+                text = word or toks[kw][2]
+                raise self.error(kw, f"unexpected {text!r} in problem block" if text
+                                 else "unterminated problem block")
+        self.pos += 1
 
         missing = [label for label, v in (
             ("domain", domain_name), ("k", k), ("communication", comm),
@@ -933,13 +962,13 @@ class _ProblemParser(_Parser):
             ("task R", task_r), ("task H", task_h),
         ) if v is None]
         if missing:
-            raise self.error(self.peek(), "problem is missing: " + ", ".join(missing))
+            raise self.error(self.pos, "problem is missing: " + ", ".join(missing))
 
         deltas.sort(key=lambda d: str(d[0]))
         truth = BeliefBase(frozenset(init_atoms)
                            | {Literal("at", ("R", robot_place)), Literal("at", ("H", human_place))})
         return ProblemInstance(
-            name=name[1],
+            name=name,
             domain_name=domain_name,
             k=k,
             comm_allowed=comm,
@@ -952,14 +981,14 @@ class _ProblemParser(_Parser):
             belief_at=tuple(at for _, at in deltas),
         )
 
-    def _check_ground_args(self, args: tuple[str, ...], head: _Token) -> None:
+    def _check_ground_args(self, args: tuple[str, ...], head: int) -> None:
         for arg in args:
             if is_variable(arg):
                 raise self.error(head, f"problem declarations must be ground, found variable {arg!r}")
             if self.dom.constant_type(arg) is None:
                 raise self.error(head, f"unknown object {arg!r}")
 
-    def _check_ground_literal(self, l: Literal, head: _Token) -> None:
+    def _check_ground_literal(self, l: Literal, head: int) -> None:
         decl = self.dom.predicate(l.pred)
         if decl is None:
             raise self.error(head, f"undeclared predicate {l.pred!r}")
@@ -987,22 +1016,24 @@ def parse_problem(text: str, dom: DomainModel, filename: str = "<problem>") -> P
 
 def validate(dom: DomainModel, prob: ProblemInstance | None = None,
              filename: str = "<domain>", problem_file: str = "<problem>") -> list[Diagnostic]:
-    """Warnings about conventions a parsed model may break, against
-    ``filename``, and a note for each initial false belief of ``prob``'s
-    human, at its ``believe`` in ``problem_file``.  Never an error: the
-    parser rejects every malformed model with a positioned diagnostic."""
+    """Warnings about conventions a parsed model may break, each at its
+    declaration in ``filename`` (``0:0`` for a model the parser did not
+    build), and a note for each initial false belief of ``prob``'s human, at
+    its ``believe`` in ``problem_file``.  Never an error: the parser rejects
+    every malformed model with a positioned diagnostic."""
     out: list[Diagnostic] = []
 
-    def warn(msg: str) -> None:
-        out.append(Diagnostic(filename, 0, 0, "warning", msg))
+    def warn(key: tuple[str, str], msg: str) -> None:
+        line, col = dom.declared_at.get(key, (0, 0))
+        out.append(Diagnostic(filename, line, col, "warning", msg))
 
     ruled = {r.target.pred for r in dom.rules}
     for p in dom.predicates:
         if p.observable and p.name not in ruled:
-            warn(f"observable predicate {p.name!r} has no knowledge rule")
+            warn(("predicate", p.name), f"observable predicate {p.name!r} has no knowledge rule")
     for l in dom.copresence:
         if l.pred != "at":
-            warn(f"copresent rule references {l.pred!r}; only agent positions are conventional")
+            warn(("copresent", ""), f"copresent rule references {l.pred!r}; only agent positions are conventional")
 
     if prob is not None:
         for d, (line, col) in zip(prob.belief_deltas, prob.belief_at):

@@ -17,7 +17,7 @@ from ehatp.model import (
     is_variable,
     unify,
 )
-from ehatp.solver import Policy
+from ehatp.solver import Policy, PolicyNode
 
 
 def lit(text: str, *args: str, positive: bool = True) -> Literal:
@@ -48,6 +48,15 @@ def cold(dom: DomainModel) -> DomainModel:
     object.__setattr__(dom, "table", {})
     object.__setattr__(dom, "memo", {})
     return dom
+
+
+def drop_edge(policy: Policy, node_id: int) -> Policy:
+    """A copy of ``policy`` without the edge into ``node_id`` (the subtree
+    behind it becomes unreachable)."""
+    return Policy([
+        PolicyNode(n.id, n.kind, n.actor, n.edge, n.copresent,
+                   [c for c in n.children if c != node_id], n.state)
+        for n in policy.nodes])
 
 
 def traces(policy: Policy) -> list[tuple[str, ...]]:

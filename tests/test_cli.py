@@ -12,7 +12,6 @@ from ehatp.cli import (
     BENCH_TARGETS,
     communication_edges,
     communication_is_load_bearing,
-    drop_edge,
     main,
     read_policy_file,
     run_interactive,
@@ -22,6 +21,7 @@ from ehatp.cli import (
 from ehatp.dsl import load_instance, load_shipped
 from ehatp.kernel import state_copresent
 from ehatp.solver import DONE, Policy, PolicyNode, solve
+from helpers import drop_edge
 
 STUCK_DOMAIN = """\
 domain stuck {

@@ -20,14 +20,13 @@ from ehatp import cli, htn, kernel
 from ehatp.cli import (
     communication_edges,
     communication_is_load_bearing,
-    drop_edge,
     read_policy_file,
     simulate,
 )
 from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.kernel import state_copresent
 from ehatp.solver import DONE, Policy, PolicyNode, finished_values, solve
-from helpers import cold, traces
+from helpers import cold, drop_edge, traces
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "planbench"))
