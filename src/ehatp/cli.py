@@ -19,7 +19,7 @@ import json
 import os
 import random
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +32,6 @@ from .dsl import (
     parse_problem,
     validate,
 )
-from .htn import feasible_refinements
 from .kernel import initial_state, state_copresent, with_call_memo
 from .model import EpistemicState
 from .solver import (
@@ -42,8 +41,8 @@ from .solver import (
     Policy,
     PolicyNode,
     evaluate_state,
-    expand,
     is_speech_act,
+    offers,
     solve,
 )
 
@@ -147,14 +146,6 @@ def _is_ontic(label: str) -> bool:
     return label not in ("noop", "wait") and not is_speech_act(label)
 
 
-def _universally_applicable(dom: DomainModel, s: EpistemicState,
-                            label: str) -> bool:
-    """The human action is a feasible next step under every world's bel_h."""
-    return all(any(str(r.first_primitive) == label
-                   for r in feasible_refinements(dom, w.tn_h, w.bel_h))
-               for w in s.worlds)
-
-
 def simulate(dom: DomainModel, prob: ProblemInstance,
              policy: Policy) -> SimulationReport:
     """Replay every branch of ``policy`` against the execution semantics.
@@ -163,9 +154,8 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
     alternative the semantics actually offers at that state.  Two
     alternatives may share an action label (same first step, different ways
     of pursuing the agenda); branches are paired with offers positionally
-    within each label, in offer order.  Each human action is re-checked for
-    applicability in all surviving worlds, and the robot's out-of-sight work
-    is re-counted against the budget.  Any branch that cannot be driven to a
+    within each label, in offer order.  The robot's out-of-sight work is
+    re-counted against the budget.  Any branch that cannot be driven to a
     finished state becomes a DEAD trace with the reason attached.  Traces
     come in policy preorder.
     """
@@ -224,14 +214,11 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             run = hidden + (s.actor == "R" and ontic and not state_copresent(dom, s))
             if pos >= len(succs):
                 branch = SimulationTrace(steps, DEAD, f"recorded action unavailable: {label}")
-            elif s.actor == "H" and ontic and not _universally_applicable(dom, s, label):
-                branch = SimulationTrace(
-                    steps, DEAD, f"human action not applicable in every world: {label}")
             elif run > prob.k:
                 branch = SimulationTrace(
                     steps, DEAD, f"budget exceeded: {run} unseen actions > K={prob.k}")
             else:
-                succ = succs[pos]
+                succ = _follow(dom, succs, pos)
                 co = state_copresent(dom, succ)
                 step = SimStep(s.actor, label, co, len(succ.worlds))
                 branch = (cid, succ, steps + (step,), 0 if co else run)
@@ -239,19 +226,30 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
         stack.extend(reversed(branches))
 
 
+Succs = list["EpistemicState | Callable[[DomainModel], EpistemicState]"]
+
+
 def _offered(dom: DomainModel, prob: ProblemInstance,
-             s: EpistemicState) -> dict[str, list[EpistemicState]]:
-    """The successors the semantics offers at ``s``, by label in offer
-    order, expanded once per call memo: a replay reaches a state again
-    through another branch, and a load-bearing check replays the policy once
-    per speech act."""
+             s: EpistemicState) -> dict[str, Succs]:
+    """What the semantics offers at ``s``: by label, in offer order, each
+    option's successor, or its builder until `_follow` first builds it.  Kept once per call memo: a replay reaches a state again through
+    another branch, and a load-bearing check replays the policy once per
+    speech act, each following only some options."""
     key = ("offer", s.signature())
     offered = dom.memo.get(key)
     if offered is None:
         offered = dom.memo[key] = {}
-        for label, succ in expand(dom, prob, s):
-            offered.setdefault(label, []).append(succ)
+        for label, build in offers(dom, prob, s):
+            offered.setdefault(label, []).append(build)
     return offered
+
+
+def _follow(dom: DomainModel, succs: Succs, pos: int) -> EpistemicState:
+    """The successor at ``pos`` of one label's offers, built on first use."""
+    succ = succs[pos]
+    if not isinstance(succ, EpistemicState):
+        succ = succs[pos] = succ(dom)
+    return succ
 
 
 def communication_edges(policy: Policy) -> list[int]:
@@ -339,8 +337,8 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             return 0
         # First-wins on duplicate labels, on both sides: the first recorded
         # branch is paired with the first offered alternative of that label.
-        offers = {label: succs[0] for label, succs in _offered(dom, prob, s).items()}
-        if not offers:
+        offered = _offered(dom, prob, s)
+        if not offered:
             print("no moves left; DEAD")
             return 2
         covered: dict[str, int] = {}
@@ -349,15 +347,15 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
         if s.actor == "R":
             if covered:
                 label = policy.nodes[node.children[0]].edge
-                if label not in offers:
+                if label not in offered:
                     print(f"recorded action unavailable: {label}",
                           file=sys.stderr)
                     return 2
             else:
-                label = next(iter(offers))
+                label = next(iter(offered))
                 print(f"[t{turn}] robot improvises:")
         else:
-            options = list(covered) + [l for l in offers if l not in covered]
+            options = list(covered) + [l for l in offered if l not in covered]
             print(f"[t{turn}] your move (H):")
             for i, l in enumerate(options, start=1):
                 mark = "" if l in covered else "  (off plan)"
@@ -375,7 +373,7 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             if not 1 <= pick <= len(options):
                 pick = hint
             label = options[pick - 1]
-        succ = offers[label]
+        succ = _follow(dom, offered[label], 0)
         who = "robot" if s.actor == "R" else "human"
         print(f"[t{turn}] {who}: {label}")
         print(_status_line(dom, succ))

@@ -187,10 +187,11 @@ class DomainModel:
     # Ground instances built on first use (``htn._ground``,
     # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task`` (two
     # fields), an atom (a ``Literal``, three fields) or a co-presence rule (a
-    # tuple of literals), so no two keys compare equal.  They depend on the
-    # declarations alone, so every model with equal declarations shares one
-    # table from ``_TABLES``: each parse, ``with_fresh_memo`` copy and
-    # ``dataclasses.replace`` that keeps them.
+    # tuple of literals), and the nearest foreign action of a root task
+    # (``_foreign_action``, four fields), so no two keys compare equal.  They
+    # depend on the declarations alone, so every model with equal
+    # declarations shares one table from ``_TABLES``: each parse,
+    # ``with_fresh_memo`` copy and ``dataclasses.replace`` that keeps them.
     table: dict = field(init=False, compare=False, repr=False)
     # Both HTN answers for each (agenda, mask) (see ``htn._answers``), the
     # atoms situation assessment has judged, the kernel's world transitions
@@ -821,24 +822,31 @@ def _argument_type_error(dom: DomainModel, task: Task, types: dict[str, str]) ->
 def _foreign_action(dom: DomainModel, task: Task, agent: str) -> ActionSchema | None:
     """The nearest action of the agent other than ``agent`` that ``task``
     can decompose to, or None: one breadth-first pass, in declaration order,
-    over the ``(name, arity)`` pairs reachable through methods that fit."""
+    over the ``(name, arity)`` pairs reachable through methods that fit.
+    A fact of the declarations, so kept in ``dom.table``."""
+    key = ("foreign", task.name, len(task.args), agent)
+    if key in dom.table:
+        return dom.table[key]
     actions, methods = dom._actions, dom._methods
-    todo = [(task.name, len(task.args))]
+    found = None
+    todo = [key[1:3]]
     seen = set(todo)
     for name, arity in todo:  # ``todo`` grows while it is walked
         schema = actions.get(name)
         if schema is not None:
             if schema.actor != agent:
-                return schema
+                found = schema
+                break
             continue
         for m in methods.get(name, ()):
             if len(m.params) == arity:
                 for st in m.subtasks:
-                    key = (st.name, len(st.args))
-                    if key not in seen:
-                        seen.add(key)
-                        todo.append(key)
-    return None
+                    pair = (st.name, len(st.args))
+                    if pair not in seen:
+                        seen.add(pair)
+                        todo.append(pair)
+    dom.table[key] = found
+    return found
 
 
 # --------------------------------------------------------------------------

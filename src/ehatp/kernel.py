@@ -17,12 +17,14 @@ from dataclasses import dataclass, replace
 from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
 from .htn import Refinement, advance, feasible_refinements
 from .model import (
+    AGENT_AT,
     AGENTS,
     BeliefBase,
     BudgetExceededError,
     DomainError,
     EpistemicState,
     Literal,
+    MalformedLiteralError,
     NoEventError,
     TaskNetwork,
     World,
@@ -312,6 +314,23 @@ def product_update(dom: DomainModel, s: EpistemicState,
 # Situation assessment
 
 
+def _check_one_place(truth: int) -> None:
+    """Raise :class:`MalformedLiteralError` when ``truth`` puts an agent at
+    two places, naming its two lowest ``at`` atoms; of two such agents, the
+    one whose second atom has the lower bit."""
+    clashes = []
+    for agent in AGENTS:
+        at = truth & AGENT_AT[agent]
+        rest = at & (at - 1)  # ``at`` without its lowest bit
+        if rest:
+            clashes.append((rest & -rest, agent, at))
+    if clashes:
+        _, agent, at = min(clashes)
+        first, second = atoms_of(at)[:2]
+        raise MalformedLiteralError(
+            f"agent {agent} is at both {first.args[1]} and {second.args[1]}")
+
+
 def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> EpistemicState:
     """Remove worlds the human can now tell apart; share what is in view.
 
@@ -330,7 +349,7 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
     key = ("seen", truth)
     seen = dom.memo.get(key)
     if seen is None:
-        d.agent_place  # raises MalformedLiteralError for an agent at two places
+        _check_one_place(truth)
         seen = dom.memo[key] = [0, 0]
     co_present = _copresent(dom, d, dom.copresence)
 

@@ -98,6 +98,8 @@ def _require_ground(l: Literal) -> None:
 
 _BIT: dict[Literal, int] = {}  # atom -> its bit (a power of two)
 _ATOMS: list[Literal] = []  # bit index -> atom
+# agent -> the mask of its interned ``at(agent, place)`` atoms
+AGENT_AT: dict[str, int] = dict.fromkeys(AGENTS, 0)
 
 
 def atom_bit(atom: Literal) -> int:
@@ -113,6 +115,8 @@ def atom_bit(atom: Literal) -> int:
         _require_ground(atom)
         bit = _BIT[atom] = 1 << len(_ATOMS)
         _ATOMS.append(atom)
+        if atom.pred == "at" and len(atom.args) == 2 and atom.args[0] in AGENTS:
+            AGENT_AT[atom.args[0]] |= bit
     return bit
 
 
@@ -321,19 +325,6 @@ class World:
         if self.distinguishable:
             parts.append("dist")
         return ";".join(parts)
-
-    @property
-    def agent_place(self) -> dict[str, str]:
-        places: dict[str, str] = {}
-        for a in atoms_of(self.bel_r.mask):
-            if a.pred == "at" and len(a.args) == 2 and a.args[0] in AGENTS:
-                agent, place = a.args
-                if agent in places and places[agent] != place:
-                    raise MalformedLiteralError(
-                        f"agent {agent} is at both {places[agent]} and {place}"
-                    )
-                places[agent] = place
-        return places
 
 
 @dataclass(frozen=True, slots=True)

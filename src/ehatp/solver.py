@@ -21,7 +21,9 @@ import math
 import sys
 import time
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .dsl import DomainModel, ProblemInstance
 from .htn import (
@@ -170,68 +172,75 @@ def _step(dom: DomainModel, s: EpistemicState, choice: Refinement | None,
     return situation_assessment(dom, product_update(dom, s, a), k)
 
 
+def _told(dom: DomainModel, s: EpistemicState, p: Literal, k: int) -> EpistemicState:
+    return synthesize_communication(dom, s, p, k)[1]
+
+
+def _asked(dom: DomainModel, s: EpistemicState, p: Literal, k: int) -> EpistemicState:
+    return synthesize_communication(dom, s, p, k)[0]
+
+
+def _waiting(dom: DomainModel, s: EpistemicState,
+             pending: tuple[Literal, ...]) -> EpistemicState:
+    return EpistemicState.make(s.worlds, s.designated_world, actor="R",
+                               budget=s.budget, pending=pending)
+
+
+# An option: its label, and what builds its successor when called with the
+# domain.  The builder holds no domain, so a call memo may keep it without
+# keeping a reference to itself.
+Offer = tuple[str, Callable[[DomainModel], EpistemicState]]
+
+
 def expand(dom: DomainModel, prob: ProblemInstance,
            s: EpistemicState) -> list[tuple[str, EpistemicState]]:
-    """All labeled successor states of ``s``, in a deterministic order:
-    speech acts first, then refinements, then standing by."""
-    children = _options(dom, prob, s)
-    if trace_enabled(dom, "expand"):
-        print(f"EXPAND: {s.actor} |W|={len(s.worlds)} -> "
-              + (", ".join(label for label, _ in children) or "(dead end)"),
-              file=sys.stderr)
-    return children
+    """All labeled successor states of ``s``, in the order of `offers`."""
+    return [(label, build(dom)) for label, build in offers(dom, prob, s)]
 
 
-def _options(dom: DomainModel, prob: ProblemInstance,
-             s: EpistemicState) -> list[tuple[str, EpistemicState]]:
+def offers(dom: DomainModel, prob: ProblemInstance, s: EpistemicState) -> list[Offer]:
+    """Each option at ``s`` as its label and the builder of its successor,
+    in a deterministic order: speech acts first, then refinements, then
+    standing by.  Nothing is built until a builder is called, so a caller
+    that follows one option pays for that one."""
     k = prob.k
     co = state_copresent(dom, s)
-    children: list[tuple[str, EpistemicState]] = []
-
+    options: list[Offer] = []
     if s.actor == "R":
         if s.pending:
             # An answer is owed before anything else may happen.
-            for p in sorted(s.pending, key=str):
-                _, inform = synthesize_communication(dom, s, p, k)
-                children.append((f"inform-{p.atom}", inform))
-            return children
+            options = [(f"inform-{p.atom}", partial(_told, s=s, p=p, k=k))
+                       for p in sorted(s.pending, key=str)]
+        else:
+            if co and prob.comm_allowed:
+                options = [(f"inform-{atom}", partial(_told, s=s, p=atom, k=k))
+                           for atom in _inform_candidates(dom, s)]
+            d = s.designated_world
+            ontic = (feasible_refinements(dom, d.tn_r, d.bel_r)
+                     if co or s.budget > 0 else [])
+            options += [(str(ref.first_primitive), partial(_step, s=s, choice=ref, k=k))
+                        for ref in ontic]
+            # Out of sight the robot may always bide its time; face to face
+            # it only stands by when it has nothing of its own left to do.
+            if not co or (not ontic and evaluate_state(dom, s) != DONE):
+                options.append(("noop", partial(_step, s=s, choice=None, k=k)))
+    else:
+        uniform = _uniform_human_refinements(dom, s)
+        options = [(str(ref.first_primitive), partial(_step, s=s, choice=ref, k=k))
+                   for ref in uniform]
+        if not uniform and co and prob.comm_allowed:
+            blocked = sorted(_blocked_atoms(dom, s), key=str)
+            options = [(f"ask-{atom}", partial(_asked, s=s, p=atom, k=k)) for atom in blocked]
+            if blocked:
+                options.append(("wait", partial(_waiting, s=s, pending=tuple(blocked))))
+        if not options and evaluate_state(dom, s) != DONE:
+            options.append(("noop", partial(_step, s=s, choice=None, k=k)))
 
-        if co and prob.comm_allowed:
-            for atom in _inform_candidates(dom, s):
-                _, inform = synthesize_communication(dom, s, atom, k)
-                children.append((f"inform-{atom}", inform))
-
-        d = s.designated_world
-        ontic: list[tuple[str, EpistemicState]] = []
-        if co or s.budget > 0:
-            for ref in feasible_refinements(dom, d.tn_r, d.bel_r):
-                ontic.append((str(ref.first_primitive), _step(dom, s, ref, k)))
-        children.extend(ontic)
-
-        # Out of sight the robot may always bide its time; face to face it
-        # only stands by when it has nothing of its own left to do.
-        if not co or (not ontic and evaluate_state(dom, s) != DONE):
-            children.append(("noop", _step(dom, s, None, k)))
-        return children
-
-    uniform = _uniform_human_refinements(dom, s)
-    for ref in uniform:
-        children.append((str(ref.first_primitive), _step(dom, s, ref, k)))
-
-    if not uniform and co and prob.comm_allowed:
-        asked = sorted(_blocked_atoms(dom, s), key=str)
-        for atom in asked:
-            ask, _ = synthesize_communication(dom, s, atom, k)
-            children.append((f"ask-{atom}", ask))
-        if asked:
-            waiting = EpistemicState.make(
-                s.worlds, s.designated_world, actor="R",
-                budget=s.budget, pending=tuple(asked))
-            children.append(("wait", waiting))
-
-    if not children and evaluate_state(dom, s) != DONE:
-        children.append(("noop", _step(dom, s, None, k)))
-    return children
+    if trace_enabled(dom, "expand"):
+        print(f"EXPAND: {s.actor} |W|={len(s.worlds)} -> "
+              + (", ".join(label for label, _ in options) or "(dead end)"),
+              file=sys.stderr)
+    return options
 
 
 # --------------------------------------------------------------------------

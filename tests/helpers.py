@@ -8,6 +8,7 @@ from typing import Iterable, Iterator, Mapping
 
 from ehatp.dsl import OBSERVER, Diagnostic, DomainModel, ParseError, ProblemInstance
 from ehatp.model import (
+    AGENTS,
     BeliefBase,
     DomainError,
     Literal,
@@ -48,6 +49,22 @@ def cold(dom: DomainModel) -> DomainModel:
     object.__setattr__(dom, "table", {})
     object.__setattr__(dom, "memo", {})
     return dom
+
+
+def agent_place(w: World) -> dict[str, str]:
+    """The place of each agent in ``w``'s ground truth; raises
+    `MalformedLiteralError` at the first ``at`` atom, in bit order, that
+    puts an agent at a second place."""
+    places: dict[str, str] = {}
+    for a in atoms_of(w.bel_r.mask):
+        if a.pred == "at" and len(a.args) == 2 and a.args[0] in AGENTS:
+            agent, place = a.args
+            if agent in places and places[agent] != place:
+                raise MalformedLiteralError(
+                    f"agent {agent} is at both {places[agent]} and {place}"
+                )
+            places[agent] = place
+    return places
 
 
 def drop_edge(policy: Policy, node_id: int) -> Policy:

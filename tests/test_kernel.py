@@ -37,7 +37,7 @@ from ehatp.model import (
     World,
 )
 from ehatp.solver import _step, _uniform_human_refinements, expand, solve
-from helpers import cold, copresent, lit, observable
+from helpers import agent_place, cold, copresent, lit, observable
 
 
 @pytest.fixture(scope="module")
@@ -608,6 +608,24 @@ def _plain_assessment(dom, s, k):
             w.tn_r, w.tn_h, w.tn_rh, 0 if co else w.acted))
     return EpistemicState.make(folded, folded[survivors.index(d)], s.actor,
                                k if co else s.budget, s.pending)
+
+
+@pytest.mark.parametrize("order", [
+    ("at(R,twice_a)", "at(H,twice_b)", "at(H,twice_c)", "at(R,twice_d)"),
+    ("at(H,twice_e)", "at(R,twice_f)", "at(R,twice_g)", "at(H,twice_h)"),
+    ("at(R,twice_i)", "at(R,twice_j)", "at(H,twice_k)"),
+])
+def test_sa_names_an_agent_at_two_places_as_agent_place_does(cube, order):
+    # Interned in this order, so the bit order is the listed one.
+    for a in order:
+        model.atom_bit(lit(a))
+    w = world(*order)
+    with pytest.raises(MalformedLiteralError) as plain:
+        agent_place(w)
+    s = EpistemicState.make([w], designated=w, actor="R", budget=2)
+    with pytest.raises(MalformedLiteralError) as got:
+        situation_assessment(replace(cube), s, k=2)
+    assert str(got.value) == str(plain.value)
 
 
 def test_sa_on_one_memo_matches_the_plain_reference(cube):

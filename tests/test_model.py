@@ -10,7 +10,7 @@ from ehatp.model import (
     World,
     effect_masks,
 )
-from helpers import base_of, lit
+from helpers import agent_place, base_of, lit
 
 
 def test_entails_membership():
@@ -124,7 +124,7 @@ def test_agent_place():
         bel_h=BeliefBase(),
         bel_rh=BeliefBase(),
     )
-    assert w.agent_place == {"R": "mt", "H": "ot"}
+    assert agent_place(w) == {"R": "mt", "H": "ot"}
 
 
 def test_agent_place_rejects_two_places():
@@ -134,7 +134,7 @@ def test_agent_place_rejects_two_places():
         bel_rh=BeliefBase(),
     )
     with pytest.raises(MalformedLiteralError):
-        _ = w.agent_place
+        agent_place(w)
 
 
 def test_world_key_includes_networks_and_acted():

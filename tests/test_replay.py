@@ -11,12 +11,13 @@ Each policy file parses its domain afresh, and the parse takes the table
 already ground for equal declarations.
 """
 
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
-from ehatp import cli, htn, kernel
+from ehatp import cli, htn, kernel, solver
 from ehatp.cli import (
     communication_edges,
     communication_is_load_bearing,
@@ -97,13 +98,13 @@ def test_load_bearing_verdict_matches_fresh_replays(policies):
 def expanded(monkeypatch):
     """The signature of each state `simulate` expands, in order."""
     seen = []
-    real = cli.expand
+    real = cli.offers
 
     def counting(d, p, s):
         seen.append(s.signature())
         return real(d, p, s)
 
-    monkeypatch.setattr(cli, "expand", counting)
+    monkeypatch.setattr(cli, "offers", counting)
     return seen
 
 
@@ -129,6 +130,41 @@ def test_load_bearing_check_expands_each_state_once(expanded):
     assert len(communication_edges(policy)) > 1
     communication_is_load_bearing(dom, prob, policy)
     assert expanded and len(set(expanded)) == len(expanded)
+
+
+# Successors built (``_step`` and ``synthesize_communication`` calls) per
+# golden policy: by `simulate`, then by the load-bearing check.  Building
+# every option at each state, as `expand` does, took 815 and 87.
+BUILT = {"cooking1": (103, 0), "cooking2": (103, 0), "cooking3": (103, 0),
+         "p1": (39, 0), "p2": (39, 10), "p3": (72, 0), "p4": (73, 24),
+         "p5": (61, 0), "p6": (63, 24)}
+
+
+def test_a_replay_builds_only_the_successors_it_follows(monkeypatch):
+    built = []
+    for name in ("_step", "synthesize_communication"):
+        real = getattr(solver, name)
+
+        def counting(*args, real=real, **kwargs):
+            dom, s, what, k = inspect.signature(real).bind(*args, **kwargs).args
+            # a refinement, None or a fact to settle: one per (label, position)
+            built.append((s.signature(), str(what)))
+            return real(dom, s, what, k)
+
+        monkeypatch.setattr(solver, name, counting)
+    got = {}
+    for path in GOLDEN:
+        dom, prob, policy = read_policy_file(path)
+        counts = []
+        for call in (simulate, communication_is_load_bearing):
+            built.clear()
+            call(dom, prob, policy)
+            assert len(set(built)) == len(built), path.name
+            counts.append(len(built))
+        got[path.name.split(".")[0]] = tuple(counts)
+    assert got == BUILT
+    assert sum(s for s, _ in got.values()) == 656
+    assert sum(c for _, c in got.values()) == 58
 
 
 def _path_to(policy, nid):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
+from ehatp.htn import feasible_refinements
 from ehatp.kernel import initial_state, state_copresent
 from ehatp.model import (
     BeliefBase,
@@ -30,6 +31,7 @@ from ehatp.solver import (
     expand,
     extract_joint_solution,
     finished_values,
+    is_speech_act,
     propagate_revised_status,
     solve,
     synthesize_communication,
@@ -498,6 +500,26 @@ VARIANTS_SEED_3 = "DUUDDUDDDUUDUUDDUUUUDDUUUUUUDD"
 def test_a_shipped_graph_is_searched_whole_without_an_exception(name):
     dom, prob = load_instance(name)
     assert solve(dom, prob, exhaust=True).root.status == "DONE"
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_every_offered_human_action_is_feasible_in_every_world(name):
+    """A replay does not check a human action against each world's beliefs
+    again: the search offers one only where its refinement is feasible
+    under every world's ``bel_h``."""
+    dom, prob = load_instance(name)
+    checked = 0
+    for n in solve(dom, prob, exhaust=True).all_nodes:
+        if n.state.actor != "H":
+            continue
+        for label, _ in n.children:
+            if label in ("noop", "wait") or is_speech_act(label):
+                continue
+            for w in n.state.worlds:
+                assert label in {str(r.first_primitive)
+                                 for r in feasible_refinements(dom, w.tn_h, w.bel_h)}, name
+            checked += 1
+    assert checked, name
 
 
 def test_each_variants_graph_is_searched_whole_without_an_exception():
