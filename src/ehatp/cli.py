@@ -232,9 +232,10 @@ Succs = list["EpistemicState | Callable[[DomainModel], EpistemicState]"]
 def _offered(dom: DomainModel, prob: ProblemInstance,
              s: EpistemicState) -> dict[str, Succs]:
     """What the semantics offers at ``s``: by label, in offer order, each
-    option's successor, or its builder until `_follow` first builds it.  Kept once per call memo: a replay reaches a state again through
-    another branch, and a load-bearing check replays the policy once per
-    speech act, each following only some options."""
+    option's successor, or its builder until `_follow` first builds it.
+    Kept once per call memo: a replay reaches a state again through another
+    branch, and a load-bearing check replays the policy once per speech
+    act, each following only some options."""
     key = ("offer", s.signature())
     offered = dom.memo.get(key)
     if offered is None:

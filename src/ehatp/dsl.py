@@ -13,9 +13,11 @@ Parsing is deterministic and raises :class:`ParseError` (a diagnostic with
 file/line/column) on the first error, so every entry point rejects a
 malformed model the same way: syntax, references, types, a second declaration
 of a name, a knowledge rule on an inferable-only predicate, a name that is
-both an action and a method task, and a recursive task decomposition.  In
-every conjunction the planner grounds, an earlier positive literal must bind
-each negative's variables.
+both an action and a method task, a recursive task decomposition, an action
+that could leave an agent at two places or none, and an action whose add and
+delete can name one atom (`_effect_error`).  In every conjunction the planner
+grounds, an earlier positive literal must bind each negative's variables.
+So the search meets no model error at run time.
 :func:`validate` only warns about conventions and notes false beliefs.
 """
 
@@ -92,8 +94,8 @@ class ActionSchema(NamedTuple):
     dels: tuple[Literal, ...]
 
     def ground(self, args: tuple[str, ...]) -> "GroundAction":
-        if len(args) != len(self.params):
-            raise EhatpError(f"action {self.name} expects {len(self.params)} args, got {len(args)}")
+        """The action with its parameters bound to ``args``, one for each:
+        the parser checks the arity of every subtask and root task."""
         binding = {p.name: a for p, a in zip(self.params, args)}
         return GroundAction(
             name=self.name,
@@ -126,7 +128,8 @@ class GroundAction:
     def effect_masks(self) -> tuple[int, int]:
         """``model.effect_masks`` of this action's effects, computed once.
 
-        A conflicting action raises on every application and is never cached.
+        Disjoint for every action of a parsed model: the parser rejects a
+        schema whose add and delete can name the same atom.
         """
         masks = self._masks
         if masks is None:
@@ -743,6 +746,9 @@ class _DomainParser(_Parser):
                                    and a not in (p.name for p in act.params))
                         raise self._ref_error("action", act.name,
                                               f"variable {arg!r} in action {act.name} is not a parameter")
+            why = _effect_error(act)
+            if why is not None:
+                raise self._ref_error("action", act.name, f"action {act.name} {why}")
 
         edges: dict[str, set[str]] = {}  # each task to the tasks its methods expand into
         for m in dom.methods:
@@ -819,6 +825,44 @@ def _argument_type_error(dom: DomainModel, task: Task, types: dict[str, str]) ->
     return None
 
 
+def _effect_error(act: ActionSchema) -> str | None:
+    """Why ``act`` could leave an agent at two places or none (a), or add
+    and delete one atom (b); None when it cannot.
+
+    (a) Adding ``at(A, P)`` takes deleting and requiring one ``at(A, Q)``,
+    and no other ``at`` whose agent term unifies with ``A``; deleting an
+    ``at`` takes adding one for the same term.  With one start place per
+    agent and no agent's ``at`` in ``init`` or ``believe``, every reachable
+    truth then puts each agent at exactly one place.
+    (b) No add unifies with a delete, unless the unifier makes the
+    preconditions contradict (``move``: ``not at(H, To)`` when ``To = From``).
+    """
+    pre = set(act.pre)
+    moves = [l.atom for l in act.adds if l.pred == "at"]
+    leaves = [l.atom for l in act.dels if l.pred == "at"]
+    for i, l in enumerate(moves):
+        agent = l.args[0]
+        if not any(d.args[0] == agent and d in pre for d in leaves):
+            return f"adds {l} without deleting a place of {agent} it requires"
+        for other in moves[i + 1:]:
+            if unify(Literal("at", (agent,)), Literal("at", other.args[:1])) is not None:
+                return f"adds {l} and {other}, two places for one agent"
+    for d in leaves:
+        if all(l.args[0] != d.args[0] for l in moves):
+            return f"deletes {d} without adding a place of {d.args[0]}"
+    for a in act.adds:
+        for d in act.dels:
+            mgu = unify(a.atom, d.atom)
+            if mgu is None:
+                continue
+            bound = {l.substitute(mgu) for l in act.pre}
+            if not any(l.negate() in bound for l in bound):
+                when = " and ".join(f"{v} = {t}" for v, t in mgu.items())
+                return (f"adds {a} and deletes {d}, one atom"
+                        + (f" when {when}" if when else ""))
+    return None
+
+
 def _foreign_action(dom: DomainModel, task: Task, agent: str) -> ActionSchema | None:
     """The nearest action of the agent other than ``agent`` that ``task``
     can decompose to, or None: one breadth-first pass, in declaration order,
@@ -885,10 +929,7 @@ class _ProblemParser(_Parser):
                     (l,), head = self.terms("a predicate name", one=True)
                     if not l.positive:
                         raise self.error(head, "init atoms must be positive (closed world)")
-                    if l.pred == "at" and l.args and l.args[0] in AGENTS:
-                        raise self.error(head, "agent positions are set by the "
-                                               "'robot at'/'human at' lines, not init")
-                    self._check_ground_literal(l, head)
+                    self._check_ground_literal(l, head, "init")
                     init_atoms.append(l)
                     if toks[self.pos][2] == ",":
                         self.pos += 1
@@ -930,7 +971,7 @@ class _ProblemParser(_Parser):
             elif word == "believe":
                 self.pos += 1
                 (l,), head = self.terms("a predicate name", one=True)
-                self._check_ground_literal(l, head)
+                self._check_ground_literal(l, head, "believe")
                 self._remember("believe", str(l.atom), head, f"belief about {l.atom}")
                 deltas.append((l, self.at(kw)))
             elif word == "domain":
@@ -996,7 +1037,12 @@ class _ProblemParser(_Parser):
             if self.dom.constant_type(arg) is None:
                 raise self.error(head, f"unknown object {arg!r}")
 
-    def _check_ground_literal(self, l: Literal, head: int) -> None:
+    def _check_ground_literal(self, l: Literal, head: int, line: str) -> None:
+        """Check ``l``, read on an ``init`` or ``believe`` ``line``: both
+        agents start where the problem puts them, and the human knows it."""
+        if l.pred == "at" and l.args and l.args[0] in AGENTS:
+            raise self.error(head, "agent positions are set by the "
+                                   f"'robot at'/'human at' lines, not {line}")
         decl = self.dom.predicate(l.pred)
         if decl is None:
             raise self.error(head, f"undeclared predicate {l.pred!r}")

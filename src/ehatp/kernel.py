@@ -17,15 +17,9 @@ from dataclasses import dataclass, replace
 from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
 from .htn import Refinement, advance, feasible_refinements
 from .model import (
-    AGENT_AT,
-    AGENTS,
     BeliefBase,
-    BudgetExceededError,
-    DomainError,
     EpistemicState,
     Literal,
-    MalformedLiteralError,
-    NoEventError,
     TaskNetwork,
     World,
     atom_bit,
@@ -78,14 +72,6 @@ class EpistemicAction:
     events: tuple[Event, ...]
     copresence: tuple[Literal, ...]
     actor: str
-
-    def __post_init__(self) -> None:
-        if not self.events:
-            raise NoEventError("an epistemic action needs at least one event")
-        if sum(1 for e in self.events if e.designated) != 1:
-            raise NoEventError("exactly one event must be designated")
-        if self.actor not in AGENTS:
-            raise DomainError(f"unknown actor {self.actor!r}")
 
     @property
     def designated_event(self) -> Event:
@@ -264,8 +250,7 @@ def product_update(dom: DomainModel, s: EpistemicState,
     While the agents share a place, witnessing settles the robot's move: a
     successor whose event differs from the designated action is marked for
     removal at the next assessment.  A hidden ontic robot action spends one
-    unit of budget; running dry raises :class:`BudgetExceededError`, which
-    the search never meets, as it offers such a step only with budget left.
+    unit of budget; the search offers such a step only with budget left.
     """
     by_wid = {w.wid: w for w in s.worlds}
     d_event = a.designated_event
@@ -274,9 +259,6 @@ def product_update(dom: DomainModel, s: EpistemicState,
 
     budget = s.budget
     if a.actor == "R" and d_event.action is not None and not co:
-        if budget <= 0:
-            raise BudgetExceededError(
-                f"hidden action {d_event.action} with no budget left")
         budget -= 1
 
     # A hypothetical successor is a function of its source world and event:
@@ -287,9 +269,6 @@ def product_update(dom: DomainModel, s: EpistemicState,
     for e in a.events:
         if e.designated:
             child = new_designated = _successor(dom, by_wid[e.source], e, a.actor, False)
-            if child is None:
-                raise DomainError(
-                    f"designated action {e.action} inapplicable in its world")
         else:
             mark = a.actor == "R" and co and not _same_act(e.action, d_event.action)
             if a.actor == "R":
@@ -314,23 +293,6 @@ def product_update(dom: DomainModel, s: EpistemicState,
 # Situation assessment
 
 
-def _check_one_place(truth: int) -> None:
-    """Raise :class:`MalformedLiteralError` when ``truth`` puts an agent at
-    two places, naming its two lowest ``at`` atoms; of two such agents, the
-    one whose second atom has the lower bit."""
-    clashes = []
-    for agent in AGENTS:
-        at = truth & AGENT_AT[agent]
-        rest = at & (at - 1)  # ``at`` without its lowest bit
-        if rest:
-            clashes.append((rest & -rest, agent, at))
-    if clashes:
-        _, agent, at = min(clashes)
-        first, second = atoms_of(at)[:2]
-        raise MalformedLiteralError(
-            f"agent {agent} is at both {first.args[1]} and {second.args[1]}")
-
-
 def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> EpistemicState:
     """Remove worlds the human can now tell apart; share what is in view.
 
@@ -343,13 +305,10 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
     truth = d.bel_r.mask
     # Whether an atom is observable depends only on the atom and reality, so
     # each atom is judged once per truth mask for the whole call.  ``seen``
-    # holds the atoms judged so far and those found in view; it is stored
-    # only for a reality that puts each agent in one place, so any other
-    # raises on every assessment.
+    # holds the atoms judged so far and those found in view.
     key = ("seen", truth)
     seen = dom.memo.get(key)
     if seen is None:
-        _check_one_place(truth)
         seen = dom.memo[key] = [0, 0]
     co_present = _copresent(dom, d, dom.copresence)
 

@@ -28,22 +28,6 @@ class MalformedLiteralError(EhatpError):
     pass
 
 
-class ConflictingEffectsError(EhatpError):
-    pass
-
-
-class DomainError(EhatpError):
-    """A step the model cannot take (e.g. an inapplicable designated action)."""
-
-
-class NoEventError(EhatpError):
-    pass
-
-
-class BudgetExceededError(EhatpError):
-    pass
-
-
 def is_variable(symbol: str) -> bool:
     # Capitalized identifiers are variables, except the two reserved agents.
     return bool(symbol) and symbol[0].isupper() and symbol not in AGENTS
@@ -98,8 +82,6 @@ def _require_ground(l: Literal) -> None:
 
 _BIT: dict[Literal, int] = {}  # atom -> its bit (a power of two)
 _ATOMS: list[Literal] = []  # bit index -> atom
-# agent -> the mask of its interned ``at(agent, place)`` atoms
-AGENT_AT: dict[str, int] = dict.fromkeys(AGENTS, 0)
 
 
 def atom_bit(atom: Literal) -> int:
@@ -115,8 +97,6 @@ def atom_bit(atom: Literal) -> int:
         _require_ground(atom)
         bit = _BIT[atom] = 1 << len(_ATOMS)
         _ATOMS.append(atom)
-        if atom.pred == "at" and len(atom.args) == 2 and atom.args[0] in AGENTS:
-            AGENT_AT[atom.args[0]] |= bit
     return bit
 
 
@@ -133,8 +113,8 @@ def atoms_of(mask: int) -> list[Literal]:
 def effect_masks(adds: Iterable[Literal], dels: Iterable[Literal]) -> tuple[int, int]:
     """The ``(add, drop)`` masks of effect literals, interning adds first.
 
-    Raises :class:`ConflictingEffectsError` when an atom is both added and
-    deleted.
+    The parser rejects an action whose add and delete can name one atom, so
+    the masks of a parsed model's actions are disjoint.
     """
     add = 0
     for a in adds:
@@ -142,10 +122,6 @@ def effect_masks(adds: Iterable[Literal], dels: Iterable[Literal]) -> tuple[int,
     drop = 0
     for d in dels:
         drop |= atom_bit(d.atom)
-    if add & drop:
-        raise ConflictingEffectsError(
-            "atoms both added and deleted: "
-            + ", ".join(sorted(map(str, atoms_of(add & drop)))))
     return add, drop
 
 
@@ -225,16 +201,28 @@ class BeliefBase:
 
 def unify(pattern: Literal, atom: Literal,
           binding: Mapping[str, str] | None = None) -> dict[str, str] | None:
-    """``binding`` extended so that ``pattern`` names ``atom``, or None."""
+    """``binding`` extended to a most general unifier of ``pattern`` and
+    ``atom``, or None.  Either side may hold variables.  The unifier is kept
+    resolved: no variable it binds occurs in a value, so one ``substitute``
+    applies it whole (``p(X, Y)`` against ``p(Y, X)`` gives ``{X: Y}``)."""
     if pattern.pred != atom.pred or len(pattern.args) != len(atom.args):
         return None
     out = dict(binding) if binding else {}
     for want, got in zip(pattern.args, atom.args):
+        want = out.get(want, want)
+        got = out.get(got, got)
+        if want == got:
+            continue
         if is_variable(want):
-            if out.setdefault(want, got) != got:
-                return None
-        elif want != got:
+            var, term = want, got
+        elif is_variable(got):
+            var, term = got, want
+        else:
             return None
+        for v, t in out.items():
+            if t == var:
+                out[v] = term
+        out[var] = term
     return out
 
 
@@ -341,14 +329,6 @@ class EpistemicState:
     actor: str = "R"
     budget: int = 0
     pending: tuple[Literal, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.worlds:
-            raise EhatpError("an epistemic state needs at least one world")
-        if not 0 <= self.designated < len(self.worlds):
-            raise EhatpError("designated index out of range")
-        if self.actor not in AGENTS:
-            raise EhatpError(f"unknown actor {self.actor!r}")
 
     @classmethod
     def make(

@@ -10,7 +10,6 @@ from ehatp.dsl import OBSERVER, Diagnostic, DomainModel, ParseError, ProblemInst
 from ehatp.model import (
     AGENTS,
     BeliefBase,
-    DomainError,
     Literal,
     MalformedLiteralError,
     World,
@@ -19,6 +18,11 @@ from ehatp.model import (
     unify,
 )
 from ehatp.solver import Policy, PolicyNode
+
+
+class UnboundError(Exception):
+    """A literal the first-order reference cannot solve: a negative one, or
+    a subtask, with a variable nothing has bound."""
 
 
 def lit(text: str, *args: str, positive: bool = True) -> Literal:
@@ -164,7 +168,7 @@ def match(bel: BeliefBase, literals: Iterable[Literal],
                     if trial is not None:
                         nxt.append(trial)
             else:
-                raise DomainError(
+                raise UnboundError(
                     f"negative literal {l} leaves variables {free} unbound")
         solutions = nxt
         if not solutions:

@@ -178,6 +178,68 @@ def test_a_human_root_task_reaching_a_robot_action_is_rejected_by_simulate_and_p
     assert capsys.readouterr().err == f"{prob}:{error}\n"
 
 
+FLIP_DOMAIN = """\
+domain flipper {
+  type thing
+  place mt
+  object x thing
+  predicate p(thing) inferable
+  action flip(X thing, Y thing) by R at mt {
+    add p(X)
+    del p(Y)
+  }
+  method flip_one once {
+    sub flip(x, x)
+  }
+  method rest idle {
+  }
+}
+"""
+
+FLIP_PROBLEM = STUCK_PROBLEM.replace("hopeless", "flip_x").replace("stuck", "flipper") \
+    .replace("task R find_it", "task R flip_one")
+
+
+def _move_without_its_delete():
+    text = load_shipped("cube_org")
+    assert "    del at(H, From)\n" in text
+    return text.replace("    del at(H, From)\n", "")
+
+
+@pytest.mark.parametrize("domain, problem, action, message", [
+    pytest.param(_move_without_its_delete(), load_shipped("p6"), "move(",
+                 "action move adds at(H,To) without deleting a place of H it requires",
+                 id="agent-at-two-places"),
+    pytest.param(FLIP_DOMAIN, FLIP_PROBLEM, "flip(",
+                 "action flip adds p(X) and deletes p(Y), one atom when X = Y",
+                 id="conflicting-effects"),
+])
+def test_plan_rejects_clashing_effects_at_the_action(tmp_path, capsys, domain, problem,
+                                                     action, message):
+    """Two domains that once crashed the search, one with an agent at two
+    places and one adding and deleting ``p(x)``: a diagnostic, no traceback."""
+    dom, prob = tmp_path / "d.ehatp", tmp_path / "p.ehatp"
+    dom.write_text(domain, encoding="utf-8")
+    prob.write_text(problem, encoding="utf-8")
+    at = domain.index(f"action {action}") + len("action ")
+    line, col = domain.count("\n", 0, at) + 1, at - domain.rfind("\n", 0, at)
+    assert main(["plan", "-d", str(dom), "-p", str(prob), "-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == f"{dom}:{line}:{col}: error: {message}\n"
+
+
+def test_simulate_rejects_a_policy_whose_domain_leaves_an_agent_at_two_places(tmp_path, capsys):
+    doc = json.loads(GOLDEN_P2.read_text(encoding="utf-8"))
+    text = doc["domain"] = doc["domain"].replace("    del at(H, From)\n", "")
+    at = text.index("action move(") + len("action ")
+    line, col = text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
+    policy = tmp_path / "p2.policy.json"
+    policy.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["simulate", "-P", str(policy), "--exhaustive"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: cannot load policy: {policy}#domain:{line}:{col}: error: "
+        "action move adds at(H,To) without deleting a place of H it requires\n")
+
+
 def test_a_false_belief_note_names_the_problem_file(tmp_path, capsys):
     text = load_shipped("p1")
     problem = tmp_path / "p1b.ehatp"

@@ -314,6 +314,100 @@ def test_a_model_error_is_raised_at_its_declaration(case):
     assert str(e.value) == expected
 
 
+MOVE = """\
+  action move(From place, To place) by H at From {
+    pre at(H, From), not at(H, To)
+    add at(H, To)
+    del at(H, From)
+  }
+"""
+# Effects a state cannot take, each reported at the action's name: an agent
+# left at two places or none (rule a), or one atom both added and deleted
+# (rule b).  The edits are made to ``cube_org``'s ``move``, whose name is at
+# 60:10, or to an action added at the end of the domain.
+EFFECT_ERRORS = {
+    "swapped-arguments": ("", """\
+  action swap(X cube, Y cube) by R at mt {
+    add partner(X, Y)
+    del partner(Y, X)
+  }
+""", "swap adds partner(X,Y) and deletes partner(Y,X), one atom when X = Y"),
+    "one-ground-atom": ("", """\
+  action redo() by R at mt {
+    add empty(box_1)
+    del empty(box_1)
+  }
+""", "redo adds empty(box_1) and deletes empty(box_1), one atom"),
+    "move-without-its-guard": (("    pre at(H, From), not at(H, To)\n", "    pre at(H, From)\n"), "",
+                               "move adds at(H,To) and deletes at(H,From), one atom when To = From"),
+    "move-without-its-delete": (("    del at(H, From)\n", ""), "",
+                                "move adds at(H,To) without deleting a place of H it requires"),
+    "move-without-its-requirement": (("pre at(H, From), not", "pre not"), "",
+                                     "move adds at(H,To) without deleting a place of H it requires"),
+    "two-places-for-one-agent": ("", """\
+  action split(A agent, To place) by H at mt {
+    pre at(H, mt), not at(H, To)
+    add at(H, To), at(A, To)
+    del at(H, mt)
+  }
+""", "split adds at(H,To) and at(A,To), two places for one agent"),
+    "leaving-for-nowhere": ("", """\
+  action vanish() by H at mt {
+    pre at(H, mt)
+    del at(H, mt)
+  }
+""", "vanish deletes at(H,mt) without adding a place of H"),
+}
+
+
+@pytest.mark.parametrize("case", EFFECT_ERRORS)
+def test_an_effect_error_is_raised_at_the_action(case):
+    edit, action, message = EFFECT_ERRORS[case]
+    text = load_shipped("cube_org")
+    assert MOVE in text
+    if edit:
+        assert edit[0] in MOVE
+        text = text.replace(MOVE, MOVE.replace(*edit))
+        pos = "60:10"
+    else:
+        text, pos = _insert_at(text, text.rindex("}"), action, action.split()[1].split("(")[0])
+    with pytest.raises(ParseError) as e:
+        parse_domain(text, "cube_org.ehatp")
+    assert str(e.value) == f"cube_org.ehatp:{pos}: error: action {message}"
+
+
+@pytest.mark.parametrize("action", [
+    MOVE,  # ``not at(H, To)`` contradicts ``at(H, From)`` when To = From
+    MOVE.replace("move(From place, To place) by H", "carry(A agent, From place, To place) by R")
+        .replace("(H,", "(A,"),  # the agent a parameter
+    """\
+  action regroup(X cube, Y cube) by R at mt {
+    pre partner(Y, X), not partner(X, Y)
+    add partner(X, Y)
+    del partner(Y, X)
+  }
+""",  # the swapped atoms contradict the preconditions when X = Y
+])
+def test_effects_that_cannot_clash_are_accepted(action):
+    text = load_shipped("cube_org")
+    text = text.replace(MOVE, "") if action == MOVE else text
+    text = text[:text.rindex("}")] + action + "}\n"
+    assert parse_domain(text).action(action.split()[1].split("(")[0]) is not None
+
+
+@pytest.mark.parametrize("line", ["  believe at(H, ot)\n", "  believe not at(R, mt)\n"])
+def test_a_belief_about_an_agent_place_is_rejected(cube, line):
+    """A human step is checked against the human's beliefs and applied to the
+    truth: one who believed it was at a second place could move from there
+    and be at two."""
+    text = load_shipped("p1")
+    text, pos = _insert_at(text, text.index("  init {"), line, "at")
+    with pytest.raises(ParseError) as e:
+        parse_problem(text, cube, "p1.ehatp")
+    assert str(e.value) == (f"p1.ehatp:{pos}: error: agent positions are set by the "
+                            "'robot at'/'human at' lines, not believe")
+
+
 def _insert_at(text, cut, lines, word):
     """``text`` with ``lines`` inserted at offset ``cut``, the start of a
     line, and the ``line:col`` of the last ``word`` in them."""

@@ -24,9 +24,9 @@ from ehatp import kernel
 from ehatp.cli import write_policy_file
 from ehatp.dsl import ParseError, load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.htn import effectively_decomposed, feasible_refinements
-from ehatp.model import BeliefBase, DomainError, Task, World, is_variable
+from ehatp.model import BeliefBase, Task, World, is_variable
 from ehatp.solver import solve
-from helpers import cold, copresent, lit, match, observable
+from helpers import UnboundError, cold, copresent, lit, match, observable
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "planbench"))
 from variants import draws  # noqa: E402
@@ -158,8 +158,8 @@ MISTYPED = [
 def _answer(fn, *args):
     try:
         return fn(*args)
-    except DomainError as e:
-        return DomainError, str(e)
+    except UnboundError as e:
+        return UnboundError, str(e)
 
 
 def plain_refinements(dom, tn, bel):
@@ -176,7 +176,7 @@ def plain_refinements(dom, tn, bel):
         schema = dom.action(head.name)
         if schema is not None:
             if any(is_variable(a) for a in head.args):
-                raise DomainError(f"unbound arguments in subtask {head}")
+                raise UnboundError(f"unbound arguments in subtask {head}")
             g = schema.ground(head.args)
             if all(bel.entails(l) for l in g.pre):
                 found.setdefault((g.name, g.args, rest), (str(g), trace, acc + g.pre))

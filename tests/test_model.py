@@ -2,13 +2,13 @@ import pytest
 
 from ehatp.model import (
     BeliefBase,
-    ConflictingEffectsError,
     EpistemicState,
     Literal,
     MalformedLiteralError,
     Task,
     World,
     effect_masks,
+    unify,
 )
 from helpers import agent_place, base_of, lit
 
@@ -75,11 +75,11 @@ def test_apply_effects_place_semantics():
 
 
 def test_apply_effects_conflict():
-    with pytest.raises(ConflictingEffectsError):
-        BeliefBase().apply_masks(*effect_masks([lit("p")], [lit("p")]))
+    # The parser rejects such an action; the masks still drop, then add.
+    assert BeliefBase().apply_masks(*effect_masks([lit("p")], [lit("p")])) == base_of(lit("p"))
     base = base_of(lit("on", "c_r", "mt"), lit("holding", "R", "c_y"))
-    with pytest.raises(ConflictingEffectsError):
-        base.apply_masks(*effect_masks([lit("on", "c_r", "mt")], [lit("on", "c_r", "mt")]))
+    on = lit("on", "c_r", "mt")
+    assert base.apply_masks(*effect_masks([on], [on, lit("holding", "R", "c_y")])) == base_of(on)
 
 
 def test_apply_effects_idempotent_when_subsumed():
@@ -154,3 +154,14 @@ def test_literal_str_forms():
 def test_literal_substitute():
     l = Literal("on", ("C", "mt"))
     assert l.substitute({"C": "c_r"}) == lit("on", "c_r", "mt")
+
+
+def test_unify_gives_a_resolved_most_general_unifier():
+    x_y, y_x = Literal("p", ("X", "Y")), Literal("p", ("Y", "X"))
+    assert unify(x_y, y_x) == {"X": "Y"}
+    assert x_y.substitute(unify(x_y, y_x)) == y_x.substitute(unify(x_y, y_x))
+    chain = unify(Literal("q", ("X", "Y", "Y")), Literal("q", ("Y", "Z", "a")))
+    assert chain == {"X": "a", "Y": "a", "Z": "a"}
+    assert unify(Literal("q", ("X", "X")), Literal("q", ("a", "b"))) is None
+    assert unify(Literal("q", ("X", "b")), Literal("q", ("a", "Y")), {"Y": "c"}) is None
+    assert unify(lit("on", "C", "P"), lit("on", "c_r", "mt"), {"P": "mt"}) == {"P": "mt", "C": "c_r"}

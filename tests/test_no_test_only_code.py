@@ -5,7 +5,8 @@ method, must be named somewhere in `src/ehatp` or `planbench` other than its
 own definition: as a name, an attribute, or a part of a dotted string (the
 benchmark's tracer names the functions it wraps that way). No module but
 `cli.py` catches an exception, and no module imports another's underscore
-name.
+name.  Outside the parser and the front end, every `raise` is listed: a new
+model error needs a parser rule instead.
 """
 
 import ast
@@ -72,3 +73,33 @@ def test_no_module_imports_another_modules_private_name():
                and (node.level > 0 or (node.module or "").split(".")[0] == "ehatp")
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+# Each ``raise`` in ``src/ehatp`` outside ``dsl.py`` and ``cli.py``, by module
+# and enclosing function, once per statement.  None of them is a model error:
+# the parser rejects those before a search or replay starts.
+RAISES = [
+    ("model.py", "BeliefBase.__setattr__"),  # a base is immutable
+    ("model.py", "_require_ground"),  # groundness, for atom_bit and entails
+    ("model.py", "atom_bit"),  # a base stores positive atoms only
+    ("solver.py", "extract_joint_solution"),  # called only on a settled root
+    ("solver.py", "synthesize_communication"),  # asked only about a disagreement
+]
+
+
+def _raises(node: ast.AST, scope: tuple[str, ...] = ()):
+    """The enclosing function's dotted name for each ``raise`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _raises(child, scope + (child.name,))
+        else:
+            if isinstance(child, ast.Raise):
+                yield ".".join(scope)
+            yield from _raises(child, scope)
+
+
+def test_every_raise_outside_the_parser_and_cli_is_listed():
+    found = sorted((path.name, where) for path in SOURCES
+                   if path.name not in ("dsl.py", "cli.py")
+                   for where in _raises(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found == RAISES

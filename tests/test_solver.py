@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
+from ehatp.dsl import GroundAction, load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.htn import feasible_refinements
 from ehatp.kernel import initial_state, state_copresent
 from ehatp.model import (
@@ -36,7 +36,7 @@ from ehatp.solver import (
     solve,
     synthesize_communication,
 )
-from helpers import lit
+from helpers import agent_place, lit
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "planbench"))
 from variants import draws  # noqa: E402
@@ -520,6 +520,40 @@ def test_every_offered_human_action_is_feasible_in_every_world(name):
                                  for r in feasible_refinements(dom, w.tn_h, w.bel_h)}, name
             checked += 1
     assert checked, name
+
+
+def _exhausted(name):
+    """The domain and the ``exhaust=True`` search of a shipped instance, or
+    of each seed-3 ``variants`` draw."""
+    if name != "variants":
+        dom, prob = load_instance(name)
+        return [(dom, solve(dom, prob, exhaust=True))]
+    dom = parse_domain(load_shipped("cube_org"))
+    return [(dom, solve(dom, parse_problem(d.text(), dom), exhaust=True)) for d in draws(3)]
+
+
+@pytest.mark.parametrize("name", (*SHIPPED, "variants"))
+def test_each_agent_stays_at_one_place_and_no_effect_clashes(name, monkeypatch):
+    """What the parser's effect rules leave the search to assume, on whole
+    reachable graphs: every state's truth puts each agent at exactly one
+    place, and every ground action the search applies adds no atom it
+    deletes."""
+    applied = set()
+    masks = GroundAction.effect_masks
+
+    def spy(act):
+        applied.add(act)
+        return masks(act)
+
+    monkeypatch.setattr(GroundAction, "effect_masks", spy)
+    for _, res in _exhausted(name):
+        for n in res.all_nodes:
+            assert set(agent_place(n.state.designated_world)) == {"R", "H"}, name
+    monkeypatch.undo()
+    assert any(l.pred == "at" for act in applied for l in act.adds), name
+    for act in applied:
+        add, drop = act.effect_masks()
+        assert not add & drop, act
 
 
 def test_each_variants_graph_is_searched_whole_without_an_exception():
