@@ -502,10 +502,11 @@ class _Parser:
         self.pos = i + 1 if out else i + 2
         return tuple(out)
 
-    def terms(self, what: str, one: bool = False) -> tuple[tuple, int]:
+    def terms(self, what: str, one: bool = False, effect: bool = False) -> tuple[tuple, int]:
         """One ``[not] name[(arg, ...)]`` or, unless ``one``, more separated
         by commas, and the index of the last one's name: literals, or tasks
-        (which take no ``not``) when ``what`` is "a task name"."""
+        (which take no ``not``) when ``what`` is "a task name".  An ``effect``
+        literal is a positive atom: its ``not`` is an error."""
         toks = self.tokens
         i = self.pos
         task = what == "a task name"
@@ -513,6 +514,9 @@ class _Parser:
         while True:
             positive = task or toks[i][1] != "not"
             if not positive:
+                if effect:
+                    raise self.error(i, "an effect is a positive atom: "
+                                        "'add' and 'del' take no 'not'")
                 i += 1
             head = i
             name = toks[i][1]
@@ -653,7 +657,7 @@ class _DomainParser(_Parser):
             if word[1] not in body:
                 raise self.error(self.pos, "expected 'pre', 'add', 'del', or '}' in action body")
             self.pos += 1
-            body[word[1]] = self.terms("a predicate name")[0]
+            body[word[1]] = self.terms("a predicate name", effect=word[1] != "pre")[0]
         self.pos += 1
         return _tuple(ActionSchema, (name, actor, params, place, body["pre"], body["add"], body["del"]))
 
@@ -694,7 +698,7 @@ class _DomainParser(_Parser):
                                       f"arity mismatch for {l.pred!r} in {where}: "
                                       f"expected {len(decl.param_types)}, got {len(l.args)}")
             for arg, want in zip(l.args, decl.param_types):
-                if bound.get(arg) == want or arg == OBSERVER:
+                if bound.get(arg) == want or (arg == OBSERVER and kind == "rule"):
                     continue
                 if is_variable(arg):
                     have = bound.setdefault(arg, want)

@@ -12,20 +12,40 @@ along the way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .dsl import DomainModel, GroundAction
-from .model import BeliefBase, Literal, Task, TaskNetwork, atoms_of
+from .model import BeliefBase, Frozen, Literal, Task, TaskNetwork, atoms_of, slot_setters
 
-@dataclass(frozen=True, slots=True)
-class Refinement:
+
+class Refinement(Frozen):
+    """One way to start an agenda: its first primitive, the agenda left once
+    that runs, and the method labels chosen on the way.  Equal when all four
+    fields are."""
+
+    __slots__ = ("first_primitive", "remainder", "trace", "pres")
     first_primitive: GroundAction
     remainder: TaskNetwork
     trace: tuple[str, ...]
     # the mask of every precondition atom checked on the way to the first
     # primitive (method preconditions along the decomposition path, then the
     # action's), whether it was required or forbidden
-    pres: int = 0
+    pres: int
+
+    def __init__(self, first_primitive: GroundAction, remainder: TaskNetwork,
+                 trace: tuple[str, ...], pres: int = 0) -> None:
+        _r_first_primitive(self, first_primitive)
+        _r_remainder(self, remainder)
+        _r_trace(self, trace)
+        _r_pres(self, pres)
+
+    def _fields(self) -> tuple:
+        return (self.first_primitive, self.remainder, self.trace, self.pres)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Refinement) and other._fields() == self._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
     def key(self) -> tuple:
         return (self.first_primitive.name, self.first_primitive.args, self.remainder)
@@ -33,6 +53,9 @@ class Refinement:
     def __str__(self) -> str:
         rest = ", ".join(str(t) for t in self.remainder)
         return f"{self.first_primitive} :: [{rest}]"
+
+
+_r_first_primitive, _r_remainder, _r_trace, _r_pres = slot_setters(Refinement)
 
 
 def feasible_refinements(dom: DomainModel, tn: TaskNetwork,

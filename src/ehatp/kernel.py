@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, replace
-
 from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
 from .htn import Refinement, advance, feasible_refinements
 from .model import (
     BeliefBase,
     EpistemicState,
+    Frozen,
     Literal,
     TaskNetwork,
     World,
     atom_bit,
     atoms_of,
+    slot_setters,
     unify,
 )
 
@@ -52,8 +52,7 @@ def trace_enabled(dom: DomainModel, channel: str) -> bool:
 _MISS = object()
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Event:
+class Event(Frozen):
     """One possible occurrence: an action (or None for doing nothing) in one
     source world.  ``remainder`` is the acting agent's agenda afterwards.
 
@@ -61,21 +60,44 @@ class Event:
     memo, and product update keys their successors on the event itself.
     """
 
+    __slots__ = ("action", "source", "designated", "remainder")
     action: GroundAction | None
     source: tuple  # wid of the source world
     designated: bool
-    remainder: TaskNetwork = ()
+    remainder: TaskNetwork
+
+    def __init__(self, action: GroundAction | None, source: tuple, designated: bool,
+                 remainder: TaskNetwork = ()) -> None:
+        _e_action(self, action)
+        _e_source(self, source)
+        _e_designated(self, designated)
+        _e_remainder(self, remainder)
 
 
-@dataclass(frozen=True, slots=True)
-class EpistemicAction:
+_e_action, _e_source, _e_designated, _e_remainder = slot_setters(Event)
+
+
+class EpistemicAction(Frozen):
+    """The events one step may be, one of them designated, and the rule that
+    decides whether the human watches it.  Compared by identity."""
+
+    __slots__ = ("events", "copresence", "actor")
     events: tuple[Event, ...]
     copresence: tuple[Literal, ...]
     actor: str
 
+    def __init__(self, events: tuple[Event, ...], copresence: tuple[Literal, ...],
+                 actor: str) -> None:
+        _a_events(self, events)
+        _a_copresence(self, copresence)
+        _a_actor(self, actor)
+
     @property
     def designated_event(self) -> Event:
         return next(e for e in self.events if e.designated)
+
+
+_a_events, _a_copresence, _a_actor = slot_setters(EpistemicAction)
 
 
 # --------------------------------------------------------------------------
@@ -240,7 +262,10 @@ def _successor(dom: DomainModel, w: World, e: Event, actor: str,
         if not e.action.applicable(base.mask):
             return None
     child = _apply_human_event(w, e) if actor == "H" else _apply_robot_event(dom, w, e)
-    return replace(child, distinguishable=True) if mark else child
+    if mark:
+        return World(child.bel_r, child.bel_h, child.bel_rh, child.tn_r, child.tn_h,
+                     child.tn_rh, child.acted, True)
+    return child
 
 
 def product_update(dom: DomainModel, s: EpistemicState,

@@ -14,7 +14,7 @@ built only where it leaves the process.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 AGENTS = ("R", "H")
@@ -126,10 +126,36 @@ def effect_masks(adds: Iterable[Literal], dels: Iterable[Literal]) -> tuple[int,
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
-class BeliefBase:
+class Frozen:
+    """Base of the value types built once per search step.
+
+    Their fields are ``__slots__`` that only the constructor fills, through
+    each slot descriptor's ``__set__`` (see `slot_setters`); assigning or
+    deleting an attribute afterwards raises, so a memo can share them.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in type(self).__slots__
+                           if not n.startswith("_"))
+        return f"{type(self).__name__}({fields})"
+
+
+def slot_setters(cls: type) -> tuple:
+    """The ``__set__`` of each of ``cls``'s own slots, in ``__slots__`` order:
+    a constructor fills a slot with one call, past ``Frozen``'s guard."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
+class BeliefBase(Frozen):
     """A definite set of positive ground atoms under the closed-world reading,
     stored as the bitmask of its interned atoms."""
 
@@ -140,16 +166,13 @@ class BeliefBase:
         mask = 0
         for a in atoms:
             mask |= atom_bit(a)
-        _set(self, "mask", mask)
+        _set_mask(self, mask)
 
     @classmethod
     def from_mask(cls, mask: int) -> "BeliefBase":
         b = _new(cls)
-        _set(b, "mask", mask)
+        _set_mask(b, mask)
         return b
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BeliefBase) and other.mask == self.mask
@@ -193,6 +216,9 @@ class BeliefBase:
 
     def __repr__(self) -> str:
         return f"BeliefBase({self})"
+
+
+(_set_mask,) = slot_setters(BeliefBase)
 
 
 # --------------------------------------------------------------------------
@@ -262,8 +288,7 @@ def _agenda_id(tn: TaskNetwork) -> int:
     return i
 
 
-@dataclass(frozen=True, slots=True)
-class World:
+class World(Frozen):
     """One hypothetical course of the task.
 
     ``bel_r`` is the ground truth of this hypothesis, ``bel_h`` the human's
@@ -272,24 +297,41 @@ class World:
     agents last shared a place; it bounds how far the anticipated robot may
     run ahead.  ``distinguishable`` marks a world the human told apart from
     the designated one while watching the robot act; situation assessment
-    removes such worlds.
+    removes such worlds.  Worlds are equal when their keys are.
     """
 
+    __slots__ = ("bel_r", "bel_h", "bel_rh", "tn_r", "tn_h", "tn_rh", "acted",
+                 "distinguishable", "_key")
     bel_r: BeliefBase
     bel_h: BeliefBase
     bel_rh: BeliefBase
-    tn_r: TaskNetwork = ()
-    tn_h: TaskNetwork = ()
-    tn_rh: TaskNetwork = ()
-    acted: int = 0
-    distinguishable: bool = False
-    _key: tuple = field(init=False, repr=False, compare=False)
+    tn_r: TaskNetwork
+    tn_h: TaskNetwork
+    tn_rh: TaskNetwork
+    acted: int
+    distinguishable: bool
+    _key: tuple
 
-    def __post_init__(self) -> None:
-        _set(self, "_key", (
-            self.bel_r.mask, self.bel_h.mask, self.bel_rh.mask,
-            _agenda_id(self.tn_r), _agenda_id(self.tn_h), _agenda_id(self.tn_rh),
-            self.acted, self.distinguishable))
+    def __init__(self, bel_r: BeliefBase, bel_h: BeliefBase, bel_rh: BeliefBase,
+                 tn_r: TaskNetwork = (), tn_h: TaskNetwork = (), tn_rh: TaskNetwork = (),
+                 acted: int = 0, distinguishable: bool = False) -> None:
+        _w_bel_r(self, bel_r)
+        _w_bel_h(self, bel_h)
+        _w_bel_rh(self, bel_rh)
+        _w_tn_r(self, tn_r)
+        _w_tn_h(self, tn_h)
+        _w_tn_rh(self, tn_rh)
+        _w_acted(self, acted)
+        _w_distinguishable(self, distinguishable)
+        _w_key(self, (bel_r.mask, bel_h.mask, bel_rh.mask,
+                      _agenda_id(tn_r), _agenda_id(tn_h), _agenda_id(tn_rh),
+                      acted, distinguishable))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, World) and other._key == self._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def key(self) -> tuple:
         """The world's content as ints: equal keys, equal worlds."""
@@ -315,20 +357,33 @@ class World:
         return ";".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
-class EpistemicState:
+(_w_bel_r, _w_bel_h, _w_bel_rh, _w_tn_r, _w_tn_h, _w_tn_rh, _w_acted,
+ _w_distinguishable, _w_key) = slot_setters(World)
+
+
+class EpistemicState(Frozen):
     """Worlds the human cannot tell apart, with the one matching reality marked.
 
     ``actor`` names whose turn it is, ``budget`` the remaining ontic robot
     actions allowed before the next reunion, and ``pending`` the facts the
     human has asked to be told (a forced inform on the robot's next turn).
+    States are equal when their signatures are.
     """
 
+    __slots__ = ("worlds", "designated", "actor", "budget", "pending")
     worlds: tuple[World, ...]
     designated: int
-    actor: str = "R"
-    budget: int = 0
-    pending: tuple[Literal, ...] = ()
+    actor: str
+    budget: int
+    pending: tuple[Literal, ...]
+
+    def __init__(self, worlds: tuple[World, ...], designated: int, actor: str = "R",
+                 budget: int = 0, pending: tuple[Literal, ...] = ()) -> None:
+        _s_worlds(self, worlds)
+        _s_designated(self, designated)
+        _s_actor(self, actor)
+        _s_budget(self, budget)
+        _s_pending(self, pending)
 
     @classmethod
     def make(
@@ -339,20 +394,26 @@ class EpistemicState:
         budget: int,
         pending: tuple[Literal, ...] = (),
     ) -> "EpistemicState":
-        """Canonicalize: deduplicate worlds by content and sort by key."""
-        by_key: dict[tuple, World] = {}
+        """Canonicalize: deduplicate worlds by key, keeping ``designated``
+        for its own key, and sort them by key."""
+        dkey = designated._key
+        by_key = {dkey: designated}
         for w in worlds:
             by_key.setdefault(w._key, w)
-        dkey = designated._key
-        by_key[dkey] = designated
-        keys = sorted(by_key)
-        return cls(
-            worlds=tuple(by_key[k] for k in keys),
-            designated=keys.index(dkey),
-            actor=actor,
-            budget=budget,
-            pending=tuple(sorted(pending, key=str)) if pending else (),
-        )
+        if len(by_key) == 1:
+            ordered, index = (designated,), 0
+        else:
+            keys = sorted(by_key)
+            ordered = tuple([by_key[k] for k in keys])
+            index = keys.index(dkey)
+        return cls(ordered, index, actor, budget,
+                   tuple(sorted(pending, key=str)) if pending else ())
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, EpistemicState) and other.signature() == self.signature()
+
+    def __hash__(self) -> int:
+        return hash(self.signature())
 
     @property
     def designated_world(self) -> World:
@@ -374,3 +435,6 @@ class EpistemicState:
         pend = ",".join(str(p) for p in self.pending)
         return f"{body}@d={d};actor={self.actor};k={self.budget};pending=[{pend}]"
 
+
+
+_s_worlds, _s_designated, _s_actor, _s_budget, _s_pending = slot_setters(EpistemicState)

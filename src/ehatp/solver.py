@@ -22,7 +22,7 @@ import sys
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 
 from .dsl import DomainModel, ProblemInstance
@@ -41,27 +41,31 @@ from .kernel import (
     trace_enabled,
     with_call_memo,
 )
-from .model import EhatpError, EpistemicState, Literal, atoms_of
+from .model import EhatpError, EpistemicState, Literal, World, atoms_of
 
 UNKNOWN = "UNKNOWN"
 DONE = "DONE"
 DEAD = "DEAD"
 
 
-@dataclass(eq=False)
 class SearchNode:
     """One canonical state in the search graph.
 
     ``children`` stays ``None`` until the node is expanded; a terminal keeps
     an empty list.  Dedup makes this a graph, so a node may have several
-    parents, and status updates ripple along them.
+    parents, and status updates ripple along them.  Compared by identity.
     """
 
-    state: EpistemicState
-    kind: str  # "OR" (robot to act) or "AND" (human to act)
-    status: str = UNKNOWN
-    children: "list[tuple[str, SearchNode]] | None" = None
-    parents: "list[SearchNode]" = field(default_factory=list)
+    __slots__ = ("state", "kind", "status", "children", "parents")
+
+    def __init__(self, state: EpistemicState, kind: str, status: str = UNKNOWN,
+                 children: "list[tuple[str, SearchNode]] | None" = None,
+                 parents: "list[SearchNode] | None" = None) -> None:
+        self.state = state
+        self.kind = kind  # "OR" (robot to act) or "AND" (human to act)
+        self.status = status
+        self.children = children
+        self.parents = [] if parents is None else parents
 
 
 # --------------------------------------------------------------------------
@@ -107,13 +111,9 @@ def synthesize_communication(dom: DomainModel, s: EpistemicState, p: Literal,
         disagree_rh = w.bel_rh.entails(atom) != truth
         disagree_h = w.bel_h.entails(atom) != truth
         changed = changed or disagree_rh or disagree_h
-        child = replace(
-            w,
-            bel_h=w.bel_h.assign(atom, truth),
-            bel_rh=w.bel_rh.assign(atom, truth),
-            distinguishable=w.distinguishable
-            or (i != s.designated and disagree_rh),
-        )
+        child = World(w.bel_r, w.bel_h.assign(atom, truth), w.bel_rh.assign(atom, truth),
+                      w.tn_r, w.tn_h, w.tn_rh, w.acted,
+                      w.distinguishable or (i != s.designated and disagree_rh))
         rebuilt.append(child)
         if i == s.designated:
             designated_out = child
@@ -124,7 +124,8 @@ def synthesize_communication(dom: DomainModel, s: EpistemicState, p: Literal,
     mid = EpistemicState.make(rebuilt, designated_out, actor=s.actor,
                               budget=s.budget, pending=())
     out = situation_assessment(dom, mid, k)
-    return replace(out, actor="R"), replace(out, actor="H")
+    return (EpistemicState(out.worlds, out.designated, "R", out.budget, out.pending),
+            EpistemicState(out.worlds, out.designated, "H", out.budget, out.pending))
 
 
 def _uniform_human_refinements(dom: DomainModel,

@@ -303,6 +303,33 @@ domain d {
   }
 }
 """, "d.ehatp:8:12: error: duplicate method label 'm' for task 't'"),
+    # An effect is a positive atom: ``add not p`` is rejected at its ``not``.
+    "negated-effect": ("""\
+domain d {
+  place mt
+  predicate p(place) observable
+  action a() by R at mt {
+    add not p(mt)
+  }
+}
+""", "d.ehatp:5:9: error: an effect is a positive atom: 'add' and 'del' take no 'not'"),
+    # ``observer`` names the watching human in knowledge rules only.
+    "observer-in-an-action": ("""\
+domain d {
+  place mt
+  predicate p(place) observable
+  rule see_p: p(P) when at(observer, P)
+  action mark() by R at mt {
+    del p(observer)
+  }
+}
+""", "d.ehatp:5:10: error: unknown object 'observer' in action mark del"),
+    "observer-in-the-copresent-rule": ("""\
+domain d {
+  place mt
+  copresent when at(R, P), at(observer, P)
+}
+""", "d.ehatp:3:3: error: unknown object 'observer' in copresent rule"),
 }
 
 

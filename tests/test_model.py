@@ -1,5 +1,10 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
+from ehatp.dsl import load_shipped, parse_domain
+from ehatp.htn import Refinement
+from ehatp.kernel import EpistemicAction, Event
 from ehatp.model import (
     BeliefBase,
     EpistemicState,
@@ -143,6 +148,84 @@ def test_world_key_includes_networks_and_acted():
     w2 = World(bel_r=base, bel_h=base, bel_rh=base, tn_r=())
     w3 = World(bel_r=base, bel_h=base, bel_rh=base, tn_r=(Task("go"),), acted=1)
     assert len({w1.key(), w2.key(), w3.key()}) == 3
+
+
+# -- the value types built once per search step -------------------------------
+
+PICK = parse_domain(load_shipped("cube_org")).action("pick").ground(("c_r", "mt"))
+
+
+def _values() -> list:
+    """One of each immutable value type, built twice from equal content."""
+    def build():
+        p = base_of(lit("p"))
+        w = World(p, BeliefBase(), p, tn_r=(Task("go"),), acted=1)
+        e = Event(PICK, w.wid, True, (Task("go"),))
+        return [p, w, EpistemicState.make([w], w, actor="H", budget=2),
+                e, EpistemicAction((e,), (lit("q"),), "R"),
+                Refinement(PICK, (Task("go"),), ("m",), 3)]
+    return list(zip(build(), build()))
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_no_field_of_a_value_type_can_be_assigned_or_deleted(i):
+    value, _ = _values()[i]
+    for name in type(value).__slots__:
+        before = getattr(value, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, before)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(FrozenInstanceError):
+        value.extra = 1
+
+
+def test_equal_content_gives_equal_values_and_hashes():
+    (p, p2), (w, w2), (s, s2), (e, e2), (a, a2), (r, r2) = _values()
+    for x, y in ((p, p2), (w, w2), (s, s2), (r, r2)):
+        assert x is not y and x == y and hash(x) == hash(y)
+    assert World(p, BeliefBase(), p, tn_r=(Task("go"),), acted=1,
+                 distinguishable=True) != w
+    assert EpistemicState.make([w], w, actor="R", budget=2) != s
+    assert Refinement(PICK, (Task("go"),), ("m",), 0) != r
+    # events and epistemic actions are compared by identity
+    assert e != e2 and a != a2 and e == e and a == a
+
+
+def test_make_keeps_the_designated_object_among_equal_worlds():
+    p, q = base_of(lit("p")), base_of(lit("q"))
+    w, dup, other = World(p, p, p), World(p, p, p), World(q, q, q)
+    for worlds in ([w, dup, other], [other, w, dup], [dup, other]):
+        s = EpistemicState.make(worlds, designated=dup, actor="R", budget=0)
+        assert s.designated_world is dup
+        assert [x.key() for x in s.worlds] == sorted({w.key(), other.key()})
+
+
+def test_make_single_world_and_sorted_pending_match_the_general_path():
+    p = base_of(lit("p"))
+    w, v = World(p, p, p), World(p, p, p, acted=1)
+    ask = (lit("q"), lit("b"))
+    one = EpistemicState.make([w], w, actor="R", budget=1, pending=ask)
+    assert (one.worlds, one.designated, one.pending) == ((w,), 0, (lit("b"), lit("q")))
+    assert one == EpistemicState((w,), 0, "R", 1, (lit("b"), lit("q")))
+    assert one == EpistemicState.make([w, World(p, p, p)], w, actor="R", budget=1,
+                                      pending=ask[::-1])
+    two = EpistemicState.make([v, w], v, actor="R", budget=1, pending=ask)
+    order = sorted((w, v), key=World.key)
+    assert two == EpistemicState(tuple(order), order.index(v), "R", 1, one.pending)
+
+
+def test_value_types_print_their_fields():
+    p = base_of(lit("p"))
+    w = World(p, BeliefBase(), p, tn_r=(Task("go"),))
+    assert repr(w) == ("World(bel_r=BeliefBase({p}), bel_h=BeliefBase({}), "
+                       "bel_rh=BeliefBase({p}), tn_r=(Task(name='go', args=()),), "
+                       "tn_h=(), tn_rh=(), acted=0, distinguishable=False)")
+    s = EpistemicState.make([w], w, actor="H", budget=2)
+    assert repr(s) == f"EpistemicState(worlds=({w!r},), designated=0, actor='H', budget=2, pending=())"
+    assert repr(Event(None, w.wid, True)).startswith("Event(action=None, source=(")
+    assert repr(Refinement(PICK, (), ())).startswith("Refinement(first_primitive=")
 
 
 def test_literal_str_forms():

@@ -79,7 +79,7 @@ def test_no_module_imports_another_modules_private_name():
 # and enclosing function, once per statement.  None of them is a model error:
 # the parser rejects those before a search or replay starts.
 RAISES = [
-    ("model.py", "BeliefBase.__setattr__"),  # a base is immutable
+    ("model.py", "Frozen.__setattr__"),  # bases, worlds, states, events are immutable
     ("model.py", "_require_ground"),  # groundness, for atom_bit and entails
     ("model.py", "atom_bit"),  # a base stores positive atoms only
     ("solver.py", "extract_joint_solution"),  # called only on a settled root

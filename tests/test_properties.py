@@ -248,7 +248,8 @@ def test_product_pairs_account_for_every_world(s, k, act):
                  else kernel._apply_robot_event(CUBE, w, e))
         if (co and a.actor == "R" and not e.designated
                 and not kernel._same_act(e.action, d_event.action)):
-            child = replace(child, distinguishable=True)
+            child = World(child.bel_r, child.bel_h, child.bel_rh, child.tn_r,
+                          child.tn_h, child.tn_rh, child.acted, True)
         outcomes.add(child.key())
         r, h, rh = w.bel_r.atoms, w.bel_h.atoms, w.bel_rh.atoms
         if e.action is not None:
