@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+
 from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
 from .htn import Refinement, advance, feasible_refinements
 from .model import (
