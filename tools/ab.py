@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """In-process alternating A/B of two planner trees.
 
-    python3 tools/ab.py PARENT_SRC CHANGE_SRC --workload {shipped,variants,replay} \\
-        [--rounds 40] [--warmup 3] [--seed 1]
+    python3 tools/ab.py PARENT_SRC CHANGE_SRC --workload {shipped,variants,replay}
 
 Each ``*_SRC`` is a ``src/`` directory holding an ``ehatp`` package, for
 example a ``git archive`` copy of the parent commit and this checkout's
@@ -10,14 +9,20 @@ example a ``git archive`` copy of the parent commit and this checkout's
 package name one after the other, so each keeps its own modules, interned
 atoms and grounding tables.  The operations are ``planbench``'s own: the
 workload classes of ``planbench/run.py`` prepare the inputs and make each
-call, and their checks run on every input once, during warm-up.
+call, and their checks run on every input once, during warm-up.  Then the
+two sides' answers are compared input by input: the search counts or
+replayed states and traces of each call, and for ``variants`` each draw's
+verdict, counts and policy digest.  If any check fails or any answer
+differs, nothing is timed and the exit status is 1, so a ratio is only
+ever printed for two trees that compute the same answers.
 
-A round times every input once on each side, in one seeded order, and the
-side that goes first alternates from round to round.  The collector runs
-before every call, so neither side pays for the other's garbage.  Both
-sides share the machine's drift, which a run of ``planbench`` per side does
-not; this resolves differences of a few percent that fresh-process runs
-cannot.
+After `WARMUP` untimed repeats, each of `ROUNDS` rounds times every input
+once on each side, in one order drawn from a generator seeded with `SEED`
+(also the workload's seed), and the side that goes first alternates from
+round to round.  The collector runs before every call, so neither side
+pays for the other's garbage.  Both sides share the machine's drift, which
+a run of ``planbench`` per side does not; this resolves differences of a
+few percent that fresh-process runs cannot.
 
 Printed: per input, each side's median wall time and their ratio (change
 over parent); the geometric mean of those ratios; the rounds whose total
@@ -38,6 +43,9 @@ from pathlib import Path
 from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
+ROUNDS = 40
+WARMUP = 3
+SEED = 1
 sys.path.insert(0, str(ROOT / "planbench"))
 import run  # noqa: E402  (planbench's workloads)
 
@@ -73,6 +81,12 @@ def use(prog: SimpleNamespace) -> None:
     sys.modules.update(prog.modules)
 
 
+def answer(wl, item, out) -> tuple:
+    """What one checked call computed, in a form comparable across trees."""
+    first = item.expect[0] if isinstance(wl, run.Variants) else None
+    return out.work, out.search, out.traces, first
+
+
 def timed(wl, prog, item) -> float:
     gc.collect()
     t0 = time.perf_counter()
@@ -85,9 +99,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("parent", type=Path, help="the parent's src/ directory")
     ap.add_argument("change", type=Path, help="the change's src/ directory")
     ap.add_argument("--workload", required=True, choices=sorted(run.WORKLOADS))
-    ap.add_argument("--rounds", type=int, default=40)
-    ap.add_argument("--warmup", type=int, default=3)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
 
     sides = []
@@ -95,28 +106,36 @@ def main(argv: list[str] | None = None) -> int:
         prog = load_tree(src.resolve())
         use(prog)
         wl = run.WORKLOADS[args.workload]()
-        items, problems = wl.prepare(prog, args.seed)
+        items, problems = wl.prepare(prog, SEED)
         if problems:
             raise SystemExit(f"{src}: invalid inputs: {problems}")
         sides.append((prog, wl, items))
     keys = [i.key for i in sides[0][2]]
 
-    failures = []
+    failures, answers = [], []
     for prog, wl, items in sides:
         use(prog)
-        for rep in range(max(args.warmup, 1)):
+        got = []
+        for rep in range(WARMUP):
             for item in items:
                 res = wl.call(prog, item)
                 if rep == 0:
-                    failures += wl.check(prog, item, res).failures
+                    out = wl.check(prog, item, res)
+                    failures += out.failures
+                    got.append(answer(wl, item, out))
+        failures += wl.finish(prog, items)[1]
+        answers.append(got)
+    for k, a, b in zip(keys, *answers):
+        if a != b:
+            failures.append(f"{k}: parent computed {a}, change {b}")
     if failures:
-        print("wrong outputs:", *failures, sep="\n  ", file=sys.stderr)
+        print("wrong or differing outputs:", *failures, sep="\n  ", file=sys.stderr)
         return 1
 
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     times = [{k: [] for k in keys}, {k: [] for k in keys}]
     totals: list[list[float]] = [[], []]
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = list(range(len(keys)))
         rng.shuffle(order)
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
@@ -130,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             totals[side].append(total)
 
     ratios = []
-    print(f"{args.workload}: {args.rounds} rounds after {args.warmup} warm-up, "
+    print(f"{args.workload}: {ROUNDS} rounds after {WARMUP} warm-up, "
           "median wall ms per input")
     print(f"  {'input':<12} {'parent':>9} {'change':>9} {'ratio':>7}")
     for k in keys:
@@ -139,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {k:<12} {a * 1e3:9.3f} {b * 1e3:9.3f} {b / a:7.3f}")
     geo = math.exp(sum(map(math.log, ratios)) / len(ratios))
     won = sum(b < a for a, b in zip(*totals))
-    print(f"  geomean ratio {geo:.3f}; change won {won}/{args.rounds} rounds; "
+    print(f"  geomean ratio {geo:.3f}; change won {won}/{ROUNDS} rounds; "
           f"round medians {statistics.median(totals[0]) * 1e3:.2f} -> "
           f"{statistics.median(totals[1]) * 1e3:.2f} ms")
     return 0
