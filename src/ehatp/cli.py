@@ -401,12 +401,17 @@ def _missing_parent(*paths: str | None) -> OSError | None:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        dom_text = Path(args.domain).read_text(encoding="utf-8")
-        prob_text = Path(args.problem).read_text(encoding="utf-8")
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    texts = []
+    for path in (args.domain, args.problem):
+        try:
+            texts.append(Path(path).read_text(encoding="utf-8"))
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+        except UnicodeDecodeError as e:
+            print(f"error: {path}: {e}", file=sys.stderr)
+            return 1
+    dom_text, prob_text = texts
     try:
         dom = parse_domain(dom_text, args.domain)
         prob = parse_problem(prob_text, dom, args.problem)

@@ -95,16 +95,26 @@ class ActionSchema(NamedTuple):
 
     def ground(self, args: tuple[str, ...]) -> "GroundAction":
         """The action with its parameters bound to ``args``, one for each:
-        the parser checks the arity of every subtask and root task."""
+        the parser checks the arity of every subtask and root task.
+
+        Its masks are built here, preconditions first, so every atom they
+        name is interned before any base can hold it: a mask pair stays
+        valid for the life of the process, and a non-ground precondition
+        raises :class:`MalformedLiteralError` from every call.
+        """
         binding = {p.name: a for p, a in zip(self.params, args)}
-        return GroundAction(
-            name=self.name,
-            args=args,
-            actor=self.actor,
-            pre=tuple(l.substitute(binding) for l in self.pre),
-            adds=tuple(l.substitute(binding) for l in self.adds),
-            dels=tuple(l.substitute(binding) for l in self.dels),
-        )
+        pre = tuple(l.substitute(binding) for l in self.pre)
+        need = forbid = 0
+        for l in pre:
+            if l.positive:
+                need |= atom_bit(l)
+            else:
+                forbid |= atom_bit(l.atom)
+        adds = tuple(l.substitute(binding) for l in self.adds)
+        dels = tuple(l.substitute(binding) for l in self.dels)
+        add, drop = effect_masks(adds, dels)
+        return GroundAction(self.name, args, self.actor, pre, adds, dels,
+                            need, forbid, add, drop)
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,51 +125,17 @@ class GroundAction:
     pre: tuple[Literal, ...]
     adds: tuple[Literal, ...]
     dels: tuple[Literal, ...]
-    # (add, drop) masks of the effects, built at the first application
-    _masks: tuple[int, int] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    # (need, forbid) masks of the preconditions, built at the first check
-    _pre: tuple[int, int] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # The preconditions hold in a base ``m`` when ``m & need == need and not
+    # m & forbid``; the effects make it ``(m & ~drop) | add``.  The parser
+    # rejects a schema whose add and delete can name the same atom, so
+    # ``add`` and ``drop`` are disjoint.
+    need: int = field(repr=False, compare=False)
+    forbid: int = field(repr=False, compare=False)
+    add: int = field(repr=False, compare=False)
+    drop: int = field(repr=False, compare=False)
 
     def __str__(self) -> str:
         return self.name if not self.args else f"{self.name}({','.join(self.args)})"
-
-    def effect_masks(self) -> tuple[int, int]:
-        """``model.effect_masks`` of this action's effects, computed once.
-
-        Disjoint for every action of a parsed model: the parser rejects a
-        schema whose add and delete can name the same atom.
-        """
-        masks = self._masks
-        if masks is None:
-            masks = effect_masks(self.adds, self.dels)
-            object.__setattr__(self, "_masks", masks)
-        return masks
-
-    def pre_masks(self) -> tuple[int, int]:
-        """The preconditions as a ``(need, forbid)`` mask pair, built once.
-
-        Every precondition atom is interned then, so the pair stays valid
-        when an atom first enters a base later; a non-ground precondition
-        raises :class:`MalformedLiteralError` and is never cached.
-        """
-        masks = self._pre
-        if masks is None:
-            need = forbid = 0
-            for l in self.pre:
-                if l.positive:
-                    need |= atom_bit(l)
-                else:
-                    forbid |= atom_bit(l.atom)
-            masks = (need, forbid)
-            object.__setattr__(self, "_pre", masks)
-        return masks
-
-    def applicable(self, mask: int) -> bool:
-        """Whether a base with this mask satisfies the preconditions."""
-        need, forbid = self.pre_masks()
-        return mask & need == need and not mask & forbid
 
 
 class MethodSchema(NamedTuple):
@@ -387,13 +363,10 @@ def _split_words(text: str, filename: str, tokens: list[_Token]) -> list[_Token]
     return out
 
 
-def _tokenize(text: str, filename: str, tokens: list[_Token] | None = None,
-              ) -> Iterator[tuple[str, str, int]]:
-    """``(kind, text, index)`` of each token of ``text``, lexed unless
-    ``tokens`` holds them: ``kind`` is ident | int | punct | eof and
-    ``index`` is the offset of the token's first character."""
-    if tokens is None:
-        tokens = _lex(text, filename)
+def _tokenize(text: str, tokens: list[_Token]) -> Iterator[tuple[str, str, int]]:
+    """``(kind, text, index)`` of each of ``text``'s tokens, as `_lex` gives
+    them: ``kind`` is ident | int | punct | eof and ``index`` is the offset
+    of the token's first character."""
     i = 0
     for layout, ident, mark, _ in islice(tokens, len(tokens) - 1):
         i += len(layout)
@@ -416,7 +389,7 @@ class _Parser:
         # first.  Places, objects and the agents share one namespace of
         # constants; an agent's token is never reported.
         self._decl_tok: dict[tuple[str, str], int] = {("constant", a): -1 for a in AGENTS}
-        self._view = _tokenize(text, filename, self.tokens)
+        self._view = _tokenize(text, self.tokens)
         self._seen: list[tuple[str, str, int]] = []  # what `_view` gave so far
 
     # -- token plumbing ----------------------------------------------------

@@ -133,7 +133,7 @@ def _walk(dom: DomainModel, tn: TaskNetwork,
         if entry is None:
             entry = _ground(dom, head)
         if type(entry) is GroundAction:
-            need, forbid = entry.pre_masks()
+            need, forbid = entry.need, entry.forbid
             if mask & need == need and not mask & forbid:
                 ref = Refinement(entry, rest, trace, acc | need | forbid)
                 results.setdefault(ref.key(), ref)

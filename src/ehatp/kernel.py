@@ -226,7 +226,7 @@ def _apply_robot_event(dom: DomainModel, w: World, e: Event) -> World:
     if e.action is None:
         return w
     act = e.action
-    add, drop = act.effect_masks()
+    add, drop = act.add, act.drop
     bel_rh = w.bel_rh.apply_masks(add, drop)
     bel_h = w.bel_h.apply_masks(add, drop)
     if e.designated:
@@ -245,7 +245,7 @@ def _apply_robot_event(dom: DomainModel, w: World, e: Event) -> World:
 def _apply_human_event(w: World, e: Event) -> World:
     if e.action is None:
         return w
-    add, drop = e.action.effect_masks()
+    add, drop = e.action.add, e.action.drop
     return World(
         w.bel_r.apply_masks(add, drop),
         w.bel_h.apply_masks(add, drop),
@@ -258,9 +258,10 @@ def _successor(dom: DomainModel, w: World, e: Event, actor: str,
                mark: bool) -> World | None:
     """The world ``e`` makes of ``w`` (marked distinguishable if ``mark``),
     or None when its action is inapplicable there."""
-    if e.action is not None:
-        base = w.bel_h if actor == "H" else (w.bel_r if e.designated else w.bel_rh)
-        if not e.action.applicable(base.mask):
+    act = e.action
+    if act is not None:
+        mask = (w.bel_h if actor == "H" else w.bel_r if e.designated else w.bel_rh).mask
+        if mask & act.need != act.need or mask & act.forbid:
             return None
     child = _apply_human_event(w, e) if actor == "H" else _apply_robot_event(dom, w, e)
     if mark:

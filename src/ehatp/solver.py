@@ -22,7 +22,7 @@ import sys
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from .dsl import DomainModel, ProblemInstance
@@ -292,7 +292,6 @@ class PolicyNode:
     edge: str | None  # label of the incoming edge; None at the root
     copresent: bool
     children: list[int]
-    state: EpistemicState = field(repr=False, compare=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -444,7 +443,6 @@ def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
             edge=edge,
             copresent=state_copresent(dom, n.state),
             children=[],
-            state=n.state,
         )
         nodes.append(pn)
         if parent is not None:

@@ -76,7 +76,7 @@ def drop_edge(policy: Policy, node_id: int) -> Policy:
     behind it becomes unreachable)."""
     return Policy([
         PolicyNode(n.id, n.kind, n.actor, n.edge, n.copresent,
-                   [c for c in n.children if c != node_id], n.state)
+                   [c for c in n.children if c != node_id])
         for n in policy.nodes])
 
 

@@ -98,6 +98,19 @@ def test_plan_rejects_malformed_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["-d", "-p"])
+def test_plan_rejects_a_file_that_is_not_utf8(tmp_path, capsys, no_search, flag):
+    bad = tmp_path / "bad.ehatp"
+    bad.write_bytes(b"domain \xff {\n")
+    paths = {"-d": _data_path("cube_org"), "-p": _data_path("p1"), flag: str(bad)}
+    argv = ["plan", "-d", paths["-d"], "-p", paths["-p"], "-o", str(tmp_path / "x.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [bad]
+
+
 @pytest.mark.parametrize("old, new, declaration", [
     ("rule see_on_table: on(C, P) when at(observer, P)\n",
      "rule see_on_table: on(C, P) when at(observer, P), not transparent(X)\n",

@@ -258,6 +258,44 @@ def test_alignment_finished_perspectives_agree(cooking):
     assert diff == {lit("seasoned(veg)")}
 
 
+# Five preconditions put the one transfer that aligns past the size-4 subsets,
+# so `alignment_diff` falls back to the atoms of the first primitives'
+# preconditions; a method precondition is not one of them.
+FIVE = """
+domain five {
+  place p
+  predicate f1 inferable
+  predicate f2 inferable
+  predicate f3 inferable
+  predicate f4 inferable
+  predicate f5 inferable
+  predicate g inferable
+  predicate z inferable
+  action a() by R at p {
+    pre f1, f2, f3, f4, f5
+  }
+  method u plain {
+    sub a
+  }
+  method t gated {
+    pre g
+    sub a
+  }
+}
+"""
+
+
+def test_alignment_falls_back_to_the_relevant_atoms_past_four():
+    dom = parse_domain(FIVE)
+    fs = ("f1", "f2", "f3", "f4", "f5")
+    u, t = (Task("u"),), (Task("t"),)
+    # The relevant part of the difference aligns, and ``z`` is dropped.
+    assert alignment_diff(dom, bel(*fs, "z"), u, bel(), u) == {lit(f) for f in fs}
+    # It misses ``g``, so the whole difference is transferred.
+    assert alignment_diff(dom, bel(*fs, "g", "z"), t, bel(), t) \
+        == {lit(f) for f in (*fs, "g", "z")}
+
+
 # --------------------------------------------------- brute-force completeness
 
 

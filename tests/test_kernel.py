@@ -175,6 +175,32 @@ def test_product_update_two_worlds_two_events(cube):
     assert nxt.designated_world.bel_r.entails(lit("inside(c_y,box_1)"))
 
 
+def test_product_update_drops_a_world_whose_base_forbids_the_event(cube):
+    """An event survives only where its action's preconditions hold, a
+    negated one included.  Search and replay build each hypothetical event
+    from a refinement under the base it is tested against, so here the
+    events are built by hand."""
+    # The human scans the off table only while it believes it unscanned.
+    fresh = world("at(R,mt)", "at(H,ot)")
+    scanned = world("at(R,mt)", "at(H,ot)", "scanned(ot)")
+    scan = cube.action("scan").ground(("ot",))
+    s = EpistemicState.make([fresh, scanned], designated=fresh, actor="H", budget=0)
+    a = EpistemicAction((Event(scan, fresh.wid, True), Event(scan, scanned.wid, False)),
+                        cube.copresence, "H")
+    nxt = product_update(cube.with_fresh_memo(), s, a)
+    assert len(nxt.worlds) == 1 and nxt.designated_world.bel_h.entails(lit("scanned(ot)"))
+    # The robot places a cube only where the human is believed away from mt.
+    away = world("at(R,mt)", "at(H,ot)", "holding(R,c_y)")
+    back = world("at(R,mt)", "at(H,ot)", "holding(R,c_y)",
+                 bel_rh=bel("at(R,mt)", "at(H,mt)", "holding(R,c_y)"))
+    place = cube.action("place").ground(("c_y", "box_1"))
+    s = EpistemicState.make([away, back], designated=away, actor="R", budget=1)
+    a = EpistemicAction((Event(place, away.wid, True), Event(place, back.wid, False)),
+                        cube.copresence, "R")
+    nxt = product_update(cube.with_fresh_memo(), s, a)
+    assert len(nxt.worlds) == 1 and nxt.designated_world.bel_r.entails(lit("inside(c_y,box_1)"))
+
+
 def test_product_update_copresent_marks_mismatch(cube):
     common = ("at(R,mt)", "at(H,mt)", "empty(box_1)", "empty(box_2)")
     des = world(*common, "on(c_r,mt)")
@@ -512,6 +538,11 @@ def test_a_fold_depends_on_the_truth_it_is_made_under(cube):
                 == situation_assessment(cube.with_fresh_memo(), s, k=2).signature())
 
 
+def applies(act, mask):
+    """The precondition test of ``htn._walk`` and ``kernel._successor``."""
+    return mask & act.need == act.need and not mask & act.forbid
+
+
 @pytest.mark.parametrize("name", ["p6", "cooking3"])
 def test_precondition_masks_match_literal_by_literal_entails(name):
     dom, prob = load_instance(name)
@@ -529,26 +560,30 @@ def test_precondition_masks_match_literal_by_literal_entails(name):
     assert never not in model._BIT
     probes = []
     for a in acts:
-        probes += [a, replace(a, pre=tuple(l.negate() for l in a.pre)),
-                   replace(a, pre=a.pre + (never,)),
-                   replace(a, pre=a.pre + (never.negate(),))]
+        schema = dom.action(a.name)
+        probes += [a] + [schema._replace(pre=pre).ground(a.args) for pre in (
+            tuple(l.negate() for l in schema.pre),
+            schema.pre + (never,),
+            schema.pre + (never.negate(),))]
     outcomes = set()
     for a in probes:
         for b in bases:
             want = all(b.entails(l) for l in a.pre)
-            assert a.applicable(b.mask) == want
+            assert applies(a, b.mask) == want
             outcomes.add(want)
     assert outcomes == {True, False}
-    # Masks cached before the atom first entered a base still hold after.
+    # Masks built before the atom first entered a base still hold after.
     grown = [BeliefBase(b.atoms | {never}) for b in bases]
     for a in probes:
         for b in grown:
-            assert a.applicable(b.mask) == all(b.entails(l) for l in a.pre)
-    for free in (Literal("on", ("X", "mt")), Literal("on", ("X", "mt"), False)):
-        bad = replace(acts[0], pre=(free,) + acts[0].pre)
-        for _ in range(2):  # raised on every check, never cached
-            with pytest.raises(MalformedLiteralError):
-                bad.applicable(0)
+            assert applies(a, b.mask) == all(b.entails(l) for l in a.pre)
+    for a in acts:
+        schema = dom.action(a.name)
+        for free in (Literal("on", ("Unbound", "mt")), Literal("on", ("Unbound", "mt"), False)):
+            bad = schema._replace(pre=(free,) + schema.pre)
+            for _ in range(2):  # raised on every call
+                with pytest.raises(MalformedLiteralError):
+                    bad.ground(a.args)
 
 
 def test_product_update_honours_the_action_copresence_rule(cube):

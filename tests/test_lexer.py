@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ehatp.dsl import (
     ParseError,
     _TOKEN,
+    _lex,
     _position,
     _tokenize,
     load_shipped,
@@ -43,7 +44,8 @@ PIECES = ALPHABET + ["domain", "predicate", "Var", "-12", "-x", "3é", "é3", "a
 
 def _lexed(text: str) -> list[tuple[str, str, int, int]] | str:
     try:
-        return [(kind, s, *_position(text, i)) for kind, s, i in _tokenize(text, "f")]
+        return [(kind, s, *_position(text, i))
+                for kind, s, i in _tokenize(text, _lex(text, "f"))]
     except ParseError as e:
         return str(e)
 

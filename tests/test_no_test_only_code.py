@@ -6,7 +6,8 @@ own definition: as a name, an attribute, or a part of a dotted string (the
 benchmark's tracer names the functions it wraps that way). No module but
 `cli.py` catches an exception, and no module imports another's underscore
 name.  Outside the parser and the front end, every `raise` is listed: a new
-model error needs a parser rule instead.
+model error needs a parser rule instead.  Every function that writes a
+field with `object.__setattr__` is listed too: a value is whole once built.
 """
 
 import ast
@@ -87,19 +88,43 @@ RAISES = [
 ]
 
 
-def _raises(node: ast.AST, scope: tuple[str, ...] = ()):
-    """The enclosing function's dotted name for each ``raise`` under ``node``."""
+def _where(node: ast.AST, hit, scope: tuple[str, ...] = ()):
+    """The enclosing function's dotted name for each node under ``node``
+    that ``hit`` accepts."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _raises(child, scope + (child.name,))
+            yield from _where(child, hit, scope + (child.name,))
         else:
-            if isinstance(child, ast.Raise):
+            if hit(child):
                 yield ".".join(scope)
-            yield from _raises(child, scope)
+            yield from _where(child, hit, scope)
 
 
 def test_every_raise_outside_the_parser_and_cli_is_listed():
     found = sorted((path.name, where) for path in SOURCES
                    if path.name not in ("dsl.py", "cli.py")
-                   for where in _raises(ast.parse(path.read_text(encoding="utf-8"))))
+                   for where in _where(ast.parse(path.read_text(encoding="utf-8")),
+                                       lambda n: isinstance(n, ast.Raise)))
     assert found == RAISES
+
+
+# Each function in ``src/ehatp`` that calls ``object.__setattr__``.  Only the
+# domain fills fields after its dataclass ``__init__``: a value built once per
+# search step fills its slots in its constructor, and a ground action gets its
+# masks from ``ActionSchema.ground``.
+SETATTRS = [
+    ("dsl.py", "DomainModel.__post_init__"),  # the ground table and name indexes
+    ("dsl.py", "DomainModel.with_fresh_memo"),  # a copy's empty call memo
+]
+
+
+def _object_setattr(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+            and isinstance(node.value, ast.Name) and node.value.id == "object")
+
+
+def test_every_object_setattr_in_src_is_listed():
+    found = sorted({(path.name, where) for path in SOURCES
+                    for where in _where(ast.parse(path.read_text(encoding="utf-8")),
+                                        _object_setattr)})
+    assert found == SETATTRS

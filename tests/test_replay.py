@@ -185,14 +185,16 @@ def test_load_bearing_check_expands_only_the_way_to_each_speech_act(expanded):
     counts = {}
     for name in ("p2", "p4", "p6"):
         dom, prob = load_instance(name)
-        policy = solve(dom, prob).policy
+        res = solve(dom, prob)
+        policy, states = _unfold(dom, res.root, _extracted(res))
+        assert policy.node_dicts() == res.policy.node_dicts(), name
         # Each dropped-edge replay stops at the dropped edge's parent, a
         # robot node left with no child: every state on the way is
         # expanded, the parent is only evaluated.
         on_the_way = set()
         for nid in communication_edges(policy):
             cut = drop_edge(policy, nid)
-            on_the_way |= {policy.nodes[a].state.signature()
+            on_the_way |= {states[a].signature()
                            for a in _path_to(policy, nid) if cut.nodes[a].children}
         expanded.clear()
         assert communication_is_load_bearing(dom, prob, policy), name
@@ -203,32 +205,38 @@ def test_load_bearing_check_expands_only_the_way_to_each_speech_act(expanded):
 
 def _unfold(dom, root, keep):
     """The policy tree below ``root`` that keeps the edges ``keep(node)``
-    names at each search node, with preorder ids."""
-    nodes = []
+    names at each search node, with preorder ids, and each node's state."""
+    nodes, states = [], []
     stack = [(root, None, None)]
     while stack:
         n, edge, parent = stack.pop()
         kept = keep(n)
         pn = PolicyNode(len(nodes), n.kind if kept else "LEAF", n.state.actor, edge,
-                        state_copresent(dom, n.state), [], n.state)
+                        state_copresent(dom, n.state), [])
         nodes.append(pn)
+        states.append(n.state)
         if parent is not None:
             parent.children.append(pn.id)
         stack.extend((c, label, pn) for label, c in reversed(kept))
-    return Policy(nodes)
+    return Policy(nodes), states
+
+
+def _extracted(res):
+    """The ``keep`` of `_unfold` that rebuilds ``res.policy``."""
+    choice = finished_values([n for n in res.all_nodes if n.status == DONE])[1]
+
+    def keep(n):
+        if not n.children:
+            return []
+        return [choice[id(n)]] if n.kind == "OR" else n.children
+    return keep
 
 
 def test_a_speech_act_with_a_finished_alternative_is_not_load_bearing(expanded):
     dom, prob = load_instance("p2")
     res = solve(dom, prob)
-    choice = finished_values([n for n in res.all_nodes if n.status == DONE])[1]
-
-    def extracted(n):
-        if not n.children:
-            return []
-        return [choice[id(n)]] if n.kind == "OR" else n.children
-
-    assert _unfold(dom, res.root, extracted).node_dicts() == res.policy.node_dicts()
+    extracted = _extracted(res)
+    assert _unfold(dom, res.root, extracted)[0].node_dicts() == res.policy.node_dicts()
 
     def both(n):
         # Where the robot informs, it could also stand by and still finish.
@@ -236,7 +244,7 @@ def test_a_speech_act_with_a_finished_alternative_is_not_load_bearing(expanded):
         noop = [(l, c) for l, c in n.children or () if l == "noop" and c.status == DONE]
         return kept + noop if kept and kept[0][0] == "inform-empty(box_2)" else kept
 
-    policy = _unfold(dom, res.root, both)
+    policy, states = _unfold(dom, res.root, both)
     edges = communication_edges(policy)
     inform = edges[0]
     assert [policy.nodes[c].edge for c in policy.nodes[_path_to(policy, inform)[-1]].children] \
@@ -249,7 +257,7 @@ def test_a_speech_act_with_a_finished_alternative_is_not_load_bearing(expanded):
     expanded.clear()
     assert communication_is_load_bearing(dom, prob, policy) is fresh is False
     # No trace of the first cut dies, so the check walks the whole of it.
-    assert sorted(expanded) == sorted({n.state.signature() for n in cut.nodes if n.children})
+    assert sorted(expanded) == sorted({states[n.id].signature() for n in cut.nodes if n.children})
 
 
 def test_a_second_read_of_a_policy_file_grounds_nothing(monkeypatch):

@@ -533,27 +533,18 @@ def _exhausted(name):
 
 
 @pytest.mark.parametrize("name", (*SHIPPED, "variants"))
-def test_each_agent_stays_at_one_place_and_no_effect_clashes(name, monkeypatch):
+def test_each_agent_stays_at_one_place_and_no_effect_clashes(name):
     """What the parser's effect rules leave the search to assume, on whole
     reachable graphs: every state's truth puts each agent at exactly one
-    place, and every ground action the search applies adds no atom it
-    deletes."""
-    applied = set()
-    masks = GroundAction.effect_masks
-
-    def spy(act):
-        applied.add(act)
-        return masks(act)
-
-    monkeypatch.setattr(GroundAction, "effect_masks", spy)
-    for _, res in _exhausted(name):
+    place, and no ground action in the domain's table, a superset of those
+    the search applies, adds an atom it deletes."""
+    for dom, res in _exhausted(name):
         for n in res.all_nodes:
             assert set(agent_place(n.state.designated_world)) == {"R", "H"}, name
-    monkeypatch.undo()
-    assert any(l.pred == "at" for act in applied for l in act.adds), name
-    for act in applied:
-        add, drop = act.effect_masks()
-        assert not add & drop, act
+    acts = [a for a in dom.table.values() if isinstance(a, GroundAction)]
+    assert any(l.pred == "at" for act in acts for l in act.adds), name
+    for act in acts:
+        assert not act.add & act.drop, act
 
 
 def test_each_variants_graph_is_searched_whole_without_an_exception():
