@@ -17,11 +17,10 @@ import argparse
 import errno
 import json
 import os
-import random
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .dsl import (
     DomainModel,
@@ -79,31 +78,39 @@ def write_policy_file(path: str | Path, dom_text: str, prob_text: str,
 
 def read_policy_file(path: str | Path) -> tuple[DomainModel, ProblemInstance, Policy]:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    nodes = [PolicyNode(**n) for n in doc["nodes"]]
+    _check_tree(nodes)  # before the parse, which costs far more
     dom = parse_domain(doc["domain"], filename=f"{path}#domain")
     prob = parse_problem(doc["problem"], dom, filename=f"{path}#problem")
-    nodes = [PolicyNode(n["id"], n["kind"], n["actor"], n["edge"],
-                        n["copresent"], list(n["children"]))
-             for n in doc["nodes"]]
-    _check_tree(nodes)
     return dom, prob, Policy(nodes)
 
 
 def _check_tree(nodes: list[PolicyNode]) -> None:
     """Raise ``ValueError`` unless ``nodes`` form a tree stored root first:
     node ``i`` has id ``i``, only the root lacks an incoming edge label, and
-    every other node is listed exactly once as a child of an earlier node."""
+    every other node is listed exactly once as a child of an earlier node.
+    Each node's fields have the types extraction writes: an agent, a bool,
+    a list of ints, and the kind a node of that agent with those children
+    has (a leaf exactly when it has none, else OR for R and AND for H)."""
     if not nodes:
         raise ValueError("policy has no nodes")
     listed = [0] * len(nodes)
     for i, n in enumerate(nodes):
-        if n.id != i:
+        if type(n.id) is not int or n.id != i:
             raise ValueError(f"node {i} has id {n.id!r}")
         if not (n.edge is None if i == 0 else isinstance(n.edge, str)):
             raise ValueError(f"node {i} has edge {n.edge!r}")
+        if n.actor not in ("R", "H") or type(n.copresent) is not bool:
+            raise ValueError(f"node {i} has actor {n.actor!r} and copresent {n.copresent!r}")
+        if type(n.children) is not list or any(type(j) is not int for j in n.children):
+            raise ValueError(f"node {i} has children {n.children!r}")
         for j in n.children:
             if not i < j < len(nodes):
                 raise ValueError(f"node {i} lists child {j!r}")
             listed[j] += 1
+        if n.kind != (("OR" if n.actor == "R" else "AND") if n.children else "LEAF"):
+            raise ValueError(f"node {i} of {n.actor} with {len(n.children)} "
+                             f"children has kind {n.kind!r}")
     for j in range(1, len(nodes)):
         if listed[j] != 1:
             raise ValueError(f"node {j} is listed as a child {listed[j]} times")
@@ -113,16 +120,14 @@ def _check_tree(nodes: list[PolicyNode]) -> None:
 # Exhaustive replay
 
 
-@dataclass(frozen=True)
-class SimStep:
+class SimStep(NamedTuple):
     actor: str
     action: str
     copresent: bool  # after the action
     worlds: int  # surviving worlds after the action's assessment
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     steps: tuple[SimStep, ...]
     outcome: str  # DONE | DEAD
     note: str = ""
@@ -133,8 +138,7 @@ class SimulationTrace:
         return f"{self.outcome}: {line}{tail}"
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(NamedTuple):
     traces: tuple[SimulationTrace, ...]
 
     @property
@@ -323,6 +327,8 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
     ``q`` stops.  Prints co-presence, the surviving-world count, and a
     belief divergence summary after every move.
     """
+    import random  # only the stepper draws, so no other run pays the import
+
     dom = with_call_memo(dom)
     rng = random.Random(seed)
     s = initial_state(dom, prob)

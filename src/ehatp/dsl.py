@@ -24,8 +24,6 @@ So the search meets no model error at run time.
 from __future__ import annotations
 
 import re
-from copy import copy
-from dataclasses import dataclass, field, fields
 from importlib import resources
 from itertools import islice, product
 from operator import itemgetter
@@ -35,6 +33,7 @@ from .model import (
     AGENTS,
     BeliefBase,
     EhatpError,
+    Frozen,
     Literal,
     Task,
     atom_bit,
@@ -48,8 +47,7 @@ _tuple = tuple.__new__  # builds a named tuple without its Python ``__new__``
 BUILTIN_TYPES = ("agent", "place")
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     file: str
     line: int
     col: int
@@ -94,31 +92,23 @@ class ActionSchema(NamedTuple):
     dels: tuple[Literal, ...]
 
     def ground(self, args: tuple[str, ...]) -> "GroundAction":
-        """The action with its parameters bound to ``args``, one for each:
-        the parser checks the arity of every subtask and root task.
-
-        Its masks are built here, preconditions first, so every atom they
-        name is interned before any base can hold it: a mask pair stays
-        valid for the life of the process, and a non-ground precondition
-        raises :class:`MalformedLiteralError` from every call.
-        """
-        binding = {p.name: a for p, a in zip(self.params, args)}
-        pre = tuple(l.substitute(binding) for l in self.pre)
-        need = forbid = 0
-        for l in pre:
-            if l.positive:
-                need |= atom_bit(l)
-            else:
-                forbid |= atom_bit(l.atom)
-        adds = tuple(l.substitute(binding) for l in self.adds)
-        dels = tuple(l.substitute(binding) for l in self.dels)
-        add, drop = effect_masks(adds, dels)
-        return GroundAction(self.name, args, self.actor, pre, adds, dels,
-                            need, forbid, add, drop)
+        return GroundAction(self, args)
 
 
-@dataclass(frozen=True, slots=True)
-class GroundAction:
+class GroundAction(Frozen):
+    """An action schema with its parameters bound to ``args``, one for each:
+    the parser checks the arity of every subtask and root task.  Equal,
+    hashed and shown by its first six fields, never by the masks.
+
+    Its masks are built here, preconditions first, so every atom they name
+    is interned before any base can hold it: a mask pair stays valid for
+    the life of the process, and a non-ground precondition raises
+    :class:`MalformedLiteralError` from every call.
+    """
+
+    __slots__ = ("name", "args", "actor", "pre", "adds", "dels",
+                 "need", "forbid", "add", "drop")
+    _compared = __slots__[:6]
     name: str
     args: tuple[str, ...]
     actor: str
@@ -129,10 +119,24 @@ class GroundAction:
     # m & forbid``; the effects make it ``(m & ~drop) | add``.  The parser
     # rejects a schema whose add and delete can name the same atom, so
     # ``add`` and ``drop`` are disjoint.
-    need: int = field(repr=False, compare=False)
-    forbid: int = field(repr=False, compare=False)
-    add: int = field(repr=False, compare=False)
-    drop: int = field(repr=False, compare=False)
+    need: int
+    forbid: int
+    add: int
+    drop: int
+
+    def __init__(self, schema: ActionSchema, args: tuple[str, ...]) -> None:
+        binding = {p.name: a for p, a in zip(schema.params, args)}
+        pre = tuple(l.substitute(binding) for l in schema.pre)
+        need = forbid = 0
+        for l in pre:
+            if l.positive:
+                need |= atom_bit(l)
+            else:
+                forbid |= atom_bit(l.atom)
+        adds = tuple(l.substitute(binding) for l in schema.adds)
+        dels = tuple(l.substitute(binding) for l in schema.dels)
+        self._fill(schema.name, args, schema.actor, pre, adds, dels,
+                   need, forbid, *effect_masks(adds, dels))
 
     def __str__(self) -> str:
         return self.name if not self.args else f"{self.name}({','.join(self.args)})"
@@ -152,64 +156,66 @@ class KnowledgeRule(NamedTuple):
     antecedent: tuple[Literal, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class DomainModel:
-    name: str
-    types: tuple[str, ...]
-    places: tuple[str, ...]
-    objects: tuple[tuple[str, str], ...]  # (name, type)
-    predicates: tuple[PredicateDecl, ...]
-    rules: tuple[KnowledgeRule, ...]
-    copresence: tuple[Literal, ...]
-    actions: tuple[ActionSchema, ...]
-    methods: tuple[MethodSchema, ...]
+# A model's declarations: they decide its equality and its ground table.
+_DECLARATIONS = ("name", "types", "places", "objects", "predicates", "rules",
+                 "copresence", "actions", "methods")
+
+
+class DomainModel(Frozen):
+    """A parsed domain: the declarations its constructor takes, which decide
+    its equality, and what is built from them.  Slots are typed by the
+    constructor; ``objects`` holds ``(name, type)`` pairs."""
+
+    __slots__ = _DECLARATIONS + ("table", "memo", "declared_at", "_predicates", "_actions",
+                                 "_methods", "_types", "_of_type")
+    _compared = _DECLARATIONS
     # Ground instances built on first use (``htn._ground``,
     # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task`` (two
     # fields), an atom (a ``Literal``, three fields) or a co-presence rule (a
     # tuple of literals), and the nearest foreign action of a root task
     # (``_foreign_action``, four fields), so no two keys compare equal.  They
     # depend on the declarations alone, so every model with equal
-    # declarations shares one table from ``_TABLES``: each parse,
-    # ``with_fresh_memo`` copy and ``dataclasses.replace`` that keeps them.
-    table: dict = field(init=False, compare=False, repr=False)
+    # declarations shares one table from ``_TABLES``: each parse and each
+    # ``with_fresh_memo`` copy.
+    table: dict
     # Both HTN answers for each (agenda, mask) (see ``htn._answers``), the
     # atoms situation assessment has judged, the kernel's world transitions
     # and the ``EHATP_LOG`` flag.  One search, replay or stepper run works on
     # its own copy (``kernel.with_call_memo``), so the memo lives as long as
     # that call.
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    memo: dict
     # (line, column) of each observable predicate's name, by ``("predicate",
     # name)``, and of the ``copresent`` keyword, by ``("copresent", "")``:
     # where `validate` warns
-    declared_at: dict = field(default_factory=dict, compare=False, repr=False)
-    # Declarations by name (the parser rejects a repeated name; methods: all,
-    # in order); each constant's type, and the constants of each type
-    _predicates: dict = field(init=False, compare=False, repr=False)
-    _actions: dict = field(init=False, compare=False, repr=False)
-    _methods: dict = field(init=False, compare=False, repr=False)
-    _types: dict = field(init=False, compare=False, repr=False)
-    _of_type: dict = field(init=False, compare=False, repr=False)
+    declared_at: dict
+    # ``_predicates``, ``_actions`` and ``_methods`` hold the declarations by
+    # name (the parser rejects a repeated name; methods: all, in order),
+    # ``_types`` each constant's type and ``_of_type`` the constants of each.
 
-    def __post_init__(self) -> None:
-        declarations = tuple(getattr(self, name) for name in _DECLARATIONS)
-        object.__setattr__(self, "table", _TABLES.setdefault(declarations, {}))
-        methods: dict[str, tuple[MethodSchema, ...]] = {}
-        for m in self.methods:
-            methods[m.task] = methods.get(m.task, ()) + (m,)
-        types = dict(self.objects)
-        types.update({p: "place" for p in self.places} | {a: "agent" for a in AGENTS})
-        of_type = {t: tuple(n for n, k in types.items() if k == t) for t in set(types.values())}
-        object.__setattr__(self, "_predicates", {p.name: p for p in self.predicates})
-        object.__setattr__(self, "_actions", {a.name: a for a in self.actions})
-        object.__setattr__(self, "_methods", methods)
-        object.__setattr__(self, "_types", types)
-        object.__setattr__(self, "_of_type", of_type)
+    def __init__(self, name: str, types: tuple[str, ...], places: tuple[str, ...],
+                 objects: tuple[tuple[str, str], ...], predicates: tuple[PredicateDecl, ...],
+                 rules: tuple[KnowledgeRule, ...], copresence: tuple[Literal, ...],
+                 actions: tuple[ActionSchema, ...], methods: tuple[MethodSchema, ...],
+                 declared_at: dict | None = None) -> None:
+        declarations = (name, types, places, objects, predicates, rules, copresence,
+                        actions, methods)
+        by_task: dict[str, tuple[MethodSchema, ...]] = {}
+        for m in methods:
+            by_task[m.task] = by_task.get(m.task, ()) + (m,)
+        type_of = dict(objects)
+        type_of.update({p: "place" for p in places} | {a: "agent" for a in AGENTS})
+        of_type = {t: tuple(n for n, k in type_of.items() if k == t)
+                   for t in set(type_of.values())}
+        self._fill(*declarations, _TABLES.setdefault(declarations, {}), {},
+                   {} if declared_at is None else declared_at,
+                   {p.name: p for p in predicates}, {a.name: a for a in actions},
+                   by_task, type_of, of_type)
 
     def with_fresh_memo(self) -> "DomainModel":
-        """A copy with an empty ``memo``; it shares ``table``, as every model
-        with these declarations does."""
-        dom = copy(self)
-        object.__setattr__(dom, "memo", {})
+        """A copy with an empty ``memo``; it shares every other field,
+        ``table`` included, as every model with these declarations does."""
+        dom = object.__new__(DomainModel)
+        dom._fill(*[{} if name == "memo" else getattr(self, name) for name in self.__slots__])
         return dom
 
     def predicate(self, name: str) -> PredicateDecl | None:
@@ -266,24 +272,25 @@ class DomainModel:
 # The table of each distinct set of declarations, kept for the life of the
 # process like the atom numbering its masks are built on (``model.atom_bit``).
 # The key is the declarations, not a model, so no memo is kept alive.
-_DECLARATIONS = tuple(f.name for f in fields(DomainModel) if f.compare)
 _TABLES: dict[tuple, dict] = {}
 
 
-@dataclass(frozen=True, slots=True)
-class ProblemInstance:
-    name: str
-    domain_name: str
-    k: int
-    comm_allowed: bool
-    robot_place: str
-    human_place: str
-    root_task_r: Task
-    root_task_h: Task
-    ground_truth: BeliefBase
-    belief_deltas: tuple[Literal, ...]  # human's initial divergences from truth
-    # (line, column) of the ``believe`` of each delta, for diagnostics
-    belief_at: tuple[tuple[int, int], ...] = field(compare=False)
+class ProblemInstance(Frozen):
+    """A parsed problem, with the fields its constructor takes.
+    ``belief_deltas`` are the human's initial divergences from the truth and
+    ``belief_at`` the (line, column) of the ``believe`` of each, for
+    diagnostics: two problems are equal whatever those positions."""
+
+    __slots__ = ("name", "domain_name", "k", "comm_allowed", "robot_place", "human_place",
+                 "root_task_r", "root_task_h", "ground_truth", "belief_deltas", "belief_at")
+    _compared = __slots__[:-1]
+
+    def __init__(self, name: str, domain_name: str, k: int, comm_allowed: bool,
+                 robot_place: str, human_place: str, root_task_r: Task, root_task_h: Task,
+                 ground_truth: BeliefBase, belief_deltas: tuple[Literal, ...],
+                 belief_at: tuple[tuple[int, int], ...]) -> None:
+        self._fill(name, domain_name, k, comm_allowed, robot_place, human_place,
+                   root_task_r, root_task_h, ground_truth, belief_deltas, belief_at)
 
     @property
     def initial_bel_h(self) -> BeliefBase:
@@ -597,18 +604,9 @@ class _DomainParser(_Parser):
         if next(p for p in predicates if p.name == "at").param_types != ("agent", "place"):
             raise self.error(1, "predicate 'at' must be declared as at(agent, place)")
 
-        dom = DomainModel(
-            name=name,
-            types=tuple(types),
-            places=tuple(places),
-            objects=tuple(objects),
-            predicates=tuple(predicates),
-            rules=tuple(rules),
-            copresence=copresence,
-            actions=tuple(actions),
-            methods=tuple(methods),
-            declared_at=declared_at,
-        )
+        dom = DomainModel(name, tuple(types), tuple(places), tuple(objects),
+                          tuple(predicates), tuple(rules), copresence, tuple(actions),
+                          tuple(methods), declared_at)
         self._check_references(dom)
         return dom
 
@@ -993,19 +991,9 @@ class _ProblemParser(_Parser):
         deltas.sort(key=lambda d: str(d[0]))
         truth = BeliefBase(frozenset(init_atoms)
                            | {Literal("at", ("R", robot_place)), Literal("at", ("H", human_place))})
-        return ProblemInstance(
-            name=name,
-            domain_name=domain_name,
-            k=k,
-            comm_allowed=comm,
-            robot_place=robot_place,
-            human_place=human_place,
-            root_task_r=task_r,
-            root_task_h=task_h,
-            ground_truth=truth,
-            belief_deltas=tuple(l for l, _ in deltas),
-            belief_at=tuple(at for _, at in deltas),
-        )
+        return ProblemInstance(name, domain_name, k, comm, robot_place, human_place, task_r,
+                               task_h, truth, tuple(l for l, _ in deltas),
+                               tuple(at for _, at in deltas))
 
     def _check_ground_args(self, args: tuple[str, ...], head: int) -> None:
         for arg in args:

@@ -23,6 +23,7 @@ class Refinement(Frozen):
     fields are."""
 
     __slots__ = ("first_primitive", "remainder", "trace", "pres")
+    _compared = __slots__
     first_primitive: GroundAction
     remainder: TaskNetwork
     trace: tuple[str, ...]
@@ -37,15 +38,6 @@ class Refinement(Frozen):
         _r_remainder(self, remainder)
         _r_trace(self, trace)
         _r_pres(self, pres)
-
-    def _fields(self) -> tuple:
-        return (self.first_primitive, self.remainder, self.trace, self.pres)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Refinement) and other._fields() == self._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
 
     def key(self) -> tuple:
         return (self.first_primitive.name, self.first_primitive.args, self.remainder)
@@ -200,10 +192,10 @@ def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
             if aligned(transfer(subset)):
                 return frozenset(subset)
 
-    relevant_atoms = {
-        p.atom for base, tn in ((bel_r, tn_r), (bel_rh, tn_rh))
+    relevant_atoms = {  # method gates on the way as well as the actions' own
+        a for base, tn in ((bel_r, tn_r), (bel_rh, tn_rh))
         for r in feasible_refinements(dom, tn, base)
-        for p in r.first_primitive.pre}
+        for a in atoms_of(r.pres)}
     fallback = [l for l in candidates if l.atom in relevant_atoms]
     if fallback and aligned(transfer(fallback)):
         return frozenset(fallback)

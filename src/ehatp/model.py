@@ -14,7 +14,6 @@ built only where it leaves the process.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 AGENTS = ("R", "H")
@@ -26,6 +25,10 @@ class EhatpError(Exception):
 
 class MalformedLiteralError(EhatpError):
     pass
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a field of a built `Frozen` value."""
 
 
 def is_variable(symbol: str) -> bool:
@@ -129,23 +132,44 @@ _new = object.__new__
 
 
 class Frozen:
-    """Base of the value types built once per search step.
+    """Base of the immutable value types a named tuple cannot be: those
+    compared by identity, by a key, or by some of their fields.
 
     Their fields are ``__slots__`` that only the constructor fills, through
     each slot descriptor's ``__set__`` (see `slot_setters`); assigning or
-    deleting an attribute afterwards raises, so a memo can share them.
+    deleting an attribute afterwards raises, so a memo can share them.  A
+    class that names fields in ``_compared`` is equal, hashed and shown by
+    those alone.
     """
 
     __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_compared" in vars(cls):
+            cls.__eq__, cls.__hash__ = Frozen._same_fields, Frozen._hash_fields
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
 
+    def _fill(self, *values: object) -> None:
+        """Fill the class's own slots with ``values``, in order: the
+        constructor of a value built once per parse, not per search step."""
+        for set_slot, value in zip(slot_setters(type(self)), values):
+            set_slot(self, value)
+
+    def _same_fields(self, other: object) -> bool:
+        return type(other) is type(self) and all(
+            getattr(other, n) == getattr(self, n) for n in self._compared)
+
+    def _hash_fields(self) -> int:
+        return hash(tuple([getattr(self, n) for n in self._compared]))
+
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in type(self).__slots__
-                           if not n.startswith("_"))
+        names = self._compared or [n for n in type(self).__slots__ if not n.startswith("_")]
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in names)
         return f"{type(self).__name__}({fields})"
 
 

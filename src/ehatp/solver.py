@@ -22,8 +22,8 @@ import sys
 import time
 from collections import deque
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .dsl import DomainModel, ProblemInstance
 from .htn import (
@@ -284,18 +284,16 @@ def propagate_revised_status(node: SearchNode) -> None:
 # Policy extraction
 
 
-@dataclass
-class PolicyNode:
+class PolicyNode(NamedTuple):
     id: int
     kind: str  # "OR", "AND", or "LEAF"
     actor: str
     edge: str | None  # label of the incoming edge; None at the root
     copresent: bool
-    children: list[int]
+    children: list[int]  # extraction appends each child's id
 
 
-@dataclass(frozen=True)
-class Policy:
+class Policy(NamedTuple):
     nodes: list[PolicyNode]
 
     @property
@@ -303,15 +301,8 @@ class Policy:
         return sum(1 for n in self.nodes if n.kind == "LEAF")
 
     def node_dicts(self) -> list[dict]:
-        """The nodes as the policy file stores them."""
-        return [{
-            "id": n.id,
-            "kind": n.kind,
-            "actor": n.actor,
-            "edge": n.edge,
-            "copresent": n.copresent,
-            "children": list(n.children),
-        } for n in self.nodes]
+        """The nodes as the policy file stores them, fields in order."""
+        return [n._asdict() for n in self.nodes]
 
     def to_json(self) -> str:
         return json.dumps({"nodes": self.node_dicts()}, indent=2)
@@ -436,14 +427,8 @@ def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
             keep = [choice[id(n)]]
         else:
             keep = n.children
-        pn = PolicyNode(
-            id=len(nodes),
-            kind="LEAF" if not keep else n.kind,
-            actor=n.state.actor,
-            edge=edge,
-            copresent=state_copresent(dom, n.state),
-            children=[],
-        )
+        pn = PolicyNode(len(nodes), n.kind if keep else "LEAF", n.state.actor, edge,
+                        state_copresent(dom, n.state), [])
         nodes.append(pn)
         if parent is not None:
             parent.children.append(pn.id)
@@ -455,8 +440,7 @@ def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
 # Search driver
 
 
-@dataclass
-class Metrics:
+class Metrics(NamedTuple):
     instance: str
     k: int
     comm: str
@@ -466,16 +450,14 @@ class Metrics:
     time_ms: int
 
     def csv_line(self) -> str:
-        return (f"{self.instance},{self.k},{self.comm},{self.states},"
-                f"{self.maxW},{self.leaves},{self.time_ms}")
+        return ",".join(map(str, self))
 
     @staticmethod
     def csv_header() -> str:
         return "instance,K,comm,states,maxW,leaves,time_ms"
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     policy: Policy | None
     root: SearchNode
     metrics: Metrics
@@ -535,13 +517,6 @@ def solve(dom: DomainModel, prob: ProblemInstance,
 
     policy = extract_joint_solution(dom, root) if root.status == DONE else None
     elapsed = int(round((time.perf_counter() - start) * 1000))
-    metrics = Metrics(
-        instance=prob.name,
-        k=prob.k,
-        comm="on" if prob.comm_allowed else "off",
-        states=states,
-        maxW=max_worlds,
-        leaves=policy.leaves if policy else 0,
-        time_ms=elapsed,
-    )
+    metrics = Metrics(prob.name, prob.k, "on" if prob.comm_allowed else "off", states,
+                      max_worlds, policy.leaves if policy else 0, elapsed)
     return SolveResult(policy, root, metrics, all_nodes)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import re
-from copy import copy
 from typing import Iterable, Iterator, Mapping
 
 from ehatp.dsl import OBSERVER, Diagnostic, DomainModel, ParseError, ProblemInstance
@@ -49,9 +48,8 @@ def base_of(*literals: Literal) -> BeliefBase:
 def cold(dom: DomainModel) -> DomainModel:
     """A copy of ``dom`` with its own empty ``table`` and ``memo``: nothing is
     ground yet, whatever the process has ground for equal declarations."""
-    dom = copy(dom)
+    dom = dom.with_fresh_memo()
     object.__setattr__(dom, "table", {})
-    object.__setattr__(dom, "memo", {})
     return dom
 
 

@@ -296,6 +296,7 @@ MALFORMED = {
                               "lists child 0"),
     "no nodes": (lambda ns: ns.clear(), "policy has no nodes"),
     "id out of place": (lambda ns: ns[1].update(id=7), "node 1 has id 7"),
+    "id as a bool": (lambda ns: ns[1].update(id=True), "node 1 has id True"),
     "edge on the root": (lambda ns: ns[0].update(edge="wait"), "node 0 has edge 'wait'"),
     "no edge below the root": (lambda ns: ns[1].update(edge=None), "node 1 has edge None"),
     "child listed twice": (lambda ns: ns[0]["children"].append(ns[0]["children"][0]),
@@ -415,7 +416,7 @@ def test_stepper_lets_the_human_wait_for_the_answer(monkeypatch, capsys):
             _, label, child = spine[spine_i]
             kept = [(label, child, spine_i + 1)]
         elif not n.children:
-            pn.kind = "LEAF"
+            nodes[pid] = pn._replace(kind="LEAF")
             return pid
         elif n.kind == "OR":
             label, child = next((l, c) for l, c in n.children

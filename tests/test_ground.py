@@ -14,7 +14,6 @@ must answer as on a cold one.
 
 import re
 import sys
-from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -22,7 +21,15 @@ import pytest
 
 from ehatp import kernel
 from ehatp.cli import write_policy_file
-from ehatp.dsl import ParseError, load_instance, load_shipped, parse_domain, parse_problem
+from ehatp.dsl import (
+    _DECLARATIONS,
+    DomainModel,
+    ParseError,
+    load_instance,
+    load_shipped,
+    parse_domain,
+    parse_problem,
+)
 from ehatp.htn import effectively_decomposed, feasible_refinements
 from ehatp.model import BeliefBase, Task, World, is_variable
 from ehatp.solver import solve
@@ -296,9 +303,11 @@ def test_equal_declarations_share_one_table():
     text = load_shipped("cube_org")
     dom = parse_domain(text)
     assert parse_domain(text).table is dom.table
-    assert replace(dom).table is dom.table
+    declarations = {name: getattr(dom, name) for name in _DECLARATIONS}
+    assert DomainModel(**declarations).table is dom.table
     assert dom.with_fresh_memo().table is dom.table
-    assert replace(dom, objects=dom.objects + (("c_x", "cube"),)).table is not dom.table
+    more = declarations | {"objects": dom.objects + (("c_x", "cube"),)}
+    assert DomainModel(**more).table is not dom.table
 
 
 def test_a_table_warmed_by_other_problems_solves_as_a_cold_one(tmp_path):
@@ -314,7 +323,7 @@ def test_a_table_warmed_by_other_problems_solves_as_a_cold_one(tmp_path):
         res = solve(d, prob)
         path = tmp_path / f"{len(out)}.json"
         write_policy_file(path, texts["cube_org"], texts["p6"], res.policy)
-        out.append((path.read_bytes(), replace(res.metrics, time_ms=0)))
+        out.append((path.read_bytes(), res.metrics._replace(time_ms=0)))
     assert out[0] == out[1]
 
 

@@ -259,8 +259,8 @@ def test_alignment_finished_perspectives_agree(cooking):
 
 
 # Five preconditions put the one transfer that aligns past the size-4 subsets,
-# so `alignment_diff` falls back to the atoms of the first primitives'
-# preconditions; a method precondition is not one of them.
+# so `alignment_diff` falls back to the precondition atoms checked on the way
+# to each first primitive, a method's gate among them.
 FIVE = """
 domain five {
   place p
@@ -291,9 +291,9 @@ def test_alignment_falls_back_to_the_relevant_atoms_past_four():
     u, t = (Task("u"),), (Task("t"),)
     # The relevant part of the difference aligns, and ``z`` is dropped.
     assert alignment_diff(dom, bel(*fs, "z"), u, bel(), u) == {lit(f) for f in fs}
-    # It misses ``g``, so the whole difference is transferred.
+    # ``g`` gates the method of ``t``, so it is relevant too; ``z`` is not.
     assert alignment_diff(dom, bel(*fs, "g", "z"), t, bel(), t) \
-        == {lit(f) for f in (*fs, "g", "z")}
+        == {lit(f) for f in (*fs, "g")}
 
 
 # --------------------------------------------------- brute-force completeness

@@ -8,7 +8,6 @@ signatures, so any drift in world content, designation, or ordering fails.
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -598,12 +597,12 @@ def test_product_update_honours_the_action_copresence_rule(cube):
     watched = EpistemicAction(events, cube.copresence, "R")
     unseen = EpistemicAction(events, (lit("focus(H,mt)"),), "R")  # no world has it
     for order in ((watched, unseen), (unseen, watched)):
-        dom = replace(cube)
+        dom = cube.with_fresh_memo()
         for a in order:  # the first action's answer is in the memo for the second
             got = product_update(dom, s, a)
-            assert got.signature() == product_update(replace(cube), s, a).signature()
-    seen_out = product_update(replace(cube), s, watched)
-    unseen_out = product_update(replace(cube), s, unseen)
+            assert got.signature() == product_update(cube.with_fresh_memo(), s, a).signature()
+    seen_out = product_update(cube.with_fresh_memo(), s, watched)
+    unseen_out = product_update(cube.with_fresh_memo(), s, unseen)
     assert any(w.distinguishable for w in seen_out.worlds) and seen_out.budget == 2
     assert not any(w.distinguishable for w in unseen_out.worlds)
     assert unseen_out.budget == 1
@@ -635,7 +634,7 @@ def _plain_assessment(dom, s, k):
 def test_sa_on_one_memo_matches_the_plain_reference(cube):
     opaque, *_ = reunion_state(transparent=False)
     clear, *_ = reunion_state(transparent=True)
-    dom = replace(cube)
+    dom = cube.with_fresh_memo()
     for s in (opaque, clear, opaque, clear):  # later calls read the memo
         got = situation_assessment(dom, s, k=2)
         assert got.signature() == _plain_assessment(cube, s, 2).signature()

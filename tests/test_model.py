@@ -1,13 +1,12 @@
-from dataclasses import FrozenInstanceError
-
 import pytest
 
-from ehatp.dsl import load_shipped, parse_domain
+from ehatp.dsl import DomainModel, ProblemInstance, load_instance, load_shipped, parse_domain
 from ehatp.htn import Refinement
 from ehatp.kernel import EpistemicAction, Event
 from ehatp.model import (
     BeliefBase,
     EpistemicState,
+    FrozenInstanceError,
     Literal,
     MalformedLiteralError,
     Task,
@@ -191,6 +190,29 @@ def test_equal_content_gives_equal_values_and_hashes():
     assert Refinement(PICK, (Task("go"),), ("m",), 0) != r
     # events and epistemic actions are compared by identity
     assert e != e2 and a != a2 and e == e and a == a
+
+
+def test_parsed_values_refuse_assignment_and_compare_their_declared_fields():
+    dom, prob = load_instance("p2")
+    twin, _ = load_instance("p2")
+    pick = twin.action("pick").ground(("c_r", "mt"))
+    for value in (dom, prob, pick):
+        for name in type(value).__slots__:
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(value, name)
+    fresh = dom.with_fresh_memo()
+    assert fresh == dom == twin and hash(fresh) == hash(dom) == hash(twin)
+    assert fresh.table is dom.table and fresh.memo == {} and fresh.memo is not dom.memo
+    assert [getattr(fresh, n) for n in DomainModel.__slots__ if n != "memo"] \
+        == [getattr(dom, n) for n in DomainModel.__slots__ if n != "memo"]
+    elsewhere = ProblemInstance(*[getattr(prob, n) for n in prob._compared], ((9, 9),))
+    assert elsewhere == prob and hash(elsewhere) == hash(prob)
+    assert pick == PICK and hash(pick) == hash(PICK) and pick is not PICK
+    assert repr(pick) == ("GroundAction(name='pick', args=('c_r', 'mt'), actor='R', "
+                          f"pre={pick.pre!r}, adds={pick.adds!r}, dels={pick.dels!r})")
+    assert repr(dom).startswith("DomainModel(name='cube_org', types=") and "memo" not in repr(dom)
 
 
 def test_make_keeps_the_designated_object_among_equal_worlds():

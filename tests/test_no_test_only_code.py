@@ -6,12 +6,17 @@ own definition: as a name, an attribute, or a part of a dotted string (the
 benchmark's tracer names the functions it wraps that way). No module but
 `cli.py` catches an exception, and no module imports another's underscore
 name.  Outside the parser and the front end, every `raise` is listed: a new
-model error needs a parser rule instead.  Every function that writes a
-field with `object.__setattr__` is listed too: a value is whole once built.
+model error needs a parser rule instead.  No function writes a field with
+`object.__setattr__`: a value is whole once built.  Declaring a value type
+costs no import: no module imports `dataclasses`, and importing the CLI
+loads neither it nor `inspect`.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -108,14 +113,9 @@ def test_every_raise_outside_the_parser_and_cli_is_listed():
     assert found == RAISES
 
 
-# Each function in ``src/ehatp`` that calls ``object.__setattr__``.  Only the
-# domain fills fields after its dataclass ``__init__``: a value built once per
-# search step fills its slots in its constructor, and a ground action gets its
-# masks from ``ActionSchema.ground``.
-SETATTRS = [
-    ("dsl.py", "DomainModel.__post_init__"),  # the ground table and name indexes
-    ("dsl.py", "DomainModel.with_fresh_memo"),  # a copy's empty call memo
-]
+# Each function in ``src/ehatp`` that calls ``object.__setattr__``: none.  A
+# value fills its slots in its constructor, through the slot descriptors.
+SETATTRS = []
 
 
 def _object_setattr(node: ast.AST) -> bool:
@@ -128,3 +128,29 @@ def test_every_object_setattr_in_src_is_listed():
                     for where in _where(ast.parse(path.read_text(encoding="utf-8")),
                                         _object_setattr)})
     assert found == SETATTRS
+
+
+# Modules a planner run would import only to declare its value types.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def test_no_module_of_src_imports_dataclasses():
+    importing = [f"{path.name}: {name}" for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for name in ([node.module or ""] if isinstance(node, ast.ImportFrom)
+                              else [alias.name for alias in node.names])
+                 if name.split(".")[0] == "dataclasses"]
+    assert importing == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """A fresh interpreter, as each ``ehatp`` run is: the modules that
+    ``import ehatp.cli`` adds to the ones the interpreter starts with."""
+    code = ("import sys; before = set(sys.modules); import ehatp.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    added = subprocess.run([sys.executable, "-c", code],
+                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                           capture_output=True, text=True, check=True).stdout.split()
+    assert "ehatp.cli" in added
+    assert SLOW_IMPORTS.isdisjoint(added)

@@ -5,7 +5,6 @@ the box-stowing domain with scrambled cube layouts, divergent belief bases,
 and arbitrary agendas; graphs and domain models are built from scratch.
 """
 
-from dataclasses import replace
 from itertools import combinations
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -629,7 +628,7 @@ def test_packed_bases_match_a_frozenset_reference(a, b, adds, dels, asked, value
 # -- memoized HTN queries against fresh, uncached calls --------------------------
 
 # One memo shared by every case, so that repeated inputs are answered from it.
-MEMO_CUBE = replace(CUBE)
+MEMO_CUBE = CUBE.with_fresh_memo()
 
 
 @CASES
@@ -638,6 +637,6 @@ MEMO_CUBE = replace(CUBE)
 def test_memoized_htn_queries_match_fresh_calls(lay, h_at, wrapped, transparent, tn):
     bel = cube_truth(lay, "mt", h_at, wrapped, frozenset(), transparent)
     for fn in (feasible_refinements, effectively_decomposed):
-        fresh = fn(replace(CUBE), tn, bel)
+        fresh = fn(CUBE.with_fresh_memo(), tn, bel)
         assert fn(MEMO_CUBE, tn, bel) == fresh
         assert fn(MEMO_CUBE, tn, bel) == fresh  # a memo hit
