@@ -176,15 +176,23 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
     in ``toward`` goes before its siblings: a caller that stops at the first
     DEAD trace walks the path through the ``toward`` nodes before any other.
     """
-    # A branch is a state to follow, or the trace it already ended in.
-    stack: list[tuple | SimulationTrace] = [(0, initial_state(dom, prob), (), 0)]
+    # A branch is a state to follow, with its co-presence, or its trace.
+    s0 = initial_state(dom, prob)
+    stack: list[tuple | SimulationTrace] = [(0, s0, state_copresent(dom, s0), (), 0)]
     while stack:
         item = stack.pop()
         if isinstance(item, SimulationTrace):
             yield item
             continue
-        idx, s, steps, hidden = item
-        children = policy.nodes[idx].children
+        idx, s, co, steps, hidden = item
+        node = policy.nodes[idx]
+        if node.actor != s.actor or node.copresent != co:
+            field, replayed = (("actor", s.actor) if node.actor != s.actor
+                               else ("copresent", co))
+            yield SimulationTrace(steps, DEAD, f"node {idx} records {field} "
+                                  f"{getattr(node, field)!r}, the replay {replayed!r}")
+            continue
+        children = node.children
         if skip in children:
             children = [c for c in children if c != skip]
         if not children:
@@ -215,7 +223,7 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             succs = offered.get(label, ())
             ontic = _is_ontic(label)
             # The robot's out-of-sight work since the agents last met.
-            run = hidden + (s.actor == "R" and ontic and not state_copresent(dom, s))
+            run = hidden + (s.actor == "R" and ontic and not co)
             if pos >= len(succs):
                 branch = SimulationTrace(steps, DEAD, f"recorded action unavailable: {label}")
             elif run > prob.k:
@@ -223,9 +231,9 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
                     steps, DEAD, f"budget exceeded: {run} unseen actions > K={prob.k}")
             else:
                 succ = _follow(dom, succs, pos)
-                co = state_copresent(dom, succ)
-                step = SimStep(s.actor, label, co, len(succ.worlds))
-                branch = (cid, succ, steps + (step,), 0 if co else run)
+                succ_co = state_copresent(dom, succ)
+                step = SimStep(s.actor, label, succ_co, len(succ.worlds))
+                branch = (cid, succ, succ_co, steps + (step,), 0 if succ_co else run)
             branches.insert(0 if cid in toward else len(branches), branch)
         stack.extend(reversed(branches))
 
@@ -454,7 +462,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         dom, prob, policy = read_policy_file(args.policy)
-    except (OSError, ParseError, KeyError, TypeError, ValueError) as e:
+    except (OSError, ParseError, KeyError, TypeError, ValueError, RecursionError) as e:
+        # RecursionError: JSON nested deeper than the decoder follows.
         print(f"error: cannot load policy: {e}", file=sys.stderr)
         return 1
     if args.interactive:

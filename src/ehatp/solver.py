@@ -4,8 +4,10 @@ The planner runs a breadth-first AND/OR search: the robot's turns are OR
 nodes (it picks one of its options), the human's turns are AND nodes (every
 refinement the human might choose must be covered).  Node statuses harden
 from the terminals upward — an OR is finished once one alternative is, an
-AND once all of them are — and from a finished root a joint policy is
-extracted that prefers short, quiet, lexicographically small branches.
+AND once all of them are — and in the same upward pass each finished node
+keeps its value and each finished robot node the edge it prefers: short,
+quiet, lexicographically small branches.  From a finished root the joint
+policy is only unfolded along those edges.
 
 A state is finished when every surviving world agrees that nobody has work
 left: the robot's real agenda, the human's agenda, and the agenda the human
@@ -17,7 +19,6 @@ is about to be stuck; a stuck human may raise the question itself
 """
 
 import json
-import math
 import sys
 import time
 from collections import deque
@@ -53,19 +54,21 @@ class SearchNode:
 
     ``children`` stays ``None`` until the node is expanded; a terminal keeps
     an empty list.  Dedup makes this a graph, so a node may have several
-    parents, and status updates ripple along them.  Compared by identity.
+    parents, and status updates ripple along them.  Once DONE, a node keeps
+    its ``value``, (worst-case turns, speech acts) to completion, and an OR
+    node its ``choice``, the kept edge.  Compared by identity.
     """
 
-    __slots__ = ("state", "kind", "status", "children", "parents")
+    __slots__ = ("state", "kind", "status", "children", "parents", "value", "choice")
 
-    def __init__(self, state: EpistemicState, kind: str, status: str = UNKNOWN,
-                 children: "list[tuple[str, SearchNode]] | None" = None,
-                 parents: "list[SearchNode] | None" = None) -> None:
+    def __init__(self, state: EpistemicState, kind: str) -> None:
         self.state = state
         self.kind = kind  # "OR" (robot to act) or "AND" (human to act)
-        self.status = status
-        self.children = children
-        self.parents = [] if parents is None else parents
+        self.status = UNKNOWN
+        self.children: list[tuple[str, SearchNode]] | None = None
+        self.parents: list[SearchNode] = []
+        self.value: tuple[int, int] | None = None
+        self.choice: tuple[str, SearchNode] | None = None
 
 
 # --------------------------------------------------------------------------
@@ -245,39 +248,72 @@ def offers(dom: DomainModel, prob: ProblemInstance, s: EpistemicState) -> list[O
 
 
 # --------------------------------------------------------------------------
-# Status propagation
+# Status propagation and valuation
 
 
-def _combined(n: SearchNode) -> str:
-    if not n.children:
-        return n.status
-    stats = [c.status for _, c in n.children]
-    if n.kind == "OR":
-        if any(st == DONE for st in stats):
-            return DONE
-        if all(st == DEAD for st in stats):
-            return DEAD
+def _revise(n: SearchNode) -> bool:
+    """Recompute ``n``'s status from its children's and, once it is DONE,
+    its value and kept edge; whether any of the three changed.
+
+    An OR node is DONE once one child is and DEAD once all are, an AND node
+    the other way round.  A terminal is worth (0, 0) turns and speech acts.
+    An OR node keeps the valued child minimizing (turns, speech acts, edge
+    label, position), its edge counted; an AND node takes its worst child's
+    turns and every speech act below it.  Each adds one turn.
+    """
+    kids = n.children
+    status = n.status
+    if status == UNKNOWN and kids:
+        stats = [c.status for _, c in kids]
+        if n.kind == "OR":
+            status = DONE if DONE in stats else UNKNOWN if UNKNOWN in stats else DEAD
+        else:
+            status = DEAD if DEAD in stats else UNKNOWN if UNKNOWN in stats else DONE
+    if status != DONE:
+        if status == n.status:
+            return False
+        n.status = status
+        return True
+    choice = None
+    if not kids:
+        value = (0, 0)
+    elif n.kind == "OR":
+        # Only a child with a value counts; ``n`` may be its own child.
+        best = None
+        for i, edge in enumerate(kids):
+            vc = edge[1].value
+            if vc is not None:
+                cand = (vc[0] + 1, vc[1] + is_speech_act(edge[0]), edge[0], i)
+                if best is None or cand < best:
+                    best, choice = cand, edge
+        value = best[:2]
     else:
-        if all(st == DONE for st in stats):
-            return DONE
-        if any(st == DEAD for st in stats):
-            return DEAD
-    return UNKNOWN
+        turns = talk = 0
+        for label, c in kids:
+            turns = max(turns, c.value[0])
+            talk += c.value[1] + is_speech_act(label)
+        value = (turns + 1, talk)
+    if status == n.status and value == n.value and choice is n.choice:
+        return False
+    n.status, n.value, n.choice = status, value, choice
+    return True
 
 
 def propagate_revised_status(node: SearchNode) -> None:
-    """Push a node's freshly set status to its ancestors; an ancestor whose
-    status does not change stops the ripple."""
+    """Revise a freshly settled node, then each ancestor whose child's
+    status, value or kept edge moved, walking up through ``parents``.
+
+    DONE is only set bottom-up, so every DONE node gets a finite value from
+    children that settled before it.  Values only fall, and every edge adds
+    one turn, so the finite fixed point is unique.  Every change re-queues
+    the parents, so each choice is made after the last move of any child.
+    """
+    _revise(node)
     work = list(node.parents)
     while work:
         p = work.pop()
-        if p.status != UNKNOWN or p.children is None:
-            continue
-        revised = _combined(p)
-        if revised == p.status:
-            continue
-        p.status = revised
-        work.extend(p.parents)
+        if _revise(p):
+            work.extend(p.parents)
 
 
 # --------------------------------------------------------------------------
@@ -313,109 +349,18 @@ def is_speech_act(label: str) -> bool:
     return label.startswith(("inform-", "ask-"))
 
 
-def _comm_weight(label: str) -> int:
-    return 1 if is_speech_act(label) else 0
-
-
-def _reachable(root: SearchNode) -> list[SearchNode]:
-    seen: set[int] = set()
-    order: list[SearchNode] = []
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        order.append(n)
-        if n.children:
-            stack.extend(c for _, c in reversed(n.children))
-    return order
-
-
-def finished_values(done: list[SearchNode]) -> tuple[
-        dict[int, tuple[float, float]], dict[int, tuple[str, SearchNode]]]:
-    """The value of each finished node and the edge each finished robot node
-    keeps, both keyed by ``id(node)``.
-
-    A value is (worst-case turns, speech acts) to completion, ``inf`` where
-    no finished branch reaches completion; the kept edge minimizes (turns,
-    speech acts, edge label).
-    """
-    value: dict[int, tuple[float, float]] = {id(n): (math.inf, math.inf)
-                                             for n in done}
-    choice: dict[int, tuple[str, SearchNode]] = {}
-    # the finished parents of each finished node: what to re-value when its
-    # value moves
-    users: dict[int, list[SearchNode]] = {id(n): [] for n in done}
-    for n in done:
-        for _, c in n.children or ():
-            if id(c) in users:
-                users[id(c)].append(n)
-
-    # Values only fall from inf, and each operator is monotone, so revisiting
-    # just the parents of a moved node reaches the fixed point a full re-sweep
-    # would; each choice is made by its node's last visit, which follows the
-    # last move of any child.
-    work = deque(n for n in done if not n.children)
-    queued = {id(n) for n in work}
-    while work:
-        n = work.popleft()
-        queued.discard(id(n))
-        if not n.children:
-            new = (0.0, 0.0)
-        elif n.kind == "OR":
-            best = None
-            pick = None
-            for i, (label, c) in enumerate(n.children):
-                vc = value.get(id(c))
-                if vc is None or vc[0] == math.inf:
-                    continue
-                cand = (vc[0] + 1, vc[1] + _comm_weight(label), label, i)
-                if best is None or cand < best:
-                    best = cand
-                    pick = (label, c)
-            if best is None:
-                continue
-            new = (best[0], best[1])
-            choice[id(n)] = pick
-        else:
-            worst = 0.0
-            talk = 0.0
-            feasible = True
-            for label, c in n.children:
-                vc = value.get(id(c))
-                if vc is None or vc[0] == math.inf:
-                    feasible = False
-                    break
-                worst = max(worst, vc[0])
-                talk += vc[1] + _comm_weight(label)
-            if not feasible:
-                continue
-            new = (worst + 1, talk)
-        if new != value[id(n)]:
-            value[id(n)] = new
-            for p in users[id(n)]:
-                if id(p) not in queued:
-                    queued.add(id(p))
-                    work.append(p)
-    return value, choice
-
-
 def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
     """Carve the joint plan out of a finished search graph.
 
-    Every finished node gets a value: the worst-case number of turns to
-    completion and the number of speech acts spent on the way.  The robot's
-    nodes keep the single child minimizing (turns, speech acts, edge label);
-    the human's keep every covered alternative.  The chosen subgraph is then
-    unfolded into a tree with preorder ids.
+    Each finished node holds its value, the worst-case number of turns to
+    completion and the number of speech acts spent on the way, and each of
+    the robot's its kept edge (`propagate_revised_status`); the human's
+    nodes keep every alternative.  The chosen subgraph is unfolded into a
+    tree with preorder ids.  Kept edges strictly lower the turn count, so
+    the unfolding is finite.
     """
     if root.status != DONE:
         raise EhatpError("no finished joint plan to extract")
-    choice = finished_values([n for n in _reachable(root) if n.status == DONE])[1]
-
-    # Unfold the chosen subgraph in preorder.  Chosen edges strictly lower the
-    # turn count, so the unfolding is finite.
     nodes: list[PolicyNode] = []
     stack: list[tuple[SearchNode, str | None, PolicyNode | None]] = [
         (root, None, None)]
@@ -424,7 +369,7 @@ def extract_joint_solution(dom: DomainModel, root: SearchNode) -> Policy:
         if not n.children:
             keep: list[tuple[str, SearchNode]] = []
         elif n.kind == "OR":
-            keep = [choice[id(n)]]
+            keep = [n.choice]
         else:
             keep = n.children
         pn = PolicyNode(len(nodes), n.kind if keep else "LEAF", n.state.actor, edge,
@@ -468,14 +413,17 @@ def solve(dom: DomainModel, prob: ProblemInstance,
           exhaust: bool = False) -> SolveResult:
     """Breadth-first AND/OR search from the problem's initial state.
 
-    Stops as soon as the root's status settles unless ``exhaust`` asks for
-    the whole reachable graph (it is finite: the budget caps how far the
-    estimated worlds may drift, and states are deduplicated).
+    Each node that settles is revised upward with its ancestors' statuses,
+    values and kept edges (`propagate_revised_status`), so a finished root's
+    policy is ready to unfold.  Stops as soon as the root's status settles
+    unless ``exhaust`` asks for the whole reachable graph (it is finite: the
+    budget caps how far the estimated worlds may drift, and states are
+    deduplicated).
     """
     start = time.perf_counter()
     dom = with_call_memo(dom)
     s0 = initial_state(dom, prob)
-    root = SearchNode(state=s0, kind="OR" if s0.actor == "R" else "AND")
+    root = SearchNode(s0, "OR" if s0.actor == "R" else "AND")
     by_sig = {s0.signature(): root}
     all_nodes = [root]
     queue: deque[SearchNode] = deque([root])
@@ -485,18 +433,15 @@ def solve(dom: DomainModel, prob: ProblemInstance,
     while queue:
         n = queue.popleft()
         states += 1
+        n.children = []
         if evaluate_state(dom, n.state) == DONE:
-            n.children = []
             n.status = DONE
-            propagate_revised_status(n)
         else:
-            n.children = []
             for label, cs in expand(dom, prob, n.state):
                 sig = cs.signature()
                 child = by_sig.get(sig)
                 if child is None:
-                    child = SearchNode(state=cs,
-                                       kind="OR" if cs.actor == "R" else "AND")
+                    child = SearchNode(cs, "OR" if cs.actor == "R" else "AND")
                     by_sig[sig] = child
                     all_nodes.append(child)
                     max_worlds = max(max_worlds, len(cs.worlds))
@@ -505,13 +450,9 @@ def solve(dom: DomainModel, prob: ProblemInstance,
                 child.parents.append(n)
             if not n.children:
                 n.status = DEAD
-                propagate_revised_status(n)
-            elif n.status == UNKNOWN:
-                # Deduplicated children may already be settled.
-                revised = _combined(n)
-                if revised != UNKNOWN:
-                    n.status = revised
-                    propagate_revised_status(n)
+        # Deduplicated children may already be settled.
+        if n.status != UNKNOWN or _revise(n):
+            propagate_revised_status(n)
         if not exhaust and root.status != UNKNOWN:
             break
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -317,6 +319,22 @@ def test_simulate_rejects_a_malformed_policy_file(p2_policy, tmp_path, capsys, c
     assert main(["simulate", "-P", str(bad), "--exhaustive"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load policy: ") and message in err
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("text", [DEEP, '{"nodes": ' + DEEP + "}"],
+                         ids=["bare", "under nodes"])
+def test_simulate_reports_a_deeply_nested_policy_file_in_one_line(tmp_path, text):
+    bad = tmp_path / "deep.json"
+    bad.write_text(text)
+    run = subprocess.run([sys.executable, "-m", "ehatp.cli", "simulate", "-P", str(bad),
+                          "--exhaustive"], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: cannot load policy: ")
+    assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
 
 
 # -- exhaustive replay -----------------------------------------------------

@@ -71,3 +71,28 @@ def test_simulate_rejects_a_wrong_field_on_any_node(name, tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith(f"error: cannot load policy: node {i} "), (i, field, value)
             assert "Traceback" not in err
+
+
+def _misstatements(node: dict) -> dict:
+    """For each field the replay checks, an edit of ``node`` that the reader
+    accepts but that misstates the replayed state: ``copresent`` flipped,
+    and the other agent as ``actor``, with the kind a node of that agent
+    and those children has."""
+    other = "H" if node["actor"] == "R" else "R"
+    kind = ("OR" if other == "R" else "AND") if node["children"] else "LEAF"
+    return {"copresent": {"copresent": not node["copresent"]},
+            "actor": {"actor": other, "kind": kind}}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_simulate_fails_a_node_that_misstates_the_replayed_state(name, tmp_path, capsys):
+    text = (GOLDEN / f"{name}.policy.json").read_text(encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    for i, node in enumerate(json.loads(text)["nodes"]):
+        for field, edit in _misstatements(node).items():
+            doc = json.loads(text)
+            doc["nodes"][i].update(edit)
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["simulate", "-P", str(bad), "--exhaustive"]) == 2, (i, field)
+            out = capsys.readouterr().out
+            assert f"[node {i} records {field} " in out, (i, field)

@@ -27,7 +27,7 @@ from ehatp.cli import (
 )
 from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.kernel import state_copresent
-from ehatp.solver import DONE, Policy, PolicyNode, finished_values, solve
+from ehatp.solver import DONE, Policy, PolicyNode, solve
 from helpers import cold, drop_edge, traces
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -223,12 +223,10 @@ def _unfold(dom, root, keep):
 
 def _extracted(res):
     """The ``keep`` of `_unfold` that rebuilds ``res.policy``."""
-    choice = finished_values([n for n in res.all_nodes if n.status == DONE])[1]
-
     def keep(n):
         if not n.children:
             return []
-        return [choice[id(n)]] if n.kind == "OR" else n.children
+        return [n.choice] if n.kind == "OR" else n.children
     return keep
 
 

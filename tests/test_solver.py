@@ -30,7 +30,6 @@ from ehatp.solver import (
     evaluate_state,
     expand,
     extract_joint_solution,
-    finished_values,
     is_speech_act,
     propagate_revised_status,
     solve,
@@ -245,20 +244,18 @@ def test_propagation_rules(p1):
 # ----------------------------------------------------------------- extraction
 
 
-def leaf_node(s):
-    n = SearchNode(state=s, kind="AND")
-    n.children = []
-    n.status = "DONE"
-    return n
+def settle(*leaves):
+    """Settle each terminal DONE, as `solve` does, and ripple it upward."""
+    for leaf in leaves:
+        leaf.children = []
+        leaf.status = "DONE"
+        propagate_revised_status(leaf)
 
 
 def chain(s, labels, end):
     head = end
     for label in reversed(labels):
-        parent = SearchNode(state=s, kind="AND", status="DONE")
-        parent.children = [(label, head)]
-        head.parents.append(parent)
-        head = parent
+        head = node("AND", s, [(label, head)])
     return head
 
 
@@ -266,33 +263,31 @@ def test_extraction_prefers_shallow_then_quiet_then_lexicographic(p1):
     dom, prob = p1
     s = initial_state(dom, prob)
 
-    deep = chain(s, ["go", "go"], leaf_node(s))
-    shallow = chain(s, ["zz"], leaf_node(s))
-    root = SearchNode(state=s, kind="OR", status="DONE")
-    root.children = [("deep", deep), ("fast", shallow)]
-    pol = extract_joint_solution(dom, root)
-    assert pol.nodes[0].children and pol.nodes[pol.nodes[0].children[0]].edge == "fast"
-
-    talky = chain(s, ["inform-p"], leaf_node(s))
-    quiet = chain(s, ["act"], leaf_node(s))
-    root = SearchNode(state=s, kind="OR", status="DONE")
-    root.children = [("a", talky), ("b", quiet)]
-    pol = extract_joint_solution(dom, root)
-    assert pol.nodes[pol.nodes[0].children[0]].edge == "b"
-
-    root = SearchNode(state=s, kind="OR", status="DONE")
-    root.children = [("beta", leaf_node(s)), ("alpha", leaf_node(s))]
-    pol = extract_joint_solution(dom, root)
-    assert pol.nodes[pol.nodes[0].children[0]].edge == "alpha"
+    # Each choice in both settling orders: an edge kept early must give way
+    # to a better one that settles later.
+    cases = (({"deep": ["go", "go"], "fast": ["zz"]}, "fast", (2, 0)),
+             ({"a": ["inform-p"], "b": ["act"]}, "b", (2, 0)),
+             ({"beta": [], "alpha": []}, "alpha", (1, 0)))
+    for below, kept, value in cases:
+        for flip in (False, True):
+            ends = [SearchNode(s, "AND") for _ in below]
+            root = node("OR", s, [(label, chain(s, path, end))
+                                  for (label, path), end in zip(below.items(), ends)])
+            settle(*(ends[::-1] if flip else ends))
+            pol = extract_joint_solution(dom, root)
+            assert pol.nodes[pol.nodes[0].children[0]].edge == kept
+            assert root.choice[0] == kept and root.value == value
 
 
 def test_extraction_keeps_all_human_alternatives(p1):
     dom, prob = p1
     s = initial_state(dom, prob)
-    and_node = SearchNode(state=s, kind="AND", status="DONE")
-    and_node.children = [("l", leaf_node(s)), ("r", leaf_node(s))]
-    root = SearchNode(state=s, kind="OR", status="DONE")
-    root.children = [("go", and_node)]
+    ends = [SearchNode(s, "AND"), SearchNode(s, "AND")]
+    and_node = node("AND", s, [("l", ends[0]), ("r", ends[1])])
+    root = node("OR", s, [("go", and_node)])
+    settle(ends[0])
+    assert root.status == "UNKNOWN"
+    settle(ends[1])
     pol = extract_joint_solution(dom, root)
     and_out = pol.nodes[pol.nodes[0].children[0]]
     assert len(and_out.children) == 2
@@ -362,35 +357,55 @@ def test_extraction_matches_a_full_resweep(name):
     res = solve(dom, prob, exhaust=True)
     done = [n for n in res.all_nodes if n.status == "DONE"]
     assert res.root.status == "DONE" and len(done) > 1
-    value, choice = finished_values(done)
-    assert (value, choice) == _swept_values(done)
+    value, choice = _swept_values(done)
+    assert {id(n): n.value for n in done} == value
+    assert {id(n): n.choice for n in done if n.choice is not None} == choice
     assert (extract_joint_solution(dom, res.root).node_dicts()
             == _recursive_policy(dom, res.root, choice))
 
 
 def test_valuation_matches_a_full_resweep_on_random_graphs():
-    # Shared children, cycles, unfinished children, tied values and speech
-    # acts, so that values move more than once and choices flip on labels.
+    # Shared children, cycles, self-loops, unfinished children, tied values
+    # and speech acts, so that values move more than once and choices flip
+    # on labels.  The leaves settle in a random order, each rippling upward
+    # as in `solve`.
     rng = random.Random(5)
+    order = random.Random(6)
     labels = ("a", "b", "c", "inform-p", "ask-q")
+    valued = 0
     for _ in range(400):
-        nodes = [SearchNode(state=None, kind=rng.choice(("OR", "AND")),
-                            status=rng.choice(("DONE",) * 5 + ("DEAD",)))
+        drawn = [(rng.choice(("OR", "AND")), rng.choice(("DONE",) * 5 + ("DEAD",)))
                  for _ in range(rng.randint(2, 14))]
+        nodes = [SearchNode(None, kind) for kind, _ in drawn]
+        ends = {n: status for n, (_, status) in zip(nodes, drawn)}
         for n in nodes:
             if rng.random() < 0.3:
                 n.children = []
             else:
                 n.children = [(rng.choice(labels), rng.choice(nodes))
                               for _ in range(rng.randint(1, 4))]
+                del ends[n]
+                for _, c in n.children:
+                    c.parents.append(n)
+        leaves = list(ends)
+        order.shuffle(leaves)
+        for leaf in leaves:
+            leaf.status = ends[leaf]
+            propagate_revised_status(leaf)
         done = [n for n in nodes if n.status == "DONE"]
-        assert finished_values(done) == _swept_values(done)
+        value, choice = _swept_values(done)
+        assert {id(n): n.value for n in done} == value
+        assert {id(n): n.choice for n in done if n.choice is not None} == choice
+        valued += sum(1 for n in done if n.children)
+    assert valued > 400
 
 
 def test_extraction_of_a_deep_chain_needs_no_recursion(p1):
     dom, prob = p1
     s = initial_state(dom, prob)
-    root = chain(s, ["step"] * 4999, leaf_node(s))
+    end = SearchNode(s, "AND")
+    root = chain(s, ["step"] * 4999, end)
+    settle(end)
     pol = extract_joint_solution(dom, root)
     assert len(pol.nodes) == 5000
     assert [n.children for n in pol.nodes] == [[i + 1] for i in range(4999)] + [[]]
@@ -398,8 +413,7 @@ def test_extraction_of_a_deep_chain_needs_no_recursion(p1):
     done = [root]
     while done[-1].children:
         done.append(done[-1].children[0][1])
-    value, _ = finished_values(done)
-    assert [value[id(n)] for n in done] == [(4999.0 - i, 0.0) for i in range(5000)]
+    assert [n.value for n in done] == [(4999 - i, 0) for i in range(5000)]
 
 
 # ------------------------------------------------------------- whole problems

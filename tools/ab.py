@@ -16,17 +16,19 @@ verdict, counts and policy digest.  If any check fails or any answer
 differs, nothing is timed and the exit status is 1, so a ratio is only
 ever printed for two trees that compute the same answers.
 
-After `WARMUP` untimed repeats, each of `ROUNDS` rounds times every input
-once on each side, in one order drawn from a generator seeded with `SEED`
-(also the workload's seed), and the side that goes first alternates from
-round to round.  The collector runs before every call, so neither side
-pays for the other's garbage.  Both sides share the machine's drift, which
-a run of ``planbench`` per side does not; this resolves differences of a
-few percent that fresh-process runs cannot.
+After `WARMUP` untimed repeats, each of `ROUNDS` rounds visits the inputs
+in one order drawn from a generator seeded with `SEED` (also the
+workload's seed) and times each input on both sides back to back, a pair;
+which side goes first alternates from input to input and, for each input,
+from round to round.  The collector runs before every call, so neither
+side pays for the other's garbage.  The two calls of a pair are
+milliseconds apart, so they share the machine's drift, which a run of
+``planbench`` per side, or a whole round per side, does not.
 
-Printed: per input, each side's median wall time and their ratio (change
-over parent); the geometric mean of those ratios; the rounds whose total
-the change won; and each side's median round total.
+Printed: per input, each side's median wall time, their ratio (change
+over parent) and the pairs the change won; the geometric mean of those
+ratios; the pairs and the round totals the change won; and each side's
+median round total.
 """
 
 from __future__ import annotations
@@ -134,32 +136,33 @@ def main(argv: list[str] | None = None) -> int:
 
     rng = random.Random(SEED)
     times = [{k: [] for k in keys}, {k: [] for k in keys}]
-    totals: list[list[float]] = [[], []]
+    totals: list[list[float]] = [[0.0] * ROUNDS, [0.0] * ROUNDS]
     for r in range(ROUNDS):
         order = list(range(len(keys)))
         rng.shuffle(order)
-        for side in ((0, 1) if r % 2 == 0 else (1, 0)):
-            prog, wl, items = sides[side]
-            use(prog)
-            total = 0.0
-            for i in order:
+        for i in order:
+            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                prog, wl, items = sides[side]
+                use(prog)
                 dt = timed(wl, prog, items[i])
                 times[side][keys[i]].append(dt)
-                total += dt
-            totals[side].append(total)
+                totals[side][r] += dt
 
     ratios = []
     print(f"{args.workload}: {ROUNDS} rounds after {WARMUP} warm-up, "
-          "median wall ms per input")
-    print(f"  {'input':<12} {'parent':>9} {'change':>9} {'ratio':>7}")
+          "median wall ms per input, pairs the change won")
+    print(f"  {'input':<12} {'parent':>9} {'change':>9} {'ratio':>7} {'won':>6}")
     for k in keys:
         a, b = statistics.median(times[0][k]), statistics.median(times[1][k])
         ratios.append(b / a)
-        print(f"  {k:<12} {a * 1e3:9.3f} {b * 1e3:9.3f} {b / a:7.3f}")
+        pairs = sum(y < x for x, y in zip(times[0][k], times[1][k]))
+        print(f"  {k:<12} {a * 1e3:9.3f} {b * 1e3:9.3f} {b / a:7.3f} {pairs:>3}/{ROUNDS}")
     geo = math.exp(sum(map(math.log, ratios)) / len(ratios))
     won = sum(b < a for a, b in zip(*totals))
-    print(f"  geomean ratio {geo:.3f}; change won {won}/{ROUNDS} rounds; "
-          f"round medians {statistics.median(totals[0]) * 1e3:.2f} -> "
+    pairs = sum(y < x for k in keys for x, y in zip(times[0][k], times[1][k]))
+    print(f"  geomean ratio {geo:.3f}; change won {pairs}/{ROUNDS * len(keys)} pairs "
+          f"and {won}/{ROUNDS} round totals; round medians "
+          f"{statistics.median(totals[0]) * 1e3:.2f} -> "
           f"{statistics.median(totals[1]) * 1e3:.2f} ms")
     return 0
 
