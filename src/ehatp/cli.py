@@ -32,7 +32,7 @@ from .dsl import (
     validate,
 )
 from .kernel import initial_state, state_copresent, with_call_memo
-from .model import EpistemicState
+from .model import BeliefBase, EpistemicState
 from .solver import (
     DEAD,
     DONE,
@@ -186,11 +186,9 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             continue
         idx, s, co, steps, hidden = item
         node = policy.nodes[idx]
-        if node.actor != s.actor or node.copresent != co:
-            field, replayed = (("actor", s.actor) if node.actor != s.actor
-                               else ("copresent", co))
-            yield SimulationTrace(steps, DEAD, f"node {idx} records {field} "
-                                  f"{getattr(node, field)!r}, the replay {replayed!r}")
+        wrong = _misstated(idx, node, s, co)
+        if wrong:
+            yield SimulationTrace(steps, DEAD, wrong)
             continue
         children = node.children
         if skip in children:
@@ -236,6 +234,15 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
                 branch = (cid, succ, succ_co, steps + (step,), 0 if succ_co else run)
             branches.insert(0 if cid in toward else len(branches), branch)
         stack.extend(reversed(branches))
+
+
+def _misstated(idx: int, node: PolicyNode, s: EpistemicState, co: bool) -> str:
+    """What policy node ``idx`` misstates about the replayed state ``s`` of
+    co-presence ``co``: its actor, or else its co-presence; "" if neither."""
+    for field, replayed in (("actor", s.actor), ("copresent", co)):
+        if getattr(node, field) != replayed:
+            return f"node {idx} records {field} {getattr(node, field)!r}, the replay {replayed!r}"
+    return ""
 
 
 Succs = list["EpistemicState | Callable[[DomainModel], EpistemicState]"]
@@ -301,19 +308,15 @@ def communication_is_load_bearing(dom: DomainModel, prob: ProblemInstance,
 
 def _divergence_summary(s: EpistemicState) -> str:
     d = s.designated_world
-    gap = sorted(d.bel_h.atoms ^ d.bel_r.atoms, key=str)
-    parts = []
-    if gap:
-        shown = ", ".join(str(a) for a in gap[:4])
-        parts.append(f"human belief vs truth: {shown}"
-                     + (", ..." if len(gap) > 4 else ""))
-    hypos = []
-    for i, w in enumerate(s.worlds):
-        if w is d:
-            continue
-        diff = sorted(w.bel_h.atoms ^ d.bel_h.atoms, key=str)
-        shown = ", ".join(str(a) for a in diff[:4]) + (", ..." if len(diff) > 4 else "")
-        hypos.append(f"world {i} differs on {shown or 'the agenda only'}")
+
+    def listed(a: BeliefBase, b: BeliefBase) -> str:
+        diff = sorted(a.atoms ^ b.atoms, key=str)
+        return ", ".join(str(x) for x in diff[:4]) + (", ..." if len(diff) > 4 else "")
+
+    gap = listed(d.bel_h, d.bel_r)
+    parts = [f"human belief vs truth: {gap}"] if gap else []
+    hypos = [f"world {i} differs on {listed(w.bel_h, d.bel_h) or 'the agenda only'}"
+             for i, w in enumerate(s.worlds) if w is not d]
     if hypos:
         parts.append("; ".join(hypos))
     return "; ".join(parts) if parts else "beliefs aligned"
@@ -333,7 +336,8 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
     marked "off plan", and after taking one the robot improvises with its
     first available option.  An empty reply takes the suggested choice,
     ``q`` stops.  Prints co-presence, the surviving-world count, and a
-    belief divergence summary after every move.
+    belief divergence summary after every move.  A plan node that misstates
+    the stepped state's actor or co-presence stops the run, as in `simulate`.
     """
     import random  # only the stepper draws, so no other run pays the import
 
@@ -343,6 +347,10 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
     idx: int | None = 0
     for turn in range(500):
         node = policy.nodes[idx] if idx is not None else None
+        wrong = node is not None and _misstated(idx, node, s, state_copresent(dom, s))
+        if wrong:
+            print(wrong, file=sys.stderr)
+            return 2
         if node is not None and not node.children:
             outcome = evaluate_state(dom, s)
             print(f"finished: {outcome}")

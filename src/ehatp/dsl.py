@@ -39,6 +39,7 @@ from .model import (
     atom_bit,
     effect_masks,
     is_variable,
+    known_bit,
     unify,
 )
 
@@ -293,11 +294,12 @@ class ProblemInstance(Frozen):
                    root_task_r, root_task_h, ground_truth, belief_deltas, belief_at)
 
     @property
-    def initial_bel_h(self) -> BeliefBase:
-        base = self.ground_truth
+    def initial_mask_h(self) -> int:
+        """The human's initial beliefs: the truth, each divergence forced."""
+        mask = self.ground_truth.mask
         for d in self.belief_deltas:
-            base = base.assign(d, d.positive)
-        return base
+            mask = mask | atom_bit(d) if d.positive else mask & ~known_bit(d.atom)
+        return mask
 
 
 # --------------------------------------------------------------------------

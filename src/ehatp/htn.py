@@ -1,4 +1,4 @@
-"""Task-network decomposition against a single belief base.
+"""Task-network decomposition against a single belief base, given as its mask.
 
 A task network is a totally ordered agenda of :class:`~ehatp.model.Task`
 instances.  Refining a network means expanding abstract tasks through
@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .dsl import DomainModel, GroundAction
-from .model import BeliefBase, Frozen, Literal, Task, TaskNetwork, atoms_of, slot_setters
+from .model import Frozen, Literal, Task, TaskNetwork, atoms_of, known_bit, slot_setters
 
 
 class Refinement(Frozen):
@@ -51,21 +51,21 @@ _r_first_primitive, _r_remainder, _r_trace, _r_pres = slot_setters(Refinement)
 
 
 def feasible_refinements(dom: DomainModel, tn: TaskNetwork,
-                         bel: BeliefBase) -> tuple[Refinement, ...]:
+                         mask: int) -> tuple[Refinement, ...]:
     """Every way to decompose ``tn`` down to an applicable first action.
 
     The result is exhaustive over method choices and deterministic; an
-    empty tuple means the agenda's owner cannot act on it under ``bel``.
+    empty tuple means the agenda's owner cannot act on it under ``mask``.
     Every action it reaches belongs to that one owner: the parser rejects a
     root task that decomposes to the other agent's action.
     """
-    return _answers(dom, tuple(tn), bel)[0]
+    return _answers(dom, tuple(tn), mask)[0]
 
 
-def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, bel: BeliefBase) -> bool:
+def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, mask: int) -> bool:
     """True iff the agenda can reach empty through zero-primitive methods:
-    nothing is left that would require its owner to act under ``bel``."""
-    return _answers(dom, tuple(tn), bel)[1]
+    nothing is left that would require its owner to act under ``mask``."""
+    return _answers(dom, tuple(tn), mask)[1]
 
 
 def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
@@ -95,22 +95,21 @@ def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
 
 
 def _answers(dom: DomainModel, tn: TaskNetwork,
-             bel: BeliefBase) -> tuple[tuple[Refinement, ...], bool]:
-    """``_walk(dom, tn, bel)``, computed once per ``dom.memo``: a repeat
+             mask: int) -> tuple[tuple[Refinement, ...], bool]:
+    """``_walk(dom, tn, mask)``, computed once per ``dom.memo``: a repeat
     within one search or replay, or the other question about the same
     agenda and base, is answered from the memo."""
-    key = ("htn", tn, bel.mask)
+    key = ("htn", tn, mask)
     hit = dom.memo.get(key)
     if hit is None:  # the walk never answers None
-        hit = dom.memo[key] = _walk(dom, tn, bel)
+        hit = dom.memo[key] = _walk(dom, tn, mask)
     return hit
 
 
 def _walk(dom: DomainModel, tn: TaskNetwork,
-          bel: BeliefBase) -> tuple[tuple[Refinement, ...], bool]:
-    """``tn``'s refinements under ``bel``, and whether it can reach empty,
+          mask: int) -> tuple[tuple[Refinement, ...], bool]:
+    """``tn``'s refinements under ``mask``, and whether it can reach empty,
     from one depth-first walk over the applicable method instances."""
-    mask = bel.mask
     table = dom.table
     results: dict[tuple, Refinement] = {}
     done = False
@@ -139,64 +138,65 @@ def _walk(dom: DomainModel, tn: TaskNetwork,
 
 
 def advance(dom: DomainModel, tn: TaskNetwork, act: GroundAction,
-            bel: BeliefBase) -> TaskNetwork:
+            mask: int) -> TaskNetwork:
     """The agenda remaining after executing ``act`` as the first primitive
     of one of ``tn``'s feasible refinements, or ``tn`` itself when ``act``
     is not derivable from it (an agenda ascribed to the robot that the
     robot's real step does not follow)."""
-    for r in feasible_refinements(dom, tn, bel):
+    for r in feasible_refinements(dom, tn, mask):
         if r.first_primitive.name == act.name and r.first_primitive.args == act.args:
             return r.remainder
     return tn
 
 
 def _first_primitive_set(dom: DomainModel, tn: TaskNetwork,
-                         bel: BeliefBase) -> frozenset[tuple[str, tuple[str, ...]]]:
+                         mask: int) -> frozenset[tuple[str, tuple[str, ...]]]:
     return frozenset((r.first_primitive.name, r.first_primitive.args)
-                     for r in feasible_refinements(dom, tn, bel))
+                     for r in feasible_refinements(dom, tn, mask))
 
 
-def alignment_diff(dom: DomainModel, bel_r: BeliefBase, tn_r: TaskNetwork,
-                   bel_rh: BeliefBase, tn_rh: TaskNetwork) -> frozenset[Literal] | None:
-    """Minimal facts to transfer from ``bel_r`` into ``bel_rh`` so that both
-    perspectives agree on the set of first primitives the robot may take.
+def alignment_diff(dom: DomainModel, mask_r: int, tn_r: TaskNetwork,
+                   mask_rh: int, tn_rh: TaskNetwork) -> frozenset[Literal] | None:
+    """Minimal facts to transfer from ``mask_r`` into ``mask_rh`` so that
+    both perspectives agree on the set of first primitives the robot may take.
 
     Candidates come from the symmetric difference of the two bases, each
-    stated with ``bel_r``'s polarity; subsets are tried in increasing size
+    stated with ``mask_r``'s polarity; subsets are tried in increasing size
     (capped at 4, then falling back to the precondition-relevant part of
     the full difference).  None when no transfer can reconcile structurally
     diverged agendas.
     """
-    target = _first_primitive_set(dom, tn_r, bel_r)
+    target = _first_primitive_set(dom, tn_r, mask_r)
 
-    def aligned(base: BeliefBase) -> bool:
-        return _first_primitive_set(dom, tn_rh, base) == target
+    def aligned(mask: int) -> bool:
+        return _first_primitive_set(dom, tn_rh, mask) == target
 
-    if aligned(bel_rh):
+    if aligned(mask_rh):
         return frozenset()
 
-    sym = sorted(atoms_of(bel_r.mask ^ bel_rh.mask), key=str)
-    candidates = [a if bel_r.entails(a) else a.negate() for a in sym]
-
-    def transfer(subset) -> BeliefBase:
-        base = bel_rh
-        for l in subset:
-            base = base.assign(l.atom, l.positive)
-        return base
-
-    if not aligned(transfer(candidates)):
+    # Transferring the whole difference makes the two bases equal.
+    if not aligned(mask_r):
         return None
+
+    candidates = sorted(atoms_of(mask_r ^ mask_rh), key=str)
+    bits = {a: known_bit(a) for a in candidates}
+
+    def transfer(subset) -> int:  # each bit of the difference flips to mask_r's
+        return mask_rh ^ sum(bits[a] for a in subset)
+
+    def stated(subset) -> frozenset[Literal]:
+        return frozenset(a if mask_r & bits[a] else a.negate() for a in subset)
 
     for size in range(1, min(4, len(candidates)) + 1):
         for subset in itertools.combinations(candidates, size):
             if aligned(transfer(subset)):
-                return frozenset(subset)
+                return stated(subset)
 
-    relevant_atoms = {  # method gates on the way as well as the actions' own
-        a for base, tn in ((bel_r, tn_r), (bel_rh, tn_rh))
-        for r in feasible_refinements(dom, tn, base)
-        for a in atoms_of(r.pres)}
-    fallback = [l for l in candidates if l.atom in relevant_atoms]
+    relevant = 0  # method gates on the way as well as the actions' own
+    for mask, tn in ((mask_r, tn_r), (mask_rh, tn_rh)):
+        for r in feasible_refinements(dom, tn, mask):
+            relevant |= r.pres
+    fallback = [a for a in candidates if bits[a] & relevant]
     if fallback and aligned(transfer(fallback)):
-        return frozenset(fallback)
-    return frozenset(candidates)
+        return stated(fallback)
+    return stated(candidates)

@@ -6,6 +6,9 @@ expect there, so the state accumulates one hypothesis per plausible course
 of action.  When the human can see the robot, witnessing an action rules out
 every hypothesis that cannot produce that same action, and shared
 observations are folded back into the human-side belief bases.
+
+The step computes on a world's masks.  Co-presence is judged once per truth
+mask per call, and observability is ground once per atom bit.
 """
 
 from __future__ import annotations
@@ -16,30 +19,31 @@ import sys
 from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
 from .htn import Refinement, advance, feasible_refinements
 from .model import (
-    BeliefBase,
     EpistemicState,
     Frozen,
     Literal,
     TaskNetwork,
     World,
-    atom_bit,
     atoms_of,
     slot_setters,
     unify,
+    world_from,
 )
 
 
 _LOG = "EHATP_LOG"  # also the memo key of the flag
+_COPRESENT = "copresent"  # memo key of the domain rule's answers by truth mask
 
 
 def with_call_memo(dom: DomainModel) -> DomainModel:
     """``dom`` with a fresh memo for one search or replay, holding the
-    ``EHATP_LOG`` flag as it reads when the call starts; ``dom`` itself when
-    it carries such a memo already, so a call made inside another shares it."""
+    ``EHATP_LOG`` flag as the call starts and co-presence by truth mask;
+    ``dom`` itself when it has such a memo, so a call made inside shares it."""
     if _LOG in dom.memo:
         return dom
     dom = dom.with_fresh_memo()
     dom.memo[_LOG] = os.environ.get(_LOG, "")
+    dom.memo[_COPRESENT] = {}
     return dom
 
 
@@ -118,31 +122,40 @@ def _holds(instances: tuple, mask: int) -> bool:
     return False
 
 
-def _copresent(dom: DomainModel, w: World, rule: tuple[Literal, ...]) -> bool:
-    """Whether the agents share each other's presence in ``w`` (ground truth).
-
-    The rule is the key, so an action carrying its own co-presence rule
-    never reads the instances of the domain's.
+def _copresent(dom: DomainModel, truth: int, rule: tuple[Literal, ...]) -> bool:
+    """Whether the agents share each other's presence when reality has mask
+    ``truth``.  The rule's instances are ground once per domain with the
+    rule as the key, so an action carrying its own rule never reads the
+    domain's; under the domain's rule, a call memo keeps each truth's answer.
     """
-    instances = dom.table.get(rule)
-    if instances is None:
-        instances = dom.table[rule] = _compiled(dom.instances(rule, {}))
-    return _holds(instances, w.bel_r.mask)
+    known = dom.memo.get(_COPRESENT) if rule is dom.copresence else None
+    co = known.get(truth) if known is not None else None
+    if co is None:
+        instances = dom.table.get(rule)
+        if instances is None:
+            instances = dom.table[rule] = _compiled(dom.instances(rule, {}))
+        co = _holds(instances, truth)
+        if known is not None:
+            known[truth] = co
+    return co
 
 
 def state_copresent(dom: DomainModel, s: EpistemicState) -> bool:
-    return _copresent(dom, s.designated_world, dom.copresence)
+    return _copresent(dom, s.designated_world.mask_r, dom.copresence)
 
 
-def _observable(dom: DomainModel, atom: Literal, truth: int) -> bool:
-    """Can the human settle the truth of ``atom`` when reality has mask ``truth``?
+def _observable(dom: DomainModel, bit: int, truth: int) -> bool:
+    """Can the human settle the truth of the atom of ``bit`` when reality
+    has mask ``truth``?
 
     An observable predicate's atom is in view when the antecedent of some
     knowledge rule whose target names it holds, with the observer bound to
-    the human; the instances are those of every such rule, in rule order.
+    the human; the instances are those of every such rule, in rule order,
+    ground once per bit for the life of ``dom.table``.
     """
-    instances = dom.table.get(atom)
+    instances = dom.table.get(bit)
     if instances is None:
+        (atom,) = atoms_of(bit)
         sols: list[tuple] = []
         decl = dom.predicate(atom.pred)
         if decl is not None and decl.observable:
@@ -151,7 +164,7 @@ def _observable(dom: DomainModel, atom: Literal, truth: int) -> bool:
                 if binding is not None:
                     binding[OBSERVER] = "H"
                     sols += dom.instances(rule.antecedent, binding)
-        instances = dom.table[atom] = _compiled(sols)
+        instances = dom.table[bit] = _compiled(sols)
     return _holds(instances, truth)
 
 
@@ -161,15 +174,9 @@ def _observable(dom: DomainModel, atom: Literal, truth: int) -> bool:
 
 def initial_state(dom: DomainModel, prob: ProblemInstance) -> EpistemicState:
     """Single-world start: truthful, with the human's stated divergences."""
-    hb = prob.initial_bel_h
-    w = World(
-        bel_r=prob.ground_truth,
-        bel_h=hb,
-        bel_rh=hb,
-        tn_r=(prob.root_task_r,),
-        tn_h=(prob.root_task_h,),
-        tn_rh=(prob.root_task_r,),
-    )
+    h = prob.initial_mask_h
+    w = world_from(None, prob.ground_truth.mask, h, h, (prob.root_task_r,),
+                   (prob.root_task_h,), (prob.root_task_r,), 0)
     return EpistemicState.make([w], w, actor="H", budget=prob.k)
 
 
@@ -203,7 +210,7 @@ def build_epistemic_action(dom: DomainModel, s: EpistemicState,
         key = ("anticipate", w._key, allow)
         anticipated = dom.memo.get(key)
         if anticipated is None:
-            refs = feasible_refinements(dom, w.tn_rh, w.bel_rh) if allow else ()
+            refs = feasible_refinements(dom, w.tn_rh, w.mask_rh) if allow else ()
             anticipated = [Event(r.first_primitive, w.wid, False, r.remainder)
                            for r in refs]
             anticipated.append(Event(None, w.wid, False, w.tn_rh))
@@ -222,52 +229,28 @@ def _same_act(a: GroundAction | None, b: GroundAction | None) -> bool:
     return a.name == b.name and a.args == b.args
 
 
-def _apply_robot_event(dom: DomainModel, w: World, e: Event) -> World:
-    if e.action is None:
-        return w
-    act = e.action
-    add, drop = act.add, act.drop
-    bel_rh = w.bel_rh.apply_masks(add, drop)
-    bel_h = w.bel_h.apply_masks(add, drop)
-    if e.designated:
-        bel_r = w.bel_r.apply_masks(add, drop)
-        tn_r = e.remainder
-        tn_rh = advance(dom, w.tn_rh, act, w.bel_rh)
-    else:
-        # Hypothetical course: its ground truth is the human's projection.
-        bel_r = bel_rh
-        tn_r = e.remainder
-        tn_rh = e.remainder
-    acted = w.acted + 1
-    return World(bel_r, bel_h, bel_rh, tn_r, w.tn_h, tn_rh, acted)
-
-
-def _apply_human_event(w: World, e: Event) -> World:
-    if e.action is None:
-        return w
-    add, drop = e.action.add, e.action.drop
-    return World(
-        w.bel_r.apply_masks(add, drop),
-        w.bel_h.apply_masks(add, drop),
-        w.bel_rh.apply_masks(add, drop),
-        w.tn_r, e.remainder, w.tn_rh, w.acted,
-    )
-
-
 def _successor(dom: DomainModel, w: World, e: Event, actor: str,
                mark: bool) -> World | None:
     """The world ``e`` makes of ``w`` (marked distinguishable if ``mark``),
     or None when its action is inapplicable there."""
     act = e.action
-    if act is not None:
-        mask = (w.bel_h if actor == "H" else w.bel_r if e.designated else w.bel_rh).mask
-        if mask & act.need != act.need or mask & act.forbid:
-            return None
-    child = _apply_human_event(w, e) if actor == "H" else _apply_robot_event(dom, w, e)
-    if mark:
-        return World(child.bel_r, child.bel_h, child.bel_rh, child.tn_r, child.tn_h,
-                     child.tn_rh, child.acted, True)
-    return child
+    if act is None:
+        return world_from(w, w.mask_r, w.mask_h, w.mask_rh, w.tn_r, w.tn_h, w.tn_rh,
+                          w.acted, True) if mark else w
+    mask = w.mask_h if actor == "H" else w.mask_r if e.designated else w.mask_rh
+    if mask & act.need != act.need or mask & act.forbid:
+        return None
+    keep, add = ~act.drop, act.add
+    mask_h, mask_rh = (w.mask_h & keep) | add, (w.mask_rh & keep) | add
+    if actor == "H":
+        return world_from(w, (w.mask_r & keep) | add, mask_h, mask_rh,
+                          w.tn_r, e.remainder, w.tn_rh, w.acted)
+    if e.designated:
+        return world_from(w, (w.mask_r & keep) | add, mask_h, mask_rh, e.remainder, w.tn_h,
+                          advance(dom, w.tn_rh, act, w.mask_rh), w.acted + 1)
+    # Hypothetical course: its ground truth is the human's projection.
+    return world_from(w, mask_rh, mask_h, mask_rh, e.remainder, w.tn_h, e.remainder,
+                      w.acted + 1, mark)
 
 
 def product_update(dom: DomainModel, s: EpistemicState,
@@ -282,7 +265,7 @@ def product_update(dom: DomainModel, s: EpistemicState,
     by_wid = {w.wid: w for w in s.worlds}
     d_event = a.designated_event
     d_source = by_wid[d_event.source]
-    co = _copresent(dom, d_source, a.copresence)
+    co = _copresent(dom, d_source.mask_r, a.copresence)
 
     budget = s.budget
     if a.actor == "R" and d_event.action is not None and not co:
@@ -329,7 +312,7 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
     restores the robot's action budget.
     """
     d = s.designated_world
-    truth = d.bel_r.mask
+    truth = d.mask_r
     # Whether an atom is observable depends only on the atom and reality, so
     # each atom is judged once per truth mask for the whole call.  ``seen``
     # holds the atoms judged so far and those found in view.
@@ -337,30 +320,26 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
     seen = dom.memo.get(key)
     if seen is None:
         seen = dom.memo[key] = [0, 0]
-    co_present = _copresent(dom, d, dom.copresence)
+    co_present = _copresent(dom, truth, dom.copresence)
 
     def visible(mask: int) -> int:
         judged, in_view = seen
         fresh = mask & ~judged
         if fresh:
-            for atom in atoms_of(fresh):
-                if _observable(dom, atom, truth):
-                    in_view |= atom_bit(atom)
             seen[0] = judged | fresh
+            while fresh:
+                bit = fresh & -fresh
+                if _observable(dom, bit, truth):
+                    in_view |= bit
+                fresh ^= bit
             seen[1] = in_view
         return mask & in_view
 
     survivors: list[World] = []
     removed: list[tuple[World, int]] = []
     for w in s.worlds:
-        if w is d:
-            survivors.append(w)
-            continue
-        if w.distinguishable:
-            removed.append((w, 0))
-            continue
-        clash = visible(truth ^ w.bel_rh.mask)
-        if clash:
+        clash = 0 if w is d or w.distinguishable else visible(truth ^ w.mask_rh)
+        if w is not d and (clash or w.distinguishable):
             removed.append((w, clash))
         else:
             survivors.append(w)
@@ -382,11 +361,11 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
         key = ("fold", w._key, truth)
         child = dom.memo.get(key)
         if child is None:
-            shown = visible(truth | w.bel_h.mask | w.bel_rh.mask)
-            bel_h = BeliefBase.from_mask((w.bel_h.mask & ~shown) | (truth & shown))
-            bel_rh = BeliefBase.from_mask((w.bel_rh.mask & ~shown) | (truth & shown))
-            child = dom.memo[key] = World(w.bel_r, bel_h, bel_rh, w.tn_r, w.tn_h,
-                                          w.tn_rh, 0 if co_present else w.acted)
+            shown = visible(truth | w.mask_h | w.mask_rh)
+            told = truth & shown
+            child = dom.memo[key] = world_from(
+                w, w.mask_r, (w.mask_h & ~shown) | told, (w.mask_rh & ~shown) | told,
+                w.tn_r, w.tn_h, w.tn_rh, 0 if co_present else w.acted)
         folded.append(child)
         if w is d:
             designated_out = child

@@ -7,9 +7,11 @@ inside a base: a fact an agent is unsure of appears with different values
 across the worlds of an :class:`EpistemicState`.
 
 Bases, worlds and states are identified by packed ints: each ground atom is
-interned to one bit, a base is the mask of its atoms, and a world's key is a
-tuple of ints built once.  Readable text (``describe``, ``canonical``) is
-built only where it leaves the process.
+interned to one bit, a base is the mask of its atoms, a world holds its three
+bases as masks, and its key is a tuple of ints built once, reusing the ids of
+the agendas it keeps from the world it was built from.  Readable text
+(``describe``, ``canonical``, the ``bel_*`` views) is built only where it
+leaves the process.
 """
 
 from __future__ import annotations
@@ -103,6 +105,12 @@ def atom_bit(atom: Literal) -> int:
     return bit
 
 
+def known_bit(atom: Literal) -> int:
+    """The bit of a positive atom, or 0 for one never interned, which is in
+    no base: a test or a removal that interns nothing."""
+    return _BIT.get(atom, 0)
+
+
 def atoms_of(mask: int) -> list[Literal]:
     """The atoms of a mask, in bit order."""
     out = []
@@ -184,6 +192,7 @@ class BeliefBase(Frozen):
     stored as the bitmask of its interned atoms."""
 
     __slots__ = ("mask",)
+    _compared = __slots__
     mask: int
 
     def __init__(self, atoms: Iterable[Literal] = frozenset()) -> None:
@@ -198,12 +207,6 @@ class BeliefBase(Frozen):
         _set_mask(b, mask)
         return b
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BeliefBase) and other.mask == self.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
     @property
     def atoms(self) -> frozenset[Literal]:
         return frozenset(atoms_of(self.mask))
@@ -214,17 +217,6 @@ class BeliefBase(Frozen):
             _require_ground(l)  # a ground atom never interned is in no base
             return not l.positive
         return bool(self.mask & bit) == l.positive
-
-    def apply_masks(self, add: int, drop: int) -> "BeliefBase":
-        """The base with the atoms of ``drop`` removed, then those of ``add``."""
-        return BeliefBase.from_mask((self.mask & ~drop) | add)
-
-    def assign(self, atom: Literal, value: bool) -> "BeliefBase":
-        """Force one atom to a definite value (used by communication and SA)."""
-        if value:
-            return BeliefBase.from_mask(self.mask | atom_bit(atom.atom))
-        bit = _BIT.get(atom.atom, 0)  # an atom never interned is in no base
-        return BeliefBase.from_mask(self.mask & ~bit)
 
     def canonical(self) -> tuple[str, ...]:
         return tuple(sorted(str(a) for a in atoms_of(self.mask)))
@@ -315,20 +307,20 @@ def _agenda_id(tn: TaskNetwork) -> int:
 class World(Frozen):
     """One hypothetical course of the task.
 
-    ``bel_r`` is the ground truth of this hypothesis, ``bel_h`` the human's
-    beliefs in it, and ``bel_rh`` the human's model of the robot's beliefs.
-    ``acted`` counts the ontic robot actions applied in this world since the
-    agents last shared a place; it bounds how far the anticipated robot may
-    run ahead.  ``distinguishable`` marks a world the human told apart from
-    the designated one while watching the robot act; situation assessment
-    removes such worlds.  Worlds are equal when their keys are.
+    The masks of three bases: ``mask_r`` the ground truth of this hypothesis,
+    ``mask_h`` the human's beliefs in it, ``mask_rh`` the human's model of the
+    robot's.  ``acted`` counts the ontic robot actions applied in this world
+    since the agents last shared a place; it bounds how far the anticipated
+    robot may run ahead.  ``distinguishable`` marks a world the human told
+    apart from the designated one while watching the robot act; situation
+    assessment removes such worlds.  Worlds are equal when their keys are.
     """
 
-    __slots__ = ("bel_r", "bel_h", "bel_rh", "tn_r", "tn_h", "tn_rh", "acted",
+    __slots__ = ("mask_r", "mask_h", "mask_rh", "tn_r", "tn_h", "tn_rh", "acted",
                  "distinguishable", "_key")
-    bel_r: BeliefBase
-    bel_h: BeliefBase
-    bel_rh: BeliefBase
+    mask_r: int
+    mask_h: int
+    mask_rh: int
     tn_r: TaskNetwork
     tn_h: TaskNetwork
     tn_rh: TaskNetwork
@@ -336,20 +328,11 @@ class World(Frozen):
     distinguishable: bool
     _key: tuple
 
-    def __init__(self, bel_r: BeliefBase, bel_h: BeliefBase, bel_rh: BeliefBase,
-                 tn_r: TaskNetwork = (), tn_h: TaskNetwork = (), tn_rh: TaskNetwork = (),
-                 acted: int = 0, distinguishable: bool = False) -> None:
-        _w_bel_r(self, bel_r)
-        _w_bel_h(self, bel_h)
-        _w_bel_rh(self, bel_rh)
-        _w_tn_r(self, tn_r)
-        _w_tn_h(self, tn_h)
-        _w_tn_rh(self, tn_rh)
-        _w_acted(self, acted)
-        _w_distinguishable(self, distinguishable)
-        _w_key(self, (bel_r.mask, bel_h.mask, bel_rh.mask,
-                      _agenda_id(tn_r), _agenda_id(tn_h), _agenda_id(tn_rh),
-                      acted, distinguishable))
+    def __new__(cls, bel_r: BeliefBase, bel_h: BeliefBase, bel_rh: BeliefBase,
+                tn_r: TaskNetwork = (), tn_h: TaskNetwork = (), tn_rh: TaskNetwork = (),
+                acted: int = 0, distinguishable: bool = False) -> "World":
+        return world_from(None, bel_r.mask, bel_h.mask, bel_rh.mask,
+                          tn_r, tn_h, tn_rh, acted, distinguishable)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, World) and other._key == self._key
@@ -364,6 +347,11 @@ class World(Frozen):
     @property
     def wid(self) -> tuple:
         return self._key
+
+    # Views of the masks as bases, for text that leaves the process.
+    bel_r = property(lambda self: BeliefBase.from_mask(self.mask_r))
+    bel_h = property(lambda self: BeliefBase.from_mask(self.mask_h))
+    bel_rh = property(lambda self: BeliefBase.from_mask(self.mask_rh))
 
     def describe(self) -> str:
         """The world's content as readable text, the same in every process."""
@@ -381,8 +369,34 @@ class World(Frozen):
         return ";".join(parts)
 
 
-(_w_bel_r, _w_bel_h, _w_bel_rh, _w_tn_r, _w_tn_h, _w_tn_rh, _w_acted,
+(_w_mask_r, _w_mask_h, _w_mask_rh, _w_tn_r, _w_tn_h, _w_tn_rh, _w_acted,
  _w_distinguishable, _w_key) = slot_setters(World)
+
+
+def world_from(source: World | None, mask_r: int, mask_h: int, mask_rh: int,
+               tn_r: TaskNetwork, tn_h: TaskNetwork, tn_rh: TaskNetwork,
+               acted: int, distinguishable: bool = False) -> World:
+    """The world with these masks and agendas, built from ``source`` (None
+    for a first world): an agenda passed through from ``source`` unchanged,
+    the same object, keeps its interned id, and only a new one is interned."""
+    if source is None:
+        id_r, id_h, id_rh = _agenda_id(tn_r), _agenda_id(tn_h), _agenda_id(tn_rh)
+    else:
+        key = source._key
+        id_r = key[3] if tn_r is source.tn_r else _agenda_id(tn_r)
+        id_h = key[4] if tn_h is source.tn_h else _agenda_id(tn_h)
+        id_rh = key[5] if tn_rh is source.tn_rh else _agenda_id(tn_rh)
+    w = _new(World)
+    _w_mask_r(w, mask_r)
+    _w_mask_h(w, mask_h)
+    _w_mask_rh(w, mask_rh)
+    _w_tn_r(w, tn_r)
+    _w_tn_h(w, tn_h)
+    _w_tn_rh(w, tn_rh)
+    _w_acted(w, acted)
+    _w_distinguishable(w, distinguishable)
+    _w_key(w, (mask_r, mask_h, mask_rh, id_r, id_h, id_rh, acted, distinguishable))
+    return w
 
 
 class EpistemicState(Frozen):
@@ -458,7 +472,6 @@ class EpistemicState(Frozen):
         d = next(i for i, (_, is_d) in enumerate(texts) if is_d)
         pend = ",".join(str(p) for p in self.pending)
         return f"{body}@d={d};actor={self.actor};k={self.budget};pending=[{pend}]"
-
 
 
 _s_worlds, _s_designated, _s_actor, _s_budget, _s_pending = slot_setters(EpistemicState)

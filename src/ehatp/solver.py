@@ -42,7 +42,7 @@ from .kernel import (
     trace_enabled,
     with_call_memo,
 )
-from .model import EhatpError, EpistemicState, Literal, World, atoms_of
+from .model import EhatpError, EpistemicState, Literal, atoms_of, known_bit, world_from
 
 UNKNOWN = "UNKNOWN"
 DONE = "DONE"
@@ -79,9 +79,9 @@ def evaluate_state(dom: DomainModel, s: EpistemicState) -> str:
     """DONE iff, in every world, all three agendas can reach empty without
     another action; otherwise DEAD (meaning: not finished as it stands)."""
     for w in s.worlds:
-        if not (effectively_decomposed(dom, w.tn_r, w.bel_r)
-                and effectively_decomposed(dom, w.tn_h, w.bel_h)
-                and effectively_decomposed(dom, w.tn_rh, w.bel_rh)):
+        if not (effectively_decomposed(dom, w.tn_r, w.mask_r)
+                and effectively_decomposed(dom, w.tn_h, w.mask_h)
+                and effectively_decomposed(dom, w.tn_rh, w.mask_rh)):
             return DEAD
     return DONE
 
@@ -103,20 +103,19 @@ def synthesize_communication(dom: DomainModel, s: EpistemicState, p: Literal,
     would change nothing: the search asks only about facts some world
     disagrees on, so that is a broken invariant, not an option to skip.
     """
-    atom = p if p.positive else p.negate()
-    d = s.designated_world
-    truth = d.bel_r.entails(atom)
+    atom = p.atom
+    bit = known_bit(atom)
+    truth = s.designated_world.mask_r & bit  # the bit, or 0 when false
 
     changed = False
     rebuilt = []
     designated_out = None
     for i, w in enumerate(s.worlds):
-        disagree_rh = w.bel_rh.entails(atom) != truth
-        disagree_h = w.bel_h.entails(atom) != truth
-        changed = changed or disagree_rh or disagree_h
-        child = World(w.bel_r, w.bel_h.assign(atom, truth), w.bel_rh.assign(atom, truth),
-                      w.tn_r, w.tn_h, w.tn_rh, w.acted,
-                      w.distinguishable or (i != s.designated and disagree_rh))
+        disagree_rh = (w.mask_rh & bit) != truth
+        changed = changed or disagree_rh or (w.mask_h & bit) != truth
+        child = world_from(w, w.mask_r, (w.mask_h & ~bit) | truth, (w.mask_rh & ~bit) | truth,
+                           w.tn_r, w.tn_h, w.tn_rh, w.acted,
+                           w.distinguishable or (i != s.designated and disagree_rh))
         rebuilt.append(child)
         if i == s.designated:
             designated_out = child
@@ -135,7 +134,7 @@ def _uniform_human_refinements(dom: DomainModel,
                                s: EpistemicState) -> list[Refinement]:
     """Refinements of the human agenda that exist in every world, in the
     designated world's order."""
-    per_world = [{r.key(): r for r in feasible_refinements(dom, w.tn_h, w.bel_h)}
+    per_world = [{r.key(): r for r in feasible_refinements(dom, w.tn_h, w.mask_h)}
                  for w in s.worlds]
     common = set(per_world[s.designated])
     for m in per_world:
@@ -147,19 +146,18 @@ def _blocked_atoms(dom: DomainModel, s: EpistemicState) -> set[Literal]:
     """Facts the worlds disagree on among the preconditions the human would
     have to trust for its actually-available refinements."""
     d = s.designated_world
-    atoms: set[Literal] = set()
-    for ref in feasible_refinements(dom, d.tn_h, d.bel_h):
-        for atom in atoms_of(ref.pres):
-            if len({w.bel_h.entails(atom) for w in s.worlds}) > 1:
-                atoms.add(atom)
-    return atoms
+    split = 0  # where some world's human beliefs differ from the designated's
+    for w in s.worlds:
+        split |= w.mask_h ^ d.mask_h
+    return {a for ref in feasible_refinements(dom, d.tn_h, d.mask_h)
+            for a in atoms_of(ref.pres & split)}
 
 
 def _inform_candidates(dom: DomainModel, s: EpistemicState) -> list[Literal]:
     d = s.designated_world
     atoms: set[Literal] = set()
     for w in s.worlds:
-        diff = alignment_diff(dom, d.bel_r, d.tn_r, w.bel_rh, w.tn_rh)
+        diff = alignment_diff(dom, d.mask_r, d.tn_r, w.mask_rh, w.tn_rh)
         if diff is not None:
             atoms.update(l.atom for l in diff)
     atoms |= _blocked_atoms(dom, s)
@@ -220,7 +218,7 @@ def offers(dom: DomainModel, prob: ProblemInstance, s: EpistemicState) -> list[O
                 options = [(f"inform-{atom}", partial(_told, s=s, p=atom, k=k))
                            for atom in _inform_candidates(dom, s)]
             d = s.designated_world
-            ontic = (feasible_refinements(dom, d.tn_r, d.bel_r)
+            ontic = (feasible_refinements(dom, d.tn_r, d.mask_r)
                      if co or s.budget > 0 else [])
             options += [(str(ref.first_primitive), partial(_step, s=s, choice=ref, k=k))
                         for ref in ontic]

@@ -12,8 +12,11 @@ from ehatp.model import (
     Literal,
     MalformedLiteralError,
     World,
+    atom_bit,
     atoms_of,
+    effect_masks,
     is_variable,
+    known_bit,
     unify,
 )
 from ehatp.solver import Policy, PolicyNode
@@ -43,6 +46,22 @@ def lit(text: str, *args: str, positive: bool = True) -> Literal:
 def base_of(*literals: Literal) -> BeliefBase:
     """A belief base holding ``literals``: ``base_of(lit("p"), lit("q"))``."""
     return BeliefBase(literals)
+
+
+def applied(base: BeliefBase, adds: Iterable[Literal], dels: Iterable[Literal]) -> BeliefBase:
+    """``base`` after effects with these add and delete literals, as product
+    update applies an action's masks to a world's: drop, then add."""
+    add, drop = effect_masks(adds, dels)
+    return BeliefBase.from_mask((base.mask & ~drop) | add)
+
+
+def assigned(base: BeliefBase, atom: Literal, value: bool) -> BeliefBase:
+    """``base`` with ``atom`` forced to ``value``, as a speech act or the
+    human's initial divergences force one on a mask: set through
+    ``atom_bit``, cleared through ``known_bit``, which interns nothing."""
+    if value:
+        return BeliefBase.from_mask(base.mask | atom_bit(atom))
+    return BeliefBase.from_mask(base.mask & ~known_bit(atom))
 
 
 def cold(dom: DomainModel) -> DomainModel:

@@ -403,6 +403,41 @@ def test_stepper_follows_the_plan(p2_policy, monkeypatch, capsys):
     assert dom.memo == {}  # the run kept its work in its own call memo
 
 
+GOLDEN_P2 = Path(__file__).resolve().parents[1] / "planbench" / "golden" / "p2.policy.json"
+
+
+def _golden_p2_with(tmp_path, edits: dict) -> str:
+    """A copy of the golden p2 policy file with ``edits`` (node index ->
+    fields to set) applied, as a path."""
+    doc = json.loads(GOLDEN_P2.read_text(encoding="utf-8"))
+    for i, fields in edits.items():
+        doc["nodes"][i].update(fields)
+    path = tmp_path / "p2.policy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_stepper_stops_at_a_node_that_misstates_the_stepped_state(tmp_path, monkeypatch,
+                                                                  capsys):
+    nodes = json.loads(GOLDEN_P2.read_text(encoding="utf-8"))["nodes"]
+    flipped = {i: {"copresent": not nodes[i]["copresent"]} for i in (0, 1)}
+    root = nodes[0]
+    other = "R" if root["actor"] == "H" else "H"
+    swapped = {0: {"actor": other, "kind": "OR" if other == "R" else "AND"}}
+    for edits, field, recorded, replayed in (
+            (flipped, "copresent", not root["copresent"], root["copresent"]),
+            (swapped, "actor", other, root["actor"])):
+        _feed(monkeypatch, [""] * 20)
+        path = _golden_p2_with(tmp_path, edits)
+        assert main(["simulate", "-P", path, "--interactive"]) == 2, field
+        got = capsys.readouterr()
+        assert f"node 0 records {field} {recorded!r}, the replay {replayed!r}" in got.err
+        assert "finished" not in got.out
+    _feed(monkeypatch, [""] * 20)
+    assert main(["simulate", "-P", _golden_p2_with(tmp_path, {}), "--interactive"]) == 0
+    assert "finished: DONE" in capsys.readouterr().out
+
+
 def test_stepper_lets_the_human_wait_for_the_answer(monkeypatch, capsys):
     # Build a policy that routes through the branch where the robot stands
     # by at the reunion and the blocked human may ask or wait; choosing

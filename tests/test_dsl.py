@@ -10,7 +10,7 @@ from ehatp.dsl import (
     parse_problem,
     validate,
 )
-from ehatp.model import Literal
+from ehatp.model import BeliefBase, Literal
 from helpers import lit, pretty_print_domain, pretty_print_problem
 
 
@@ -125,7 +125,7 @@ def test_problem_round_trip_parameters(cube):
     assert prob.ground_truth.entails(lit("at(R,mt)"))
     assert prob.ground_truth.entails(lit("at(H,mt)"))
     assert prob.ground_truth.entails(lit("transparent(box_1)"))
-    assert prob.initial_bel_h == prob.ground_truth
+    assert prob.initial_mask_h == prob.ground_truth.mask
 
 
 def test_unknown_object_in_init(cube):
@@ -195,7 +195,7 @@ problem fb {
 }
 """
     prob = parse_problem(text, cube)
-    bel_h = prob.initial_bel_h
+    bel_h = BeliefBase.from_mask(prob.initial_mask_h)
     assert bel_h.entails(lit("inside(c_r,box_1)"))
     assert not bel_h.entails(lit("on(c_r,mt)"))
     assert prob.ground_truth.entails(lit("on(c_r,mt)"))

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from ehatp.cli import main, write_policy_file
+from ehatp.cli import _check_tree, main, read_policy_file, simulate, write_policy_file
 from ehatp.dsl import load_instance, load_shipped
-from ehatp.solver import solve
+from ehatp.kernel import with_call_memo
+from ehatp.solver import DEAD, Policy, solve
 
 GOLDEN = Path(__file__).resolve().parents[1] / "planbench" / "golden"
 EXPECTED = json.loads((GOLDEN / "expected.json").read_text(encoding="utf-8"))["shipped"]
@@ -86,13 +87,32 @@ def _misstatements(node: dict) -> dict:
 
 @pytest.mark.parametrize("name", NAMES)
 def test_simulate_fails_a_node_that_misstates_the_replayed_state(name, tmp_path, capsys):
-    text = (GOLDEN / f"{name}.policy.json").read_text(encoding="utf-8")
+    """Every misstatement of every node fails the replay.  The file is parsed
+    once and every edited copy replays on one call memo, which stays valid:
+    an edit changes no replayed state.  The first edit of each field also
+    goes through ``ehatp simulate`` whole."""
+    path = GOLDEN / f"{name}.policy.json"
+    text = path.read_text(encoding="utf-8")
+    dom, prob, policy = read_policy_file(path)
+    dom = with_call_memo(dom)
     bad = tmp_path / "bad.json"
+    shown = set()
     for i, node in enumerate(json.loads(text)["nodes"]):
         for field, edit in _misstatements(node).items():
+            nodes = list(policy.nodes)
+            nodes[i] = nodes[i]._replace(**edit)
+            _check_tree(nodes)  # the reader accepts the edit
+            report = simulate(dom, prob, Policy(nodes))
+            assert not report.ok, (i, field)
+            assert any(t.outcome == DEAD and f"[node {i} records {field} " in t.describe()
+                       for t in report.traces), (i, field)
+            if field in shown:
+                continue
+            shown.add(field)
             doc = json.loads(text)
             doc["nodes"][i].update(edit)
             bad.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["simulate", "-P", str(bad), "--exhaustive"]) == 2, (i, field)
             out = capsys.readouterr().out
             assert f"[node {i} records {field} " in out, (i, field)
+    assert shown == {"copresent", "actor"}

@@ -31,7 +31,7 @@ from ehatp.dsl import (
     parse_problem,
 )
 from ehatp.htn import effectively_decomposed, feasible_refinements
-from ehatp.model import BeliefBase, Task, World, is_variable
+from ehatp.model import BeliefBase, Task, World, atom_bit, is_variable
 from ehatp.solver import solve
 from helpers import UnboundError, cold, copresent, lit, match, observable
 
@@ -226,7 +226,7 @@ def plain_decomposed(dom, tn, bel):
 
 def compiled_refinements(dom, tn, bel):
     return [(r.first_primitive.name, r.first_primitive.args, r.remainder, r.trace, r.pres)
-            for r in feasible_refinements(dom.with_fresh_memo(), tn, bel)]
+            for r in feasible_refinements(dom.with_fresh_memo(), tn, bel.mask)]
 
 
 def check_graph(dom, worlds, rules):
@@ -242,15 +242,15 @@ def check_graph(dom, worlds, rules):
     for tn, b in queries:
         assert (_answer(compiled_refinements, dom, tn, b)
                 == _answer(plain_refinements, dom, tn, b)), (tn, b)
-        assert (effectively_decomposed(dom.with_fresh_memo(), tn, b)
+        assert (effectively_decomposed(dom.with_fresh_memo(), tn, b.mask)
                 == plain_decomposed(dom, tn, b)), (tn, b)
     atoms = {a for w in worlds for b in (w.bel_r, w.bel_h, w.bel_rh) for a in b}
     realities = {w.bel_r.mask: w for w in worlds}
     for d in realities.values():
         for rule in rules:
-            assert kernel._copresent(dom, d, rule) == copresent(d, rule)
+            assert kernel._copresent(dom, d.mask_r, rule) == copresent(d, rule)
         for a in atoms:
-            assert (_answer(kernel._observable, dom, a, d.bel_r.mask)
+            assert (_answer(kernel._observable, dom, atom_bit(a), d.mask_r)
                     == _answer(observable, dom, a, d)), (a, d.describe())
     return len(queries), len(atoms), len(realities)
 

@@ -14,6 +14,7 @@ import pytest
 
 import ehatp
 from ehatp import kernel, model
+from ehatp.cli import communication_is_load_bearing, read_policy_file, simulate
 from ehatp.dsl import GroundAction, load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.htn import feasible_refinements
 from ehatp.kernel import (
@@ -24,6 +25,7 @@ from ehatp.kernel import (
     product_update,
     situation_assessment,
     state_copresent,
+    with_call_memo,
 )
 from ehatp.model import (
     BeliefBase,
@@ -33,7 +35,7 @@ from ehatp.model import (
     Task,
     World,
 )
-from ehatp.solver import _step, _uniform_human_refinements, expand, solve
+from ehatp.solver import _step, _uniform_human_refinements, expand, offers, solve
 from helpers import cold, copresent, lit, observable
 
 
@@ -91,7 +93,7 @@ def seen(dom, atom, w):
     """The reference's observability of ``atom`` in ``w``, checked against
     the compiled answer on the same reality."""
     want = observable(dom, atom, w)
-    assert kernel._observable(dom, atom, w.bel_r.mask) is want
+    assert kernel._observable(dom, model.atom_bit(atom), w.mask_r) is want
     return want
 
 
@@ -127,7 +129,7 @@ def test_initial_state_shape():
     assert len(s.worlds) == 1
     w = s.designated_world
     assert w.bel_r == prob.ground_truth
-    assert w.bel_h == w.bel_rh == prob.initial_bel_h
+    assert w.mask_h == w.mask_rh == prob.initial_mask_h
     assert w.tn_r == (prob.root_task_r,)
     assert w.tn_h == (prob.root_task_h,)
     assert w.tn_rh == (prob.root_task_r,)
@@ -243,7 +245,7 @@ def test_product_update_noop_advances_turn_only(cube):
 
 def robot_choice(dom, s):
     (ref,) = feasible_refinements(dom, s.designated_world.tn_r,
-                                  s.designated_world.bel_r)
+                                  s.designated_world.mask_r)
     return ref
 
 
@@ -251,7 +253,7 @@ def test_build_after_departure_offers_act_and_noop():
     dom, prob = load_instance("p2")
     s = initial_state(dom, prob)
     move = next(r for r in feasible_refinements(dom, s.designated_world.tn_h,
-                                                s.designated_world.bel_h)
+                                                s.designated_world.mask_h)
                 if r.first_primitive.name == "move")
     act = build_epistemic_action(dom, s, move, prob.k)
     gone = product_update(dom, s, act)
@@ -273,17 +275,17 @@ def test_second_step_yields_four_possibilities():
     dom, prob = load_instance("p2")
     s = initial_state(dom, prob)
     move = next(r for r in feasible_refinements(dom, s.designated_world.tn_h,
-                                                s.designated_world.bel_h)
+                                                s.designated_world.mask_h)
                 if r.first_primitive.name == "move")
     gone = product_update(dom, s, build_epistemic_action(dom, s, move, prob.k))
     s2 = product_update(dom, gone,
                         build_epistemic_action(dom, gone, robot_choice(dom, gone), prob.k))
     scan = next(r for r in feasible_refinements(dom, s2.designated_world.tn_h,
-                                                s2.designated_world.bel_h))
+                                                s2.designated_world.mask_h))
     s3 = product_update(dom, s2, build_epistemic_action(dom, s2, scan, prob.k))
 
     place = next(r for r in feasible_refinements(dom, s3.designated_world.tn_r,
-                                                 s3.designated_world.bel_r)
+                                                 s3.designated_world.mask_r)
                  if r.first_primitive.args[-1] == "box_1")
     s4 = product_update(dom, s3, build_epistemic_action(dom, s3, place, prob.k))
     assert len(s4.worlds) == 4
@@ -299,7 +301,7 @@ def test_anticipation_respects_acted_cap():
     dom, prob = load_instance("p2")
     s = initial_state(dom, prob)
     move = next(r for r in feasible_refinements(dom, s.designated_world.tn_h,
-                                                s.designated_world.bel_h)
+                                                s.designated_world.mask_h)
                 if r.first_primitive.name == "move")
     s = product_update(dom, s, build_epistemic_action(dom, s, move, prob.k))
     sizes = [len(s.worlds)]
@@ -319,7 +321,7 @@ def test_copresent_single_world_single_event(cube):
     s = initial_state(dom, prob)
     s = EpistemicState.make(s.worlds, s.designated_world, actor="R", budget=prob.k)
     gate_free = feasible_refinements(dom, s.designated_world.tn_r,
-                                     s.designated_world.bel_r)
+                                     s.designated_world.mask_r)
     assert gate_free == ()  # H at the table: the robot yields
 
 
@@ -472,7 +474,7 @@ def _choices(dom, s):
     if not state_copresent(dom, s) and s.budget == 0:
         return (None,)
     d = s.designated_world
-    return (*feasible_refinements(dom, d.tn_r, d.bel_r), None)
+    return (*feasible_refinements(dom, d.tn_r, d.mask_r), None)
 
 
 @pytest.mark.parametrize("names", [["p2"], ["p6"], ["cooking3"], ["p1", "p2"]])
@@ -640,3 +642,74 @@ def test_sa_on_one_memo_matches_the_plain_reference(cube):
         assert got.signature() == _plain_assessment(cube, s, 2).signature()
     assert [len(situation_assessment(dom, s, k=2).worlds)
             for s in (opaque, clear)] == [2, 1]
+
+
+# ------------------------------------------------------------- the mask step
+
+GOLDEN = Path(__file__).resolve().parents[1] / "planbench" / "golden"
+GOLDEN_NAMES = sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.policy.json"))
+
+
+def test_solving_and_replaying_the_golden_instances_builds_no_belief_base(monkeypatch):
+    loaded = [read_policy_file(GOLDEN / f"{n}.policy.json") for n in GOLDEN_NAMES]
+    assert len(loaded) == 9
+    built = []
+
+    def count(*args, **kwargs):
+        built.append(args)
+
+    # Parsing builds each problem's truth base; a step builds none.
+    monkeypatch.delenv("EHATP_LOG", raising=False)
+    monkeypatch.setattr(BeliefBase, "__init__", count)
+    monkeypatch.setattr(BeliefBase, "from_mask", classmethod(count))
+    for dom, prob, policy in loaded:
+        res = solve(dom, prob)
+        assert res.policy.node_dicts() == policy.node_dicts(), prob.name
+        assert simulate(dom, prob, policy).ok, prob.name
+        assert communication_is_load_bearing(dom, prob, policy), prob.name
+    assert built == []
+
+
+def _exhaustive(name):
+    dom, prob = load_instance(name)
+    return dom, prob, [n.state for n in solve(dom, prob, exhaust=True).all_nodes]
+
+
+def test_steps_intern_only_the_agendas_they_change(monkeypatch):
+    """A world built from another keeps the interned ids of the agendas it
+    passes through, so assessment and speech acts intern none, and a human
+    step interns only the human's remaining agenda."""
+    dom, prob, states = _exhaustive("p2")
+    interned = []
+    intern = model._agenda_id
+    monkeypatch.setattr(model, "_agenda_id", lambda tn: interned.append(tn) or intern(tn))
+    folded = spoken = 0
+    for s in states:
+        memo = with_call_memo(dom)
+        folded += situation_assessment(memo, s, prob.k) is not s
+        for label, build in offers(memo, prob, s):
+            if label.startswith(("inform-", "ask-")):
+                build(memo)
+                spoken += 1
+        assert interned == [], s.describe()
+    assert folded and spoken
+
+    human = [s for s in states if s.actor == "H"]
+    for s in human:
+        for ref in _uniform_human_refinements(dom, s):
+            product_update(dom.with_fresh_memo(), s,
+                           build_epistemic_action(dom, s, ref, prob.k))
+            assert interned and all(tn is ref.remainder for tn in interned), ref
+            interned.clear()
+
+
+def test_the_copresence_memo_agrees_with_the_rule_on_every_state():
+    dom, prob, states = _exhaustive("p2")
+    memo = with_call_memo(dom)
+    want = {s.designated_world.mask_r: copresent(s.designated_world, dom.copresence)
+            for s in states}
+    assert set(want.values()) == {True, False}
+    for s in states + states:  # the second pass reads the memo
+        assert state_copresent(memo, s) == want[s.designated_world.mask_r]
+    assert memo.memo[kernel._COPRESENT] == want
+    assert kernel._COPRESENT not in dom.table and dom.copresence in dom.table

@@ -11,10 +11,11 @@ from ehatp.model import (
     MalformedLiteralError,
     Task,
     World,
-    effect_masks,
+    known_bit,
     unify,
+    world_from,
 )
-from helpers import agent_place, base_of, lit
+from helpers import agent_place, applied, assigned, base_of, lit
 
 
 def test_entails_membership():
@@ -52,50 +53,50 @@ def test_updates_reject_non_ground_atoms():
     base = base_of(lit("on", "c_r", "mt"))
     free = lit("on", "C", "mt")
     with pytest.raises(MalformedLiteralError):
-        base.apply_masks(*effect_masks([free], []))
+        applied(base, [free], [])
     with pytest.raises(MalformedLiteralError):
-        base.apply_masks(*effect_masks([], [free]))
+        applied(base, [], [free])
     with pytest.raises(MalformedLiteralError):
-        base.assign(free, True)
+        assigned(base, free, True)
 
 
 def test_apply_effects_pick_semantics():
     base = base_of(lit("on", "c_r", "mt"))
-    out = base.apply_masks(*effect_masks([lit("holding", "R", "c_r")], [lit("on", "c_r", "mt")]))
+    out = applied(base, [lit("holding", "R", "c_r")], [lit("on", "c_r", "mt")])
     assert out == base_of(lit("holding", "R", "c_r"))
 
 
 def test_apply_effects_identity():
     base = base_of(lit("p"))
-    assert base.apply_masks(*effect_masks([], [])) == base
+    assert applied(base, [], []) == base
 
 
 def test_apply_effects_place_semantics():
     base = base_of(lit("holding", "R", "c_y"))
-    out = base.apply_masks(*effect_masks(
-        [lit("inside", "c_y", "box_1")], [lit("holding", "R", "c_y")]
-    ))
+    out = applied(base, [lit("inside", "c_y", "box_1")], [lit("holding", "R", "c_y")])
     assert out == base_of(lit("inside", "c_y", "box_1"))
 
 
 def test_apply_effects_conflict():
     # The parser rejects such an action; the masks still drop, then add.
-    assert BeliefBase().apply_masks(*effect_masks([lit("p")], [lit("p")])) == base_of(lit("p"))
+    assert applied(BeliefBase(), [lit("p")], [lit("p")]) == base_of(lit("p"))
     base = base_of(lit("on", "c_r", "mt"), lit("holding", "R", "c_y"))
     on = lit("on", "c_r", "mt")
-    assert base.apply_masks(*effect_masks([on], [on, lit("holding", "R", "c_y")])) == base_of(on)
+    assert applied(base, [on], [on, lit("holding", "R", "c_y")]) == base_of(on)
 
 
 def test_apply_effects_idempotent_when_subsumed():
     base = base_of(lit("p"), lit("q"))
-    out = base.apply_masks(*effect_masks([lit("p")], [lit("r")]))
+    out = applied(base, [lit("p")], [lit("r")])
     assert out == base
 
 
 def test_assign():
     base = base_of(lit("p"))
-    assert base.assign(lit("q"), True) == base_of(lit("p"), lit("q"))
-    assert base.assign(lit("p"), False) == BeliefBase()
+    assert assigned(base, lit("q"), True) == base_of(lit("p"), lit("q"))
+    assert assigned(base, lit("p"), False) == BeliefBase()
+    never = lit("never_assigned")
+    assert assigned(base, never, False) == base and known_bit(never) == 0
 
 
 def test_state_dedup_merges_identical_worlds():
@@ -147,6 +148,30 @@ def test_world_key_includes_networks_and_acted():
     w2 = World(bel_r=base, bel_h=base, bel_rh=base, tn_r=())
     w3 = World(bel_r=base, bel_h=base, bel_rh=base, tn_r=(Task("go"),), acted=1)
     assert len({w1.key(), w2.key(), w3.key()}) == 3
+
+
+def test_a_world_built_from_masks_is_the_world_built_from_bases():
+    p, q = base_of(lit("p")), base_of(lit("q"))
+    go = (Task("go"),)
+    worlds = [World(p, q, p, go, (), go, 1), World(q, q, p, (), go, (), 0, True),
+              World(p, p, p), World(q, p, q, go, go, go, 2)]
+    source = World(q, q, q, go, go, go)
+    again = []
+    for w in worlds:
+        # From no source, from one sharing some agenda objects, and with
+        # equal agendas that are other objects.
+        for src, tns in ((None, (w.tn_r, w.tn_h, w.tn_rh)), (source, (w.tn_r, w.tn_h, w.tn_rh)),
+                         (w, tuple(tuple(list(tn)) for tn in (w.tn_r, w.tn_h, w.tn_rh)))):
+            v = world_from(src, w.mask_r, w.mask_h, w.mask_rh, *tns, w.acted,
+                           w.distinguishable)
+            assert v == w and v.key() == w.key() and hash(v) == hash(w) and v is not w
+        again.append(world_from(None, w.mask_r, w.mask_h, w.mask_rh, w.tn_r, w.tn_h,
+                                w.tn_rh, w.acted, w.distinguishable))
+    for d in range(len(worlds)):
+        built = EpistemicState.make(worlds, worlds[d], actor="R", budget=1)
+        from_masks = EpistemicState.make(again[::-1], again[d], actor="R", budget=1)
+        assert [w.key() for w in from_masks.worlds] == [w.key() for w in built.worlds]
+        assert from_masks == built and from_masks.designated == built.designated
 
 
 # -- the value types built once per search step -------------------------------
@@ -241,8 +266,8 @@ def test_make_single_world_and_sorted_pending_match_the_general_path():
 def test_value_types_print_their_fields():
     p = base_of(lit("p"))
     w = World(p, BeliefBase(), p, tn_r=(Task("go"),))
-    assert repr(w) == ("World(bel_r=BeliefBase({p}), bel_h=BeliefBase({}), "
-                       "bel_rh=BeliefBase({p}), tn_r=(Task(name='go', args=()),), "
+    assert repr(w) == (f"World(mask_r={p.mask}, mask_h=0, mask_rh={p.mask}, "
+                       "tn_r=(Task(name='go', args=()),), "
                        "tn_h=(), tn_rh=(), acted=0, distinguishable=False)")
     s = EpistemicState.make([w], w, actor="H", budget=2)
     assert repr(s) == f"EpistemicState(worlds=({w!r},), designated=0, actor='H', budget=2, pending=())"

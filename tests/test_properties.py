@@ -41,7 +41,6 @@ from ehatp.model import (
     Task,
     World,
     atoms_of,
-    effect_masks,
     is_variable,
 )
 from ehatp.solver import (
@@ -51,7 +50,15 @@ from ehatp.solver import (
     SearchNode,
     propagate_revised_status,
 )
-from helpers import base_of, copresent, lit, observable, pretty_print_domain
+from helpers import (
+    applied,
+    assigned,
+    base_of,
+    copresent,
+    lit,
+    observable,
+    pretty_print_domain,
+)
 
 CUBE = parse_domain(load_shipped("cube_org"))
 CUBES = ("c_r", "c_y", "c_w")
@@ -214,9 +221,9 @@ def test_assessment_matches_a_plain_reference(s, k):
 @given(cube_states(), st.integers(1, 3), st.booleans())
 def test_product_pairs_account_for_every_world(s, k, act):
     d = s.designated_world
-    refs = (feasible_refinements(CUBE, d.tn_r, d.bel_r)
+    refs = (feasible_refinements(CUBE, d.tn_r, d.mask_r)
             if s.actor == "R"
-            else feasible_refinements(CUBE, d.tn_h, d.bel_h))
+            else feasible_refinements(CUBE, d.tn_h, d.mask_h))
     choice = refs[0] if (act and refs) else None
     # The search never offers a hidden robot action with no budget left.
     assume(not (s.actor == "R" and choice is not None
@@ -243,12 +250,9 @@ def test_product_pairs_account_for_every_world(s, k, act):
             if not all((l.atom in atoms) == l.positive for l in e.action.pre):
                 continue
         pairs += 1
-        child = (kernel._apply_human_event(w, e) if a.actor == "H"
-                 else kernel._apply_robot_event(CUBE, w, e))
-        if (co and a.actor == "R" and not e.designated
-                and not kernel._same_act(e.action, d_event.action)):
-            child = World(child.bel_r, child.bel_h, child.bel_rh, child.tn_r,
-                          child.tn_h, child.tn_rh, child.acted, True)
+        mark = (co and a.actor == "R" and not e.designated
+                and not kernel._same_act(e.action, d_event.action))
+        child = kernel._successor(CUBE, w, e, a.actor, mark)
         outcomes.add(child.key())
         r, h, rh = w.bel_r.atoms, w.bel_h.atoms, w.bel_rh.atoms
         if e.action is not None:
@@ -294,7 +298,7 @@ def test_hidden_work_growth_is_budget_bounded(start):
     m = 1
     for _ in range(k + 2):
         for w in s.worlds:
-            m = max(m, 1 + len(feasible_refinements(CUBE, w.tn_rh, w.bel_rh)))
+            m = max(m, 1 + len(feasible_refinements(CUBE, w.tn_rh, w.mask_rh)))
         a = build_epistemic_action(CUBE, s, None, k)
         s = situation_assessment(CUBE, product_update(CUBE, s, a), k)
         assert len(s.worlds) <= sum(m ** i for i in range(k + 1))
@@ -369,13 +373,15 @@ def test_status_propagation_matches_fixpoint(graph):
 
 
 def _transfer(base: BeliefBase, literals) -> BeliefBase:
+    """``base`` with each literal's atom forced to the literal's polarity."""
+    atoms = set(base.atoms)
     for l in literals:
-        base = base.assign(l.atom, l.positive)
-    return base
+        (atoms.add if l.positive else atoms.discard)(l.atom)
+    return BeliefBase(atoms)
 
 
 def _relevant_atoms(bel: BeliefBase, tn) -> set[Literal]:
-    return {p.atom for r in feasible_refinements(CUBE, tn, bel)
+    return {p.atom for r in feasible_refinements(CUBE, tn, bel.mask)
             for p in r.first_primitive.pre}
 
 
@@ -396,7 +402,7 @@ def divergent_views(draw):
     cands = rel if (rel and draw(st.integers(0, 4))) else extra
     bel_rh = bel_r
     for a in draw(st.sets(st.sampled_from(cands), min_size=1, max_size=3)):
-        bel_rh = bel_rh.assign(a, not bel_rh.entails(a))
+        bel_rh = _transfer(bel_rh, [a.negate() if bel_rh.entails(a) else a])
     return bel_r, tn, bel_rh, tn_rh
 
 
@@ -404,20 +410,20 @@ def divergent_views(draw):
 @given(divergent_views())
 def test_alignment_patch_is_minimal(view):
     bel_r, tn, bel_rh, tn_rh = view
-    diff = alignment_diff(CUBE, bel_r, tn, bel_rh, tn_rh)
+    diff = alignment_diff(CUBE, bel_r.mask, tn, bel_rh.mask, tn_rh)
     assume(diff is not None)
     if not diff:
         # An empty patch must mean the views already induce the same options.
-        assert (_first_primitive_set(CUBE, tn_rh, bel_rh)
-                == _first_primitive_set(CUBE, tn, bel_r))
+        assert (_first_primitive_set(CUBE, tn_rh, bel_rh.mask)
+                == _first_primitive_set(CUBE, tn, bel_r.mask))
         return
-    assert alignment_diff(CUBE, bel_r, tn, _transfer(bel_rh, diff),
+    assert alignment_diff(CUBE, bel_r.mask, tn, _transfer(bel_rh, diff).mask,
                           tn_rh) == frozenset()
     if len(diff) <= 3:  # the subset search is exhaustive in this range
         for take in range(1, len(diff)):
             for subset in combinations(sorted(diff, key=str), take):
                 assert alignment_diff(
-                    CUBE, bel_r, tn, _transfer(bel_rh, subset),
+                    CUBE, bel_r.mask, tn, _transfer(bel_rh, subset).mask,
                     tn_rh) != frozenset()
 
 
@@ -619,10 +625,9 @@ def test_packed_bases_match_a_frozenset_reference(a, b, adds, dels, asked, value
     assert set(atoms_of(x.mask ^ y.mask)) == a ^ b
     for q in asked:
         assert _outcome(x.entails, q) == _outcome(_ref_entails, a, q)
-        assert _outcome(x.assign, q, value) == _outcome(_ref_assign, a, q, value)
-    assert (_outcome(lambda ad, de: x.apply_masks(*effect_masks(ad, de)),
-                     adds, dels)
-            == _outcome(_ref_apply, a, adds, dels))
+        assert (_outcome(lambda: assigned(x, q.atom, value))
+                == _outcome(_ref_assign, a, q, value))
+    assert _outcome(applied, x, adds, dels) == _outcome(_ref_apply, a, adds, dels)
 
 
 # -- memoized HTN queries against fresh, uncached calls --------------------------
@@ -637,6 +642,6 @@ MEMO_CUBE = CUBE.with_fresh_memo()
 def test_memoized_htn_queries_match_fresh_calls(lay, h_at, wrapped, transparent, tn):
     bel = cube_truth(lay, "mt", h_at, wrapped, frozenset(), transparent)
     for fn in (feasible_refinements, effectively_decomposed):
-        fresh = fn(CUBE.with_fresh_memo(), tn, bel)
-        assert fn(MEMO_CUBE, tn, bel) == fresh
-        assert fn(MEMO_CUBE, tn, bel) == fresh  # a memo hit
+        fresh = fn(CUBE.with_fresh_memo(), tn, bel.mask)
+        assert fn(MEMO_CUBE, tn, bel.mask) == fresh
+        assert fn(MEMO_CUBE, tn, bel.mask) == fresh  # a memo hit

@@ -531,7 +531,7 @@ def test_every_offered_human_action_is_feasible_in_every_world(name):
                 continue
             for w in n.state.worlds:
                 assert label in {str(r.first_primitive)
-                                 for r in feasible_refinements(dom, w.tn_h, w.bel_h)}, name
+                                 for r in feasible_refinements(dom, w.tn_h, w.mask_h)}, name
             checked += 1
     assert checked, name
 
