@@ -176,8 +176,8 @@ class DomainModel(Frozen):
     # tuple of literals), and the nearest foreign action of a root task
     # (``_foreign_action``, four fields), so no two keys compare equal.  They
     # depend on the declarations alone, so every model with equal
-    # declarations shares one table from ``_TABLES``: each parse and each
-    # ``with_fresh_memo`` copy.
+    # declarations shares one table from ``_TABLES`` while it is kept there:
+    # each parse and each ``with_fresh_memo`` copy.
     table: dict
     # Both HTN answers for each (agenda, mask) (see ``htn._answers``), the
     # atoms situation assessment has judged, the kernel's world transitions
@@ -207,7 +207,11 @@ class DomainModel(Frozen):
         type_of.update({p: "place" for p in places} | {a: "agent" for a in AGENTS})
         of_type = {t: tuple(n for n, k in type_of.items() if k == t)
                    for t in set(type_of.values())}
-        self._fill(*declarations, _TABLES.setdefault(declarations, {}), {},
+        table = _TABLES.pop(declarations, None)  # moved to the recent end
+        if table is None and len(_TABLES) >= TABLES_KEPT:
+            del _TABLES[next(iter(_TABLES))]
+        _TABLES[declarations] = table = {} if table is None else table
+        self._fill(*declarations, table, {},
                    {} if declared_at is None else declared_at,
                    {p.name: p for p in predicates}, {a.name: a for a in actions},
                    by_task, type_of, of_type)
@@ -270,9 +274,10 @@ class DomainModel(Frozen):
         return self._types.get(name)
 
 
-# The table of each distinct set of declarations, kept for the life of the
-# process like the atom numbering its masks are built on (``model.atom_bit``).
-# The key is the declarations, not a model, so no memo is kept alive.
+# The tables of the `TABLES_KEPT` most recently parsed sets of declarations,
+# least recent first.  The key is the declarations, not a model, so no memo
+# is kept alive, and a model keeps its own table once it is dropped here.
+TABLES_KEPT = 16
 _TABLES: dict[tuple, dict] = {}
 
 

@@ -67,11 +67,11 @@ class Event(Frozen):
 
     __slots__ = ("action", "source", "designated", "remainder")
     action: GroundAction | None
-    source: tuple  # wid of the source world
+    source: World
     designated: bool
     remainder: TaskNetwork
 
-    def __init__(self, action: GroundAction | None, source: tuple, designated: bool,
+    def __init__(self, action: GroundAction | None, source: World, designated: bool,
                  remainder: TaskNetwork = ()) -> None:
         _e_action(self, action)
         _e_source(self, source)
@@ -193,27 +193,27 @@ def build_epistemic_action(dom: DomainModel, s: EpistemicState,
     if s.actor == "H":
         for i, w in enumerate(s.worlds):
             if choice is None:
-                events.append(Event(None, w.wid, i == s.designated, w.tn_h))
+                events.append(Event(None, w, i == s.designated, w.tn_h))
             else:
-                events.append(Event(choice.first_primitive, w.wid,
+                events.append(Event(choice.first_primitive, w,
                                     i == s.designated, choice.remainder))
         return EpistemicAction(tuple(events), dom.copresence, "H")
 
     d = s.designated_world
     if choice is None:
-        events.append(Event(None, d.wid, True, d.tn_r))
+        events.append(Event(None, d, True, d.tn_r))
     else:
-        events.append(Event(choice.first_primitive, d.wid, True, choice.remainder))
+        events.append(Event(choice.first_primitive, d, True, choice.remainder))
     co = state_copresent(dom, s)
     for w in s.worlds:
         allow = co or w.acted < k
-        key = ("anticipate", w._key, allow)
+        key = ("anticipate", w, allow)
         anticipated = dom.memo.get(key)
         if anticipated is None:
             refs = feasible_refinements(dom, w.tn_rh, w.mask_rh) if allow else ()
-            anticipated = [Event(r.first_primitive, w.wid, False, r.remainder)
+            anticipated = [Event(r.first_primitive, w, False, r.remainder)
                            for r in refs]
-            anticipated.append(Event(None, w.wid, False, w.tn_rh))
+            anticipated.append(Event(None, w, False, w.tn_rh))
             anticipated = dom.memo[key] = tuple(anticipated)
         events.extend(anticipated)
     return EpistemicAction(tuple(events), dom.copresence, "R")
@@ -262,10 +262,8 @@ def product_update(dom: DomainModel, s: EpistemicState,
     removal at the next assessment.  A hidden ontic robot action spends one
     unit of budget; the search offers such a step only with budget left.
     """
-    by_wid = {w.wid: w for w in s.worlds}
     d_event = a.designated_event
-    d_source = by_wid[d_event.source]
-    co = _copresent(dom, d_source.mask_r, a.copresence)
+    co = _copresent(dom, d_event.source.mask_r, a.copresence)
 
     budget = s.budget
     if a.actor == "R" and d_event.action is not None and not co:
@@ -278,7 +276,7 @@ def product_update(dom: DomainModel, s: EpistemicState,
     new_designated: World | None = None
     for e in a.events:
         if e.designated:
-            child = new_designated = _successor(dom, by_wid[e.source], e, a.actor, False)
+            child = new_designated = _successor(dom, e.source, e, a.actor, False)
         else:
             mark = a.actor == "R" and co and not _same_act(e.action, d_event.action)
             if a.actor == "R":
@@ -288,8 +286,7 @@ def product_update(dom: DomainModel, s: EpistemicState,
                 key = ("human", e.source, act, e.remainder)
             child = dom.memo.get(key, _MISS)
             if child is _MISS:
-                child = dom.memo[key] = _successor(dom, by_wid[e.source], e,
-                                                   a.actor, mark)
+                child = dom.memo[key] = _successor(dom, e.source, e, a.actor, mark)
             if child is None:
                 continue
         successors.append(child)
@@ -358,7 +355,7 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
     folded: list[World] = []
     designated_out: World | None = None
     for w in survivors:
-        key = ("fold", w._key, truth)
+        key = ("fold", w, truth)
         child = dom.memo.get(key)
         if child is None:
             shown = visible(truth | w.mask_h | w.mask_rh)

@@ -6,17 +6,20 @@ answers negative queries by closed-world absence.  Uncertainty is never stored
 inside a base: a fact an agent is unsure of appears with different values
 across the worlds of an :class:`EpistemicState`.
 
-Bases, worlds and states are identified by packed ints: each ground atom is
-interned to one bit, a base is the mask of its atoms, a world holds its three
-bases as masks, and its key is a tuple of ints built once, reusing the ids of
-the agendas it keeps from the world it was built from.  Readable text
-(``describe``, ``canonical``, the ``bel_*`` views) is built only where it
+Bases and worlds are identified by packed ints: each ground atom is interned
+to one bit, a base is the mask of its atoms, a world holds its three bases as
+masks, and its key is a tuple of ints built once, reusing the ids of the
+agendas it keeps from the world it was built from.  Worlds are hash-consed on
+that key, weakly: a live world is the one object with its content.  Readable
+text (``describe``, ``canonical``, the ``bel_*`` views) is built only where it
 leaves the process.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple
+from weakref import KeyedRef
 
 AGENTS = ("R", "H")
 
@@ -182,9 +185,9 @@ class Frozen:
 
 
 def slot_setters(cls: type) -> tuple:
-    """The ``__set__`` of each of ``cls``'s own slots, in ``__slots__`` order:
-    a constructor fills a slot with one call, past ``Frozen``'s guard."""
-    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+    """The ``__set__`` of each of ``cls``'s own slots but ``__weakref__``, in
+    order: a constructor fills a slot with one call, past ``Frozen``'s guard."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__ if name != "__weakref__")
 
 
 class BeliefBase(Frozen):
@@ -313,11 +316,13 @@ class World(Frozen):
     since the agents last shared a place; it bounds how far the anticipated
     robot may run ahead.  ``distinguishable`` marks a world the human told
     apart from the designated one while watching the robot act; situation
-    assessment removes such worlds.  Worlds are equal when their keys are.
+    assessment removes such worlds.  `world_from` returns the live world
+    with equal content, so worlds compare and hash by identity (the object
+    defaults); they order by key.
     """
 
     __slots__ = ("mask_r", "mask_h", "mask_rh", "tn_r", "tn_h", "tn_rh", "acted",
-                 "distinguishable", "_key")
+                 "distinguishable", "_key", "__weakref__")
     mask_r: int
     mask_h: int
     mask_rh: int
@@ -334,19 +339,16 @@ class World(Frozen):
         return world_from(None, bel_r.mask, bel_h.mask, bel_rh.mask,
                           tn_r, tn_h, tn_rh, acted, distinguishable)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, World) and other._key == self._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+    def __lt__(self, other: "World") -> bool:
+        return self._key < other._key
 
     def key(self) -> tuple:
-        """The world's content as ints: equal keys, equal worlds."""
+        """The world's content as ints: equal keys, one world."""
         return self._key
 
     @property
-    def wid(self) -> tuple:
-        return self._key
+    def wid(self) -> "World":  # the world is its own identity
+        return self
 
     # Views of the masks as bases, for text that leaves the process.
     bel_r = property(lambda self: BeliefBase.from_mask(self.mask_r))
@@ -373,19 +375,35 @@ class World(Frozen):
  _w_distinguishable, _w_key) = slot_setters(World)
 
 
+_WORLDS: dict[tuple, KeyedRef] = {}  # the live world of each key, weakly
+
+
+def _forget(ref: KeyedRef, table: dict = _WORLDS) -> None:
+    """Drop a dead world's entry, not a newer world's (``table`` is bound
+    here: module globals may be gone at shutdown)."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
 def world_from(source: World | None, mask_r: int, mask_h: int, mask_rh: int,
                tn_r: TaskNetwork, tn_h: TaskNetwork, tn_rh: TaskNetwork,
                acted: int, distinguishable: bool = False) -> World:
     """The world with these masks and agendas, built from ``source`` (None
     for a first world): an agenda passed through from ``source`` unchanged,
-    the same object, keeps its interned id, and only a new one is interned."""
+    the same object, keeps its interned id, and only a new one is interned.
+    A live world with this content is returned as it is."""
     if source is None:
         id_r, id_h, id_rh = _agenda_id(tn_r), _agenda_id(tn_h), _agenda_id(tn_rh)
     else:
-        key = source._key
-        id_r = key[3] if tn_r is source.tn_r else _agenda_id(tn_r)
-        id_h = key[4] if tn_h is source.tn_h else _agenda_id(tn_h)
-        id_rh = key[5] if tn_rh is source.tn_rh else _agenda_id(tn_rh)
+        ids = source._key
+        id_r = ids[3] if tn_r is source.tn_r else _agenda_id(tn_r)
+        id_h = ids[4] if tn_h is source.tn_h else _agenda_id(tn_h)
+        id_rh = ids[5] if tn_rh is source.tn_rh else _agenda_id(tn_rh)
+    key = (mask_r, mask_h, mask_rh, id_r, id_h, id_rh, acted, distinguishable)
+    ref = _WORLDS.get(key)
+    w = ref and ref()
+    if w is not None:
+        return w
     w = _new(World)
     _w_mask_r(w, mask_r)
     _w_mask_h(w, mask_h)
@@ -395,7 +413,8 @@ def world_from(source: World | None, mask_r: int, mask_h: int, mask_rh: int,
     _w_tn_rh(w, tn_rh)
     _w_acted(w, acted)
     _w_distinguishable(w, distinguishable)
-    _w_key(w, (mask_r, mask_h, mask_rh, id_r, id_h, id_rh, acted, distinguishable))
+    _w_key(w, key)
+    _WORLDS[key] = KeyedRef(w, _forget, key)
     return w
 
 
@@ -432,18 +451,15 @@ class EpistemicState(Frozen):
         budget: int,
         pending: tuple[Literal, ...] = (),
     ) -> "EpistemicState":
-        """Canonicalize: deduplicate worlds by key, keeping ``designated``
-        for its own key, and sort them by key."""
-        dkey = designated._key
-        by_key = {dkey: designated}
-        for w in worlds:
-            by_key.setdefault(w._key, w)
-        if len(by_key) == 1:
+        """Canonicalize: deduplicate worlds (by identity, which is by
+        content) and sort them by key, not by the order or address given."""
+        unique = set(worlds)
+        unique.add(designated)
+        if len(unique) == 1:
             ordered, index = (designated,), 0
         else:
-            keys = sorted(by_key)
-            ordered = tuple([by_key[k] for k in keys])
-            index = keys.index(dkey)
+            ordered = tuple(sorted(unique, key=_by_key))
+            index = ordered.index(designated)
         return cls(ordered, index, actor, budget,
                    tuple(sorted(pending, key=str)) if pending else ())
 
@@ -458,9 +474,10 @@ class EpistemicState(Frozen):
         return self.worlds[self.designated]
 
     def signature(self) -> tuple:
-        """The state's identity within this process, usable as a dict key."""
-        return (tuple(w._key for w in self.worlds), self.designated,
-                self.actor, self.budget, self.pending)
+        """The state's identity among live states, usable as a dict key.  It
+        holds the worlds themselves, alive as long as the key, so a state
+        rebuilt meanwhile has the same signature."""
+        return (self.worlds, self.designated, self.actor, self.budget, self.pending)
 
     def describe(self) -> str:
         """The state's identity as readable text, the same in every process:
@@ -475,3 +492,4 @@ class EpistemicState(Frozen):
 
 
 _s_worlds, _s_designated, _s_actor, _s_budget, _s_pending = slot_setters(EpistemicState)
+_by_key = attrgetter("_key")

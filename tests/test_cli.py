@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehatp import cli
 from ehatp.cli import (
@@ -335,6 +338,92 @@ def test_simulate_reports_a_deeply_nested_policy_file_in_one_line(tmp_path, text
     assert run.returncode == 1
     assert run.stderr.startswith("error: cannot load policy: ")
     assert run.stderr.count("\n") == 1 and "Traceback" not in run.stderr
+
+
+# -- fuzzed policy files ---------------------------------------------------
+
+GOLDEN_P2 = Path(__file__).resolve().parents[1] / "planbench" / "golden" / "p2.policy.json"
+P2_TEXT = GOLDEN_P2.read_text(encoding="utf-8")
+P2_NODES = json.loads(P2_TEXT)["nodes"]
+NODE_FIELDS = ("id", "kind", "actor", "edge", "copresent", "children")
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, len(P2_NODES) + 1), st.just({}),
+    st.sampled_from(["", "R", "H", "OR", "AND", "LEAF", "noop", "wait", "x",
+                     "inform-clear(box_1)", "ask-inside(c_y,box_1)"]),
+    st.lists(st.integers(-1, len(P2_NODES)), max_size=3))
+SPLICE = st.text(st.sampled_from(list('{}[]",:0123456789 \n-_etnaslr') + ["é"]), max_size=6)
+HOW = ("set field", "drop field", "drop node", "copy node", "swap nodes", "top level",
+       "source text", "file text", "file bytes")
+
+
+def _splice(draw, text):
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + draw(SPLICE) + text[at + draw(st.integers(0, 6)):]
+
+
+@st.composite
+def mutated_p2(draw):
+    """The bytes of the golden p2 policy file after one edit: of a node, of
+    the node list, of a top-level field, of the embedded sources, or of the
+    file's text or bytes."""
+    how = draw(st.sampled_from(HOW))
+    doc = json.loads(P2_TEXT)
+    nodes = doc["nodes"]
+    pick = st.integers(0, len(nodes) - 1)
+    if how == "set field":
+        nodes[draw(pick)][draw(st.sampled_from(NODE_FIELDS + ("extra",)))] = draw(JSON_VALUES)
+    elif how == "drop field":
+        del nodes[draw(pick)][draw(st.sampled_from(NODE_FIELDS))]
+    elif how == "drop node":
+        del nodes[draw(pick)]
+    elif how == "copy node":
+        nodes.insert(draw(pick), json.loads(json.dumps(nodes[draw(pick)])))
+    elif how == "swap nodes":
+        i, j = draw(pick), draw(pick)
+        nodes[i], nodes[j] = nodes[j], nodes[i]
+    elif how == "top level":
+        doc[draw(st.sampled_from(("domain", "problem", "nodes", "extra")))] = draw(JSON_VALUES)
+    elif how == "source text":
+        field = draw(st.sampled_from(("domain", "problem")))
+        doc[field] = _splice(draw, doc[field])
+    text = P2_TEXT if how.startswith("file") else json.dumps(doc, indent=2)
+    if how == "file text":
+        text = _splice(draw, text)
+    data = text.encode("utf-8")
+    if how == "file bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+def _simulate(path: Path) -> tuple[int, str]:
+    """``ehatp simulate --exhaustive`` on ``path`` in this process: the exit
+    code and what went to standard error.  An exception escapes."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["simulate", "-P", str(path), "--exhaustive"])
+    return code, err.getvalue()
+
+
+def test_simulate_accepts_the_golden_file_unmutated():
+    assert _simulate(GOLDEN_P2) == (0, "")
+
+
+def _canonical(nodes) -> str:
+    return json.dumps(nodes, sort_keys=True)  # tells ``true`` from ``1``
+
+
+@settings(max_examples=300)
+@given(data=mutated_p2())
+def test_simulate_survives_a_mutated_policy_file(tmp_path_factory, data):
+    """No traceback, a documented exit code, and success only for a file
+    whose nodes are the golden ones (its sources may differ)."""
+    path = tmp_path_factory.getbasetemp() / "mutated.policy.json"
+    path.write_bytes(data)
+    code, err = _simulate(path)
+    assert code in (0, 1, 2) and "Traceback" not in err
+    if code == 0:
+        assert _canonical(json.loads(data)["nodes"]) == _canonical(P2_NODES)
 
 
 # -- exhaustive replay -----------------------------------------------------

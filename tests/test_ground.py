@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from ehatp import kernel
+from ehatp import dsl, kernel
 from ehatp.cli import write_policy_file
 from ehatp.dsl import (
     _DECLARATIONS,
@@ -308,6 +308,21 @@ def test_equal_declarations_share_one_table():
     assert dom.with_fresh_memo().table is dom.table
     more = declarations | {"objects": dom.objects + (("c_x", "cube"),)}
     assert DomainModel(**more).table is not dom.table
+
+
+def test_the_shared_tables_are_bounded_and_still_shared():
+    for i in range(1000):
+        parse_domain(f"domain generated{i} {{\n  place a\n  predicate p(place) inferable\n}}\n")
+    assert len(dsl._TABLES) <= dsl.TABLES_KEPT
+    # The most recent sets are the ones kept, and a live model keeps its own.
+    text = load_shipped("cube_org")
+    dom = parse_domain(text)
+    parse_domain(HAND)
+    assert parse_domain(text).table is dom.table
+    for i in range(dsl.TABLES_KEPT):
+        parse_domain(f"domain generated{i} {{\n  place a\n}}\n")
+    assert all(table is not dom.table for table in dsl._TABLES.values())
+    assert dom.with_fresh_memo().table is dom.table and parse_domain(text) == dom
 
 
 def test_a_table_warmed_by_other_problems_solves_as_a_cold_one(tmp_path):

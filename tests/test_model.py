@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from ehatp import model
 from ehatp.dsl import DomainModel, ProblemInstance, load_instance, load_shipped, parse_domain
 from ehatp.htn import Refinement
 from ehatp.kernel import EpistemicAction, Event
@@ -15,6 +18,7 @@ from ehatp.model import (
     unify,
     world_from,
 )
+from ehatp.solver import solve
 from helpers import agent_place, applied, assigned, base_of, lit
 
 
@@ -164,7 +168,7 @@ def test_a_world_built_from_masks_is_the_world_built_from_bases():
                          (w, tuple(tuple(list(tn)) for tn in (w.tn_r, w.tn_h, w.tn_rh)))):
             v = world_from(src, w.mask_r, w.mask_h, w.mask_rh, *tns, w.acted,
                            w.distinguishable)
-            assert v == w and v.key() == w.key() and hash(v) == hash(w) and v is not w
+            assert v is w and v.key() == w.key()
         again.append(world_from(None, w.mask_r, w.mask_h, w.mask_rh, w.tn_r, w.tn_h,
                                 w.tn_rh, w.acted, w.distinguishable))
     for d in range(len(worlds)):
@@ -172,6 +176,48 @@ def test_a_world_built_from_masks_is_the_world_built_from_bases():
         from_masks = EpistemicState.make(again[::-1], again[d], actor="R", budget=1)
         assert [w.key() for w in from_masks.worlds] == [w.key() for w in built.worlds]
         assert from_masks == built and from_masks.designated == built.designated
+
+
+# -- hash-consed worlds ---------------------------------------------------------
+
+
+def test_a_live_world_is_the_one_world_with_its_content():
+    p, q = base_of(lit("p")), base_of(lit("q"))
+    go = (Task("go"),)
+    w = World(p, q, p, go, (), go, 1)
+    # The public constructor, and `world_from` from no source or another one,
+    # with equal content in other objects.
+    assert World(base_of(lit("p")), q, p, (Task("go"),), (), (Task("go"),), 1) is w
+    assert world_from(None, w.mask_r, w.mask_h, w.mask_rh, go, (), go, 1) is w
+    assert world_from(World(q, q, q), w.mask_r, w.mask_h, w.mask_rh, go, (), go, 1) is w
+    assert w.wid is w and Event(None, w.wid, True).source is w
+    # Other content gives other worlds, and worlds order by key.
+    others = [World(p, q, p, go, (), go, 2), World(p, q, p, go, (), go, 1, True),
+              World(q, q, p, go, (), go, 1), World(p, q, p, (), (), go, 1)]
+    assert all(v is not w and v != w for v in others)
+    assert sorted(others + [w]) == sorted(others + [w], key=World.key)
+
+
+def test_a_dead_world_leaves_the_intern_table():
+    p = base_of(lit("p"))
+    w = World(p, p, p, acted=7)
+    key = w.key()
+    assert model._WORLDS[key]() is w
+    del w
+    gc.collect()
+    assert key not in model._WORLDS
+    assert World(p, p, p, acted=7).key() == key
+
+
+def test_no_world_outlives_the_solve_that_built_it():
+    dom, prob = load_instance("p6")
+    gc.collect()
+    before = set(model._WORLDS)  # worlds other tests keep alive
+    res = solve(dom, prob)
+    assert res.policy is not None and set(model._WORLDS) - before
+    del res
+    gc.collect()
+    assert set(model._WORLDS) <= before
 
 
 # -- the value types built once per search step -------------------------------
@@ -207,8 +253,10 @@ def test_no_field_of_a_value_type_can_be_assigned_or_deleted(i):
 
 def test_equal_content_gives_equal_values_and_hashes():
     (p, p2), (w, w2), (s, s2), (e, e2), (a, a2), (r, r2) = _values()
-    for x, y in ((p, p2), (w, w2), (s, s2), (r, r2)):
+    for x, y in ((p, p2), (s, s2), (r, r2)):
         assert x is not y and x == y and hash(x) == hash(y)
+    # a world with the content of a live one is that world
+    assert w is w2
     assert World(p, BeliefBase(), p, tn_r=(Task("go"),), acted=1,
                  distinguishable=True) != w
     assert EpistemicState.make([w], w, actor="R", budget=2) != s
@@ -271,7 +319,8 @@ def test_value_types_print_their_fields():
                        "tn_h=(), tn_rh=(), acted=0, distinguishable=False)")
     s = EpistemicState.make([w], w, actor="H", budget=2)
     assert repr(s) == f"EpistemicState(worlds=({w!r},), designated=0, actor='H', budget=2, pending=())"
-    assert repr(Event(None, w.wid, True)).startswith("Event(action=None, source=(")
+    assert repr(Event(None, w.wid, True)) == (f"Event(action=None, source={w!r}, "
+                                              "designated=True, remainder=())")
     assert repr(Refinement(PICK, (), ())).startswith("Refinement(first_primitive=")
 
 

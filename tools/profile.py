@@ -16,12 +16,21 @@ seconds and cumulative share of that total; and the `TOP` functions by self
 time, with their share.  cProfile charges a cost to every Python call, so
 the shares lean towards call-heavy code; time a change with ``planbench``
 or ``tools/ab.py``, not with this table.
+
+Before profiling, one more round runs with every call memo captured as
+``kernel.with_call_memo`` makes it, and with the table of live interned
+worlds (``model._WORLDS``) read after each world is built.  Printed: the
+memo entries per key kind, summed over the round and in the largest memo,
+and the most worlds alive at once in one call.  The collector runs before
+each call, so no call's worlds are counted in the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -39,6 +48,11 @@ import tracer  # noqa: E402  (planbench/tracer.py, on the path ab.py set)
 WARMUP = 3
 ROUNDS = 5
 TOP = 15
+# Memo key kinds in the order a step meets them; any other kind is listed
+# after these.  A key that is a tuple starting with a string is of that
+# kind; the others are successors, keyed ``(event, mark)`` or ``("human",
+# ...)``.  ``copresent`` counts the truth masks in its own dict.
+KINDS = ("htn", "anticipate", "successor", "seen", "fold", "offer", "copresent")
 
 
 def _code_key(prog, module: str, path: str) -> tuple | None:
@@ -54,6 +68,70 @@ def _code_key(prog, module: str, path: str) -> tuple | None:
 def _where(key: tuple) -> str:
     filename, line, name = key
     return f"{Path(filename).name}:{line}({name})" if line else name
+
+
+def _kind(key) -> str | None:
+    if isinstance(key, str):
+        return key if key == "copresent" else None  # the other is the log flag
+    head = key[0]
+    return head if isinstance(head, str) and head != "human" else "successor"
+
+
+def _swapped(prog, fn, wrapper) -> list:
+    """Put ``wrapper`` in place of ``fn`` in every module of ``prog`` that
+    holds it; returns what undoes that."""
+    undo = []
+    for mod in prog.modules.values():
+        for attr, value in list(vars(mod).items()):
+            if value is fn:
+                setattr(mod, attr, wrapper)
+                undo.append((mod, attr, fn))
+    return undo
+
+
+def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str]:
+    """One round of ``items`` with each call memo captured: each memo's
+    entries by key kind, the most interned worlds alive at once in one
+    call, and that call's input."""
+    memos: list[dict] = []
+    table = prog.model._WORLDS
+    live = [0]
+    with_call_memo, world_from = prog.kernel.with_call_memo, prog.model.world_from
+
+    def capturing(dom):
+        out = with_call_memo(dom)
+        if out is not dom:
+            memos.append(out.memo)
+        return out
+
+    def counting(*args):
+        w = world_from(*args)
+        live[0] = max(live[0], len(table))
+        return w
+
+    undo = _swapped(prog, with_call_memo, capturing) + _swapped(prog, world_from, counting)
+    sizes: list[Counter] = []
+    peak, where = 0, ""
+    try:
+        for item in items:
+            gc.collect()
+            live[0] = len(table)
+            wl.call(prog, item)
+            if live[0] > peak:
+                peak, where = live[0], item.key
+            # Counted and dropped now: a memo kept would keep its worlds.
+            for memo in memos:
+                kinds = Counter()
+                for key, value in memo.items():
+                    kind = _kind(key)
+                    if kind is not None:
+                        kinds[kind] += len(value) if kind == "copresent" else 1
+                sizes.append(kinds)
+            memos.clear()
+    finally:
+        for mod, attr, fn in undo:
+            setattr(mod, attr, fn)
+    return sizes, peak, where
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -75,6 +153,15 @@ def main(argv: list[str] | None = None) -> int:
     if failures:
         print("wrong outputs:", *failures, sep="\n  ", file=sys.stderr)
         return 1
+
+    per_memo, peak, where = cache_sizes(prog, wl, items)
+    kinds = list(KINDS) + sorted({k for c in per_memo for k in c} - set(KINDS))
+    print(f"{args.workload}: {len(per_memo)} call memos in one round of {len(items)} inputs; "
+          f"at most {peak} interned worlds alive at once ({where})")
+    print(f"  {'memo key kind':<36} {'entries':>8} {'largest':>8}")
+    for kind in kinds:
+        counts = [c[kind] for c in per_memo] or [0]
+        print(f"  {kind:<36} {sum(counts):>8} {max(counts):>8}")
 
     profiler = cProfile.Profile()
     profiler.enable()
