@@ -99,7 +99,8 @@ class ActionSchema(NamedTuple):
 class GroundAction(Frozen):
     """An action schema with its parameters bound to ``args``, one for each:
     the parser checks the arity of every subtask and root task.  Equal,
-    hashed and shown by its first six fields, never by the masks.
+    hashed and shown by its first six fields, never by the masks or
+    the text.
 
     Its masks are built here, preconditions first, so every atom they name
     is interned before any base can hold it: a mask pair stays valid for
@@ -108,7 +109,7 @@ class GroundAction(Frozen):
     """
 
     __slots__ = ("name", "args", "actor", "pre", "adds", "dels",
-                 "need", "forbid", "add", "drop")
+                 "need", "forbid", "add", "drop", "text")
     _compared = __slots__[:6]
     name: str
     args: tuple[str, ...]
@@ -124,6 +125,9 @@ class GroundAction(Frozen):
     forbid: int
     add: int
     drop: int
+    # ``name(arg,...)``, or the bare name: the offer label, the sort key of
+    # refinements and ``str()``, written once here
+    text: str
 
     def __init__(self, schema: ActionSchema, args: tuple[str, ...]) -> None:
         binding = {p.name: a for p, a in zip(schema.params, args)}
@@ -136,11 +140,12 @@ class GroundAction(Frozen):
                 forbid |= atom_bit(l.atom)
         adds = tuple(l.substitute(binding) for l in schema.adds)
         dels = tuple(l.substitute(binding) for l in schema.dels)
+        text = schema.name if not args else f"{schema.name}({','.join(args)})"
         self._fill(schema.name, args, schema.actor, pre, adds, dels,
-                   need, forbid, *effect_masks(adds, dels))
+                   need, forbid, *effect_masks(adds, dels), text)
 
     def __str__(self) -> str:
-        return self.name if not self.args else f"{self.name}({','.join(self.args)})"
+        return self.text
 
 
 class MethodSchema(NamedTuple):
@@ -171,19 +176,24 @@ class DomainModel(Frozen):
                                  "_methods", "_types", "_of_type")
     _compared = _DECLARATIONS
     # Ground instances built on first use (``htn._ground``,
-    # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task`` (two
-    # fields), an atom (a ``Literal``, three fields) or a co-presence rule (a
-    # tuple of literals), and the nearest foreign action of a root task
-    # (``_foreign_action``, four fields), so no two keys compare equal.  They
-    # depend on the declarations alone, so every model with equal
+    # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task`` (a
+    # name and a tuple of names), an atom's bit (an int) or a co-presence
+    # rule (a tuple of literals); each ground task's relevance
+    # (``htn.relevant``), keyed ``("relevant", task)``: two fields like a
+    # ``Task``, but the second is a ``Task``, which holds a tuple, not a
+    # name; and the nearest foreign action of a root task
+    # (``_foreign_action``, four fields).  So no two keys compare equal.
+    # They depend on the declarations alone, so every model with equal
     # declarations shares one table from ``_TABLES`` while it is kept there:
     # each parse and each ``with_fresh_memo`` copy.
     table: dict
-    # Both HTN answers for each (agenda, mask) (see ``htn._answers``), the
-    # atoms situation assessment has judged, the kernel's world transitions
-    # and the ``EHATP_LOG`` flag.  One search, replay or stepper run works on
-    # its own copy (``kernel.with_call_memo``), so the memo lives as long as
-    # that call.
+    # The HTN's answer record for each (agenda, mask), under the exact mask
+    # and under its projection onto the agenda's relevant atoms, both
+    # ``("htn", agenda, mask)`` (see ``htn.answers``); state evaluation's
+    # verdict per world, ``("done", world)``; the atoms situation assessment
+    # has judged; the kernel's world transitions; and the ``EHATP_LOG``
+    # flag.  One search, replay or stepper run works on its own copy
+    # (``kernel.with_call_memo``), so the memo lives as long as that call.
     memo: dict
     # (line, column) of each observable predicate's name, by ``("predicate",
     # name)``, and of the ``copresent`` keyword, by ``("copresent", "")``:

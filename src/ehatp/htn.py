@@ -12,6 +12,7 @@ along the way.
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .dsl import DomainModel, GroundAction
 from .model import Frozen, Literal, Task, TaskNetwork, atoms_of, known_bit, slot_setters
@@ -50,6 +51,19 @@ class Refinement(Frozen):
 _r_first_primitive, _r_remainder, _r_trace, _r_pres = slot_setters(Refinement)
 
 
+class Answer(NamedTuple):
+    """Everything one walk learns about an agenda under a base, in the forms
+    its callers read: the refinements, whether the agenda can reach empty,
+    the refinements' keys, their first primitives as ``(name, args)``, and
+    the union of their ``pres``."""
+
+    refinements: tuple[Refinement, ...]
+    done: bool
+    keys: frozenset[tuple]
+    firsts: frozenset[tuple[str, tuple[str, ...]]]
+    pres: int
+
+
 def feasible_refinements(dom: DomainModel, tn: TaskNetwork,
                          mask: int) -> tuple[Refinement, ...]:
     """Every way to decompose ``tn`` down to an applicable first action.
@@ -59,13 +73,13 @@ def feasible_refinements(dom: DomainModel, tn: TaskNetwork,
     Every action it reaches belongs to that one owner: the parser rejects a
     root task that decomposes to the other agent's action.
     """
-    return _answers(dom, tuple(tn), mask)[0]
+    return answers(dom, tuple(tn), mask).refinements
 
 
 def effectively_decomposed(dom: DomainModel, tn: TaskNetwork, mask: int) -> bool:
     """True iff the agenda can reach empty through zero-primitive methods:
     nothing is left that would require its owner to act under ``mask``."""
-    return _answers(dom, tuple(tn), mask)[1]
+    return answers(dom, tuple(tn), mask).done
 
 
 def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
@@ -94,20 +108,89 @@ def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
     return entry
 
 
-def _answers(dom: DomainModel, tn: TaskNetwork,
-             mask: int) -> tuple[tuple[Refinement, ...], bool]:
-    """``_walk(dom, tn, mask)``, computed once per ``dom.memo``: a repeat
-    within one search or replay, or the other question about the same
-    agenda and base, is answered from the memo."""
+def relevant(dom: DomainModel, tn: TaskNetwork) -> int:
+    """The mask of every atom a walk of ``tn`` can test: the ``need |
+    forbid`` of each action and method instance reachable from its first
+    task, and from each later task when every task before it has a chain of
+    methods that reaches no primitive (the walk gets past a task only by
+    emptying it).  Two bases that agree on these atoms get the same answer
+    from `answers`."""
+    table = dom.table
+    mask = 0
+    for task in tn:
+        entry = table.get(("relevant", task))
+        if entry is None:
+            entry = _relevant_task(dom, task)
+        mask |= entry[0]
+        if not entry[1]:
+            break
+    return mask
+
+
+def _relevant_task(dom: DomainModel, head: Task) -> tuple[int, bool]:
+    """``(mask, empties)`` for one ground task, kept in ``dom.table`` under
+    ``("relevant", task)``: the atoms a walk can test while it expands the
+    task (a method instance's own pair, then its subtasks' masks up to and
+    including the first that cannot empty), and whether some chain of its
+    methods reaches no primitive at all.  Filled children first from an
+    explicit stack, so a method chain deeper than the interpreter's
+    recursion limit costs no recursion; the parser rejects recursive
+    decompositions, so the ground tasks form a DAG."""
+    table = dom.table
+    todo = [head]
+    while todo:
+        task = todo[-1]
+        if ("relevant", task) in table:
+            todo.pop()
+            continue
+        entry = table.get(task)
+        if entry is None:
+            entry = _ground(dom, task)
+        if type(entry) is GroundAction:
+            table[("relevant", task)] = (entry.need | entry.forbid, False)
+            todo.pop()
+            continue
+        missing = [sub for _, _, _, subs in entry for sub in subs
+                   if ("relevant", sub) not in table]
+        if missing:
+            todo += missing
+            continue
+        mask, empties = 0, False
+        for need, forbid, _, subs in entry:
+            mask |= need | forbid
+            chain = True
+            for sub in subs:
+                sub_mask, sub_empties = table[("relevant", sub)]
+                if chain:
+                    mask |= sub_mask
+                chain = chain and sub_empties
+            empties = empties or chain
+        table[("relevant", task)] = (mask, empties)
+        todo.pop()
+    return table[("relevant", head)]
+
+
+def answers(dom: DomainModel, tn: TaskNetwork, mask: int) -> Answer:
+    """``_walk(dom, tn, mask)``, computed once per ``dom.memo`` and per
+    projection of ``mask`` onto `relevant` atoms: a repeat within one search
+    or replay, another question about the same agenda and base, or a base
+    that differs only in atoms no walk of ``tn`` tests, is answered from the
+    memo.  Both the exact and the projected ``("htn", tn, mask)`` keys hold
+    the record."""
+    memo = dom.memo
     key = ("htn", tn, mask)
-    hit = dom.memo.get(key)
+    hit = memo.get(key)
     if hit is None:  # the walk never answers None
-        hit = dom.memo[key] = _walk(dom, tn, mask)
+        projected = mask & relevant(dom, tn)
+        shared = ("htn", tn, projected)
+        hit = memo.get(shared)
+        if hit is None:
+            hit = memo[shared] = _walk(dom, tn, projected)
+        memo[key] = hit
     return hit
 
 
-def _walk(dom: DomainModel, tn: TaskNetwork,
-          mask: int) -> tuple[tuple[Refinement, ...], bool]:
+def _walk(dom: DomainModel, tn: TaskNetwork, mask: int) -> Answer:
     """``tn``'s refinements under ``mask``, and whether it can reach empty,
     from one depth-first walk over the applicable method instances."""
     table = dom.table
@@ -126,15 +209,22 @@ def _walk(dom: DomainModel, tn: TaskNetwork,
         if type(entry) is GroundAction:
             need, forbid = entry.need, entry.forbid
             if mask & need == need and not mask & forbid:
-                ref = Refinement(entry, rest, trace, acc | need | forbid)
-                results.setdefault(ref.key(), ref)
+                key = (entry.name, entry.args, rest)
+                if key not in results:
+                    results[key] = Refinement(entry, rest, trace, acc | need | forbid)
             continue
         for need, forbid, label, subs in entry:
             if mask & need == need and not mask & forbid:
                 frontier.append((subs + rest, trace + (label,), acc | need | forbid))
-    return tuple(sorted(results.values(),
-                        key=lambda r: (str(r.first_primitive),
-                                       tuple(map(str, r.remainder)), r.trace))), done
+    refs = list(results.values())
+    if len(refs) > 1:
+        refs.sort(key=lambda r: (r.first_primitive.text,
+                                 tuple(map(str, r.remainder)), r.trace))
+    pres = 0
+    for r in refs:
+        pres |= r.pres
+    return Answer(tuple(refs), done, frozenset(results),
+                  frozenset([key[:2] for key in results]), pres)
 
 
 def advance(dom: DomainModel, tn: TaskNetwork, act: GroundAction,
@@ -149,27 +239,22 @@ def advance(dom: DomainModel, tn: TaskNetwork, act: GroundAction,
     return tn
 
 
-def _first_primitive_set(dom: DomainModel, tn: TaskNetwork,
-                         mask: int) -> frozenset[tuple[str, tuple[str, ...]]]:
-    return frozenset((r.first_primitive.name, r.first_primitive.args)
-                     for r in feasible_refinements(dom, tn, mask))
-
-
 def alignment_diff(dom: DomainModel, mask_r: int, tn_r: TaskNetwork,
                    mask_rh: int, tn_rh: TaskNetwork) -> frozenset[Literal] | None:
     """Minimal facts to transfer from ``mask_r`` into ``mask_rh`` so that
     both perspectives agree on the set of first primitives the robot may take.
 
     Candidates come from the symmetric difference of the two bases, each
-    stated with ``mask_r``'s polarity; subsets are tried in increasing size
+    stated with ``mask_r``'s polarity; subsets of the candidates that a walk
+    of ``tn_rh`` can test (`relevant`) are tried in increasing size
     (capped at 4, then falling back to the precondition-relevant part of
     the full difference).  None when no transfer can reconcile structurally
     diverged agendas.
     """
-    target = _first_primitive_set(dom, tn_r, mask_r)
+    target = answers(dom, tn_r, mask_r).firsts
 
     def aligned(mask: int) -> bool:
-        return _first_primitive_set(dom, tn_rh, mask) == target
+        return answers(dom, tn_rh, mask).firsts == target
 
     if aligned(mask_rh):
         return frozenset()
@@ -187,16 +272,19 @@ def alignment_diff(dom: DomainModel, mask_r: int, tn_r: TaskNetwork,
     def stated(subset) -> frozenset[Literal]:
         return frozenset(a if mask_r & bits[a] else a.negate() for a in subset)
 
-    for size in range(1, min(4, len(candidates)) + 1):
-        for subset in itertools.combinations(candidates, size):
+    # An atom no walk of ``tn_rh`` tests cannot change whether a transfer
+    # aligns, so the first aligned subset holds none: trying the relevant
+    # candidates alone, in their order, finds the same subset sooner.
+    rel = relevant(dom, tn_rh)
+    tested = [a for a in candidates if bits[a] & rel]
+    for size in range(1, min(4, len(tested)) + 1):
+        for subset in itertools.combinations(tested, size):
             if aligned(transfer(subset)):
                 return stated(subset)
 
-    relevant = 0  # method gates on the way as well as the actions' own
-    for mask, tn in ((mask_r, tn_r), (mask_rh, tn_rh)):
-        for r in feasible_refinements(dom, tn, mask):
-            relevant |= r.pres
-    fallback = [a for a in candidates if bits[a] & relevant]
+    # Method gates on the way as well as the actions' own.
+    pres = answers(dom, tn_r, mask_r).pres | answers(dom, tn_rh, mask_rh).pres
+    fallback = [a for a in candidates if bits[a] & pres]
     if fallback and aligned(transfer(fallback)):
         return stated(fallback)
     return stated(candidates)

@@ -30,6 +30,7 @@ from .dsl import DomainModel, ProblemInstance
 from .htn import (
     Refinement,
     alignment_diff,
+    answers,
     effectively_decomposed,
     feasible_refinements,
 )
@@ -77,11 +78,17 @@ class SearchNode:
 
 def evaluate_state(dom: DomainModel, s: EpistemicState) -> str:
     """DONE iff, in every world, all three agendas can reach empty without
-    another action; otherwise DEAD (meaning: not finished as it stands)."""
+    another action; otherwise DEAD (meaning: not finished as it stands).
+    Each world is judged once per call memo, under ``("done", w)``."""
+    memo = dom.memo
     for w in s.worlds:
-        if not (effectively_decomposed(dom, w.tn_r, w.mask_r)
+        done = memo.get(("done", w))
+        if done is None:
+            done = memo[("done", w)] = (
+                effectively_decomposed(dom, w.tn_r, w.mask_r)
                 and effectively_decomposed(dom, w.tn_h, w.mask_h)
-                and effectively_decomposed(dom, w.tn_rh, w.mask_rh)):
+                and effectively_decomposed(dom, w.tn_rh, w.mask_rh))
+        if not done:
             return DEAD
     return DONE
 
@@ -134,12 +141,12 @@ def _uniform_human_refinements(dom: DomainModel,
                                s: EpistemicState) -> list[Refinement]:
     """Refinements of the human agenda that exist in every world, in the
     designated world's order."""
-    per_world = [{r.key(): r for r in feasible_refinements(dom, w.tn_h, w.mask_h)}
-                 for w in s.worlds]
-    common = set(per_world[s.designated])
-    for m in per_world:
-        common &= set(m)
-    return [r for key, r in per_world[s.designated].items() if key in common]
+    d = s.designated_world
+    mine = answers(dom, d.tn_h, d.mask_h)
+    common = mine.keys
+    for w in s.worlds:
+        common = common & answers(dom, w.tn_h, w.mask_h).keys
+    return [r for r in mine.refinements if r.key() in common]
 
 
 def _blocked_atoms(dom: DomainModel, s: EpistemicState) -> set[Literal]:
@@ -149,8 +156,7 @@ def _blocked_atoms(dom: DomainModel, s: EpistemicState) -> set[Literal]:
     split = 0  # where some world's human beliefs differ from the designated's
     for w in s.worlds:
         split |= w.mask_h ^ d.mask_h
-    return {a for ref in feasible_refinements(dom, d.tn_h, d.mask_h)
-            for a in atoms_of(ref.pres & split)}
+    return set(atoms_of(split & answers(dom, d.tn_h, d.mask_h).pres))
 
 
 def _inform_candidates(dom: DomainModel, s: EpistemicState) -> list[Literal]:
@@ -220,7 +226,7 @@ def offers(dom: DomainModel, prob: ProblemInstance, s: EpistemicState) -> list[O
             d = s.designated_world
             ontic = (feasible_refinements(dom, d.tn_r, d.mask_r)
                      if co or s.budget > 0 else [])
-            options += [(str(ref.first_primitive), partial(_step, s=s, choice=ref, k=k))
+            options += [(ref.first_primitive.text, partial(_step, s=s, choice=ref, k=k))
                         for ref in ontic]
             # Out of sight the robot may always bide its time; face to face
             # it only stands by when it has nothing of its own left to do.
@@ -228,7 +234,7 @@ def offers(dom: DomainModel, prob: ProblemInstance, s: EpistemicState) -> list[O
                 options.append(("noop", partial(_step, s=s, choice=None, k=k)))
     else:
         uniform = _uniform_human_refinements(dom, s)
-        options = [(str(ref.first_primitive), partial(_step, s=s, choice=ref, k=k))
+        options = [(ref.first_primitive.text, partial(_step, s=s, choice=ref, k=k))
                    for ref in uniform]
         if not uniform and co and prob.comm_allowed:
             blocked = sorted(_blocked_atoms(dom, s), key=str)

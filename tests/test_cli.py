@@ -439,6 +439,40 @@ def test_exhaustive_replay_covers_all_branches(tmp_path, capsys):
     assert "3 traces, all DONE" in got
 
 
+def test_a_method_chain_deeper_than_the_recursion_limit_plans_and_replays(tmp_path, capsys):
+    """A non-recursive chain of methods, each task expanding into the next,
+    deeper than the interpreter's recursion limit: the parser, the HTN's
+    walk and its relevance masks follow it without recursing."""
+    depth = max(3000, sys.getrecursionlimit() + 100)
+    methods = "\n".join(f"  method t{i} step {{ sub t{i + 1} }}" for i in range(depth))
+    dom = tmp_path / "chain.ehatp"
+    dom.write_text(f"""domain chain {{
+  place here
+  action tick by R at here {{ }}
+{methods}
+  method t{depth} step {{ sub tick }}
+  method idle rest {{ }}
+}}
+""")
+    prob = tmp_path / "p.ehatp"
+    prob.write_text("""problem deep {
+  domain chain
+  k 0
+  communication off
+  robot at here
+  human at here
+  task R t0
+  task H idle
+  init { }
+}
+""")
+    out = tmp_path / "deep.json"
+    assert main(["plan", "-d", str(dom), "-p", str(prob), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "-P", str(out), "--exhaustive"]) == 0
+    assert "all DONE" in capsys.readouterr().out
+
+
 def test_replay_records_world_collapse(p2_policy):
     dom, prob, policy = read_policy_file(p2_policy)
     report = simulate(dom, prob, policy)

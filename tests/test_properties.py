@@ -5,12 +5,14 @@ the box-stowing domain with scrambled cube layouts, divergent belief bases,
 and arbitrary agendas; graphs and domain models are built from scratch.
 """
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ehatp import kernel
+from ehatp import htn, kernel
 from ehatp.dsl import (
     ActionSchema,
     DomainModel,
@@ -23,10 +25,12 @@ from ehatp.dsl import (
     parse_domain,
 )
 from ehatp.htn import (
-    _first_primitive_set,
+    Answer,
     alignment_diff,
+    answers,
     effectively_decomposed,
     feasible_refinements,
+    relevant,
 )
 from ehatp.kernel import (
     build_epistemic_action,
@@ -414,8 +418,8 @@ def test_alignment_patch_is_minimal(view):
     assume(diff is not None)
     if not diff:
         # An empty patch must mean the views already induce the same options.
-        assert (_first_primitive_set(CUBE, tn_rh, bel_rh.mask)
-                == _first_primitive_set(CUBE, tn, bel_r.mask))
+        assert (answers(CUBE, tn_rh, bel_rh.mask).firsts
+                == answers(CUBE, tn, bel_r.mask).firsts)
         return
     assert alignment_diff(CUBE, bel_r.mask, tn, _transfer(bel_rh, diff).mask,
                           tn_rh) == frozenset()
@@ -638,10 +642,31 @@ MEMO_CUBE = CUBE.with_fresh_memo()
 
 @CASES
 @given(layouts, st.sampled_from(("mt", "ot")), st.sets(st.sampled_from(CUBES)),
-       st.sets(st.sampled_from(BOXES)), st.one_of(agendas["R"], agendas["H"]))
-def test_memoized_htn_queries_match_fresh_calls(lay, h_at, wrapped, transparent, tn):
+       st.sets(st.sampled_from(BOXES)), st.one_of(agendas["R"], agendas["H"]),
+       layouts, st.sets(st.sampled_from(CUBES)))
+def test_memoized_htn_queries_match_fresh_calls(lay, h_at, wrapped, transparent, tn,
+                                                other_lay, other_wrapped):
     bel = cube_truth(lay, "mt", h_at, wrapped, frozenset(), transparent)
-    for fn in (feasible_refinements, effectively_decomposed):
-        fresh = fn(CUBE.with_fresh_memo(), tn, bel.mask)
-        assert fn(MEMO_CUBE, tn, bel.mask) == fresh
-        assert fn(MEMO_CUBE, tn, bel.mask) == fresh  # a memo hit
+    walked = htn._walk(CUBE, tn, bel.mask)  # no memo, the full mask
+    record = answers(MEMO_CUBE, tn, bel.mask)
+    for field in Answer._fields:
+        assert getattr(record, field) == getattr(walked, field), field
+    assert answers(MEMO_CUBE, tn, bel.mask) is record  # a memo hit
+    for fn, want in ((feasible_refinements, walked.refinements),
+                     (effectively_decomposed, walked.done)):
+        assert fn(CUBE.with_fresh_memo(), tn, bel.mask) == want
+        assert fn(MEMO_CUBE, tn, bel.mask) == want
+    # The record's views are those of its refinements.
+    refs = walked.refinements
+    assert walked.keys == {r.key() for r in refs}
+    assert walked.firsts == {(r.first_primitive.name, r.first_primitive.args) for r in refs}
+    assert walked.pres == reduce(or_, (r.pres for r in refs), 0)
+    # A base that agrees with ``bel`` on the relevant atoms gets the same
+    # walk, and shares ``bel``'s one memo entry.
+    rel = relevant(CUBE, tn)
+    other = cube_truth(other_lay, "ot", h_at, other_wrapped, frozenset({"mt"}), transparent)
+    mixed = (bel.mask & rel) | (other.mask & ~rel)
+    assert htn._walk(CUBE, tn, mixed) == walked
+    dom = CUBE.with_fresh_memo()
+    assert answers(dom, tn, mixed) is answers(dom, tn, bel.mask)
+    assert len({id(v) for v in dom.memo.values()}) == 1

@@ -5,6 +5,7 @@ reunion scene by hand: the robot may tell the human which box is free, or
 stand by; a blocked human may ask or wait; a wait forces the inform.
 """
 
+import itertools
 import json
 import math
 import random
@@ -13,17 +14,22 @@ from pathlib import Path
 
 import pytest
 
+from ehatp import htn
 from ehatp.dsl import GroundAction, load_instance, load_shipped, parse_domain, parse_problem
-from ehatp.htn import feasible_refinements
-from ehatp.kernel import initial_state, state_copresent
+from ehatp.htn import alignment_diff, feasible_refinements
+from ehatp.kernel import initial_state, state_copresent, with_call_memo
 from ehatp.model import (
     BeliefBase,
     EhatpError,
     EpistemicState,
     Task,
     World,
+    atoms_of,
+    known_bit,
 )
 from ehatp.solver import (
+    DEAD,
+    DONE,
     Metrics,
     Policy,
     SearchNode,
@@ -34,6 +40,8 @@ from ehatp.solver import (
     propagate_revised_status,
     solve,
     synthesize_communication,
+    _blocked_atoms,
+    _uniform_human_refinements,
 )
 from helpers import agent_place, lit
 
@@ -607,3 +615,127 @@ def test_metrics_csv_round_trip(p1):
     assert int(fields[3]) == res.metrics.states
     assert int(fields[4]) == 4 and int(fields[5]) == 3
     assert Metrics.csv_header() == "instance,K,comm,states,maxW,leaves,time_ms"
+
+
+# ------------------------------------- the HTN's answer records, restated
+#
+# Each caller reads its view of the HTN off one answer record (``htn.answers``).
+# Below, each view is restated the plain way, on memo-free walks of the full
+# mask, and compared on every state of the nine shipped graphs.
+
+
+class _Walks:
+    """Memo-free ``htn._walk`` on the full mask, kept per (agenda, mask) in
+    this object only, so a restatement can ask as often as it likes."""
+
+    def __init__(self, dom):
+        self.dom, self.seen = dom, {}
+
+    def __call__(self, tn, mask):
+        key = (tn, mask)
+        if key not in self.seen:
+            self.seen[key] = htn._walk(self.dom, tn, mask)
+        return self.seen[key]
+
+
+def _plain_uniform(walk, s):
+    per_world = [{r.key(): r for r in walk(w.tn_h, w.mask_h).refinements} for w in s.worlds]
+    common = set(per_world[s.designated])
+    for m in per_world:
+        common &= set(m)
+    return [r for key, r in per_world[s.designated].items() if key in common]
+
+
+def _plain_blocked(walk, s):
+    d = s.designated_world
+    split = 0
+    for w in s.worlds:
+        split |= w.mask_h ^ d.mask_h
+    return {a for ref in walk(d.tn_h, d.mask_h).refinements for a in atoms_of(ref.pres & split)}
+
+
+def _plain_evaluation(walk, s):
+    return DONE if all(walk(tn, mask).done for w in s.worlds
+                       for tn, mask in ((w.tn_r, w.mask_r), (w.tn_h, w.mask_h),
+                                        (w.tn_rh, w.mask_rh))) else DEAD
+
+
+def _plain_alignment(walk, mask_r, tn_r, mask_rh, tn_rh):
+    """`alignment_diff` enumerating subsets of the whole difference."""
+    def firsts(tn, mask):
+        return {(r.first_primitive.name, r.first_primitive.args)
+                for r in walk(tn, mask).refinements}
+
+    target = firsts(tn_r, mask_r)
+    if firsts(tn_rh, mask_rh) == target:
+        return frozenset()
+    if firsts(tn_rh, mask_r) != target:
+        return None
+    candidates = sorted(atoms_of(mask_r ^ mask_rh), key=str)
+    bits = {a: known_bit(a) for a in candidates}
+
+    def transfer(subset):
+        return mask_rh ^ sum(bits[a] for a in subset)
+
+    def stated(subset):
+        return frozenset(a if mask_r & bits[a] else a.negate() for a in subset)
+
+    for size in range(1, min(4, len(candidates)) + 1):
+        for subset in itertools.combinations(candidates, size):
+            if firsts(tn_rh, transfer(subset)) == target:
+                return stated(subset)
+    pres = 0
+    for tn, mask in ((tn_r, mask_r), (tn_rh, mask_rh)):
+        for r in walk(tn, mask).refinements:
+            pres |= r.pres
+    fallback = [a for a in candidates if bits[a] & pres]
+    if fallback and firsts(tn_rh, transfer(fallback)) == target:
+        return stated(fallback)
+    return stated(candidates)
+
+
+@pytest.fixture(scope="module")
+def shipped_graphs():
+    """Each shipped instance's domain and the states of its whole graph."""
+    out = []
+    for name in SHIPPED:
+        dom, prob = load_instance(name)
+        out.append((name, dom, [n.state for n in solve(dom, prob, exhaust=True).all_nodes]))
+    return out
+
+
+def test_the_solver_views_of_the_htn_match_plain_restatements(shipped_graphs):
+    blocked = uniform_cut = 0
+    for name, dom, states in shipped_graphs:
+        shared, walk = with_call_memo(dom), _Walks(dom)
+        for s in states:
+            plain = _plain_evaluation(walk, s)
+            assert evaluate_state(shared, s) == plain == evaluate_state(shared, s), name
+            want = _plain_uniform(walk, s)
+            got = _uniform_human_refinements(shared, s)
+            assert got == want and [r.trace for r in got] == [r.trace for r in want], name
+            uniform_cut += len(want) < len(walk(s.designated_world.tn_h,
+                                               s.designated_world.mask_h).refinements)
+            want = _plain_blocked(walk, s)
+            assert _blocked_atoms(shared, s) == want, name
+            blocked += bool(want)
+    assert blocked and uniform_cut  # both views meet states where they matter
+
+
+def test_the_narrowed_alignment_matches_the_whole_enumeration(shipped_graphs):
+    """`alignment_diff` tries only the subsets of atoms a walk of the
+    ascribed agenda can test; the first that aligns is the one the
+    enumeration of the whole difference finds, on every (designated, world)
+    pair the inform synthesis asks about."""
+    narrowed = 0  # pairs that transfer something and drop a candidate
+    for name, dom, states in shipped_graphs:
+        shared, walk = with_call_memo(dom), _Walks(dom)
+        for s in states:
+            d = s.designated_world
+            for w in s.worlds:
+                args = (d.mask_r, d.tn_r, w.mask_rh, w.tn_rh)
+                want = _plain_alignment(walk, *args)
+                assert alignment_diff(shared, *args) == want, name
+                untested = (d.mask_r ^ w.mask_rh) & ~htn.relevant(shared, w.tn_rh)
+                narrowed += bool(want) and bool(untested)
+    assert narrowed

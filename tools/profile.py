@@ -18,11 +18,15 @@ the shares lean towards call-heavy code; time a change with ``planbench``
 or ``tools/ab.py``, not with this table.
 
 Before profiling, one more round runs with every call memo captured as
-``kernel.with_call_memo`` makes it, and with the table of live interned
-worlds (``model._WORLDS``) read after each world is built.  Printed: the
-memo entries per key kind, summed over the round and in the largest memo,
-and the most worlds alive at once in one call.  The collector runs before
-each call, so no call's worlds are counted in the next.
+``kernel.with_call_memo`` makes it, with the table of live interned
+worlds (``model._WORLDS``) read after each world is built, and with the
+HTN's questions counted.  Printed: the memo entries per key kind, summed
+over the round and in the largest memo; the most worlds alive at once in
+one call; and the calls of ``htn.answers`` against the distinct (agenda,
+base) questions among them and the walks made (``htn._walk``), so the
+share answered by the projection onto relevant atoms shows.  The
+collector runs before each call, so no call's worlds are counted in the
+next.
 """
 
 from __future__ import annotations
@@ -51,8 +55,10 @@ TOP = 15
 # Memo key kinds in the order a step meets them; any other kind is listed
 # after these.  A key that is a tuple starting with a string is of that
 # kind; the others are successors, keyed ``(event, mark)`` or ``("human",
-# ...)``.  ``copresent`` counts the truth masks in its own dict.
-KINDS = ("htn", "anticipate", "successor", "seen", "fold", "offer", "copresent")
+# ...)``.  ``done`` holds state evaluation's verdict per world; ``htn`` one
+# answer record under each exact and each projected (agenda, mask) key.
+# ``copresent`` counts the truth masks in its own dict.
+KINDS = ("done", "htn", "anticipate", "successor", "seen", "fold", "offer", "copresent")
 
 
 def _code_key(prog, module: str, path: str) -> tuple | None:
@@ -89,14 +95,18 @@ def _swapped(prog, fn, wrapper) -> list:
     return undo
 
 
-def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str]:
+def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
     """One round of ``items`` with each call memo captured: each memo's
     entries by key kind, the most interned worlds alive at once in one
-    call, and that call's input."""
+    call, that call's input, and the HTN's calls, distinct questions and
+    walks."""
     memos: list[dict] = []
     table = prog.model._WORLDS
     live = [0]
     with_call_memo, world_from = prog.kernel.with_call_memo, prog.model.world_from
+    answers, walk = prog.htn.answers, prog.htn._walk
+    asked = Counter()
+    questions: set = set()  # (memo id, agenda, mask); the memos live per input
 
     def capturing(dom):
         out = with_call_memo(dom)
@@ -109,7 +119,17 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str]:
         live[0] = max(live[0], len(table))
         return w
 
-    undo = _swapped(prog, with_call_memo, capturing) + _swapped(prog, world_from, counting)
+    def asking(dom, tn, mask):
+        asked["calls"] += 1
+        questions.add((id(dom.memo), tn, mask))
+        return answers(dom, tn, mask)
+
+    def walking(*args):
+        asked["walks"] += 1
+        return walk(*args)
+
+    undo = (_swapped(prog, with_call_memo, capturing) + _swapped(prog, world_from, counting)
+            + _swapped(prog, answers, asking) + _swapped(prog, walk, walking))
     sizes: list[Counter] = []
     peak, where = 0, ""
     try:
@@ -128,10 +148,12 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str]:
                         kinds[kind] += len(value) if kind == "copresent" else 1
                 sizes.append(kinds)
             memos.clear()
+            asked["questions"] += len(questions)
+            questions.clear()
     finally:
         for mod, attr, fn in undo:
             setattr(mod, attr, fn)
-    return sizes, peak, where
+    return sizes, peak, where, asked
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -154,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
         print("wrong outputs:", *failures, sep="\n  ", file=sys.stderr)
         return 1
 
-    per_memo, peak, where = cache_sizes(prog, wl, items)
+    per_memo, peak, where, asked = cache_sizes(prog, wl, items)
     kinds = list(KINDS) + sorted({k for c in per_memo for k in c} - set(KINDS))
     print(f"{args.workload}: {len(per_memo)} call memos in one round of {len(items)} inputs; "
           f"at most {peak} interned worlds alive at once ({where})")
@@ -162,6 +184,10 @@ def main(argv: list[str] | None = None) -> int:
     for kind in kinds:
         counts = [c[kind] for c in per_memo] or [0]
         print(f"  {kind:<36} {sum(counts):>8} {max(counts):>8}")
+    calls, questions, walks = asked["calls"], asked["questions"], asked["walks"]
+    print(f"  htn.answers: {calls} calls, {questions} distinct (agenda, base) questions, "
+          f"{walks} walks; the projection answered {questions - walks} "
+          f"({(questions - walks) / max(questions, 1):.1%} of the questions)")
 
     profiler = cProfile.Profile()
     profiler.enable()
