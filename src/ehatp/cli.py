@@ -39,6 +39,7 @@ from .solver import (
     Metrics,
     Policy,
     PolicyNode,
+    UNKNOWN,
     evaluate_state,
     is_speech_act,
     offers,
@@ -449,8 +450,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
     res = solve(dom, prob)
     if res.policy is None:
-        print(f"no joint solution for {prob.name}: search settled "
-              f"{res.root.status}", file=sys.stderr)
+        # The queue empties with the root unsettled when no plan exists
+        # and cycles keep some nodes from settling DEAD.
+        why = ("search exhausted" if res.root.status == UNKNOWN
+               else f"search settled {res.root.status}")
+        print(f"no joint solution for {prob.name}: {why}", file=sys.stderr)
         return 2
     try:
         write_policy_file(args.out, dom_text, prob_text, res.policy)

@@ -176,9 +176,10 @@ class DomainModel(Frozen):
                                  "_methods", "_types", "_of_type")
     _compared = _DECLARATIONS
     # Ground instances built on first use (``htn._ground``,
-    # ``kernel._observable``, ``kernel._copresent``), keyed by a ``Task`` (a
-    # name and a tuple of names), an atom's bit (an int) or a co-presence
-    # rule (a tuple of literals); each ground task's relevance
+    # ``kernel._copresent``), keyed by a ``Task`` (a name and a tuple of
+    # names) or a co-presence rule (a tuple of literals); the observable
+    # instances of each interned atom (``kernel._observables``), under the
+    # string ``"observable"``; each ground task's relevance
     # (``htn.relevant``), keyed ``("relevant", task)``: two fields like a
     # ``Task``, but the second is a ``Task``, which holds a tuple, not a
     # name; and the nearest foreign action of a root task
@@ -190,8 +191,8 @@ class DomainModel(Frozen):
     # The HTN's answer record for each (agenda, mask), under the exact mask
     # and under its projection onto the agenda's relevant atoms, both
     # ``("htn", agenda, mask)`` (see ``htn.answers``); state evaluation's
-    # verdict per world, ``("done", world)``; the atoms situation assessment
-    # has judged; the kernel's world transitions; and the ``EHATP_LOG``
+    # verdict per world, ``("done", world)``; the atoms in view under each
+    # truth mask; the kernel's world transitions; and the ``EHATP_LOG``
     # flag.  One search, replay or stepper run works on its own copy
     # (``kernel.with_call_memo``), so the memo lives as long as that call.
     memo: dict

@@ -7,14 +7,18 @@ of action.  When the human can see the robot, witnessing an action rules out
 every hypothesis that cannot produce that same action, and shared
 observations are folded back into the human-side belief bases.
 
-The step computes on a world's masks.  Co-presence is judged once per truth
-mask per call, and observability is ground once per atom bit.
+The step computes on a world's masks, one world at a time: a hidden world's
+successors are one memoized tuple, looked up by the world's events and the
+step's context, and assessment tests each world against one in-view mask per
+truth.  Co-presence is judged once per truth mask per call, and the
+observable instances of each interned atom once per domain.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+from itertools import chain
 
 from .dsl import OBSERVER, DomainModel, GroundAction, ProblemInstance
 from .htn import Refinement, advance, feasible_refinements
@@ -24,7 +28,9 @@ from .model import (
     Literal,
     TaskNetwork,
     World,
+    atom_count,
     atoms_of,
+    known_bit,
     slot_setters,
     unify,
     world_from,
@@ -54,15 +60,12 @@ def trace_enabled(dom: DomainModel, channel: str) -> bool:
     return flag == channel or flag == "all"
 
 
-_MISS = object()
-
-
 class Event(Frozen):
     """One possible occurrence: an action (or None for doing nothing) in one
     source world.  ``remainder`` is the acting agent's agenda afterwards.
 
-    Compared by identity: a world's anticipated events are built once per
-    memo, and product update keys their successors on the event itself.
+    Compared by identity: a world's group of events is built once per memo,
+    and product update keys the group's successors on the events themselves.
     """
 
     __slots__ = ("action", "source", "designated", "remainder")
@@ -83,26 +86,42 @@ _e_action, _e_source, _e_designated, _e_remainder = slot_setters(Event)
 
 
 class EpistemicAction(Frozen):
-    """The events one step may be, one of them designated, and the rule that
-    decides whether the human watches it.  Compared by identity."""
+    """The events one step may be, and the rule that decides whether the
+    human watches it: the designated event, and the others grouped by source
+    world, one tuple per world, in the order given.  Compared by identity."""
 
-    __slots__ = ("events", "copresence", "actor")
-    events: tuple[Event, ...]
+    __slots__ = ("designated_event", "groups", "copresence", "actor")
+    designated_event: Event
+    groups: tuple[tuple[Event, ...], ...]
     copresence: tuple[Literal, ...]
     actor: str
 
     def __init__(self, events: tuple[Event, ...], copresence: tuple[Literal, ...],
                  actor: str) -> None:
-        _a_events(self, events)
-        _a_copresence(self, copresence)
-        _a_actor(self, actor)
+        by_source: dict[World, list[Event]] = {}
+        for e in events:
+            if not e.designated:
+                by_source.setdefault(e.source, []).append(e)
+        _fill_action(self, next(e for e in events if e.designated),
+                     tuple(map(tuple, by_source.values())), copresence, actor)
 
     @property
-    def designated_event(self) -> Event:
-        return next(e for e in self.events if e.designated)
+    def events(self) -> tuple[Event, ...]:
+        """Every event: the designated one, then each group's."""
+        return (self.designated_event, *chain.from_iterable(self.groups))
 
 
-_a_events, _a_copresence, _a_actor = slot_setters(EpistemicAction)
+_a_designated, _a_groups, _a_copresence, _a_actor = slot_setters(EpistemicAction)
+
+
+def _fill_action(a: EpistemicAction, designated: Event,
+                 groups: tuple[tuple[Event, ...], ...],
+                 copresence: tuple[Literal, ...], actor: str) -> EpistemicAction:
+    _a_designated(a, designated)
+    _a_groups(a, groups)
+    _a_copresence(a, copresence)
+    _a_actor(a, actor)
+    return a
 
 
 # --------------------------------------------------------------------------
@@ -144,28 +163,55 @@ def state_copresent(dom: DomainModel, s: EpistemicState) -> bool:
     return _copresent(dom, s.designated_world.mask_r, dom.copresence)
 
 
-def _observable(dom: DomainModel, bit: int, truth: int) -> bool:
-    """Can the human settle the truth of the atom of ``bit`` when reality
-    has mask ``truth``?
+_OBSERVABLE = "observable"  # table key of the observable atoms' instances
+
+
+def _observables(dom: DomainModel) -> list[tuple[int, tuple]]:
+    """The ``(bit, instances)`` pair of each interned atom the human may
+    observe, in bit order, for the life of ``dom.table``: extended with the
+    atoms interned since the last call, as one table serves every problem of
+    its declarations and atoms are interned per process.
 
     An observable predicate's atom is in view when the antecedent of some
     knowledge rule whose target names it holds, with the observer bound to
-    the human; the instances are those of every such rule, in rule order,
-    ground once per bit for the life of ``dom.table``.
+    the human; its instances are those of every such rule, in rule order.
+    Grounding them may intern atoms, which the loop then reads too.
     """
-    instances = dom.table.get(bit)
-    if instances is None:
-        (atom,) = atoms_of(bit)
-        sols: list[tuple] = []
-        decl = dom.predicate(atom.pred)
-        if decl is not None and decl.observable:
+    entry = dom.table.get(_OBSERVABLE)
+    if entry is None:
+        entry = dom.table[_OBSERVABLE] = [0, []]
+    scanned, pairs = entry
+    while scanned < atom_count():
+        count = atom_count()
+        for atom in atoms_of(((1 << count) - 1) >> scanned << scanned):
+            decl = dom.predicate(atom.pred)
+            if decl is None or not decl.observable:
+                continue
+            sols: list[tuple] = []
             for rule in dom.rules:
                 binding = unify(rule.target, atom)
                 if binding is not None:
                     binding[OBSERVER] = "H"
                     sols += dom.instances(rule.antecedent, binding)
-        instances = dom.table[bit] = _compiled(sols)
-    return _holds(instances, truth)
+            if sols:
+                pairs.append((known_bit(atom), _compiled(sols)))
+        scanned = entry[0] = count
+    return pairs
+
+
+def in_view(dom: DomainModel, truth: int) -> int:
+    """The mask of the interned atoms the human can settle the truth of when
+    reality has mask ``truth``: judged once per truth mask per call memo, and
+    again once atoms have been interned since."""
+    key = ("view", truth)
+    known = dom.memo.get(key)
+    if known is None or known[0] != atom_count():
+        view = 0
+        for bit, instances in _observables(dom):
+            if _holds(instances, truth):
+                view |= bit
+        known = dom.memo[key] = (atom_count(), view)
+    return known[1]
 
 
 # --------------------------------------------------------------------------
@@ -187,36 +233,39 @@ def build_epistemic_action(dom: DomainModel, s: EpistemicState,
     For the robot, ``choice`` is its real refinement (None to stand by); every
     world additionally contributes the anticipated alternatives the human
     cannot rule out there, plus standing by.  For the human, acting is public
-    and uniform, so each world carries the same event.
+    and uniform, so each world carries the same event.  A world's group of
+    events is built once per memo, so its successors can be keyed on it.
     """
-    events: list[Event] = []
-    if s.actor == "H":
-        for i, w in enumerate(s.worlds):
-            if choice is None:
-                events.append(Event(None, w, i == s.designated, w.tn_h))
-            else:
-                events.append(Event(choice.first_primitive, w,
-                                    i == s.designated, choice.remainder))
-        return EpistemicAction(tuple(events), dom.copresence, "H")
-
     d = s.designated_world
-    if choice is None:
-        events.append(Event(None, d, True, d.tn_r))
+    act = choice.first_primitive if choice is not None else None
+    memo = dom.memo
+    groups: list[tuple[Event, ...]] = []
+    if s.actor == "H":
+        name = act and (act.name, act.args)
+        for w in s.worlds:
+            rest = choice.remainder if choice is not None else w.tn_h
+            if w is d:
+                designated = Event(act, d, True, rest)
+                continue
+            key = ("human", w, name, rest)
+            group = memo.get(key)
+            if group is None:
+                group = memo[key] = (Event(act, w, False, rest),)
+            groups.append(group)
     else:
-        events.append(Event(choice.first_primitive, d, True, choice.remainder))
-    co = state_copresent(dom, s)
-    for w in s.worlds:
-        allow = co or w.acted < k
-        key = ("anticipate", w, allow)
-        anticipated = dom.memo.get(key)
-        if anticipated is None:
-            refs = feasible_refinements(dom, w.tn_rh, w.mask_rh) if allow else ()
-            anticipated = [Event(r.first_primitive, w, False, r.remainder)
-                           for r in refs]
-            anticipated.append(Event(None, w, False, w.tn_rh))
-            anticipated = dom.memo[key] = tuple(anticipated)
-        events.extend(anticipated)
-    return EpistemicAction(tuple(events), dom.copresence, "R")
+        designated = Event(act, d, True, choice.remainder if choice is not None else d.tn_r)
+        co = state_copresent(dom, s)
+        for w in s.worlds:
+            allow = co or w.acted < k
+            key = ("anticipate", w, allow)
+            group = memo.get(key)
+            if group is None:
+                refs = feasible_refinements(dom, w.tn_rh, w.mask_rh) if allow else ()
+                group = memo[key] = (*(Event(r.first_primitive, w, False, r.remainder)
+                                       for r in refs), Event(None, w, False, w.tn_rh))
+            groups.append(group)
+    return _fill_action(object.__new__(EpistemicAction), designated, tuple(groups),
+                        dom.copresence, s.actor)
 
 
 # --------------------------------------------------------------------------
@@ -263,33 +312,35 @@ def product_update(dom: DomainModel, s: EpistemicState,
     unit of budget; the search offers such a step only with budget left.
     """
     d_event = a.designated_event
+    d_act = d_event.action
     co = _copresent(dom, d_event.source.mask_r, a.copresence)
 
     budget = s.budget
-    if a.actor == "R" and d_event.action is not None and not co:
+    if a.actor == "R" and d_act is not None and not co:
         budget -= 1
 
-    # A hypothetical successor is a function of its source world and event:
-    # a robot event object (built once per memo) with its witnessed mark, or
-    # a human action's content, which ``(name, args)`` fixes in one domain.
+    # A group's successors are a function of its events, built once per memo
+    # (or per hand-built action), and of the step's context: None unless the
+    # human watches the robot, and then the designated action's content
+    # (``()`` for standing by), which decides each successor's mark.
+    ctx = None
+    if a.actor == "R" and co:
+        ctx = (d_act.name, d_act.args) if d_act is not None else ()
+    memo = dom.memo
     successors: list[World] = []
-    new_designated: World | None = None
-    for e in a.events:
-        if e.designated:
-            child = new_designated = _successor(dom, e.source, e, a.actor, False)
-        else:
-            mark = a.actor == "R" and co and not _same_act(e.action, d_event.action)
-            if a.actor == "R":
-                key = (e, mark)
-            else:
-                act = e.action and (e.action.name, e.action.args)
-                key = ("human", e.source, act, e.remainder)
-            child = dom.memo.get(key, _MISS)
-            if child is _MISS:
-                child = dom.memo[key] = _successor(dom, e.source, e, a.actor, mark)
-            if child is None:
-                continue
-        successors.append(child)
+    for group in a.groups:
+        key = (group, ctx)
+        out = memo.get(key)
+        if out is None:
+            out = []
+            for e in group:
+                child = _successor(dom, e.source, e, a.actor,
+                                   ctx is not None and not _same_act(e.action, d_act))
+                if child is not None:
+                    out.append(child)
+            out = memo[key] = tuple(out)
+        successors += out
+    new_designated = _successor(dom, d_event.source, d_event, a.actor, False)
     assert new_designated is not None
     other = "H" if a.actor == "R" else "R"
     return EpistemicState.make(successors, new_designated, actor=other,
@@ -310,32 +361,13 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
     """
     d = s.designated_world
     truth = d.mask_r
-    # Whether an atom is observable depends only on the atom and reality, so
-    # each atom is judged once per truth mask for the whole call.  ``seen``
-    # holds the atoms judged so far and those found in view.
-    key = ("seen", truth)
-    seen = dom.memo.get(key)
-    if seen is None:
-        seen = dom.memo[key] = [0, 0]
+    view = in_view(dom, truth)
     co_present = _copresent(dom, truth, dom.copresence)
-
-    def visible(mask: int) -> int:
-        judged, in_view = seen
-        fresh = mask & ~judged
-        if fresh:
-            seen[0] = judged | fresh
-            while fresh:
-                bit = fresh & -fresh
-                if _observable(dom, bit, truth):
-                    in_view |= bit
-                fresh ^= bit
-            seen[1] = in_view
-        return mask & in_view
 
     survivors: list[World] = []
     removed: list[tuple[World, int]] = []
     for w in s.worlds:
-        clash = 0 if w is d or w.distinguishable else visible(truth ^ w.mask_rh)
+        clash = 0 if w is d or w.distinguishable else (truth ^ w.mask_rh) & view
         if w is not d and (clash or w.distinguishable):
             removed.append((w, clash))
         else:
@@ -358,7 +390,7 @@ def situation_assessment(dom: DomainModel, s: EpistemicState, k: int) -> Epistem
         key = ("fold", w, truth)
         child = dom.memo.get(key)
         if child is None:
-            shown = visible(truth | w.mask_h | w.mask_rh)
+            shown = (truth | w.mask_h | w.mask_rh) & view
             told = truth & shown
             child = dom.memo[key] = world_from(
                 w, w.mask_r, (w.mask_h & ~shown) | told, (w.mask_rh & ~shown) | told,

@@ -6,9 +6,11 @@ import re
 from typing import Iterable, Iterator, Mapping
 
 from ehatp.dsl import OBSERVER, Diagnostic, DomainModel, ParseError, ProblemInstance
+from ehatp.htn import advance
 from ehatp.model import (
     AGENTS,
     BeliefBase,
+    EpistemicState,
     Literal,
     MalformedLiteralError,
     World,
@@ -221,6 +223,85 @@ def observable(dom: DomainModel, l: Literal, w: World) -> bool:
         if next(match(w.bel_r, rule.antecedent, binding), None) is not None:
             return True
     return False
+
+
+# --------------------------------------------------------------------------
+# The plain step the kernel's memoized one is checked against
+
+
+def plain_assessment(dom: DomainModel, s: EpistemicState, k: int) -> EpistemicState:
+    """Situation assessment read straight off its definition, atom by atom
+    over plain sets."""
+    d = s.designated_world
+    co = copresent(d, dom.copresence)
+
+    def seen(atom: Literal) -> bool:
+        return observable(dom, atom, d)
+
+    truth = d.bel_r.atoms
+    survivors = [w for w in s.worlds if w is d or (
+        not w.distinguishable
+        and not any(seen(a) for a in truth ^ w.bel_rh.atoms))]
+    if len(survivors) == len(s.worlds) and not co:
+        return s
+    folded = []
+    for w in survivors:
+        shown = {a for a in truth | w.bel_h.atoms | w.bel_rh.atoms if seen(a)}
+        folded.append(World(
+            w.bel_r,
+            BeliefBase((w.bel_h.atoms - shown) | (truth & shown)),
+            BeliefBase((w.bel_rh.atoms - shown) | (truth & shown)),
+            w.tn_r, w.tn_h, w.tn_rh, 0 if co else w.acted))
+    return EpistemicState.make(folded, folded[survivors.index(d)], s.actor,
+                               k if co else s.budget, s.pending)
+
+
+def plain_product_update(dom: DomainModel, s: EpistemicState, a) -> EpistemicState:
+    """Product update read straight off its definition: each event of the
+    epistemic action ``a`` against its source world, over plain sets, with
+    no memo.  While the agents share a place, a robot event whose action
+    differs from the designated one yields a world marked distinguishable."""
+    d_event = a.designated_event
+    watched = a.actor == "R" and copresent(d_event.source, a.copresence)
+
+    def same(x, y) -> bool:
+        return (x and (x.name, x.args)) == (y and (y.name, y.args))
+
+    worlds = []
+    for e in a.events:
+        w, act = e.source, e.action
+        mark = watched and not e.designated and not same(act, d_event.action)
+        if act is None:
+            child = World(w.bel_r, w.bel_h, w.bel_rh, w.tn_r, w.tn_h, w.tn_rh,
+                          w.acted, w.distinguishable or mark)
+        else:
+            base = (w.bel_h if a.actor == "H" else w.bel_r if e.designated
+                    else w.bel_rh).atoms
+            if not all((l.atom in base) == l.positive for l in act.pre):
+                continue
+
+            def apply(atoms: frozenset) -> BeliefBase:
+                return BeliefBase((atoms - {l.atom for l in act.dels})
+                                  | {l.atom for l in act.adds})
+
+            h, rh = apply(w.bel_h.atoms), apply(w.bel_rh.atoms)
+            if a.actor == "H":
+                child = World(apply(w.bel_r.atoms), h, rh, w.tn_r, e.remainder,
+                              w.tn_rh, w.acted)
+            elif e.designated:
+                child = World(apply(w.bel_r.atoms), h, rh, e.remainder, w.tn_h,
+                              advance(dom, w.tn_rh, act, w.mask_rh), w.acted + 1)
+            else:  # a hypothetical course: its truth is the human's projection
+                child = World(rh, h, rh, e.remainder, w.tn_h, e.remainder,
+                              w.acted + 1, mark)
+        worlds.append(child)
+        if e.designated:
+            designated = child
+    budget = s.budget
+    if a.actor == "R" and d_event.action is not None and not watched:
+        budget -= 1
+    return EpistemicState.make(worlds, designated, actor="H" if a.actor == "R" else "R",
+                               budget=budget, pending=s.pending)
 
 
 # --------------------------------------------------------------------------

@@ -278,7 +278,8 @@ def test_plan_reports_unsolvable_instance(tmp_path, capsys):
     code = main(["plan", "-d", str(d), "-p", str(p),
                  "-o", str(tmp_path / "x.json")])
     assert code == 2
-    assert "no joint solution" in capsys.readouterr().err
+    # No plan exists, and the queue empties with the root unsettled.
+    assert "no joint solution for hopeless: search exhausted" in capsys.readouterr().err
 
 
 def test_policy_file_round_trip(p2_policy):

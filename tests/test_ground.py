@@ -250,7 +250,8 @@ def check_graph(dom, worlds, rules):
         for rule in rules:
             assert kernel._copresent(dom, d.mask_r, rule) == copresent(d, rule)
         for a in atoms:
-            assert (_answer(kernel._observable, dom, atom_bit(a), d.mask_r)
+            bit = atom_bit(a)
+            assert (bool(kernel.in_view(dom, d.mask_r) & bit)
                     == _answer(observable, dom, a, d)), (a, d.describe())
     return len(queries), len(atoms), len(realities)
 

@@ -34,9 +34,20 @@ from ehatp.model import (
     MalformedLiteralError,
     Task,
     World,
+    world_from,
 )
 from ehatp.solver import _step, _uniform_human_refinements, expand, offers, solve
-from helpers import cold, copresent, lit, observable
+from helpers import (
+    cold,
+    copresent,
+    lit,
+    observable,
+    plain_assessment,
+    plain_product_update,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "planbench"))
+from variants import draws  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +104,8 @@ def seen(dom, atom, w):
     """The reference's observability of ``atom`` in ``w``, checked against
     the compiled answer on the same reality."""
     want = observable(dom, atom, w)
-    assert kernel._observable(dom, model.atom_bit(atom), w.mask_r) is want
+    bit = model.atom_bit(atom)
+    assert bool(kernel.in_view(dom, w.mask_r) & bit) is want
     return want
 
 
@@ -453,7 +465,7 @@ def test_memo_answers_match_a_fresh_domain_after_a_warm_search(name):
     shared = cold(dom)
     for s in states:
         expand(shared, prob, s)  # fills the memo as a search does
-    assert {key[0] for key in shared.memo} >= {"seen"}
+    assert {key[0] for key in shared.memo} >= {"view", "anticipate", "fold"}
     assert shared.copresence in shared.table  # co-presence is ground per domain
     for s in states:
         assert state_copresent(shared, s) == state_copresent(cold(dom), s)
@@ -489,11 +501,98 @@ def test_steps_on_a_warm_memo_match_a_fresh_memo(names):
         for s in states:
             expand(warm, prob, s)  # fills the memo as the search does
     assert any(key[0] == "fold" for key in warm.memo)
-    assert any(isinstance(key[0], Event) for key in warm.memo)
+    # A world's successors are keyed on its group of events and the context.
+    groups = [key[0] for key in warm.memo
+              if isinstance(key, tuple) and isinstance(key[0], tuple)]
+    assert groups and all(isinstance(e, Event) for g in groups for e in g)
     for s in states:
         for choice in _choices(warm, s):
             assert (_step_outcome(warm, s, choice, prob.k)
                     == _step_outcome(dom.with_fresh_memo(), s, choice, prob.k))
+
+
+def _variants_graphs():
+    dom = parse_domain(load_shipped("cube_org"))
+    for d in draws(3):
+        prob = parse_problem(d.text(), dom)
+        yield dom, prob, [n.state for n in solve(dom, prob, exhaust=True).all_nodes]
+
+
+@pytest.mark.parametrize("name", ["p2", "p6", "cooking3", "variants-3"])
+def test_the_memoized_step_matches_a_plain_product_update(name):
+    """Every state and option of the exhaustive graphs, on one memo warmed
+    as the search warms it: each world's successors, looked up per group
+    of events and step context, equal the plain per-event update."""
+    graphs = _variants_graphs() if name == "variants-3" else [_exhaustive(name)]
+    checked = 0
+    for dom, prob, states in graphs:
+        warm = with_call_memo(dom)
+        for s in states:
+            for choice in _choices(warm, s):
+                a = build_epistemic_action(warm, s, choice, prob.k)
+                got = product_update(warm, s, a)
+                assert got.signature() == plain_product_update(dom, s, a).signature()
+                checked += 1
+    assert checked > 100
+
+
+VIEW_DOMAIN = """
+domain view_count {
+  type thing
+  place near
+  place far
+  object vc_first thing
+  object vc_late thing
+  predicate at(agent, place) inferable
+  predicate vc_lies(thing, place) observable
+  rule see_lying: vc_lies(T, P) when at(observer, P)
+  copresent when at(R, P), at(H, P)
+  action vc_wait() by R at near {
+    pre at(R, near)
+  }
+  action vc_look() by H at near {
+    pre at(H, near)
+  }
+}
+"""
+
+
+def _view_problem(thing):
+    return f"""
+problem view_{thing} {{
+  domain view_count
+  k 1
+  communication off
+  robot at near
+  human at near
+  task R vc_wait
+  task H vc_look
+  init {{
+    vc_lies({thing}, near)
+  }}
+}}
+"""
+
+
+def test_the_view_covers_atoms_interned_after_it_was_judged():
+    """One ground table serves every problem of its declarations, and atoms
+    are interned per process: an atom a later problem interns is judged
+    under a truth whose view was already computed, on the same memo and on
+    a fresh one."""
+    dom = parse_domain(VIEW_DOMAIN)
+    first = initial_state(dom, parse_problem(_view_problem("vc_first"), dom))
+    assert situation_assessment(dom, first, 1).signature() == first.signature()
+    late = lit("vc_lies(vc_late,near)")
+    assert model.known_bit(late) == 0
+    parse_problem(_view_problem("vc_late"), dom)  # interns ``late``
+    d = first.designated_world
+    w = world_from(d, d.mask_r, d.mask_h, d.mask_rh | model.known_bit(late),
+                   d.tn_r, d.tn_h, d.tn_rh, d.acted)
+    s = EpistemicState.make([d, w], designated=d, actor="R", budget=1)
+    want = plain_assessment(dom, s, 1)
+    assert len(want.worlds) == 1
+    for memo in (dom, dom.with_fresh_memo()):
+        assert situation_assessment(memo, s, 1).signature() == want.signature()
 
 
 def test_anticipated_events_depend_on_the_allowance(cube):
@@ -610,36 +709,13 @@ def test_product_update_honours_the_action_copresence_rule(cube):
     assert unseen_out.budget == 1
 
 
-def _plain_assessment(dom, s, k):
-    """Situation assessment atom by atom over plain sets."""
-    d = s.designated_world
-    co = copresent(d, dom.copresence)
-    truth = d.bel_r.atoms
-
-    def shown(atoms):
-        return {a for a in atoms if observable(dom, a, d)}
-
-    survivors = [w for w in s.worlds if w is d or (
-        not w.distinguishable and not shown(truth ^ w.bel_rh.atoms))]
-    folded = []
-    for w in survivors:
-        view = shown(truth | w.bel_h.atoms | w.bel_rh.atoms)
-        folded.append(World(
-            w.bel_r,
-            BeliefBase((w.bel_h.atoms - view) | (truth & view)),
-            BeliefBase((w.bel_rh.atoms - view) | (truth & view)),
-            w.tn_r, w.tn_h, w.tn_rh, 0 if co else w.acted))
-    return EpistemicState.make(folded, folded[survivors.index(d)], s.actor,
-                               k if co else s.budget, s.pending)
-
-
 def test_sa_on_one_memo_matches_the_plain_reference(cube):
     opaque, *_ = reunion_state(transparent=False)
     clear, *_ = reunion_state(transparent=True)
     dom = cube.with_fresh_memo()
     for s in (opaque, clear, opaque, clear):  # later calls read the memo
         got = situation_assessment(dom, s, k=2)
-        assert got.signature() == _plain_assessment(cube, s, 2).signature()
+        assert got.signature() == plain_assessment(cube, s, 2).signature()
     assert [len(situation_assessment(dom, s, k=2).worlds)
             for s in (opaque, clear)] == [2, 1]
 

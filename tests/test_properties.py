@@ -60,7 +60,7 @@ from helpers import (
     base_of,
     copresent,
     lit,
-    observable,
+    plain_assessment,
     pretty_print_domain,
 )
 
@@ -184,38 +184,11 @@ def test_assessment_twice_is_once(s, k):
     assert again.signature() == once.signature()
 
 
-def _plain_assessment(s: EpistemicState, k: int) -> EpistemicState:
-    """Situation assessment read straight off its definition, atom by atom
-    over plain sets."""
-    d = s.designated_world
-    co = copresent(d, CUBE.copresence)
-
-    def seen(atom) -> bool:
-        return observable(CUBE, atom, d)
-
-    truth = d.bel_r.atoms
-    survivors = [w for w in s.worlds if w is d or (
-        not w.distinguishable
-        and not any(seen(a) for a in truth ^ w.bel_rh.atoms))]
-    if len(survivors) == len(s.worlds) and not co:
-        return s
-    folded = []
-    for w in survivors:
-        shown = {a for a in truth | w.bel_h.atoms | w.bel_rh.atoms if seen(a)}
-        folded.append(World(
-            w.bel_r,
-            BeliefBase((w.bel_h.atoms - shown) | (truth & shown)),
-            BeliefBase((w.bel_rh.atoms - shown) | (truth & shown)),
-            w.tn_r, w.tn_h, w.tn_rh, 0 if co else w.acted))
-    return EpistemicState.make(folded, folded[survivors.index(d)], s.actor,
-                               k if co else s.budget, s.pending)
-
-
 @CASES
 @given(cube_states(), st.integers(1, 3))
 def test_assessment_matches_a_plain_reference(s, k):
     assert (situation_assessment(CUBE, s, k).signature()
-            == _plain_assessment(s, k).signature())
+            == plain_assessment(CUBE, s, k).signature())
 
 
 # -- product update ----------------------------------------------------------

@@ -54,11 +54,14 @@ ROUNDS = 5
 TOP = 15
 # Memo key kinds in the order a step meets them; any other kind is listed
 # after these.  A key that is a tuple starting with a string is of that
-# kind; the others are successors, keyed ``(event, mark)`` or ``("human",
-# ...)``.  ``done`` holds state evaluation's verdict per world; ``htn`` one
-# answer record under each exact and each projected (agenda, mask) key.
-# ``copresent`` counts the truth masks in its own dict.
-KINDS = ("done", "htn", "anticipate", "successor", "seen", "fold", "offer", "copresent")
+# kind; the others are successors, keyed ``(group of events, context)``.
+# ``done`` holds state evaluation's verdict per world; ``htn`` one answer
+# record under each exact and each projected (agenda, mask) key;
+# ``anticipate`` and ``human`` a world's group of events; ``view`` the
+# in-view mask of a truth.  ``copresent`` counts the truth masks in its own
+# dict.
+KINDS = ("done", "htn", "anticipate", "human", "successor", "view", "fold", "offer",
+         "copresent")
 
 
 def _code_key(prog, module: str, path: str) -> tuple | None:
@@ -80,7 +83,7 @@ def _kind(key) -> str | None:
     if isinstance(key, str):
         return key if key == "copresent" else None  # the other is the log flag
     head = key[0]
-    return head if isinstance(head, str) and head != "human" else "successor"
+    return head if isinstance(head, str) else "successor"
 
 
 def _swapped(prog, fn, wrapper) -> list:
