@@ -32,7 +32,7 @@ from .dsl import (
     validate,
 )
 from .kernel import initial_state, state_copresent, with_call_memo
-from .model import BeliefBase, EpistemicState
+from .model import BeliefBase, EpistemicState, World
 from .solver import (
     DEAD,
     DONE,
@@ -316,8 +316,10 @@ def _divergence_summary(s: EpistemicState) -> str:
 
     gap = listed(d.bel_h, d.bel_r)
     parts = [f"human belief vs truth: {gap}"] if gap else []
+    # Numbered in the order of the worlds' texts, as `EpistemicState.describe`
+    # numbers them, which no process's intern history changes.
     hypos = [f"world {i} differs on {listed(w.bel_h, d.bel_h) or 'the agenda only'}"
-             for i, w in enumerate(s.worlds) if w is not d]
+             for i, w in enumerate(sorted(s.worlds, key=World.describe)) if w is not d]
     if hypos:
         parts.append("; ".join(hypos))
     return "; ".join(parts) if parts else "beliefs aligned"

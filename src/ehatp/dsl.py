@@ -176,10 +176,11 @@ class DomainModel(Frozen):
                                  "_methods", "_types", "_of_type")
     _compared = _DECLARATIONS
     # Ground instances built on first use (``htn._ground``,
-    # ``kernel._copresent``), keyed by a ``Task`` (a name and a tuple of
-    # names) or a co-presence rule (a tuple of literals); the observable
-    # instances of each interned atom (``kernel._observables``), under the
-    # string ``"observable"``; each ground task's relevance
+    # ``kernel._rule``), keyed by a ``Task`` (a name and a tuple of names) or
+    # a co-presence rule (a tuple of literals), a rule's with the mask of the
+    # atoms they test; the observable instances of each interned atom and
+    # the atoms they test (``kernel._observables``), under the string
+    # ``"observable"``; each ground task's relevance
     # (``htn.relevant``), keyed ``("relevant", task)``: two fields like a
     # ``Task``, but the second is a ``Task``, which holds a tuple, not a
     # name; and the nearest foreign action of a root task
@@ -191,9 +192,9 @@ class DomainModel(Frozen):
     # The HTN's answer record for each (agenda, mask), under the exact mask
     # and under its projection onto the agenda's relevant atoms, both
     # ``("htn", agenda, mask)`` (see ``htn.answers``); state evaluation's
-    # verdict per world, ``("done", world)``; the atoms in view under each
-    # truth mask; the kernel's world transitions; and the ``EHATP_LOG``
-    # flag.  One search, replay or stepper run works on its own copy
+    # verdict per world, ``("done", world)``; the atoms in view and
+    # co-presence under each truth projected onto the atoms their instances
+    # test; the kernel's world transitions; and the ``EHATP_LOG`` flag.  One search, replay or stepper run works on its own copy
     # (``kernel.with_call_memo``), so the memo lives as long as that call.
     memo: dict
     # (line, column) of each observable predicate's name, by ``("predicate",

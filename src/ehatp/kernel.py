@@ -10,8 +10,10 @@ observations are folded back into the human-side belief bases.
 The step computes on a world's masks, one world at a time: a hidden world's
 successors are one memoized tuple, looked up by the world's events and the
 step's context, and assessment tests each world against one in-view mask per
-truth.  Co-presence is judged once per truth mask per call, and the
-observable instances of each interned atom once per domain.
+truth.  Co-presence and the view are judged once per call for each
+projection of the truth onto the atoms their instances test, and those
+instances, for the rule and for each interned observable atom, once per
+domain.
 """
 
 from __future__ import annotations
@@ -38,18 +40,17 @@ from .model import (
 
 
 _LOG = "EHATP_LOG"  # also the memo key of the flag
-_COPRESENT = "copresent"  # memo key of the domain rule's answers by truth mask
+_COPRESENT = "copresent"  # memo key of the domain rule's answers by projected truth
 
 
 def with_call_memo(dom: DomainModel) -> DomainModel:
     """``dom`` with a fresh memo for one search or replay, holding the
-    ``EHATP_LOG`` flag as the call starts and co-presence by truth mask;
+    ``EHATP_LOG`` flag as the call starts (the entry marks a call memo);
     ``dom`` itself when it has such a memo, so a call made inside shares it."""
     if _LOG in dom.memo:
         return dom
     dom = dom.with_fresh_memo()
     dom.memo[_LOG] = os.environ.get(_LOG, "")
-    dom.memo[_COPRESENT] = {}
     return dom
 
 
@@ -128,9 +129,15 @@ def _fill_action(a: EpistemicAction, designated: Event,
 # Ground-truth queries, as mask tests over instances ground once per domain
 
 
-def _compiled(sols: list[tuple]) -> tuple[tuple[int, int], ...]:
-    """``(need, forbid)`` instances of ``dom.instances`` solutions."""
-    return tuple((need, forbid) for _, need, forbid in sols)
+def _compiled(sols: list[tuple]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The ``(need, forbid)`` instances of ``dom.instances`` solutions, and
+    the mask of every atom they test: two truths that agree on it agree on
+    every instance."""
+    instances = tuple((need, forbid) for _, need, forbid in sols)
+    tested = 0
+    for need, forbid in instances:
+        tested |= need | forbid
+    return instances, tested
 
 
 def _holds(instances: tuple, mask: int) -> bool:
@@ -141,21 +148,31 @@ def _holds(instances: tuple, mask: int) -> bool:
     return False
 
 
+def _rule(dom: DomainModel, rule: tuple[Literal, ...]) -> tuple[tuple, int]:
+    """The rule's instances and the atoms they test, ground once per domain
+    with the rule as the key, so an action carrying its own rule never reads
+    the domain's."""
+    entry = dom.table.get(rule)
+    if entry is None:
+        entry = dom.table[rule] = _compiled(dom.instances(rule, {}))
+    return entry
+
+
 def _copresent(dom: DomainModel, truth: int, rule: tuple[Literal, ...]) -> bool:
     """Whether the agents share each other's presence when reality has mask
-    ``truth``.  The rule's instances are ground once per domain with the
-    rule as the key, so an action carrying its own rule never reads the
-    domain's; under the domain's rule, a call memo keeps each truth's answer.
-    """
-    known = dom.memo.get(_COPRESENT) if rule is dom.copresence else None
-    co = known.get(truth) if known is not None else None
+    ``truth``.  Under the domain's rule, a call memo keeps each answer under
+    the truth projected onto the atoms the rule's instances test."""
+    memo = dom.memo
+    if rule is not dom.copresence or _LOG not in memo:
+        return _holds(_rule(dom, rule)[0], truth)
+    known = memo.get(_COPRESENT)
+    if known is None:
+        known = memo[_COPRESENT] = (*_rule(dom, rule), {})
+    instances, tested, answers = known
+    truth &= tested
+    co = answers.get(truth)
     if co is None:
-        instances = dom.table.get(rule)
-        if instances is None:
-            instances = dom.table[rule] = _compiled(dom.instances(rule, {}))
-        co = _holds(instances, truth)
-        if known is not None:
-            known[truth] = co
+        co = answers[truth] = _holds(instances, truth)
     return co
 
 
@@ -166,11 +183,12 @@ def state_copresent(dom: DomainModel, s: EpistemicState) -> bool:
 _OBSERVABLE = "observable"  # table key of the observable atoms' instances
 
 
-def _observables(dom: DomainModel) -> list[tuple[int, tuple]]:
-    """The ``(bit, instances)`` pair of each interned atom the human may
-    observe, in bit order, for the life of ``dom.table``: extended with the
-    atoms interned since the last call, as one table serves every problem of
-    its declarations and atoms are interned per process.
+def _observables(dom: DomainModel) -> list:
+    """``[scanned, pairs, tested]`` for the life of ``dom.table``: the
+    ``(bit, instances)`` pair of each interned atom the human may observe, in
+    bit order, and the mask of the atoms those instances test, extended with
+    the atoms interned since the ``scanned`` count, as one table serves every
+    problem of its declarations and atoms are interned per process.
 
     An observable predicate's atom is in view when the antecedent of some
     knowledge rule whose target names it holds, with the observer bound to
@@ -179,11 +197,10 @@ def _observables(dom: DomainModel) -> list[tuple[int, tuple]]:
     """
     entry = dom.table.get(_OBSERVABLE)
     if entry is None:
-        entry = dom.table[_OBSERVABLE] = [0, []]
-    scanned, pairs = entry
-    while scanned < atom_count():
+        entry = dom.table[_OBSERVABLE] = [0, [], 0]
+    while entry[0] < atom_count():
         count = atom_count()
-        for atom in atoms_of(((1 << count) - 1) >> scanned << scanned):
+        for atom in atoms_of(((1 << count) - 1) >> entry[0] << entry[0]):
             decl = dom.predicate(atom.pred)
             if decl is None or not decl.observable:
                 continue
@@ -194,23 +211,27 @@ def _observables(dom: DomainModel) -> list[tuple[int, tuple]]:
                     binding[OBSERVER] = "H"
                     sols += dom.instances(rule.antecedent, binding)
             if sols:
-                pairs.append((known_bit(atom), _compiled(sols)))
-        scanned = entry[0] = count
-    return pairs
+                instances, tested = _compiled(sols)
+                entry[1].append((known_bit(atom), instances))
+                entry[2] |= tested
+        entry[0] = count
+    return entry
 
 
 def in_view(dom: DomainModel, truth: int) -> int:
     """The mask of the interned atoms the human can settle the truth of when
-    reality has mask ``truth``: judged once per truth mask per call memo, and
-    again once atoms have been interned since."""
-    key = ("view", truth)
+    reality has mask ``truth``: judged once per call memo for each
+    projection of ``truth`` onto the atoms the observable instances test,
+    and again once atoms have been interned since."""
+    count, pairs, tested = _observables(dom)
+    key = ("view", truth & tested)
     known = dom.memo.get(key)
-    if known is None or known[0] != atom_count():
+    if known is None or known[0] != count:
         view = 0
-        for bit, instances in _observables(dom):
+        for bit, instances in pairs:
             if _holds(instances, truth):
                 view |= bit
-        known = dom.memo[key] = (atom_count(), view)
+        known = dom.memo[key] = (count, view)
     return known[1]
 
 

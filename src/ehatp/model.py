@@ -430,15 +430,18 @@ class EpistemicState(Frozen):
     ``actor`` names whose turn it is, ``budget`` the remaining ontic robot
     actions allowed before the next reunion, and ``pending`` the facts the
     human has asked to be told (a forced inform on the robot's next turn).
-    States are equal when their signatures are.
+    ``designated_world`` is ``worlds[designated]``, kept as a field since
+    every step reads it.  States are equal when their signatures, the other
+    five fields, are.
     """
 
-    __slots__ = ("worlds", "designated", "actor", "budget", "pending")
+    __slots__ = ("worlds", "designated", "actor", "budget", "pending", "designated_world")
     worlds: tuple[World, ...]
     designated: int
     actor: str
     budget: int
     pending: tuple[Literal, ...]
+    designated_world: World
 
     def __init__(self, worlds: tuple[World, ...], designated: int, actor: str = "R",
                  budget: int = 0, pending: tuple[Literal, ...] = ()) -> None:
@@ -447,6 +450,7 @@ class EpistemicState(Frozen):
         _s_actor(self, actor)
         _s_budget(self, budget)
         _s_pending(self, pending)
+        _s_designated_world(self, worlds[designated])
 
     @classmethod
     def make(
@@ -466,8 +470,14 @@ class EpistemicState(Frozen):
         else:
             ordered = tuple(sorted(unique, key=_by_key))
             index = ordered.index(designated)
-        return cls(ordered, index, actor, budget,
-                   tuple(sorted(pending, key=str)) if pending else ())
+        s = _new(cls)
+        _s_worlds(s, ordered)
+        _s_designated(s, index)
+        _s_actor(s, actor)
+        _s_budget(s, budget)
+        _s_pending(s, tuple(sorted(pending, key=str)) if pending else ())
+        _s_designated_world(s, designated)
+        return s
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, EpistemicState) and other.signature() == self.signature()
@@ -475,9 +485,9 @@ class EpistemicState(Frozen):
     def __hash__(self) -> int:
         return hash(self.signature())
 
-    @property
-    def designated_world(self) -> World:
-        return self.worlds[self.designated]
+    def __repr__(self) -> str:
+        return (f"EpistemicState(worlds={self.worlds!r}, designated={self.designated!r}, "
+                f"actor={self.actor!r}, budget={self.budget!r}, pending={self.pending!r})")
 
     def signature(self) -> tuple:
         """The state's identity among live states, usable as a dict key.  It
@@ -497,5 +507,7 @@ class EpistemicState(Frozen):
         return f"{body}@d={d};actor={self.actor};k={self.budget};pending=[{pend}]"
 
 
-_s_worlds, _s_designated, _s_actor, _s_budget, _s_pending = slot_setters(EpistemicState)
+_s_worlds, _s_designated, _s_actor, _s_budget, _s_pending, _s_designated_world = (
+    slot_setters(EpistemicState))
+
 _by_key = attrgetter("_key")

@@ -140,12 +140,17 @@ def synthesize_communication(dom: DomainModel, s: EpistemicState, p: Literal,
 def _uniform_human_refinements(dom: DomainModel,
                                s: EpistemicState) -> list[Refinement]:
     """Refinements of the human agenda that exist in every world, in the
-    designated world's order."""
+    designated world's order.  Worlds whose answer record is the designated
+    world's own, usually all of them, cut nothing."""
     d = s.designated_world
     mine = answers(dom, d.tn_h, d.mask_h)
     common = mine.keys
     for w in s.worlds:
-        common = common & answers(dom, w.tn_h, w.mask_h).keys
+        other = answers(dom, w.tn_h, w.mask_h)
+        if other is not mine:
+            common = common & other.keys
+    if common is mine.keys:
+        return list(mine.refinements)
     return [r for r in mine.refinements if r.key() in common]
 
 

@@ -225,6 +225,18 @@ def observable(dom: DomainModel, l: Literal, w: World) -> bool:
     return False
 
 
+def plain_uniform(walk, s: EpistemicState) -> list:
+    """The human's refinements that exist in every world of ``s``, in the
+    designated world's order, by one intersection per world: what
+    `solver._uniform_human_refinements` returns.  ``walk(tn, mask)`` gives
+    the record whose ``refinements`` an agenda has under a base."""
+    per_world = [{r.key(): r for r in walk(w.tn_h, w.mask_h).refinements} for w in s.worlds]
+    common = set(per_world[s.designated])
+    for m in per_world:
+        common &= set(m)
+    return [r for key, r in per_world[s.designated].items() if key in common]
+
+
 # --------------------------------------------------------------------------
 # The plain step the kernel's memoized one is checked against
 

@@ -780,6 +780,9 @@ def test_steps_intern_only_the_agendas_they_change(monkeypatch):
 
 
 def test_the_copresence_memo_agrees_with_the_rule_on_every_state():
+    """The call memo keeps co-presence under the truth projected onto the
+    atoms the rule's instances test, the agents' places here, so the
+    states' many truths share a few entries."""
     dom, prob, states = _exhaustive("p2")
     memo = with_call_memo(dom)
     want = {s.designated_world.mask_r: copresent(s.designated_world, dom.copresence)
@@ -787,5 +790,58 @@ def test_the_copresence_memo_agrees_with_the_rule_on_every_state():
     assert set(want.values()) == {True, False}
     for s in states + states:  # the second pass reads the memo
         assert state_copresent(memo, s) == want[s.designated_world.mask_r]
-    assert memo.memo[kernel._COPRESENT] == want
+    places = sum(model.known_bit(lit("at", agent, place))
+                 for agent in ("R", "H") for place in dom.places)
+    *_, answers = memo.memo[kernel._COPRESENT]
+    assert answers == {truth & places: co for truth, co in want.items()}
+    assert len(answers) < len(want)
     assert kernel._COPRESENT not in dom.table and dom.copresence in dom.table
+
+
+FAST_AGAINST_PLAIN = """\
+from ehatp import kernel, model
+from ehatp.dsl import load_instance, load_shipped, parse_problem
+from ehatp.solver import solve
+from helpers import copresent, observable
+
+dom, p2 = load_instance("p2")
+memo = kernel.with_call_memo(dom)
+
+
+def check(states):
+    views = []
+    for s in states:
+        d = s.designated_world
+        assert kernel.state_copresent(memo, s) == copresent(d, dom.copresence), s.describe()
+        plain = sum(model.known_bit(a) for a in model._ATOMS if observable(dom, a, d))
+        views.append(kernel.in_view(memo, d.mask_r))
+        assert views[-1] == plain, s.describe()
+    return views
+
+
+graph_p2 = [n.state for n in solve(dom, p2, exhaust=True).all_nodes]
+before = check(graph_p2)
+count = model.atom_count()
+graph_p6 = [n.state for n in solve(dom, parse_problem(load_shipped("p6"), dom),
+                                   exhaust=True).all_nodes]
+interned = [a for a in model._ATOMS[count:] if dom.predicate(a.pred).observable]
+after = check(graph_p6 + graph_p2)[len(graph_p6):]
+print(len(graph_p2), len(graph_p6), *interned, sum(b != a for b, a in zip(before, after)))
+"""
+
+
+def test_the_fast_kernel_matches_the_plain_rules_on_one_memo():
+    """On one call memo, in a fresh process: co-presence and the in-view mask
+    of every state of p2's and then p6's whole graphs equal the plain rules
+    on the unprojected truth, and so do p2's again once p6 has interned an
+    observable atom p2 never met, which widens the view of p2's states."""
+    src = str(Path(ehatp.__file__).resolve().parents[1])
+    path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
+    out = subprocess.run(
+        [sys.executable, "-c", FAST_AGAINST_PLAIN],
+        env={**os.environ, "PYTHONPATH": path, "EHATP_LOG": ""},
+        capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    states_p2, states_p6, *interned, widened = out.stdout.split()
+    assert (states_p2, states_p6) == ("78", "322")
+    assert interned and int(widened) > 0, out.stdout

@@ -43,7 +43,7 @@ from ehatp.solver import (
     _blocked_atoms,
     _uniform_human_refinements,
 )
-from helpers import agent_place, lit
+from helpers import agent_place, lit, plain_uniform
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "planbench"))
 from variants import draws  # noqa: E402
@@ -638,14 +638,6 @@ class _Walks:
         return self.seen[key]
 
 
-def _plain_uniform(walk, s):
-    per_world = [{r.key(): r for r in walk(w.tn_h, w.mask_h).refinements} for w in s.worlds]
-    common = set(per_world[s.designated])
-    for m in per_world:
-        common &= set(m)
-    return [r for key, r in per_world[s.designated].items() if key in common]
-
-
 def _plain_blocked(walk, s):
     d = s.designated_world
     split = 0
@@ -705,21 +697,28 @@ def shipped_graphs():
 
 
 def test_the_solver_views_of_the_htn_match_plain_restatements(shipped_graphs):
-    blocked = uniform_cut = 0
+    """On every state of the whole shipped graphs, on one memo per graph.
+    The uniform human choices equal one intersection per world, in the same
+    order, both where some world cuts a choice and where every world's
+    answer record is the designated world's, so no intersection is made."""
+    blocked = uniform_cut = shortcut = 0
     for name, dom, states in shipped_graphs:
         shared, walk = with_call_memo(dom), _Walks(dom)
         for s in states:
             plain = _plain_evaluation(walk, s)
             assert evaluate_state(shared, s) == plain == evaluate_state(shared, s), name
-            want = _plain_uniform(walk, s)
+            want = plain_uniform(walk, s)
             got = _uniform_human_refinements(shared, s)
             assert got == want and [r.trace for r in got] == [r.trace for r in want], name
-            uniform_cut += len(want) < len(walk(s.designated_world.tn_h,
-                                               s.designated_world.mask_h).refinements)
+            d = s.designated_world
+            uniform_cut += len(want) < len(walk(d.tn_h, d.mask_h).refinements)
+            mine = htn.answers(shared, d.tn_h, d.mask_h)
+            shortcut += s.actor == "H" and len(s.worlds) > 1 and all(
+                htn.answers(shared, w.tn_h, w.mask_h) is mine for w in s.worlds)
             want = _plain_blocked(walk, s)
             assert _blocked_atoms(shared, s) == want, name
             blocked += bool(want)
-    assert blocked and uniform_cut  # both views meet states where they matter
+    assert blocked and uniform_cut and shortcut  # each case is met
 
 
 def test_the_narrowed_alignment_matches_the_whole_enumeration(shipped_graphs):

@@ -87,3 +87,42 @@ def test_plan_is_independent_of_intern_history(tmp_path):
     m = res.metrics
     assert counts == f"{m.states} {m.maxW} {m.leaves}"
     assert here.read_bytes() == fresh.read_bytes()
+
+
+SUMMARIES_P4 = """\
+import sys
+from ehatp import model
+from ehatp.cli import _divergence_summary
+from ehatp.dsl import load_instance
+from ehatp.model import EpistemicState
+from ehatp.solver import solve
+for line in reversed(sys.stdin.read().splitlines()):
+    pred, *args = line.split()
+    model.atom_bit(model.Literal(pred, tuple(args)))
+states = [n.state for n in solve(*load_instance("p4"), exhaust=True).all_nodes]
+print(*(" ".join((a.pred, *a.args)) for a in model._ATOMS), sep="\\n")
+print("--")
+for s in sorted((s for s in states if len(s.worlds) >= 3), key=EpistemicState.describe):
+    print(_divergence_summary(s))
+"""
+
+
+def test_stepper_summaries_are_independent_of_intern_history():
+    """The interactive stepper numbers a state's hypotheses as `describe`
+    orders its worlds, so a process that met the atoms in the reverse order
+    prints the same summaries of p4's states with three or more worlds."""
+    src = str(Path(ehatp.__file__).resolve().parents[1])
+
+    def run(earlier: str) -> tuple[list[str], list[str]]:
+        lines = subprocess.run(
+            [sys.executable, "-c", SUMMARIES_P4], input=earlier,
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, check=True).stdout.splitlines()
+        cut = lines.index("--")
+        return lines[:cut], lines[cut + 1:]
+
+    fresh_order, fresh = run("")
+    later_order, later = run("\n".join(fresh_order))
+    assert later_order != fresh_order and sorted(later_order) == sorted(fresh_order)
+    assert len(fresh) >= 60 and all(line.count("world ") >= 2 for line in fresh)
+    assert later == fresh

@@ -21,12 +21,15 @@ Before profiling, one more round runs with every call memo captured as
 ``kernel.with_call_memo`` makes it, with the table of live interned
 worlds (``model._WORLDS``) read after each world is built, and with the
 HTN's questions counted.  Printed: the memo entries per key kind, summed
-over the round and in the largest memo; the most worlds alive at once in
-one call; and the calls of ``htn.answers`` against the distinct (agenda,
-base) questions among them and the walks made (``htn._walk``), so the
-share answered by the projection onto relevant atoms shows.  The
-collector runs before each call, so no call's worlds are counted in the
-next.
+over the round and in the largest memo, its lookups and the share of them
+answered from the memo; the most worlds alive at once in one call; the
+calls of ``htn.answers`` against the distinct (agenda, base) questions
+among them and the walks made (``htn._walk``), so the share answered by
+the projection onto relevant atoms shows; and the share of the solver's
+uniform-choice calls (``solver._uniform_human_refinements``) that meet a
+world whose answer record is not the designated world's, so still
+intersect.  The collector runs before each call, so no call's worlds are
+counted in the next.
 """
 
 from __future__ import annotations
@@ -58,8 +61,9 @@ TOP = 15
 # ``done`` holds state evaluation's verdict per world; ``htn`` one answer
 # record under each exact and each projected (agenda, mask) key;
 # ``anticipate`` and ``human`` a world's group of events; ``view`` the
-# in-view mask of a truth.  ``copresent`` counts the truth masks in its own
-# dict.
+# in-view mask of a truth projected onto the atoms the observable
+# instances test.  ``copresent`` counts the truths, projected onto the
+# atoms the co-presence rule tests, in its own dict.
 KINDS = ("done", "htn", "anticipate", "human", "successor", "view", "fold", "offer",
          "copresent")
 
@@ -86,6 +90,26 @@ def _kind(key) -> str | None:
     return head if isinstance(head, str) else "successor"
 
 
+class _Tallied(dict):
+    """A call memo that counts, per key kind, the lookups made through
+    ``get`` and the entries stored; a lookup that stores nothing was
+    answered from the memo.  ``copresent`` is counted where it is asked."""
+
+    tally: Counter
+
+    def get(self, key, default=None):
+        kind = _kind(key)
+        if kind is not None and kind != "copresent":
+            self.tally[kind, "lookups"] += 1
+        return dict.get(self, key, default)
+
+    def __setitem__(self, key, value) -> None:
+        kind = _kind(key)
+        if kind is not None and kind != "copresent":
+            self.tally[kind, "stores"] += 1
+        dict.__setitem__(self, key, value)
+
+
 def _swapped(prog, fn, wrapper) -> list:
     """Put ``wrapper`` in place of ``fn`` in every module of ``prog`` that
     holds it; returns what undoes that."""
@@ -101,20 +125,40 @@ def _swapped(prog, fn, wrapper) -> list:
 def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
     """One round of ``items`` with each call memo captured: each memo's
     entries by key kind, the most interned worlds alive at once in one
-    call, that call's input, and the HTN's calls, distinct questions and
-    walks."""
+    call, that call's input, and one tally of the memo lookups and stores
+    per kind, the HTN's calls, distinct questions and walks, and the
+    uniform-choice calls and those that intersect."""
     memos: list[dict] = []
     table = prog.model._WORLDS
     live = [0]
     with_call_memo, world_from = prog.kernel.with_call_memo, prog.model.world_from
     answers, walk = prog.htn.answers, prog.htn._walk
+    copresent, uniform = prog.kernel._copresent, prog.solver._uniform_human_refinements
+    memo_slot = vars(prog.dsl.DomainModel)["memo"]
     asked = Counter()
     questions: set = set()  # (memo id, agenda, mask); the memos live per input
 
     def capturing(dom):
         out = with_call_memo(dom)
         if out is not dom:
-            memos.append(out.memo)
+            memo = _Tallied(out.memo)
+            memo.tally = asked
+            memo_slot.__set__(out, memo)
+            memos.append(memo)
+        return out
+
+    def asking_copresent(dom, truth, rule):
+        if rule is dom.copresence and isinstance(dom.memo, _Tallied):
+            asked["copresent", "lookups"] += 1
+        return copresent(dom, truth, rule)
+
+    def choosing(dom, s):
+        out = uniform(dom, s)
+        d = s.designated_world
+        mine = dom.memo[("htn", d.tn_h, d.mask_h)]  # stored by the call, not tallied
+        asked["uniform"] += 1
+        asked["intersect"] += any(dom.memo[("htn", w.tn_h, w.mask_h)] is not mine
+                                  for w in s.worlds)
         return out
 
     def counting(*args):
@@ -132,7 +176,8 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
         return walk(*args)
 
     undo = (_swapped(prog, with_call_memo, capturing) + _swapped(prog, world_from, counting)
-            + _swapped(prog, answers, asking) + _swapped(prog, walk, walking))
+            + _swapped(prog, answers, asking) + _swapped(prog, walk, walking)
+            + _swapped(prog, copresent, asking_copresent) + _swapped(prog, uniform, choosing))
     sizes: list[Counter] = []
     peak, where = 0, ""
     try:
@@ -148,8 +193,9 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
                 for key, value in memo.items():
                     kind = _kind(key)
                     if kind is not None:
-                        kinds[kind] += len(value) if kind == "copresent" else 1
+                        kinds[kind] += len(value[-1]) if kind == "copresent" else 1
                 sizes.append(kinds)
+                asked["copresent", "stores"] += kinds["copresent"]
             memos.clear()
             asked["questions"] += len(questions)
             questions.clear()
@@ -183,14 +229,18 @@ def main(argv: list[str] | None = None) -> int:
     kinds = list(KINDS) + sorted({k for c in per_memo for k in c} - set(KINDS))
     print(f"{args.workload}: {len(per_memo)} call memos in one round of {len(items)} inputs; "
           f"at most {peak} interned worlds alive at once ({where})")
-    print(f"  {'memo key kind':<36} {'entries':>8} {'largest':>8}")
+    print(f"  {'memo key kind':<36} {'entries':>8} {'largest':>8} {'lookups':>8} {'hits':>6}")
     for kind in kinds:
         counts = [c[kind] for c in per_memo] or [0]
-        print(f"  {kind:<36} {sum(counts):>8} {max(counts):>8}")
+        lookups = asked[kind, "lookups"]
+        hits = (lookups - asked[kind, "stores"]) / lookups if lookups else 0.0
+        print(f"  {kind:<36} {sum(counts):>8} {max(counts):>8} {lookups:>8} {hits:6.1%}")
     calls, questions, walks = asked["calls"], asked["questions"], asked["walks"]
     print(f"  htn.answers: {calls} calls, {questions} distinct (agenda, base) questions, "
           f"{walks} walks; the projection answered {questions - walks} "
           f"({(questions - walks) / max(questions, 1):.1%} of the questions)")
+    print(f"  uniform human choices: {asked['uniform']} calls, {asked['intersect']} "
+          f"intersect ({asked['intersect'] / max(asked['uniform'], 1):.1%})")
 
     profiler = cProfile.Profile()
     profiler.enable()
