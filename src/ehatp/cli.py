@@ -78,10 +78,16 @@ def write_policy_file(path: str | Path, dom_text: str, prob_text: str,
 
 
 def read_policy_file(path: str | Path) -> tuple[DomainModel, ProblemInstance, Policy]:
+    """The domain, problem and policy a policy file holds.  The domain carries
+    a call memo of its own (`with_call_memo`; ``EHATP_LOG`` is read as the
+    file is loaded), so `simulate`, `communication_is_load_bearing`,
+    `run_interactive` and `solve` on this loaded policy share every state
+    they build, and the memo is freed with the model.  Each load starts a
+    new memo."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     nodes = [PolicyNode(**n) for n in doc["nodes"]]
     _check_tree(nodes)  # before the parse, which costs far more
-    dom = parse_domain(doc["domain"], filename=f"{path}#domain")
+    dom = with_call_memo(parse_domain(doc["domain"], filename=f"{path}#domain"))
     prob = parse_problem(doc["problem"], dom, filename=f"{path}#problem")
     return dom, prob, Policy(nodes)
 
@@ -162,7 +168,8 @@ def simulate(dom: DomainModel, prob: ProblemInstance,
     within each label, in offer order.  The robot's out-of-sight work is
     re-counted against the budget.  Any branch that cannot be driven to a
     finished state becomes a DEAD trace with the reason attached.  Traces
-    come in policy preorder.
+    come in policy preorder.  Runs on ``dom``'s call memo when it has one,
+    as a loaded policy does, else on a fresh one.
     """
     return SimulationReport(tuple(_replay(with_call_memo(dom), prob, policy)))
 
@@ -255,7 +262,8 @@ def _offered(dom: DomainModel, prob: ProblemInstance,
     option's successor, or its builder until `_follow` first builds it.
     Kept once per call memo: a replay reaches a state again through another
     branch, and a load-bearing check replays the policy once per speech
-    act, each following only some options."""
+    act, each following only some options, after `simulate` has replayed
+    the same loaded policy."""
     key = ("offer", s.signature())
     offered = dom.memo.get(key)
     if offered is None:
@@ -286,7 +294,8 @@ def communication_is_load_bearing(dom: DomainModel, prob: ProblemInstance,
     Each replay leaves one speech-act edge out, heads first for it and stops
     at its first DEAD trace, so it is `not simulate(cut).ok` but walks the
     whole cut policy only when the speech act turns out not to be needed.
-    The replays share one call memo, so none expands a state another has
+    The replays share one call memo, ``dom``'s when it has one, so none
+    expands a state another, or a `simulate` of the same loaded policy, has
     expanded already."""
     dom = with_call_memo(dom)
     parent = {c: n.id for n in policy.nodes for c in n.children}
@@ -341,6 +350,7 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
     ``q`` stops.  Prints co-presence, the surviving-world count, and a
     belief divergence summary after every move.  A plan node that misstates
     the stepped state's actor or co-presence stops the run, as in `simulate`.
+    Steps on ``dom``'s call memo when it has one, else on a fresh one.
     """
     import random  # only the stepper draws, so no other run pays the import
 

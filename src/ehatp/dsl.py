@@ -194,8 +194,10 @@ class DomainModel(Frozen):
     # ``("htn", agenda, mask)`` (see ``htn.answers``); state evaluation's
     # verdict per world, ``("done", world)``; the atoms in view and
     # co-presence under each truth projected onto the atoms their instances
-    # test; the kernel's world transitions; and the ``EHATP_LOG`` flag.  One search, replay or stepper run works on its own copy
-    # (``kernel.with_call_memo``), so the memo lives as long as that call.
+    # test; the kernel's world transitions; and the ``EHATP_LOG`` flag.
+    # One search or one loaded policy file works on its own copy
+    # (``kernel.with_call_memo``), so the memo lives as long as that call
+    # or that loaded model.
     memo: dict
     # (line, column) of each observable predicate's name, by ``("predicate",
     # name)``, and of the ``copresent`` keyword, by ``("copresent", "")``:

@@ -44,9 +44,11 @@ _COPRESENT = "copresent"  # memo key of the domain rule's answers by projected t
 
 
 def with_call_memo(dom: DomainModel) -> DomainModel:
-    """``dom`` with a fresh memo for one search or replay, holding the
-    ``EHATP_LOG`` flag as the call starts (the entry marks a call memo);
-    ``dom`` itself when it has such a memo, so a call made inside shares it."""
+    """``dom`` with a fresh memo for one search, replay or loaded policy
+    file (``cli.read_policy_file``), holding the ``EHATP_LOG`` flag as the
+    memo is made (the entry marks a call memo); ``dom`` itself when it has
+    such a memo, so a call made inside one, or on the loaded policy, shares
+    it."""
     if _LOG in dom.memo:
         return dom
     dom = dom.with_fresh_memo()

@@ -524,7 +524,17 @@ def test_stepper_follows_the_plan(p2_policy, monkeypatch, capsys):
     assert "robot: inform-empty(box_2)" in got
     assert "worlds=1" in got
     assert "finished: DONE" in got
-    assert dom.memo == {}  # the run kept its work in its own call memo
+    # The run kept the options of each state it stepped through in the
+    # loaded policy's memo ...
+    turns = {l.split("]")[0] for l in got.splitlines() if l.startswith("[t")}
+    offered = [k for k in dom.memo if type(k) is tuple and k[0] == "offer"]
+    assert turns and len(offered) == len(turns)
+    # ... and on a parsed model, in a call memo of its own.
+    parsed, prob = load_instance("p2")
+    _feed(monkeypatch, ["1"] * 8)
+    assert run_interactive(parsed, prob, policy) == 0
+    assert capsys.readouterr().out == got
+    assert parsed.memo == {}
 
 
 GOLDEN_P2 = Path(__file__).resolve().parents[1] / "planbench" / "golden" / "p2.policy.json"

@@ -14,7 +14,6 @@ import pytest
 
 from ehatp.cli import _check_tree, main, read_policy_file, simulate, write_policy_file
 from ehatp.dsl import load_instance, load_shipped
-from ehatp.kernel import with_call_memo
 from ehatp.solver import DEAD, Policy, solve
 
 GOLDEN = Path(__file__).resolve().parents[1] / "planbench" / "golden"
@@ -87,14 +86,13 @@ def _misstatements(node: dict) -> dict:
 
 @pytest.mark.parametrize("name", NAMES)
 def test_simulate_fails_a_node_that_misstates_the_replayed_state(name, tmp_path, capsys):
-    """Every misstatement of every node fails the replay.  The file is parsed
-    once and every edited copy replays on one call memo, which stays valid:
-    an edit changes no replayed state.  The first edit of each field also
-    goes through ``ehatp simulate`` whole."""
+    """Every misstatement of every node fails the replay.  The file is loaded
+    once and every edited copy replays on the loaded policy's call memo,
+    which stays valid: an edit changes no replayed state.  The first edit of
+    each field also goes through ``ehatp simulate`` whole."""
     path = GOLDEN / f"{name}.policy.json"
     text = path.read_text(encoding="utf-8")
     dom, prob, policy = read_policy_file(path)
-    dom = with_call_memo(dom)
     bad = tmp_path / "bad.json"
     shown = set()
     for i, node in enumerate(json.loads(text)["nodes"]):

@@ -727,6 +727,8 @@ GOLDEN_NAMES = sorted(p.name.split(".")[0] for p in GOLDEN.glob("*.policy.json")
 
 
 def test_solving_and_replaying_the_golden_instances_builds_no_belief_base(monkeypatch):
+    # A loaded policy's memo reads the flag as the file is loaded.
+    monkeypatch.delenv("EHATP_LOG", raising=False)
     loaded = [read_policy_file(GOLDEN / f"{n}.policy.json") for n in GOLDEN_NAMES]
     assert len(loaded) == 9
     built = []
@@ -735,11 +737,11 @@ def test_solving_and_replaying_the_golden_instances_builds_no_belief_base(monkey
         built.append(args)
 
     # Parsing builds each problem's truth base; a step builds none.
-    monkeypatch.delenv("EHATP_LOG", raising=False)
     monkeypatch.setattr(BeliefBase, "__init__", count)
     monkeypatch.setattr(BeliefBase, "from_mask", classmethod(count))
     for dom, prob, policy in loaded:
-        res = solve(dom, prob)
+        # Solved on a memo of its own, so the replay builds its own steps.
+        res = solve(dom.with_fresh_memo(), prob)
         assert res.policy.node_dicts() == policy.node_dicts(), prob.name
         assert simulate(dom, prob, policy).ok, prob.name
         assert communication_is_load_bearing(dom, prob, policy), prob.name
@@ -799,8 +801,11 @@ def test_the_copresence_memo_agrees_with_the_rule_on_every_state():
 
 
 FAST_AGAINST_PLAIN = """\
+import sys
+from pathlib import Path
+
 from ehatp import kernel, model
-from ehatp.dsl import load_instance, load_shipped, parse_problem
+from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.solver import solve
 from helpers import copresent, observable
 
@@ -808,7 +813,7 @@ dom, p2 = load_instance("p2")
 memo = kernel.with_call_memo(dom)
 
 
-def check(states):
+def check(states, dom=dom, memo=memo):
     views = []
     for s in states:
         d = s.designated_world
@@ -826,7 +831,23 @@ graph_p6 = [n.state for n in solve(dom, parse_problem(load_shipped("p6"), dom),
                                    exhaust=True).all_nodes]
 interned = [a for a in model._ATOMS[count:] if dom.predicate(a.pred).observable]
 after = check(graph_p6 + graph_p2)[len(graph_p6):]
-print(len(graph_p2), len(graph_p6), *interned, sum(b != a for b, a in zip(before, after)))
+
+# Where the robot moves: truths that differ only in its place.
+data = Path(sys.argv[1])
+roam = parse_domain((data / "roam.ehatp").read_text())
+graph = [n.state for n in solve(roam, parse_problem((data / "roam_p.ehatp").read_text(), roam),
+                                 exhaust=True).all_nodes]
+views = check(graph, roam, kernel.with_call_memo(roam))
+robot = sum(model.known_bit(a) for a in model._ATOMS if a.pred == "at" and a.args[0] == "R")
+apart = {}
+for s, view in zip(graph, views):
+    truth = s.designated_world.mask_r
+    co = copresent(s.designated_world, roam.copresence)
+    apart.setdefault(truth & ~robot, set()).add((view, co))
+moved = [answers for answers in apart.values() if len(answers) > 1]
+print(len(graph_p2), len(graph_p6), *interned, sum(b != a for b, a in zip(before, after)),
+      len(graph), sum(len({v for v, _ in a}) > 1 for a in moved),
+      sum(len({c for _, c in a}) > 1 for a in moved))
 """
 
 
@@ -834,14 +855,20 @@ def test_the_fast_kernel_matches_the_plain_rules_on_one_memo():
     """On one call memo, in a fresh process: co-presence and the in-view mask
     of every state of p2's and then p6's whole graphs equal the plain rules
     on the unprojected truth, and so do p2's again once p6 has interned an
-    observable atom p2 never met, which widens the view of p2's states."""
+    observable atom p2 never met, which widens the view of p2's states.  On
+    a memo of its own, so do those of the whole graph of ``tests/data/``'s
+    roam problem, where the robot moves: some of its truths differ only in
+    the robot's place, and those differ in view and in co-presence."""
+    here = Path(__file__).resolve().parent
     src = str(Path(ehatp.__file__).resolve().parents[1])
-    path = os.pathsep.join((src, str(Path(__file__).resolve().parent)))
+    path = os.pathsep.join((src, str(here)))
     out = subprocess.run(
-        [sys.executable, "-c", FAST_AGAINST_PLAIN],
+        [sys.executable, "-c", FAST_AGAINST_PLAIN, str(here / "data")],
         env={**os.environ, "PYTHONPATH": path, "EHATP_LOG": ""},
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    states_p2, states_p6, *interned, widened = out.stdout.split()
-    assert (states_p2, states_p6) == ("78", "322")
+    states_p2, states_p6, *interned, widened, states_roam, views, copresence = (
+        out.stdout.split())
+    assert (states_p2, states_p6, states_roam) == ("78", "322", "24")
     assert interned and int(widened) > 0, out.stdout
+    assert int(views) > 0 and int(copresence) > 0, out.stdout

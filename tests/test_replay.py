@@ -2,11 +2,13 @@
 
 `simulate` keeps each state's offered successors in the call memo, and
 `communication_is_load_bearing` runs all of its dropped-edge replays on one
-memo.  A warm memo must not change what a replay reports, and only calls
-nested in another call may share one.  Each dropped-edge replay heads first
-for the dropped edge and stops at its first DEAD trace: a load-bearing
-speech act costs only the states on the way to it, and one that is not
-costs the whole cut policy, with the verdict of a full replay either way.
+memo.  A warm memo must not change what a replay reports.  A call memo
+belongs to one call, shared only with the calls nested in it, or to one
+loaded policy file, shared by every call on that loaded model.  Each
+dropped-edge replay heads first for the dropped edge and stops at its first
+DEAD trace: a load-bearing speech act costs only the states on the way to
+it, and one that is not costs the whole cut policy, with the verdict of a
+full replay either way.
 Each policy file parses its domain afresh, and the parse takes the table
 already ground for equal declarations.
 """
@@ -65,17 +67,21 @@ def policies():
 
 def test_a_warm_memo_replays_as_a_fresh_one(policies):
     for name, dom, prob, policy in policies:
+        # A loaded policy's own memo, or a new one for a parsed model.
         warm = kernel.with_call_memo(dom)
+
+        def fresh(replayed):
+            alone = dom.with_fresh_memo()
+            assert alone.memo is not warm.memo
+            return _descriptions(simulate(alone, prob, replayed))
+
         edges = communication_edges(policy)
         # Warm the memo with every dropped-edge replay, then replay it all.
         for nid in edges:
             cut = drop_edge(policy, nid)
-            assert (_descriptions(simulate(warm, prob, cut))
-                    == _descriptions(simulate(dom, prob, cut))), name
-        assert (_descriptions(simulate(warm, prob, policy))
-                == _descriptions(simulate(dom, prob, policy))), name
-        assert (_descriptions(simulate(warm, prob, policy))
-                == _descriptions(simulate(dom, prob, policy))), name
+            assert _descriptions(simulate(warm, prob, cut)) == fresh(cut), name
+        assert _descriptions(simulate(warm, prob, policy)) == fresh(policy), name
+        assert _descriptions(simulate(warm, prob, policy)) == fresh(policy), name
 
 
 def test_traces_come_in_policy_preorder(policies):
@@ -90,7 +96,10 @@ def test_load_bearing_verdict_matches_fresh_replays(policies):
     for name, dom, prob, policy in policies:
         edges = communication_edges(policy)
         spoke += bool(edges)
-        fresh = all(not simulate(dom, prob, drop_edge(policy, nid)).ok for nid in edges)
+        alone = [dom.with_fresh_memo() for _ in edges]
+        assert all(a.memo is not dom.memo for a in alone)
+        fresh = all(not simulate(a, prob, drop_edge(policy, nid)).ok
+                    for a, nid in zip(alone, edges))
         assert communication_is_load_bearing(dom, prob, policy) == fresh, name
     assert spoke >= 3
 
@@ -109,21 +118,32 @@ def expanded(monkeypatch):
     return seen
 
 
-def test_only_nested_calls_share_a_memo(expanded):
+def test_a_memo_belongs_to_one_call_or_one_loaded_policy(expanded):
     dom, prob, policy = read_policy_file(GOLDEN[0])
+    # Two calls on one loaded policy expand each state once in total.
+    assert kernel.with_call_memo(dom) is dom
     simulate(dom, prob, policy)
     once = len(expanded)
     assert once > 0 and len(set(expanded)) == once
-    # Two top-level calls in a row: each starts from an empty memo.
     simulate(dom, prob, policy)
+    assert len(expanded) == once
+    # A second load of the same file shares nothing with the first.
+    again, prob, policy = read_policy_file(GOLDEN[0])
+    assert again.memo is not dom.memo
+    simulate(again, prob, policy)
     assert len(expanded) == 2 * once
-    assert kernel.with_call_memo(dom) is not kernel.with_call_memo(dom)
+    # On a parsed model, two calls in a row each start from an empty memo.
+    parsed, prob = load_instance(GOLDEN[0].name.split(".")[0])
+    simulate(parsed, prob, policy)
+    simulate(parsed, prob, policy)
+    assert len(expanded) == 4 * once and parsed.memo == {}
+    assert kernel.with_call_memo(parsed) is not kernel.with_call_memo(parsed)
     # Calls made inside one call memo share it.
-    outer = kernel.with_call_memo(dom)
+    outer = kernel.with_call_memo(parsed)
     assert kernel.with_call_memo(outer) is outer
     simulate(outer, prob, policy)
     simulate(outer, prob, policy)
-    assert len(expanded) == 3 * once
+    assert len(expanded) == 5 * once
 
 
 def test_load_bearing_check_expands_each_state_once(expanded):
@@ -134,10 +154,11 @@ def test_load_bearing_check_expands_each_state_once(expanded):
 
 
 # Successors built (``_step`` and ``synthesize_communication`` calls) per
-# golden policy: by `simulate`, then by the load-bearing check.
-BUILT = {"cooking1": (103, 0), "cooking2": (103, 0), "cooking3": (103, 0),
-         "p1": (39, 0), "p2": (39, 10), "p3": (72, 0), "p4": (73, 24),
-         "p5": (61, 0), "p6": (63, 24)}
+# golden policy: by `simulate`, then by the load-bearing check on the same
+# loaded policy, and by the check alone on a fresh memo.
+BUILT = {"cooking1": (103, 0, 0), "cooking2": (103, 0, 0), "cooking3": (103, 0, 0),
+         "p1": (39, 0, 0), "p2": (39, 0, 10), "p3": (72, 0, 0), "p4": (73, 0, 24),
+         "p5": (61, 0, 0), "p6": (63, 0, 24)}
 
 
 def test_a_replay_builds_only_the_successors_it_follows(monkeypatch):
@@ -153,13 +174,14 @@ def test_a_replay_builds_only_the_successors_it_follows(monkeypatch):
 
         monkeypatch.setattr(solver, name, counting)
     got = {}
-    kinds = {call: Counter() for call in (simulate, communication_is_load_bearing)}
+    kinds = {run: Counter() for run in ("simulate", "check", "fresh check")}
     for path in GOLDEN:
         dom, prob, policy = read_policy_file(path)
         counts = []
-        for call, kind in kinds.items():
+        for (run, kind), on in zip(kinds.items(), (dom, dom, dom.with_fresh_memo())):
+            call = simulate if run == "simulate" else communication_is_load_bearing
             built.clear()
-            call(dom, prob, policy)
+            call(on, prob, policy)
             assert len(set(built)) == len(built), path.name
             counts.append(len(built))
             kind.update(name for name, _, _ in built)
@@ -167,8 +189,11 @@ def test_a_replay_builds_only_the_successors_it_follows(monkeypatch):
     assert got == BUILT
     # Building every option at each state, as `expand` does, made 810 and
     # 87 steps.
-    assert kinds[simulate] == {"_step": 651, "synthesize_communication": 5}
-    assert kinds[communication_is_load_bearing] == {"_step": 58}
+    assert kinds["simulate"] == {"_step": 651, "synthesize_communication": 5}
+    # The check follows only states `simulate` followed; alone, it stops
+    # early, building only the way to each speech act.
+    assert kinds["check"] == {}
+    assert kinds["fresh check"] == {"_step": 58}
 
 
 def _path_to(policy, nid):

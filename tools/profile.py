@@ -28,8 +28,12 @@ among them and the walks made (``htn._walk``), so the share answered by
 the projection onto relevant atoms shows; and the share of the solver's
 uniform-choice calls (``solver._uniform_human_refinements``) that meet a
 world whose answer record is not the designated world's, so still
-intersect.  The collector runs before each call, so no call's worlds are
-counted in the next.
+intersect; and, where the workload runs the load-bearing check
+(``cli.communication_is_load_bearing``), the successors built inside it
+(``solver._step`` and ``solver.synthesize_communication`` calls), which
+a check on a loaded policy that `simulate` has replayed finds in the memo.
+The collector runs before each call, so no call's worlds are counted in
+the next.
 """
 
 from __future__ import annotations
@@ -126,16 +130,20 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
     """One round of ``items`` with each call memo captured: each memo's
     entries by key kind, the most interned worlds alive at once in one
     call, that call's input, and one tally of the memo lookups and stores
-    per kind, the HTN's calls, distinct questions and walks, and the
-    uniform-choice calls and those that intersect."""
+    per kind, the HTN's calls, distinct questions and walks, the
+    uniform-choice calls and those that intersect, and the load-bearing
+    checks and the successors built inside them, by builder."""
     memos: list[dict] = []
     table = prog.model._WORLDS
     live = [0]
     with_call_memo, world_from = prog.kernel.with_call_memo, prog.model.world_from
     answers, walk = prog.htn.answers, prog.htn._walk
     copresent, uniform = prog.kernel._copresent, prog.solver._uniform_human_refinements
+    check = prog.cli.communication_is_load_bearing
+    builders = (prog.solver._step, prog.solver.synthesize_communication)
     memo_slot = vars(prog.dsl.DomainModel)["memo"]
     asked = Counter()
+    checking_now = [False]
     questions: set = set()  # (memo id, agenda, mask); the memos live per input
 
     def capturing(dom):
@@ -175,9 +183,26 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
         asked["walks"] += 1
         return walk(*args)
 
+    def checking(*args):
+        asked["checks"] += 1
+        checking_now[0] = True
+        try:
+            return check(*args)
+        finally:
+            checking_now[0] = False
+
+    def building(build):
+        def counted(*args, **kwargs):
+            if checking_now[0]:
+                asked["check builds", build.__name__] += 1
+            return build(*args, **kwargs)
+        return counted
+
     undo = (_swapped(prog, with_call_memo, capturing) + _swapped(prog, world_from, counting)
             + _swapped(prog, answers, asking) + _swapped(prog, walk, walking)
-            + _swapped(prog, copresent, asking_copresent) + _swapped(prog, uniform, choosing))
+            + _swapped(prog, copresent, asking_copresent) + _swapped(prog, uniform, choosing)
+            + _swapped(prog, check, checking)
+            + [u for build in builders for u in _swapped(prog, build, building(build))])
     sizes: list[Counter] = []
     peak, where = 0, ""
     try:
@@ -241,6 +266,10 @@ def main(argv: list[str] | None = None) -> int:
           f"({(questions - walks) / max(questions, 1):.1%} of the questions)")
     print(f"  uniform human choices: {asked['uniform']} calls, {asked['intersect']} "
           f"intersect ({asked['intersect'] / max(asked['uniform'], 1):.1%})")
+    if asked["checks"]:
+        steps, told = (asked["check builds", name] for name in ("_step", "synthesize_communication"))
+        print(f"  load-bearing checks: {asked['checks']} calls, {steps + told} successors "
+              f"built inside them (_step {steps}, synthesize_communication {told})")
 
     profiler = cProfile.Profile()
     profiler.enable()
