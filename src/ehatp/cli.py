@@ -405,7 +405,10 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
             if reply == "q":
                 print("stopped.")
                 return 1
-            pick = int(reply) if reply.isdecimal() else hint
+            try:
+                pick = int(reply) if reply.isdecimal() else hint
+            except ValueError:  # more digits than ``int()`` converts
+                pick = hint
             if not 1 <= pick <= len(options):
                 pick = hint
             label = options[pick - 1]

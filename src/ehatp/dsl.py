@@ -24,6 +24,7 @@ So the search meets no model error at run time.
 from __future__ import annotations
 
 import re
+import sys
 from importlib import resources
 from itertools import islice, product
 from operator import itemgetter
@@ -175,16 +176,15 @@ class DomainModel(Frozen):
     __slots__ = _DECLARATIONS + ("table", "memo", "declared_at", "_predicates", "_actions",
                                  "_methods", "_types", "_of_type")
     _compared = _DECLARATIONS
-    # Ground instances built on first use (``htn._ground``,
-    # ``kernel._rule``), keyed by a ``Task`` (a name and a tuple of names) or
-    # a co-presence rule (a tuple of literals), a rule's with the mask of the
-    # atoms they test; the observable instances of each interned atom and
-    # the atoms they test (``kernel._observables``), under the string
-    # ``"observable"``; each ground task's relevance
-    # (``htn.relevant``), keyed ``("relevant", task)``: two fields like a
-    # ``Task``, but the second is a ``Task``, which holds a tuple, not a
-    # name; and the nearest foreign action of a root task
-    # (``_foreign_action``, four fields).  So no two keys compare equal.
+    # Ground instances built on first use: an action's or a method's
+    # (``htn._ground``), keyed by a ``Task`` (a name and a tuple of names);
+    # the kernel's questions (``kernel._question``), ``(bit, instances)``
+    # pairs with the mask of the atoms they test, keyed by a co-presence
+    # rule (a tuple of literals) or, for the view, by the string ``"view"``;
+    # each ground task's relevance (``htn.relevant``), keyed ``("relevant",
+    # task)``: two fields like a ``Task``, but the second is a ``Task``,
+    # which holds a tuple, not a name; and the nearest foreign action of a
+    # root task (``_foreign_action``, four fields).  So no two keys compare equal.
     # They depend on the declarations alone, so every model with equal
     # declarations shares one table from ``_TABLES`` while it is kept there:
     # each parse and each ``with_fresh_memo`` copy.
@@ -192,9 +192,11 @@ class DomainModel(Frozen):
     # The HTN's answer record for each (agenda, mask), under the exact mask
     # and under its projection onto the agenda's relevant atoms, both
     # ``("htn", agenda, mask)`` (see ``htn.answers``); state evaluation's
-    # verdict per world, ``("done", world)``; the atoms in view and
-    # co-presence under each truth projected onto the atoms their instances
-    # test; the kernel's world transitions; and the ``EHATP_LOG`` flag.
+    # verdict per world, ``("done", world)``; under ``"view"`` and
+    # ``"copresent"``, the kernel's two questions, each with its answers
+    # keyed by the truth projected onto the atoms the question tests
+    # (``kernel._answer``); the kernel's world transitions; and the
+    # ``EHATP_LOG`` flag.
     # One search or one loaded policy file works on its own copy
     # (``kernel.with_call_memo``), so the memo lives as long as that call
     # or that loaded model.
@@ -982,8 +984,11 @@ class _ProblemParser(_Parser):
                 # ``int()`` takes only decimal digits; the lexer also reads
                 # ``²`` as one.
                 num = toks[kw + 1][2]
-                if not num.lstrip("-").isdecimal():
+                digits = num.lstrip("-")
+                if not digits.isdecimal():
                     raise self.error(kw + 1, "expected an integer after 'k'")
+                if 0 < sys.get_int_max_str_digits() < len(digits):  # what ``int()`` refuses
+                    raise self.error(kw + 1, "k has too many digits")
                 self.pos += 2
                 k = int(num)
                 if k < 0:

@@ -10,10 +10,9 @@ observations are folded back into the human-side belief bases.
 The step computes on a world's masks, one world at a time: a hidden world's
 successors are one memoized tuple, looked up by the world's events and the
 step's context, and assessment tests each world against one in-view mask per
-truth.  Co-presence and the view are judged once per call for each
-projection of the truth onto the atoms their instances test, and those
-instances, for the rule and for each interned observable atom, once per
-domain.
+truth.  Co-presence and the view are one kind of question, ground once per
+domain and judged once per call for each projection of the truth onto the
+atoms its instances test.
 """
 
 from __future__ import annotations
@@ -30,17 +29,13 @@ from .model import (
     Literal,
     TaskNetwork,
     World,
-    atom_count,
     atoms_of,
-    known_bit,
     slot_setters,
-    unify,
     world_from,
 )
 
 
 _LOG = "EHATP_LOG"  # also the memo key of the flag
-_COPRESENT = "copresent"  # memo key of the domain rule's answers by projected truth
 
 
 def with_call_memo(dom: DomainModel) -> DomainModel:
@@ -128,113 +123,96 @@ def _fill_action(a: EpistemicAction, designated: Event,
 
 
 # --------------------------------------------------------------------------
-# Ground-truth queries, as mask tests over instances ground once per domain
+# Ground-truth questions: co-presence and the view
 
 
-def _compiled(sols: list[tuple]) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The ``(need, forbid)`` instances of ``dom.instances`` solutions, and
-    the mask of every atom they test: two truths that agree on it agree on
-    every instance."""
-    instances = tuple((need, forbid) for _, need, forbid in sols)
-    tested = 0
-    for need, forbid in instances:
-        tested |= need | forbid
-    return instances, tested
+_VIEW = "view"  # table and memo key of the view
+_COPRESENT = "copresent"  # memo key of the domain rule's co-presence
 
 
-def _holds(instances: tuple, mask: int) -> bool:
-    """Whether some instance holds in a base with this mask."""
-    for need, forbid in instances:
-        if mask & need == need and not mask & forbid:
-            return True
-    return False
+def _question(dom: DomainModel, key: str | tuple[Literal, ...]) -> tuple[tuple, int]:
+    """The question under ``key``, ground once per ``dom.table``: its
+    ``(bit, instances)`` pairs, each instance a ``(need, forbid)`` pair, and
+    the mask of the atoms the instances test, so two truths that agree on
+    that mask get one answer.
 
-
-def _rule(dom: DomainModel, rule: tuple[Literal, ...]) -> tuple[tuple, int]:
-    """The rule's instances and the atoms they test, ground once per domain
-    with the rule as the key, so an action carrying its own rule never reads
-    the domain's."""
-    entry = dom.table.get(rule)
+    The view (``_VIEW``) pairs the bit of each atom a knowledge rule's
+    target names, of the types declared, with the instances of every rule's
+    antecedent that shows it, in rule order, with the observer bound to the
+    human.  The parser admits no atom of an observable predicate outside
+    those types, so no problem of these declarations interns an atom the
+    view misses.  A co-presence rule (a tuple of literals) is one pair,
+    whose bit is ``True``."""
+    entry = dom.table.get(key)
     if entry is None:
-        entry = dom.table[rule] = _compiled(dom.instances(rule, {}))
+        if key is _VIEW:
+            shown: dict = {}
+            for rule in dom.rules:
+                for binding, bit, _ in dom.instances((rule.target,), {OBSERVER: "H"}):
+                    shown.setdefault(bit, []).extend(dom.instances(rule.antecedent, binding))
+        else:
+            shown = {True: dom.instances(key, {})}
+        pairs = tuple((bit, tuple((need, forbid) for _, need, forbid in sols))
+                      for bit, sols in shown.items())
+        tested = 0
+        for _, instances in pairs:
+            for need, forbid in instances:
+                tested |= need | forbid
+        entry = dom.table[key] = (pairs, tested)
     return entry
+
+
+def _judge(pairs: tuple, truth: int) -> int:
+    """The bits of the pairs some of whose instances hold in a base with
+    mask ``truth``: a bool when each bit is ``True``."""
+    answer = False
+    for bit, instances in pairs:
+        for need, forbid in instances:
+            if truth & need == need and not truth & forbid:
+                answer |= bit
+                break
+    return answer
+
+
+def _answer(dom: DomainModel, key: str, truth: int, entry: tuple | None) -> int:
+    """The answer under ``truth`` to the question whose memo key is ``key``
+    (``_VIEW`` or ``_COPRESENT``) and memo entry ``entry``, None before it
+    is first asked.  The entry holds the question's pairs, the mask of the
+    atoms they test and its answers keyed by ``truth`` projected onto that
+    mask, each judged once per memo."""
+    if entry is None:
+        entry = dom.memo[key] = (*_question(dom, dom.copresence if key is _COPRESENT else key),
+                                 {})
+    pairs, tested, answers = entry
+    truth &= tested
+    answer = answers.get(truth)
+    if answer is None:
+        answer = answers[truth] = _judge(pairs, truth)
+    return answer
 
 
 def _copresent(dom: DomainModel, truth: int, rule: tuple[Literal, ...]) -> bool:
     """Whether the agents share each other's presence when reality has mask
-    ``truth``.  Under the domain's rule, a call memo keeps each answer under
-    the truth projected onto the atoms the rule's instances test."""
-    memo = dom.memo
-    if rule is not dom.copresence or _LOG not in memo:
-        return _holds(_rule(dom, rule)[0], truth)
-    known = memo.get(_COPRESENT)
-    if known is None:
-        known = memo[_COPRESENT] = (*_rule(dom, rule), {})
-    instances, tested, answers = known
-    truth &= tested
-    co = answers.get(truth)
-    if co is None:
-        co = answers[truth] = _holds(instances, truth)
-    return co
+    ``truth``: asked under the domain's rule, and judged directly under an
+    action's own."""
+    if rule is not dom.copresence:
+        return _judge(_question(dom, rule)[0], truth)
+    entry = dom.memo.get(_COPRESENT)
+    if entry is not None:  # a hit read here, as every step asks
+        co = entry[2].get(truth & entry[1])
+        if co is not None:
+            return co
+    return _answer(dom, _COPRESENT, truth, entry)
 
 
 def state_copresent(dom: DomainModel, s: EpistemicState) -> bool:
     return _copresent(dom, s.designated_world.mask_r, dom.copresence)
 
 
-_OBSERVABLE = "observable"  # table key of the observable atoms' instances
-
-
-def _observables(dom: DomainModel) -> list:
-    """``[scanned, pairs, tested]`` for the life of ``dom.table``: the
-    ``(bit, instances)`` pair of each interned atom the human may observe, in
-    bit order, and the mask of the atoms those instances test, extended with
-    the atoms interned since the ``scanned`` count, as one table serves every
-    problem of its declarations and atoms are interned per process.
-
-    An observable predicate's atom is in view when the antecedent of some
-    knowledge rule whose target names it holds, with the observer bound to
-    the human; its instances are those of every such rule, in rule order.
-    Grounding them may intern atoms, which the loop then reads too.
-    """
-    entry = dom.table.get(_OBSERVABLE)
-    if entry is None:
-        entry = dom.table[_OBSERVABLE] = [0, [], 0]
-    while entry[0] < atom_count():
-        count = atom_count()
-        for atom in atoms_of(((1 << count) - 1) >> entry[0] << entry[0]):
-            decl = dom.predicate(atom.pred)
-            if decl is None or not decl.observable:
-                continue
-            sols: list[tuple] = []
-            for rule in dom.rules:
-                binding = unify(rule.target, atom)
-                if binding is not None:
-                    binding[OBSERVER] = "H"
-                    sols += dom.instances(rule.antecedent, binding)
-            if sols:
-                instances, tested = _compiled(sols)
-                entry[1].append((known_bit(atom), instances))
-                entry[2] |= tested
-        entry[0] = count
-    return entry
-
-
 def in_view(dom: DomainModel, truth: int) -> int:
-    """The mask of the interned atoms the human can settle the truth of when
-    reality has mask ``truth``: judged once per call memo for each
-    projection of ``truth`` onto the atoms the observable instances test,
-    and again once atoms have been interned since."""
-    count, pairs, tested = _observables(dom)
-    key = ("view", truth & tested)
-    known = dom.memo.get(key)
-    if known is None or known[0] != count:
-        view = 0
-        for bit, instances in pairs:
-            if _holds(instances, truth):
-                view |= bit
-        known = dom.memo[key] = (count, view)
-    return known[1]
+    """The mask of the atoms the human can settle the truth of when reality
+    has mask ``truth``."""
+    return _answer(dom, _VIEW, truth, dom.memo.get(_VIEW))
 
 
 # --------------------------------------------------------------------------

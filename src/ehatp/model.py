@@ -108,12 +108,6 @@ def atom_bit(atom: Literal) -> int:
     return bit
 
 
-def atom_count() -> int:
-    """How many atoms the process has interned: bits ``1 << i`` for ``i``
-    below it stand for atoms."""
-    return len(_ATOMS)
-
-
 def known_bit(atom: Literal) -> int:
     """The bit of a positive atom, or 0 for one never interned, which is in
     no base: a test or a removal that interns nothing."""

@@ -98,17 +98,16 @@ def evaluate_state(dom: DomainModel, s: EpistemicState) -> str:
 
 
 def synthesize_communication(dom: DomainModel, s: EpistemicState, p: Literal,
-                             k: int) -> tuple[EpistemicState, EpistemicState]:
-    """Settle the truth of ``p`` between the agents.
+                             actor: str, k: int) -> EpistemicState:
+    """Settle the truth of ``p`` between the agents, ``actor`` to move next.
 
     The designated world's ground truth decides the answer; every world's
     human-side bases adopt it, worlds whose projected view contradicted it
-    are dropped, and the usual assessment runs afterwards.  Returns the
-    resulting state twice, once with each agent to move: as the outcome of a
-    question (robot answers, robot's turn follows) and of a volunteered fact
-    (human's turn follows).  Raises :class:`EhatpError` when the exchange
-    would change nothing: the search asks only about facts some world
-    disagrees on, so that is a broken invariant, not an option to skip.
+    are dropped, and the usual assessment runs afterwards.  After a question
+    the robot, who answered it, moves next ("R"); after a volunteered fact,
+    the human ("H").  Raises :class:`EhatpError` when the exchange would
+    change nothing: the search asks only about facts some world disagrees
+    on, so that is a broken invariant, not an option to skip.
     """
     atom = p.atom
     bit = known_bit(atom)
@@ -130,11 +129,9 @@ def synthesize_communication(dom: DomainModel, s: EpistemicState, p: Literal,
         raise EhatpError(f"nothing to settle: {atom} is already shared")
     assert designated_out is not None
 
-    mid = EpistemicState.make(rebuilt, designated_out, actor=s.actor,
+    mid = EpistemicState.make(rebuilt, designated_out, actor=actor,
                               budget=s.budget, pending=())
-    out = situation_assessment(dom, mid, k)
-    return (EpistemicState(out.worlds, out.designated, "R", out.budget, out.pending),
-            EpistemicState(out.worlds, out.designated, "H", out.budget, out.pending))
+    return situation_assessment(dom, mid, k)
 
 
 def _uniform_human_refinements(dom: DomainModel,
@@ -185,14 +182,6 @@ def _step(dom: DomainModel, s: EpistemicState, choice: Refinement | None,
     return situation_assessment(dom, product_update(dom, s, a), k)
 
 
-def _told(dom: DomainModel, s: EpistemicState, p: Literal, k: int) -> EpistemicState:
-    return synthesize_communication(dom, s, p, k)[1]
-
-
-def _asked(dom: DomainModel, s: EpistemicState, p: Literal, k: int) -> EpistemicState:
-    return synthesize_communication(dom, s, p, k)[0]
-
-
 def _waiting(dom: DomainModel, s: EpistemicState,
              pending: tuple[Literal, ...]) -> EpistemicState:
     return EpistemicState.make(s.worlds, s.designated_world, actor="R",
@@ -222,11 +211,13 @@ def offers(dom: DomainModel, prob: ProblemInstance, s: EpistemicState) -> list[O
     if s.actor == "R":
         if s.pending:
             # An answer is owed before anything else may happen.
-            options = [(f"inform-{p.atom}", partial(_told, s=s, p=p, k=k))
+            options = [(f"inform-{p.atom}",
+                        partial(synthesize_communication, s=s, p=p, actor="H", k=k))
                        for p in sorted(s.pending, key=str)]
         else:
             if co and prob.comm_allowed:
-                options = [(f"inform-{atom}", partial(_told, s=s, p=atom, k=k))
+                options = [(f"inform-{atom}",
+                            partial(synthesize_communication, s=s, p=atom, actor="H", k=k))
                            for atom in _inform_candidates(dom, s)]
             d = s.designated_world
             ontic = (feasible_refinements(dom, d.tn_r, d.mask_r)
@@ -243,7 +234,9 @@ def offers(dom: DomainModel, prob: ProblemInstance, s: EpistemicState) -> list[O
                    for ref in uniform]
         if not uniform and co and prob.comm_allowed:
             blocked = sorted(_blocked_atoms(dom, s), key=str)
-            options = [(f"ask-{atom}", partial(_asked, s=s, p=atom, k=k)) for atom in blocked]
+            options = [(f"ask-{atom}",
+                        partial(synthesize_communication, s=s, p=atom, actor="R", k=k))
+                       for atom in blocked]
             if blocked:
                 options.append(("wait", partial(_waiting, s=s, pending=tuple(blocked))))
         if not options and evaluate_state(dom, s) != DONE:

@@ -627,9 +627,10 @@ def test_stepper_lets_the_human_wait_for_the_answer(monkeypatch, capsys):
     assert "worlds=1" in after_wait
 
 
-def test_stepper_reads_a_non_decimal_digit_as_the_suggested_choice(monkeypatch, capsys):
-    # ``'²'.isdigit()`` holds, but ``int('²')`` raises.
-    prompts, replies = [], iter(["²", "q"])
+def _takes_the_suggested_choice(monkeypatch, capsys, first: str) -> None:
+    """The stepper on the golden p2 policy, replying ``first`` and then
+    ``q``, plays the suggested choice at its first prompt."""
+    prompts, replies = [], iter([first, "q"])
 
     def reply(prompt):
         prompts.append(prompt)
@@ -643,6 +644,17 @@ def test_stepper_reads_a_non_decimal_digit_as_the_suggested_choice(monkeypatch, 
                  if l.startswith(f"  {hint}) "))
     assert f"[t0] human: {label.removesuffix('  (off plan)')}\n" in out
     assert out.endswith("stopped.\n")
+
+
+def test_stepper_reads_a_non_decimal_digit_as_the_suggested_choice(monkeypatch, capsys):
+    # ``'²'.isdigit()`` holds, but ``int('²')`` raises.
+    _takes_the_suggested_choice(monkeypatch, capsys, "²")
+
+
+def test_stepper_reads_a_number_too_long_for_int_as_the_suggested_choice(monkeypatch,
+                                                                         capsys):
+    # Decimal, but ``int()`` converts at most 4,300 digits.
+    _takes_the_suggested_choice(monkeypatch, capsys, "1" * 5000)
 
 
 def test_stepper_survives_off_plan_choices(monkeypatch, capsys):

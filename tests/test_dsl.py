@@ -172,6 +172,13 @@ def test_a_non_decimal_digit_after_k_is_rejected(cube):
     assert str(e.value) == "p3.ehatp:4:5: error: expected an integer after 'k'"
 
 
+def test_a_k_with_more_digits_than_int_converts_is_rejected(cube):
+    text = load_shipped("p2").replace("k 2", "k " + "9" * 5000)
+    with pytest.raises(ParseError) as e:
+        parse_problem(text, cube, "p2.ehatp")
+    assert str(e.value) == "p2.ehatp:4:5: error: k has too many digits"
+
+
 def test_missing_fields_reported(cube):
     with pytest.raises(ParseError) as e:
         parse_problem("problem p { domain cube_org }", cube)

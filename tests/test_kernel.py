@@ -465,7 +465,8 @@ def test_memo_answers_match_a_fresh_domain_after_a_warm_search(name):
     shared = cold(dom)
     for s in states:
         expand(shared, prob, s)  # fills the memo as a search does
-    assert {key[0] for key in shared.memo} >= {"view", "anticipate", "fold"}
+    kinds = {key if isinstance(key, str) else key[0] for key in shared.memo}
+    assert kinds >= {"view", "copresent", "anticipate", "fold"}
     assert shared.copresence in shared.table  # co-presence is ground per domain
     for s in states:
         assert state_copresent(shared, s) == state_copresent(cold(dom), s)
@@ -575,16 +576,14 @@ problem view_{thing} {{
 
 
 def test_the_view_covers_atoms_interned_after_it_was_judged():
-    """One ground table serves every problem of its declarations, and atoms
-    are interned per process: an atom a later problem interns is judged
-    under a truth whose view was already computed, on the same memo and on
-    a fresh one."""
+    """One ground table serves every problem of its declarations: an atom a
+    later problem states is judged under a truth whose view was already
+    computed, on the same memo and on a fresh one."""
     dom = parse_domain(VIEW_DOMAIN)
     first = initial_state(dom, parse_problem(_view_problem("vc_first"), dom))
     assert situation_assessment(dom, first, 1).signature() == first.signature()
     late = lit("vc_lies(vc_late,near)")
-    assert model.known_bit(late) == 0
-    parse_problem(_view_problem("vc_late"), dom)  # interns ``late``
+    parse_problem(_view_problem("vc_late"), dom)
     d = first.designated_world
     w = world_from(d, d.mask_r, d.mask_h, d.mask_rh | model.known_bit(late),
                    d.tn_r, d.tn_h, d.tn_rh, d.acted)
@@ -813,12 +812,20 @@ dom, p2 = load_instance("p2")
 memo = kernel.with_call_memo(dom)
 
 
+def typed(dom, a):
+    # Whether dom's declared types allow a: an atom of another domain is in
+    # none of its worlds, and out of its view.
+    types = dom.predicate(a.pred).param_types
+    return all(arg in dom._of_type.get(t, ()) for arg, t in zip(a.args, types))
+
+
 def check(states, dom=dom, memo=memo):
     views = []
     for s in states:
         d = s.designated_world
         assert kernel.state_copresent(memo, s) == copresent(d, dom.copresence), s.describe()
-        plain = sum(model.known_bit(a) for a in model._ATOMS if observable(dom, a, d))
+        plain = sum(model.known_bit(a) for a in model._ATOMS
+                    if observable(dom, a, d) and typed(dom, a))
         views.append(kernel.in_view(memo, d.mask_r))
         assert views[-1] == plain, s.describe()
     return views
@@ -826,10 +833,8 @@ def check(states, dom=dom, memo=memo):
 
 graph_p2 = [n.state for n in solve(dom, p2, exhaust=True).all_nodes]
 before = check(graph_p2)
-count = model.atom_count()
 graph_p6 = [n.state for n in solve(dom, parse_problem(load_shipped("p6"), dom),
                                    exhaust=True).all_nodes]
-interned = [a for a in model._ATOMS[count:] if dom.predicate(a.pred).observable]
 after = check(graph_p6 + graph_p2)[len(graph_p6):]
 
 # Where the robot moves: truths that differ only in its place.
@@ -845,7 +850,7 @@ for s, view in zip(graph, views):
     co = copresent(s.designated_world, roam.copresence)
     apart.setdefault(truth & ~robot, set()).add((view, co))
 moved = [answers for answers in apart.values() if len(answers) > 1]
-print(len(graph_p2), len(graph_p6), *interned, sum(b != a for b, a in zip(before, after)),
+print(len(graph_p2), len(graph_p6), sum(b != a for b, a in zip(before, after)),
       len(graph), sum(len({v for v, _ in a}) > 1 for a in moved),
       sum(len({c for _, c in a}) > 1 for a in moved))
 """
@@ -854,11 +859,11 @@ print(len(graph_p2), len(graph_p6), *interned, sum(b != a for b, a in zip(before
 def test_the_fast_kernel_matches_the_plain_rules_on_one_memo():
     """On one call memo, in a fresh process: co-presence and the in-view mask
     of every state of p2's and then p6's whole graphs equal the plain rules
-    on the unprojected truth, and so do p2's again once p6 has interned an
-    observable atom p2 never met, which widens the view of p2's states.  On
-    a memo of its own, so do those of the whole graph of ``tests/data/``'s
-    roam problem, where the robot moves: some of its truths differ only in
-    the robot's place, and those differ in view and in co-presence."""
+    on the unprojected truth, and p2's views are the same again after p6's
+    were judged on that memo.  On a memo of its own, so do those of the
+    whole graph of ``tests/data/``'s roam problem, where the robot moves:
+    some of its truths differ only in the robot's place, and those differ
+    in view and in co-presence."""
     here = Path(__file__).resolve().parent
     src = str(Path(ehatp.__file__).resolve().parents[1])
     path = os.pathsep.join((src, str(here)))
@@ -867,8 +872,41 @@ def test_the_fast_kernel_matches_the_plain_rules_on_one_memo():
         env={**os.environ, "PYTHONPATH": path, "EHATP_LOG": ""},
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    states_p2, states_p6, *interned, widened, states_roam, views, copresence = (
-        out.stdout.split())
+    states_p2, states_p6, changed, states_roam, views, copresence = out.stdout.split()
     assert (states_p2, states_p6, states_roam) == ("78", "322", "24")
-    assert interned and int(widened) > 0, out.stdout
+    assert changed == "0", out.stdout
     assert int(views) > 0 and int(copresence) > 0, out.stdout
+
+
+FIRST_VIEW = """\
+from itertools import product
+
+from ehatp import kernel, model
+from ehatp.dsl import load_instance, load_shipped, parse_problem
+from ehatp.model import Literal
+
+dom, p2 = load_instance("p2")
+allowed = {Literal(p.name, args) for p in dom.predicates if p.observable
+           for args in product(*(dom._of_type[t] for t in p.param_types))}
+observed = lambda: {a for a in model._ATOMS if dom.predicate(a.pred).observable}
+before = observed()
+kernel.in_view(kernel.with_call_memo(dom), p2.ground_truth.mask)
+first = observed()
+for name in ("p1", "p3", "p4", "p5", "p6"):
+    parse_problem(load_shipped(name), dom)
+print(len(allowed), len(before), len(first), first == allowed, observed() == first)
+"""
+
+
+def test_the_first_view_interns_every_observable_atom_the_types_allow():
+    """In a fresh process: p2 states a few of cube_org's observable atoms;
+    the first ``in_view`` call grounds the view and interns all of them,
+    and parsing the domain's other problems afterwards interns none."""
+    src = str(Path(ehatp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", FIRST_VIEW],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    allowed, before, first, grounded, unchanged = out.stdout.split()
+    assert int(before) < int(first) == int(allowed), out.stdout
+    assert grounded == unchanged == "True", out.stdout

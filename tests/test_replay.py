@@ -167,10 +167,10 @@ def test_a_replay_builds_only_the_successors_it_follows(monkeypatch):
         real = getattr(solver, name)
 
         def counting(*args, name=name, real=real, **kwargs):
-            dom, s, what, k = inspect.signature(real).bind(*args, **kwargs).args
+            dom, s, what, *_ = inspect.signature(real).bind(*args, **kwargs).args
             # a refinement, None or a fact to settle: one per (label, position)
             built.append((name, s.signature(), str(what)))
-            return real(dom, s, what, k)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, counting)
     got = {}

@@ -99,8 +99,8 @@ def reunion_state(actor, pending=()):
 
 def test_synthesize_communication_collapses_split(cube):
     s = reunion_state("H")
-    ask, inform = synthesize_communication(cube, s, lit("empty(box_2)"), k=2)
-    for out, actor in ((ask, "R"), (inform, "H")):
+    for actor in ("R", "H"):
+        out = synthesize_communication(cube, s, lit("empty(box_2)"), actor, k=2)
         assert out.actor == actor
         assert len(out.worlds) == 1
         got = out.designated_world
@@ -113,7 +113,7 @@ def test_synthesize_communication_collapses_split(cube):
 def test_synthesize_communication_rejects_settled_fact(cube):
     s = reunion_state("H")
     with pytest.raises(EhatpError):
-        synthesize_communication(cube, s, lit("main(box_1)"), k=2)
+        synthesize_communication(cube, s, lit("main(box_1)"), "H", k=2)
 
 
 def test_robot_turn_offers_inform_or_standby(cube, p2):
@@ -153,7 +153,7 @@ def test_wait_forces_the_inform(cube, p2):
 def test_unblocked_human_places_without_talking(cube, p2):
     _, prob = p2
     s = reunion_state("H")
-    _, inform = synthesize_communication(cube, s, lit("empty(box_2)"), k=2)
+    inform = synthesize_communication(cube, s, lit("empty(box_2)"), "H", k=2)
     children = expand(cube, prob, inform)
     assert [label for label, _ in children] == ["place_h(c_w,box_2)"]
 

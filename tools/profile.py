@@ -64,10 +64,10 @@ TOP = 15
 # kind; the others are successors, keyed ``(group of events, context)``.
 # ``done`` holds state evaluation's verdict per world; ``htn`` one answer
 # record under each exact and each projected (agenda, mask) key;
-# ``anticipate`` and ``human`` a world's group of events; ``view`` the
-# in-view mask of a truth projected onto the atoms the observable
-# instances test.  ``copresent`` counts the truths, projected onto the
-# atoms the co-presence rule tests, in its own dict.
+# ``anticipate`` and ``human`` a world's group of events.  A key that is
+# a string other than the log flag is one of the kernel's two questions,
+# ``view`` and ``copresent``: its entries are its answers, one per truth
+# projected onto the atoms it tests, kept in the dict its entry ends with.
 KINDS = ("done", "htn", "anticipate", "human", "successor", "view", "fold", "offer",
          "copresent")
 
@@ -89,7 +89,7 @@ def _where(key: tuple) -> str:
 
 def _kind(key) -> str | None:
     if isinstance(key, str):
-        return key if key == "copresent" else None  # the other is the log flag
+        return None if key == "EHATP_LOG" else key
     head = key[0]
     return head if isinstance(head, str) else "successor"
 
@@ -97,20 +97,20 @@ def _kind(key) -> str | None:
 class _Tallied(dict):
     """A call memo that counts, per key kind, the lookups made through
     ``get`` and the entries stored; a lookup that stores nothing was
-    answered from the memo.  ``copresent`` is counted where it is asked."""
+    answered from the memo.  A question's answers are stored in its entry,
+    so they are counted once the call is done."""
 
     tally: Counter
 
     def get(self, key, default=None):
         kind = _kind(key)
-        if kind is not None and kind != "copresent":
+        if kind is not None:
             self.tally[kind, "lookups"] += 1
         return dict.get(self, key, default)
 
     def __setitem__(self, key, value) -> None:
-        kind = _kind(key)
-        if kind is not None and kind != "copresent":
-            self.tally[kind, "stores"] += 1
+        if not isinstance(key, str):
+            self.tally[_kind(key), "stores"] += 1
         dict.__setitem__(self, key, value)
 
 
@@ -138,7 +138,7 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
     live = [0]
     with_call_memo, world_from = prog.kernel.with_call_memo, prog.model.world_from
     answers, walk = prog.htn.answers, prog.htn._walk
-    copresent, uniform = prog.kernel._copresent, prog.solver._uniform_human_refinements
+    uniform = prog.solver._uniform_human_refinements
     check = prog.cli.communication_is_load_bearing
     builders = (prog.solver._step, prog.solver.synthesize_communication)
     memo_slot = vars(prog.dsl.DomainModel)["memo"]
@@ -154,11 +154,6 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
             memo_slot.__set__(out, memo)
             memos.append(memo)
         return out
-
-    def asking_copresent(dom, truth, rule):
-        if rule is dom.copresence and isinstance(dom.memo, _Tallied):
-            asked["copresent", "lookups"] += 1
-        return copresent(dom, truth, rule)
 
     def choosing(dom, s):
         out = uniform(dom, s)
@@ -200,7 +195,7 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
 
     undo = (_swapped(prog, with_call_memo, capturing) + _swapped(prog, world_from, counting)
             + _swapped(prog, answers, asking) + _swapped(prog, walk, walking)
-            + _swapped(prog, copresent, asking_copresent) + _swapped(prog, uniform, choosing)
+            + _swapped(prog, uniform, choosing)
             + _swapped(prog, check, checking)
             + [u for build in builders for u in _swapped(prog, build, building(build))])
     sizes: list[Counter] = []
@@ -217,10 +212,12 @@ def cache_sizes(prog, wl, items) -> tuple[list[Counter], int, str, Counter]:
                 kinds = Counter()
                 for key, value in memo.items():
                     kind = _kind(key)
-                    if kind is not None:
-                        kinds[kind] += len(value[-1]) if kind == "copresent" else 1
+                    if isinstance(key, str) and kind is not None:
+                        kinds[kind] += len(value[-1])
+                        asked[kind, "stores"] += len(value[-1])
+                    elif kind is not None:
+                        kinds[kind] += 1
                 sizes.append(kinds)
-                asked["copresent", "stores"] += kinds["copresent"]
             memos.clear()
             asked["questions"] += len(questions)
             questions.clear()
