@@ -209,11 +209,8 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
                     steps, DEAD, "execution stops before the task is finished")
             continue
         offered = _offered(dom, prob, s)
+        pairs, recorded = _paired(policy, children)
         if s.actor == "H":
-            recorded: dict[str, int] = {}
-            for cid in children:
-                edge = policy.nodes[cid].edge
-                recorded[edge] = recorded.get(edge, 0) + 1
             missing = sorted(l for l, succs in offered.items()
                              if recorded.get(l, 0) < len(succs))
             if missing:
@@ -221,11 +218,7 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
                     steps, DEAD, f"uncovered human alternative: {missing[0]}")
                 continue
         branches: list[tuple | SimulationTrace] = []
-        consumed: dict[str, int] = {}
-        for cid in children:
-            label = policy.nodes[cid].edge
-            pos = consumed.get(label, 0)
-            consumed[label] = pos + 1
+        for cid, label, pos in pairs:
             succs = offered.get(label, ())
             ontic = _is_ontic(label)
             # The robot's out-of-sight work since the agents last met.
@@ -242,6 +235,23 @@ def _replay(dom: DomainModel, prob: ProblemInstance, policy: Policy,
                 branch = (cid, succ, succ_co, steps + (step,), 0 if succ_co else run)
             branches.insert(0 if cid in toward else len(branches), branch)
         stack.extend(reversed(branches))
+
+
+def _paired(policy: Policy, children: list[int]
+            ) -> tuple[list[tuple[int, str, int]], dict[str, int]]:
+    """Each of ``children`` as ``(id, edge label, position)``, the position
+    counting the earlier children of that label, and how many children
+    each label has.  The child at position k of a label is paired with the
+    k-th option of that label the semantics offers, in offer order."""
+    pairs = []
+    count: dict[str, int] = {}
+    nodes = policy.nodes
+    for cid in children:
+        label = nodes[cid].edge
+        pos = count.get(label, 0)
+        count[label] = pos + 1
+        pairs.append((cid, label, pos))
+    return pairs, count
 
 
 def _misstated(idx: int, node: PolicyNode, s: EpistemicState, co: bool) -> str:
@@ -325,8 +335,8 @@ def _divergence_summary(s: EpistemicState) -> str:
 
     gap = listed(d.bel_h, d.bel_r)
     parts = [f"human belief vs truth: {gap}"] if gap else []
-    # Numbered in the order of the worlds' texts, as `EpistemicState.describe`
-    # numbers them, which no process's intern history changes.
+    # Numbered in the order of the worlds' texts, which no process's intern
+    # history changes.
     hypos = [f"world {i} differs on {listed(w.bel_h, d.bel_h) or 'the agenda only'}"
              for i, w in enumerate(sorted(s.worlds, key=World.describe)) if w is not d]
     if hypos:
@@ -346,7 +356,9 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
     Robot turns play automatically.  At each human turn every alternative
     the semantics offers is listed — ones the policy does not cover are
     marked "off plan", and after taking one the robot improvises with its
-    first available option.  An empty reply takes the suggested choice,
+    first available option.  Alternatives that share a label are listed
+    apart, as ``lay_mats (2 of 4)``, and paired with the recorded branches
+    as `simulate` pairs them.  An empty reply takes the suggested choice,
     ``q`` stops.  Prints co-presence, the surviving-world count, and a
     belief divergence summary after every move.  A plan node that misstates
     the stepped state's actor or co-presence stops the run, as in `simulate`.
@@ -371,31 +383,28 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
         if node is None and evaluate_state(dom, s) == DONE:
             print("finished: DONE (off plan)")
             return 0
-        # First-wins on duplicate labels, on both sides: the first recorded
-        # branch is paired with the first offered alternative of that label.
         offered = _offered(dom, prob, s)
         if not offered:
             print("no moves left; DEAD")
             return 2
-        covered: dict[str, int] = {}
-        for c in (node.children if node else ()):
-            covered.setdefault(policy.nodes[c].edge, c)
+        # ``(child id or None off plan, label, position among its offers)``
+        pairs = _paired(policy, node.children)[0] if node else []
         if s.actor == "R":
-            if covered:
-                label = policy.nodes[node.children[0]].edge
-                if label not in offered:
-                    print(f"recorded action unavailable: {label}",
-                          file=sys.stderr)
-                    return 2
+            if pairs:
+                cid, label, pos = pairs[0]
             else:
-                label = next(iter(offered))
+                cid, label, pos = None, next(iter(offered)), 0
                 print(f"[t{turn}] robot improvises:")
         else:
-            options = list(covered) + [l for l in offered if l not in covered]
+            taken = {(label, pos) for _, label, pos in pairs}
+            options = pairs + [(None, l, pos) for l, succs in offered.items()
+                               for pos in range(len(succs)) if (l, pos) not in taken]
             print(f"[t{turn}] your move (H):")
-            for i, l in enumerate(options, start=1):
-                mark = "" if l in covered else "  (off plan)"
-                print(f"  {i}) {l}{mark}")
+            for i, (cid, l, pos) in enumerate(options, start=1):
+                ways = len(offered.get(l, ()))
+                way = f" ({pos + 1} of {ways})" if ways > 1 else ""
+                mark = "" if cid is not None else "  (off plan)"
+                print(f"  {i}) {l}{way}{mark}")
             hint = rng.randrange(len(options)) + 1
             try:
                 reply = input(f"choice [{hint}]: ").strip()
@@ -411,12 +420,16 @@ def run_interactive(dom: DomainModel, prob: ProblemInstance, policy: Policy,
                 pick = hint
             if not 1 <= pick <= len(options):
                 pick = hint
-            label = options[pick - 1]
-        succ = _follow(dom, offered[label], 0)
+            cid, label, pos = options[pick - 1]
+        succs = offered.get(label, ())
+        if pos >= len(succs):
+            print(f"recorded action unavailable: {label}", file=sys.stderr)
+            return 2
+        succ = _follow(dom, succs, pos)
         who = "robot" if s.actor == "R" else "human"
         print(f"[t{turn}] {who}: {label}")
         print(_status_line(dom, succ))
-        s, idx = succ, covered.get(label)
+        s, idx = succ, cid
     print("stopping: run exceeded 500 turns", file=sys.stderr)
     return 2
 

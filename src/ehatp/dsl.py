@@ -987,7 +987,9 @@ class _ProblemParser(_Parser):
                 digits = num.lstrip("-")
                 if not digits.isdecimal():
                     raise self.error(kw + 1, "expected an integer after 'k'")
-                if 0 < sys.get_int_max_str_digits() < len(digits):  # what ``int()`` refuses
+                # What ``int()`` refuses; Python before 3.10.7 sets no limit.
+                limit = getattr(sys, "get_int_max_str_digits", None)
+                if limit is not None and 0 < limit() < len(digits):
                     raise self.error(kw + 1, "k has too many digits")
                 self.pos += 2
                 k = int(num)

@@ -5,8 +5,9 @@ instances.  Refining a network means expanding abstract tasks through
 methods (binding any free method variables against the belief base) until
 an applicable primitive action surfaces at the front.  Every distinct way
 of doing so yields one :class:`Refinement` carrying the first primitive,
-the agenda that remains once it executes, and the method labels chosen
-along the way.
+the agenda that remains once it executes, and the preconditions checked on
+the way.  A refinement is known by its first primitive and remainder
+alone, and it does not record which methods were chosen to reach them.
 """
 
 from __future__ import annotations
@@ -20,24 +21,22 @@ from .model import Frozen, Literal, Task, TaskNetwork, atoms_of, known_bit, slot
 
 class Refinement(Frozen):
     """One way to start an agenda: its first primitive, the agenda left once
-    that runs, and the method labels chosen on the way.  Equal when all four
-    fields are."""
+    that runs, and the preconditions checked on the way.  Equal when all
+    three fields are."""
 
-    __slots__ = ("first_primitive", "remainder", "trace", "pres")
+    __slots__ = ("first_primitive", "remainder", "pres")
     _compared = __slots__
     first_primitive: GroundAction
     remainder: TaskNetwork
-    trace: tuple[str, ...]
     # the mask of every precondition atom checked on the way to the first
     # primitive (method preconditions along the decomposition path, then the
     # action's), whether it was required or forbidden
     pres: int
 
     def __init__(self, first_primitive: GroundAction, remainder: TaskNetwork,
-                 trace: tuple[str, ...], pres: int = 0) -> None:
+                 pres: int) -> None:
         _r_first_primitive(self, first_primitive)
         _r_remainder(self, remainder)
-        _r_trace(self, trace)
         _r_pres(self, pres)
 
     def key(self) -> tuple:
@@ -48,7 +47,7 @@ class Refinement(Frozen):
         return f"{self.first_primitive} :: [{rest}]"
 
 
-_r_first_primitive, _r_remainder, _r_trace, _r_pres = slot_setters(Refinement)
+_r_first_primitive, _r_remainder, _r_pres = slot_setters(Refinement)
 
 
 class Answer(NamedTuple):
@@ -86,7 +85,7 @@ def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
     """``head`` ground once for the life of ``dom.table``: an action's
     ``GroundAction``, or the instances of an abstract task's methods.
 
-    A method instance is ``(need, forbid, label, subtasks)``: it applies to a
+    A method instance is ``(need, forbid, subtasks)``: it applies to a
     base that passes the mask pair, expanding ``head`` into the ground
     ``subtasks``.
     """
@@ -103,7 +102,7 @@ def _ground(dom: DomainModel, head: Task) -> GroundAction | tuple:
         for b, need, forbid in dom.instances(m.pre, params):
             subs = tuple(Task(t.name, tuple(b.get(a, a) for a in t.args))
                          for t in m.subtasks)
-            out.append((need, forbid, m.label, shared.setdefault(subs, subs)))
+            out.append((need, forbid, shared.setdefault(subs, subs)))
     entry = dom.table[head] = tuple(out)
     return entry
 
@@ -150,13 +149,13 @@ def _relevant_task(dom: DomainModel, head: Task) -> tuple[int, bool]:
             table[("relevant", task)] = (entry.need | entry.forbid, False)
             todo.pop()
             continue
-        missing = [sub for _, _, _, subs in entry for sub in subs
+        missing = [sub for _, _, subs in entry for sub in subs
                    if ("relevant", sub) not in table]
         if missing:
             todo += missing
             continue
         mask, empties = 0, False
-        for need, forbid, _, subs in entry:
+        for need, forbid, subs in entry:
             mask |= need | forbid
             chain = True
             for sub in subs:
@@ -196,9 +195,9 @@ def _walk(dom: DomainModel, tn: TaskNetwork, mask: int) -> Answer:
     table = dom.table
     results: dict[tuple, Refinement] = {}
     done = False
-    frontier: list[tuple[TaskNetwork, tuple[str, ...], int]] = [(tn, (), 0)]
+    frontier: list[tuple[TaskNetwork, int]] = [(tn, 0)]
     while frontier:
-        agenda, trace, acc = frontier.pop()
+        agenda, acc = frontier.pop()
         if not agenda:
             done = True
             continue
@@ -211,15 +210,14 @@ def _walk(dom: DomainModel, tn: TaskNetwork, mask: int) -> Answer:
             if mask & need == need and not mask & forbid:
                 key = (entry.name, entry.args, rest)
                 if key not in results:
-                    results[key] = Refinement(entry, rest, trace, acc | need | forbid)
+                    results[key] = Refinement(entry, rest, acc | need | forbid)
             continue
-        for need, forbid, label, subs in entry:
+        for need, forbid, subs in entry:
             if mask & need == need and not mask & forbid:
-                frontier.append((subs + rest, trace + (label,), acc | need | forbid))
+                frontier.append((subs + rest, acc | need | forbid))
     refs = list(results.values())
     if len(refs) > 1:
-        refs.sort(key=lambda r: (r.first_primitive.text,
-                                 tuple(map(str, r.remainder)), r.trace))
+        refs.sort(key=lambda r: (r.first_primitive.text, tuple(map(str, r.remainder))))
     pres = 0
     for r in refs:
         pres |= r.pres

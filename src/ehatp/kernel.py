@@ -52,9 +52,9 @@ def with_call_memo(dom: DomainModel) -> DomainModel:
 
 
 def trace_enabled(dom: DomainModel, channel: str) -> bool:
+    """Whether ``EHATP_LOG``, as ``dom``'s call memo holds it, turns on
+    ``channel``: off outside a call memo."""
     flag = dom.memo.get(_LOG)
-    if flag is None:  # a direct kernel call on a parsed domain
-        flag = os.environ.get(_LOG, "")
     return flag == channel or flag == "all"
 
 

@@ -18,7 +18,7 @@ leaves the process.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 from weakref import KeyedRef
 
 AGENTS = ("R", "H")
@@ -224,12 +224,6 @@ class BeliefBase(Frozen):
     def canonical(self) -> tuple[str, ...]:
         return tuple(sorted(str(a) for a in atoms_of(self.mask)))
 
-    def __iter__(self) -> Iterator[Literal]:
-        return iter(atoms_of(self.mask))
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
     def __str__(self) -> str:
         return "{" + ", ".join(self.canonical()) + "}"
 
@@ -318,7 +312,7 @@ class World(Frozen):
     apart from the designated one while watching the robot act; situation
     assessment removes such worlds.  `world_from` returns the live world
     with equal content, so worlds compare and hash by identity (the object
-    defaults); they order by key.
+    defaults).
     """
 
     __slots__ = ("mask_r", "mask_h", "mask_rh", "tn_r", "tn_h", "tn_rh", "acted",
@@ -338,9 +332,6 @@ class World(Frozen):
                 acted: int = 0, distinguishable: bool = False) -> "World":
         return world_from(None, bel_r.mask, bel_h.mask, bel_rh.mask,
                           tn_r, tn_h, tn_rh, acted, distinguishable)
-
-    def __lt__(self, other: "World") -> bool:
-        return self._key < other._key
 
     def key(self) -> tuple:
         """The world's content as ints: equal keys, one world."""
@@ -425,8 +416,8 @@ class EpistemicState(Frozen):
     actions allowed before the next reunion, and ``pending`` the facts the
     human has asked to be told (a forced inform on the robot's next turn).
     ``designated_world`` is ``worlds[designated]``, kept as a field since
-    every step reads it.  States are equal when their signatures, the other
-    five fields, are.
+    every step reads it.  A state compares by identity; its `signature`,
+    the other five fields, identifies it among live states.
     """
 
     __slots__ = ("worlds", "designated", "actor", "budget", "pending", "designated_world")
@@ -436,15 +427,6 @@ class EpistemicState(Frozen):
     budget: int
     pending: tuple[Literal, ...]
     designated_world: World
-
-    def __init__(self, worlds: tuple[World, ...], designated: int, actor: str = "R",
-                 budget: int = 0, pending: tuple[Literal, ...] = ()) -> None:
-        _s_worlds(self, worlds)
-        _s_designated(self, designated)
-        _s_actor(self, actor)
-        _s_budget(self, budget)
-        _s_pending(self, pending)
-        _s_designated_world(self, worlds[designated])
 
     @classmethod
     def make(
@@ -473,12 +455,6 @@ class EpistemicState(Frozen):
         _s_designated_world(s, designated)
         return s
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EpistemicState) and other.signature() == self.signature()
-
-    def __hash__(self) -> int:
-        return hash(self.signature())
-
     def __repr__(self) -> str:
         return (f"EpistemicState(worlds={self.worlds!r}, designated={self.designated!r}, "
                 f"actor={self.actor!r}, budget={self.budget!r}, pending={self.pending!r})")
@@ -488,17 +464,6 @@ class EpistemicState(Frozen):
         holds the worlds themselves, alive as long as the key, so a state
         rebuilt meanwhile has the same signature."""
         return (self.worlds, self.designated, self.actor, self.budget, self.pending)
-
-    def describe(self) -> str:
-        """The state's identity as readable text, the same in every process:
-        worlds in the order of their texts, the designated one by its index
-        in that order."""
-        texts = sorted((w.describe(), i == self.designated)
-                       for i, w in enumerate(self.worlds))
-        body = "||".join(t for t, _ in texts)
-        d = next(i for i, (_, is_d) in enumerate(texts) if is_d)
-        pend = ",".join(str(p) for p in self.pending)
-        return f"{body}@d={d};actor={self.actor};k={self.budget};pending=[{pend}]"
 
 
 _s_worlds, _s_designated, _s_actor, _s_budget, _s_pending, _s_designated_world = (

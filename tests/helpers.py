@@ -74,6 +74,17 @@ def cold(dom: DomainModel) -> DomainModel:
     return dom
 
 
+def describe(s: EpistemicState) -> str:
+    """The state's identity as readable text, the same in every process:
+    worlds in the order of their texts, the designated one by its index in
+    that order."""
+    texts = sorted((w.describe(), i == s.designated) for i, w in enumerate(s.worlds))
+    body = "||".join(t for t, _ in texts)
+    d = next(i for i, (_, is_d) in enumerate(texts) if is_d)
+    pend = ",".join(str(p) for p in s.pending)
+    return f"{body}@d={d};actor={s.actor};k={s.budget};pending=[{pend}]"
+
+
 def agent_place(w: World) -> dict[str, str]:
     """The place of each agent in ``w``'s ground truth; raises
     `MalformedLiteralError` at the first ``at`` atom, in bit order, that

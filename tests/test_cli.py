@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -655,6 +656,31 @@ def test_stepper_reads_a_number_too_long_for_int_as_the_suggested_choice(monkeyp
                                                                          capsys):
     # Decimal, but ``int()`` converts at most 4,300 digits.
     _takes_the_suggested_choice(monkeypatch, capsys, "1" * 5000)
+
+
+STEPPED = re.compile(r"\[t\d+\] (robot|human): (.+)$")
+
+
+def test_stepper_lists_each_way_of_a_shared_label_and_steps_every_branch(monkeypatch,
+                                                                         capsys):
+    """cooking1's human root offers four ways to ``lay_mats``.  The stepper
+    lists them apart, and each of the five options steps, along the plan,
+    through `simulate`'s trace for that branch to its end."""
+    path = GOLDEN_P2.parent / "cooking1.policy.json"
+    dom, prob, policy = read_policy_file(path)
+    traces = simulate(dom, prob, policy).traces
+    assert len(traces) == 5 and all(t.outcome == DONE for t in traces)
+    for i, trace in enumerate(traces, start=1):
+        _feed(monkeypatch, [str(i)] + ["1"] * 40)
+        assert run_interactive(dom, prob, policy) == 0
+        out = capsys.readouterr().out
+        assert out.split("choice [")[0].splitlines() == [
+            "[t0] your move (H):", "  1) go(kitchen,pantry)", "  2) lay_mats (1 of 4)",
+            "  3) lay_mats (2 of 4)", "  4) lay_mats (3 of 4)", "  5) lay_mats (4 of 4)"]
+        stepped = [m.groups() for m in map(STEPPED.search, out.splitlines()) if m]
+        assert stepped == [("robot" if st.actor == "R" else "human", st.action)
+                           for st in trace.steps], i
+        assert out.endswith("finished: DONE\n")
 
 
 def test_stepper_survives_off_plan_choices(monkeypatch, capsys):

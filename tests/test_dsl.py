@@ -1,7 +1,12 @@
 """Parser, validator, and pretty-printer behavior."""
 
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
+import ehatp
 from ehatp.dsl import (
     ParseError,
     load_instance,
@@ -177,6 +182,17 @@ def test_a_k_with_more_digits_than_int_converts_is_rejected(cube):
     with pytest.raises(ParseError) as e:
         parse_problem(text, cube, "p2.ehatp")
     assert str(e.value) == "p2.ehatp:4:5: error: k has too many digits"
+
+
+def test_every_shipped_problem_parses_where_int_sets_no_digit_limit(monkeypatch):
+    """Python before 3.10.7 has no ``sys.get_int_max_str_digits``: no limit."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    data = Path(ehatp.__file__).parent / "data"
+    names = sorted(p.stem for p in data.glob("*.ehatp")
+                   if re.search(r"^problem ", p.read_text(encoding="utf-8"), re.MULTILINE))
+    assert len(names) == 9
+    for name in names:
+        assert load_instance(name)[1].name == name
 
 
 def test_missing_fields_reported(cube):

@@ -10,7 +10,7 @@ import pytest
 from ehatp import htn
 from ehatp.dsl import ParseError, load_shipped, parse_domain, parse_problem
 from ehatp.htn import advance, alignment_diff, effectively_decomposed, feasible_refinements
-from ehatp.model import BeliefBase, Task, is_variable
+from ehatp.model import BeliefBase, Task, atom_bit, is_variable
 from helpers import lit
 
 
@@ -108,10 +108,14 @@ def test_a_methodless_task_is_a_parse_error(cube):
                      "resolves to neither an action nor a method")
 
 
-def test_refinement_trace_names_methods(cube):
+def test_a_refinement_keeps_the_method_gates_on_its_way(cube):
+    """``store``'s gate forbids the human at ``mt``, which ``pick`` does not
+    test: the refinement's ``pres`` holds it all the same."""
     b = bel("on(c_r,mt)", "empty(box_1)", "empty(box_2)", "at(R,mt)")
     (r,) = feasible_refinements(cube, (Task("organize"),), b.mask)
-    assert "one_job" in r.trace and "store" in r.trace
+    gate = atom_bit(lit("at(H,mt)"))
+    assert r.pres & gate
+    assert not (r.first_primitive.need | r.first_primitive.forbid) & gate
 
 
 # ---------------------------------------------------------------- advancing

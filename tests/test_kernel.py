@@ -40,6 +40,7 @@ from ehatp.solver import _step, _uniform_human_refinements, expand, offers, solv
 from helpers import (
     cold,
     copresent,
+    describe,
     lit,
     observable,
     plain_assessment,
@@ -411,7 +412,7 @@ def test_sa_absorbs_observables_into_human_bases(cube):
 def test_sa_trace_lines(cube, monkeypatch, capsys):
     monkeypatch.setenv("EHATP_LOG", "sa")
     s, w_on, w_hold, *_ = reunion_state(transparent=False)
-    situation_assessment(cube, s, k=2)
+    situation_assessment(with_call_memo(cube), s, k=2)
     err = capsys.readouterr().err
     assert f"SA: removed {w_on.describe()} reason=on(c_r,mt)\n" in err
     assert f"SA: removed {w_hold.describe()} reason=holding(R,c_r)\n" in err
@@ -476,7 +477,7 @@ def test_memo_answers_match_a_fresh_domain_after_a_warm_search(name):
 
 def _step_outcome(dom, s, choice, k):
     out = _step(dom, s, choice, k)
-    return out.signature(), out.describe()
+    return out.signature(), describe(out)
 
 
 def _choices(dom, s):
@@ -768,7 +769,7 @@ def test_steps_intern_only_the_agendas_they_change(monkeypatch):
             if label.startswith(("inform-", "ask-")):
                 build(memo)
                 spoken += 1
-        assert interned == [], s.describe()
+        assert interned == [], describe(s)
     assert folded and spoken
 
     human = [s for s in states if s.actor == "H"]
@@ -806,7 +807,7 @@ from pathlib import Path
 from ehatp import kernel, model
 from ehatp.dsl import load_instance, load_shipped, parse_domain, parse_problem
 from ehatp.solver import solve
-from helpers import copresent, observable
+from helpers import copresent, describe, observable
 
 dom, p2 = load_instance("p2")
 memo = kernel.with_call_memo(dom)
@@ -823,11 +824,11 @@ def check(states, dom=dom, memo=memo):
     views = []
     for s in states:
         d = s.designated_world
-        assert kernel.state_copresent(memo, s) == copresent(d, dom.copresence), s.describe()
+        assert kernel.state_copresent(memo, s) == copresent(d, dom.copresence), describe(s)
         plain = sum(model.known_bit(a) for a in model._ATOMS
                     if observable(dom, a, d) and typed(dom, a))
         views.append(kernel.in_view(memo, d.mask_r))
-        assert views[-1] == plain, s.describe()
+        assert views[-1] == plain, describe(s)
     return views
 
 

@@ -1,61 +1,88 @@
 """`src/` holds no code that only tests use.
 
-Every public top-level function and class of `src/ehatp`, and every public
-method, must be named somewhere in `src/ehatp` or `planbench` other than its
-own definition: as a name, an attribute, or a part of a dotted string (the
-benchmark's tracer names the functions it wraps that way). No module but
-`cli.py` catches an exception, and no module imports another's underscore
-name.  Outside the parser and the front end, every `raise` is listed: a new
-model error needs a parser rule instead.  No function writes a field with
+The call census: one fresh interpreter runs each of the planner's entry
+points under ``sys.setprofile`` (``program_session.py``: ``plan``,
+``simulate --exhaustive`` and ``--interactive``, ``bench``, parse errors,
+a validation warning, and the benchmark's library calls).  Every function,
+method and lambda defined in `src/ehatp` must have run in it, or be listed
+in ``KEPT`` with what still needs it; ``__str__`` and ``__repr__``, text
+for people, are exempt.  A definition is matched by its module, its line
+and its code name, so two methods that share a name, or a dunder, are told
+apart.
+
+The other checks read the source: no module but `cli.py` catches an
+exception, and no module imports another's underscore name.  Outside the
+parser and the front end, every `raise` is listed: a new model error needs
+a parser rule instead.  No function writes a field with
 `object.__setattr__`: a value is whole once built.  Declaring a value type
 costs no import: no module imports `dataclasses`, and importing the CLI
 loads neither it nor `inspect`.
 """
 
 import ast
+import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "ehatp").glob("*.py"))
-FILES = SOURCES + sorted((ROOT / "planbench").glob("*.py"))
-DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+")
+
+# Definitions the program never calls, by module and dotted name, with what
+# keeps each: a release gate (tests/test_acceptance.py), the benchmark
+# (planbench/, whose files change only in a change of the benchmark), or
+# safety.
+KEPT = {
+    "kernel.py: EpistemicAction.__init__":
+        "gate 1 builds its actions from a flat tuple of events",
+    "kernel.py: EpistemicAction.events":
+        "planbench/tracer.py's _events hook counts kernel.events_per_action from it",
+    "model.py: Frozen.__setattr__":
+        "guards immutability: a memo shares every value it holds",
+    "model.py: Frozen._same_fields":
+        "the equality of parsed models that gate 5's reparse suite compares",
+    "model.py: Frozen._hash_fields":
+        "the hash that goes with that equality",
+    "model.py: World.__new__":
+        "gate 1 builds its worlds from three belief bases",
+    "model.py: World.key":
+        "a planbench/tracer.py target (model.World.key)",
+    "model.py: World.wid":
+        "gate 1 reads it, and it is a planbench/tracer.py target (model.World.wid)",
+}
+TEXT = ("__str__", "__repr__")
 
 
-def _definitions(tree: ast.Module):
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    for node in tree.body:
-        if isinstance(node, defs) and not node.name.startswith("_"):
-            yield node.name
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, defs) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}"
+def _functions(node: ast.AST, scope: tuple[str, ...] = ()):
+    """``(first line, code name, dotted name)`` of each function, method and
+    lambda under ``node``: the first line of a decorated function is its
+    first decorator's, as in its code object."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope + (child.name,)
+            first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+            yield first, child.name, ".".join(inner)
+        elif isinstance(child, ast.Lambda):
+            inner = scope
+            yield child.lineno, "<lambda>", ".".join(scope + (f"<lambda>:{child.lineno}",))
+        else:
+            inner = scope + (child.name,) if isinstance(child, ast.ClassDef) else scope
+        yield from _functions(child, inner)
 
 
-def _used(tree: ast.Module):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and DOTTED.fullmatch(node.value)):
-            yield from node.value.split(".")
-
-
-def test_every_public_definition_in_src_is_used_outside_the_tests():
-    used = set()
-    for path in FILES:
-        used.update(_used(ast.parse(path.read_text(encoding="utf-8"))))
-    unused = [f"{path.name}: {name}"
-              for path in SOURCES
-              for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))
-              if name.rsplit(".", 1)[-1] not in used]
-    assert unused == []
+def test_every_function_in_src_runs_in_the_program(tmp_path):
+    subprocess.run([sys.executable, str(ROOT / "tests" / "program_session.py"), str(tmp_path)],
+                   env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    called = {tuple(row) for row in json.loads((tmp_path / "called.json").read_text())}
+    unrun = {f"{path.name}: {dotted}"
+             for path in SOURCES
+             for line, name, dotted in _functions(ast.parse(path.read_text(encoding="utf-8")))
+             if (path.name, line, name) not in called and name not in TEXT}
+    assert sorted(unrun - KEPT.keys()) == []
+    # A kept definition the program now calls, or one that is gone, leaves
+    # the table.
+    assert sorted(KEPT.keys() - unrun) == []
 
 
 def test_only_the_cli_catches_exceptions():

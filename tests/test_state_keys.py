@@ -21,7 +21,7 @@ from ehatp.cli import write_policy_file
 from ehatp.dsl import load_instance, load_shipped
 from ehatp.model import BeliefBase, EpistemicState, Task, World
 from ehatp.solver import solve
-from helpers import base_of, lit
+from helpers import base_of, describe, lit
 
 # Count and SHA-256 of the newline-joined, sorted state signatures of the
 # exhaustive search graph, recorded with string keys before the rewrite.
@@ -35,7 +35,7 @@ FROZEN_GRAPHS = {
 def test_exhaustive_graph_matches_frozen_digest(name):
     dom, prob = load_instance(name)
     res = solve(dom, prob, exhaust=True)
-    texts = sorted(n.state.describe() for n in res.all_nodes)
+    texts = sorted(describe(n.state) for n in res.all_nodes)
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert (len(texts), digest) == FROZEN_GRAPHS[name]
     assert len({n.state.signature() for n in res.all_nodes}) == len(texts)
@@ -47,7 +47,7 @@ def test_describe_orders_worlds_by_their_text():
     earlier = World(b, b, b, tn_r=(Task("aa"),), acted=1, distinguishable=True)
     s = EpistemicState.make([later, earlier], designated=later, actor="H",
                             budget=2, pending=(lit("q"),))
-    assert s.describe() == (
+    assert describe(s) == (
         "bel_r=p;bel_h=p;bel_rh=p;tn_r=[aa];tn_h=[];tn_rh=[];acted=1;dist"
         "||bel_r=p;bel_h=p;bel_rh=p;tn_r=[zz];tn_h=[];tn_rh=[];acted=0"
         "@d=1;actor=H;k=2;pending=[q]")
@@ -94,29 +94,30 @@ import sys
 from ehatp import model
 from ehatp.cli import _divergence_summary
 from ehatp.dsl import load_instance
-from ehatp.model import EpistemicState
 from ehatp.solver import solve
+from helpers import describe
 for line in reversed(sys.stdin.read().splitlines()):
     pred, *args = line.split()
     model.atom_bit(model.Literal(pred, tuple(args)))
 states = [n.state for n in solve(*load_instance("p4"), exhaust=True).all_nodes]
 print(*(" ".join((a.pred, *a.args)) for a in model._ATOMS), sep="\\n")
 print("--")
-for s in sorted((s for s in states if len(s.worlds) >= 3), key=EpistemicState.describe):
+for s in sorted((s for s in states if len(s.worlds) >= 3), key=describe):
     print(_divergence_summary(s))
 """
 
 
 def test_stepper_summaries_are_independent_of_intern_history():
-    """The interactive stepper numbers a state's hypotheses as `describe`
-    orders its worlds, so a process that met the atoms in the reverse order
+    """The interactive stepper numbers a state's hypotheses as
+    `helpers.describe` orders its worlds, so a process that met the atoms in the reverse order
     prints the same summaries of p4's states with three or more worlds."""
-    src = str(Path(ehatp.__file__).resolve().parents[1])
+    path = os.pathsep.join([str(Path(ehatp.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
 
     def run(earlier: str) -> tuple[list[str], list[str]]:
         lines = subprocess.run(
             [sys.executable, "-c", SUMMARIES_P4], input=earlier,
-            env={**os.environ, "PYTHONPATH": src},
+            env={**os.environ, "PYTHONPATH": path},
             capture_output=True, text=True, check=True).stdout.splitlines()
         cut = lines.index("--")
         return lines[:cut], lines[cut + 1:]
